@@ -100,9 +100,6 @@ from .structure import (
     build_shift_matrix,
     classify_regime,
     cofactor,
-    end_columns,
-    find_alt_structure,
-    find_structure,
     spectrum,
 )
 from .verification import CheckResult, run_battery
@@ -151,9 +148,6 @@ __all__ = [
     "cofactor",
     "convergence_study",
     "eliminate_constants",
-    "end_columns",
-    "find_alt_structure",
-    "find_structure",
     "grid_samples",
     "hermite_extension",
     "image_functionals",

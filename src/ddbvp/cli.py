@@ -10,7 +10,8 @@ Four commands on JSON problem files (format documented in ``problem_io``):
   containment checks.
 * ``verify``   - the acceptance battery (fast or full).
 
-Exit codes: 0 success, 1 unreadable or invalid input, 2 stencil outside the
+Exit codes: 0 success, 1 unreadable or invalid input (including data whose
+exact solve would exceed the polynomial degree cap), 2 stencil outside the
 supported regime, 3 infeasible problem (report still written), 4 verification
 failures.
 """
@@ -21,6 +22,7 @@ import argparse
 import sys
 from fractions import Fraction
 
+from .piecewise import DegreeCapError
 from .problem_io import (
     ParsedProblem,
     ProblemFileError,
@@ -118,12 +120,10 @@ def cmd_solve(args, out) -> int:
 
     parsed = load_problem(args.file)
     try:
-        analyze(parsed.stencil)
+        family = solve_nonhomogeneous(parsed.problem)
     except UnsupportedRegimeError as exc:
         print("unsupported: %s" % exc, file=out)
         return EXIT_REGIME
-
-    family = solve_nonhomogeneous(parsed.problem)
     report_path = args.out + "-report"
     csv_path = args.out + "-solution.csv"
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
@@ -210,10 +210,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except ProblemFileError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+    except (ProblemFileError, OSError, DegreeCapError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
 

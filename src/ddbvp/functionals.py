@@ -171,20 +171,20 @@ def image_functionals(structure: StructureReport, k: int) -> list[NodeFunctional
     n = structure.stencil.N
     l = structure.ends.l
     assert l is not None
-    sm = structure.matrix
-    b_last_l = cofactor(sm, n + 1, l)
+    b_last_l = cofactor(structure, n + 1, l)
     if b_last_l == 0:
         # The admissible column index guarantees this cofactor is nonzero;
         # hitting zero means the end-column data is inconsistent.
         raise ValueError("cofactor B[N+1][l] vanished for l = %d; end-column data inconsistent" % l)
+    weights = [(Fraction(0), cofactor(structure, 1, l + 1))]
+    for i in range(1, n + 1):
+        weights.append((Fraction(i), cofactor(structure, i + 1, l + 1) - cofactor(structure, i, l)))
+    weights.append((Fraction(n + 1), -b_last_l))
+    weights = [(node, w) for node, w in weights if w != 0]
     out = membership_functionals(structure.gamma, 1)
     for mu in range(1, k + 2):
-        terms = [(Fraction(0), mu, cofactor(sm, 1, l + 1))]
-        for i in range(1, n + 1):
-            terms.append((Fraction(i), mu, cofactor(sm, i + 1, l + 1) - cofactor(sm, i, l)))
-        terms.append((Fraction(n + 1), mu, -b_last_l))
-        pruned = tuple((node, order, w) for node, order, w in terms if w != 0)
-        out.append(NodeFunctional(pruned, "cofactor[mu=%d]" % mu))
+        terms = tuple((node, mu, w) for node, w in weights)
+        out.append(NodeFunctional(terms, "cofactor[mu=%d]" % mu))
     return out
 
 

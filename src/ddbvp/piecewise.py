@@ -13,7 +13,9 @@ plumbing used everywhere else:
 * ``apply_difference`` / ``apply_difference_inverse``: the shift operator
   sum_j b_j f(t + j) of a :class:`~ddbvp.structure.Stencil` on (0, N+1) with
   zero extension, realized as multiplication of the vectorization by the
-  shift matrix (or its inverse);
+  shift matrix; the inverse multiplies by the R1^-1 that
+  :func:`~ddbvp.structure.analyze` computed once and stored in its
+  ``StructureReport``, so it takes the report rather than the stencil;
 * ``apply_shifted_sum``: the same operator applied to a function given on the
   enlarged interval (-N, 2N+1), restricted back to (0, N+1);
 * one-sided traces, jump tables and the zero-trace / interior-smoothness
@@ -30,7 +32,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import exactla
-from .structure import Stencil, build_shift_matrix
+from .structure import Stencil, StructureReport, build_shift_matrix
 
 DEGREE_CAP = 64
 
@@ -316,10 +318,6 @@ class PiecewisePoly:
 
     # -- traces -------------------------------------------------------------------
 
-    def limit(self, t, side: int) -> Fraction:
-        """One-sided limit; side +1 from the right, -1 from the left."""
-        return self.trace(t, 0, side)
-
     def trace(self, t, order: int, side: int) -> Fraction:
         t = _frac(t)
         if side not in (1, -1):
@@ -450,13 +448,14 @@ def apply_difference(stencil: Stencil, f: PiecewisePoly) -> PiecewisePoly:
     return devectorize(_apply_matrix(sm.r1_lists(), comps))
 
 
-def apply_difference_inverse(stencil: Stencil, w: PiecewisePoly) -> PiecewisePoly:
-    """The unique zero-extended f on (0, N+1) with apply_difference(f) == w."""
-    sm = build_shift_matrix(stencil)
-    if sm.det_r1 == 0:
-        raise ValueError("shift matrix is singular; the operator is not invertible")
-    comps = vectorize(w, stencil.N + 1)
-    return devectorize(_apply_matrix(exactla.invert(sm.r1_lists()), comps))
+def apply_difference_inverse(structure: StructureReport, w: PiecewisePoly) -> PiecewisePoly:
+    """The unique zero-extended f on (0, N+1) with apply_difference(f) == w.
+
+    Multiplies the vectorization of w by the report's R1^-1; the report
+    exists only for stencils with det R1 != 0, so the inverse always exists.
+    """
+    comps = vectorize(w, structure.stencil.N + 1)
+    return devectorize(_apply_matrix(structure.r1_inverse, comps))
 
 
 def apply_shifted_sum(stencil: Stencil, y: PiecewisePoly) -> PiecewisePoly:
@@ -473,37 +472,7 @@ def apply_shifted_sum(stencil: Stencil, y: PiecewisePoly) -> PiecewisePoly:
 
 
 # ---------------------------------------------------------------------------
-# trace tables and smoothness classes
-
-
-@dataclass(frozen=True)
-class NodeTraces:
-    """One-sided derivative limits at each breakpoint, per requested order.
-
-    ``left``/``right``/``jump`` map (node, order) to a Fraction, or None where
-    the side does not exist (outer side of the endpoints); jump is defined at
-    interior nodes only.
-    """
-
-    nodes: tuple[Fraction, ...]
-    orders: tuple[int, ...]
-    left: dict[tuple[Fraction, int], Fraction | None]
-    right: dict[tuple[Fraction, int], Fraction | None]
-    jump: dict[tuple[Fraction, int], Fraction | None]
-
-
-def node_traces(f: PiecewisePoly, orders: Sequence[int]) -> NodeTraces:
-    left: dict[tuple[Fraction, int], Fraction | None] = {}
-    right: dict[tuple[Fraction, int], Fraction | None] = {}
-    jump: dict[tuple[Fraction, int], Fraction | None] = {}
-    for t in f.breaks:
-        for mu in orders:
-            lv = f.trace(t, mu, -1) if t > f.start else None
-            rv = f.trace(t, mu, 1) if t < f.end else None
-            left[(t, mu)] = lv
-            right[(t, mu)] = rv
-            jump[(t, mu)] = rv - lv if lv is not None and rv is not None else None
-    return NodeTraces(nodes=f.breaks, orders=tuple(orders), left=left, right=right, jump=jump)
+# trace defects and smoothness classes
 
 
 def trace_defects(f: PiecewisePoly, k: int) -> list[tuple[str, Fraction, int, Fraction]]:

@@ -15,7 +15,9 @@ A problem file is a JSON document:
 Every number that feeds the exact computation is an integer or a "p/q"
 string; floats are rejected so no rounding can sneak in through an input
 file.  f1/f2/oracle are optional.  Piece coefficients are in the local
-coordinate of the piece (x = t - left endpoint).
+coordinate of the piece (x = t - left endpoint).  Polynomial degrees are
+checked against ``piecewise.DEGREE_CAP`` on parsing: every piece, and, when
+f1 or f2 is nonzero, the degree 2k+3 of their Hermite extension.
 
 Reports embed the canonical re-serialization of their input between marker
 lines, so a solution can be reproduced byte-for-byte from the report alone.
@@ -27,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .piecewise import PiecewisePoly
+from .piecewise import DEGREE_CAP, DegreeCapError, PiecewisePoly
 from .solver import BVPProblem, SolutionFamily, SolveStatus
 from .structure import Stencil
 
@@ -109,7 +111,10 @@ def _pieces(value, where: str) -> PiecewisePoly:
             raise ProblemFileError(here + ".interval", "pieces must be adjacent (previous piece ends at %s)" % breaks[-1])
         breaks.append(right)
         polys.append(poly)
-    return PiecewisePoly.from_pieces(breaks, polys)
+    try:
+        return PiecewisePoly.from_pieces(breaks, polys)
+    except DegreeCapError as exc:
+        raise ProblemFileError(where, str(exc)) from None
 
 
 def _coeff_list(value, where: str) -> tuple[Fraction, ...]:
@@ -153,6 +158,11 @@ def parse_problem(text: str) -> ParsedProblem:
     f0 = _pieces(doc["f0"], "f0")
     f1 = _coeff_list(doc["f1"], "f1") if "f1" in doc else (Fraction(0),)
     f2 = _coeff_list(doc["f2"], "f2") if "f2" in doc else (Fraction(0),)
+    if any(f1 + f2) and 2 * k + 3 > DEGREE_CAP:
+        raise ProblemFileError(
+            "k", "nonzero f1/f2 need a Hermite extension of degree 2k+3 = %d, above the "
+            "polynomial degree cap %d" % (2 * k + 3, DEGREE_CAP)
+        )
 
     oracle = None
     if "oracle" in doc:

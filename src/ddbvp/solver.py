@@ -23,6 +23,11 @@ the two outermost unit intervals of (0, N+1) (a two-point Hermite match of
 degree 2k+3).  The reduced problem for w = y - psi has zero extension data and
 right-hand side f0 + (R psi)''.
 
+There is one solve path, ``solve_nonhomogeneous``; ``solve_homogeneous`` is
+its zero-extension-data case.  Each entry point analyzes the stencil once and
+passes the ``StructureReport`` on: the boundary matrix, the node relations
+and the inverse difference operator (through the report's R1^-1) all read it.
+
 Beyond the solve itself the module certifies the structure theory on the
 instance: triviality of the kernel of the order-k operator, the codimension
 counts of the admissible-data subspaces, and the resulting index table.
@@ -55,7 +60,6 @@ from .piecewise import (
     ptrim,
     smoothness_defects,
     two_point_hermite,
-    zero_extension,
 )
 from .structure import IndexTable, Stencil, StructureReport, analyze
 
@@ -111,9 +115,7 @@ class SmoothnessReport:
     ``node_jumps`` lists the exact jumps of v', ..., v^(k+1) at the interior
     integer nodes; ``offgrid_defects`` every other nonzero jump, meaning
     breaks the data introduced off the node grid, or a continuity failure at
-    a node (the solve construction rules the latter out).  Single pieces of a
-    piecewise polynomial are smooth, so ``piece_verdicts`` is all True by
-    construction and recorded only for completeness.  ``extension_jumps``
+    a node (the solve construction rules the latter out).  ``extension_jumps``
     measures the assembled extension y across the seams at 0 and N+1 (orders
     0..k+1).  The two solvable flags report whether the data admits *some*
     solution in the zero-trace class of order k+2, respectively in the
@@ -128,7 +130,6 @@ class SmoothnessReport:
     smooth_interior: bool
     extension_jumps: tuple[tuple[Fraction, int, Fraction], ...]
     smooth_extension: bool
-    piece_verdicts: tuple[bool, ...]
     zero_trace_solvable: bool | None
     zero_trace_residuals: tuple[tuple[str, Fraction], ...]
     minimal_solvable: bool | None
@@ -257,7 +258,6 @@ def _smoothness(
         smooth_interior=smooth_interior,
         extension_jumps=tuple(extension_jumps),
         smooth_extension=smooth_extension,
-        piece_verdicts=tuple(True for _ in v.pieces),
         zero_trace_solvable=zt_ok,
         zero_trace_residuals=zt_bad,
         minimal_solvable=mn_ok,
@@ -265,23 +265,36 @@ def _smoothness(
     )
 
 
-def _solve_reduced(structure: StructureReport, k: int, data: PiecewisePoly) -> tuple:
-    """Shared core: boundary system for -(R v)'' = data with zero extension.
+def solve_homogeneous(problem: BVPProblem) -> SolutionFamily:
+    """Solve with zero extension data (f1 = f2 = 0)."""
+    if not problem.homogeneous_extension:
+        raise ValueError("extension data is nonzero; use solve_nonhomogeneous")
+    return solve_nonhomogeneous(problem)
 
-    Returns (status, M, rank, rhs, d, null, residuals, I).  The particular d
+
+def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
+    """Solve with polynomial extension data f1 / f2 (zero by default).
+
+    Reduces to a zero-extension problem for w = y - psi with right-hand side
+    f0 + (R psi)'', where psi is the Hermite extension of the data, then
+    solves the 2 x 2 boundary system for (d1, d2).  The particular d
     minimizes d1^2 + d2^2 over the solution set; when the data is smooth
     enough for the zero-trace constraint stack of order k and that stack is
     feasible, d is taken from the stack's solution set instead, so the
     returned representative is as smooth as the data allows.
     """
-    second = double_antiderivative(data)
-    f_edge, f_int = membership_functionals(structure.gamma, 1)
-    matrix = [
-        [f_edge.on_monomial(1), f_edge.on_monomial(0)],
-        [f_int.on_monomial(1), f_int.on_monomial(0)],
-    ]
+    structure = analyze(problem.stencil)
+    n = problem.stencil.N
+    k = problem.k
+    psi = hermite_extension(problem.stencil, k, problem.f1, problem.f2)
+    shifted = apply_shifted_sum(problem.stencil, psi)
+    reduced = problem.f0 + shifted.derivative(2)
+    second = double_antiderivative(reduced)
+
+    matrix = boundary_matrix(structure)
+    pair_rows = (tuple(matrix[0]), tuple(matrix[1]))
     rank = exactla.rank(matrix)
-    rhs = [f_edge.evaluate(second), f_int.evaluate(second)]
+    rhs = [fn.evaluate(second) for fn in membership_functionals(structure.gamma, 1)]
     solution = exactla.min_norm_solution(matrix, rhs)
     if solution is None:
         residuals = []
@@ -289,120 +302,51 @@ def _solve_reduced(structure: StructureReport, k: int, data: PiecewisePoly) -> t
             value = u[0] * rhs[0] + u[1] * rhs[1]
             if value != 0:
                 residuals.append(("boundary constraint %d" % j, value))
-        return (SolveStatus.INFEASIBLE, matrix, rank, rhs, None, [], tuple(residuals), second)
+        return SolutionFamily(
+            status=SolveStatus.INFEASIBLE,
+            boundary_matrix=pair_rows,
+            boundary_rank=rank,
+            rhs=tuple(rhs),
+            d=None, v=None, w=None,
+            kernel=(),
+            residuals=tuple(residuals),
+            extension=None,
+            smoothness=None,
+        )
 
     d, null = solution
-    if in_smooth_class(data, k):
+    if in_smooth_class(reduced, k):
         stack = membership_functionals(structure.gamma, k + 2)
         full_rows = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in stack]
         full_rhs = [fn.evaluate(second) for fn in stack]
         refined = exactla.min_norm_solution(full_rows, full_rhs)
         if refined is not None:
             d = refined[0]
-    status = SolveStatus.UNIQUE if not null else SolveStatus.AFFINE
-    return (status, matrix, rank, rhs, d, null, (), second)
-
-
-def _assemble_particular(structure: StructureReport, d, second: PiecewisePoly):
-    n = structure.stencil.N
     w = PiecewisePoly.from_global((d[1], d[0]), (0, n + 1)) - second
-    v = apply_difference_inverse(structure.stencil, w)
-    return v, w
-
-
-def _kernel_directions(structure: StructureReport, null) -> tuple[KernelDirection, ...]:
-    n = structure.stencil.N
-    out = []
-    for c in null:
-        w_c = PiecewisePoly.from_global((c[1], c[0]), (0, n + 1))
-        out.append(KernelDirection(c=(c[0], c[1]), v=apply_difference_inverse(structure.stencil, w_c)))
-    return tuple(out)
-
-
-def _as_pair_rows(matrix) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-    return (tuple(matrix[0]), tuple(matrix[1]))
-
-
-def solve_homogeneous(problem: BVPProblem) -> SolutionFamily:
-    """Solve with zero extension data (f1 = f2 = 0)."""
-    if not problem.homogeneous_extension:
-        raise ValueError("extension data is nonzero; use solve_nonhomogeneous")
-    structure = analyze(problem.stencil)
-    n = problem.stencil.N
-    status, matrix, rank, rhs, d, null, residuals, second = _solve_reduced(structure, problem.k, problem.f0)
-    if status is SolveStatus.INFEASIBLE:
-        return SolutionFamily(
-            status=status,
-            boundary_matrix=_as_pair_rows(matrix),
-            boundary_rank=rank,
-            rhs=tuple(rhs),
-            d=None, v=None, w=None,
-            kernel=(),
-            residuals=residuals,
-            extension=None,
-            smoothness=None,
-        )
-    v, w = _assemble_particular(structure, d, second)
-    y = zero_extension(v, -n, 2 * n + 1)
-    report = _smoothness(structure, problem.k, v, problem.f0, y, second)
-    return SolutionFamily(
-        status=status,
-        boundary_matrix=_as_pair_rows(matrix),
-        boundary_rank=rank,
-        rhs=tuple(rhs),
-        d=(d[0], d[1]),
-        v=v, w=w,
-        kernel=_kernel_directions(structure, null),
-        residuals=(),
-        extension=y,
-        smoothness=report,
-    )
-
-
-def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
-    """Solve with polynomial extension data f1 / f2.
-
-    Reduces to a zero-extension problem for w = y - psi with right-hand side
-    f0 + (R psi)'', where psi is the Hermite extension of the data.  With
-    f1 = f2 = 0 this is exactly ``solve_homogeneous``.
-    """
-    structure = analyze(problem.stencil)
-    n = problem.stencil.N
-    psi = hermite_extension(problem.stencil, problem.k, problem.f1, problem.f2)
-    shifted = apply_shifted_sum(problem.stencil, psi)
-    reduced = problem.f0 + shifted.derivative(2)
-    status, matrix, rank, rhs, d, null, residuals, second = _solve_reduced(structure, problem.k, reduced)
-    if status is SolveStatus.INFEASIBLE:
-        return SolutionFamily(
-            status=status,
-            boundary_matrix=_as_pair_rows(matrix),
-            boundary_rank=rank,
-            rhs=tuple(rhs),
-            d=None, v=None, w=None,
-            kernel=(),
-            residuals=residuals,
-            extension=None,
-            smoothness=None,
-        )
-    v, w = _assemble_particular(structure, d, second)
-    mid = v + psi.restricted(0, n + 1)
+    v = apply_difference_inverse(structure, w) + psi.restricted(0, n + 1)
     y = concat([
         PiecewisePoly.from_global(problem.f1, (-n, 0)),
-        mid,
+        v,
         PiecewisePoly.from_global(problem.f2, (n + 1, 2 * n + 1)),
     ])
-    report = _smoothness(structure, problem.k, mid, reduced, y, second)
+    kernel = tuple(
+        KernelDirection(
+            c=(c[0], c[1]),
+            v=apply_difference_inverse(structure, PiecewisePoly.from_global((c[1], c[0]), (0, n + 1))),
+        )
+        for c in null
+    )
     return SolutionFamily(
-        status=status,
-        boundary_matrix=_as_pair_rows(matrix),
+        status=SolveStatus.AFFINE if null else SolveStatus.UNIQUE,
+        boundary_matrix=pair_rows,
         boundary_rank=rank,
         rhs=tuple(rhs),
         d=(d[0], d[1]),
-        v=mid, w=w + shifted,
-        kernel=_kernel_directions(structure, null),
+        v=v, w=w + shifted,
+        kernel=kernel,
         residuals=(),
         extension=y,
-        smoothness=report,
+        smoothness=_smoothness(structure, k, v, reduced, y, second),
     )
 
 
@@ -425,8 +369,8 @@ class KernelCertificate:
 
 def kernel_certificate(structure: StructureReport) -> KernelCertificate:
     n = structure.stencil.N
-    v_one = apply_difference_inverse(structure.stencil, PiecewisePoly.constant(1, 0, n + 1))
-    v_lin = apply_difference_inverse(structure.stencil, PiecewisePoly.from_global((0, 1), (0, n + 1)))
+    v_one = apply_difference_inverse(structure, PiecewisePoly.constant(1, 0, n + 1))
+    v_lin = apply_difference_inverse(structure, PiecewisePoly.from_global((0, 1), (0, n + 1)))
     rows = []
     labels = []
     rows.append([v_one.trace(0, 0, 1), v_lin.trace(0, 0, 1)])

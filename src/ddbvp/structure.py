@@ -25,10 +25,14 @@ conditions are built from:
 * the two "end columns" of R1 (first column without its first entry, last
   column without its last entry), whose linear dependence or independence
   decides between two different condition counts;
-* cofactors of R1 and the resulting codimension/index table.
+* R1^-1, whose adjugate det R1 * R1^-1 gives every cofactor of R1;
+* the resulting codimension/index table.
 
-All of this is exact rational arithmetic.  Only ``spectrum`` leaves the
-rationals, returning floating-point eigenvalues for diagnostics.
+``analyze`` derives all of this once per stencil: it checks the regime,
+finds the R2 row dependency and inverts R1 a single time, and returns a
+``StructureReport`` (carrying R1^-1) that every consumer reads instead of
+recomputing.  All of this is exact rational arithmetic.  Only ``spectrum``
+leaves the rationals, returning floating-point eigenvalues for diagnostics.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from typing import Sequence
 import numpy as np
 
 from . import exactla
-from .exactla import Fraction as _F  # noqa: F401  (re-export convenience in doctests)
 
 
 class UnsupportedRegimeError(ValueError):
@@ -220,16 +223,15 @@ def classify_regime(sm: ShiftMatrix) -> RegimeReport:
     return RegimeReport(regime=regime, det_r1=sm.det_r1, det_r2=sm.det_r2)
 
 
-def _require_supported(sm: ShiftMatrix) -> None:
-    report = classify_regime(sm)
-    if report.supported:
+def _require_supported(regime: RegimeReport) -> None:
+    if regime.supported:
         return
-    if report.regime is Regime.NONSINGULAR_BOTH:
+    if regime.regime is Regime.NONSINGULAR_BOTH:
         raise UnsupportedRegimeError(
             "det R1 = %s and det R2 = %s: both minors nonsingular, so the operator "
             "preserves smoothness and the classical theory applies (see Skubachevskii, "
             "Elliptic Functional Differential Equations and Applications); this package "
-            "only handles the singular-minor regime" % (report.det_r1, report.det_r2)
+            "only handles the singular-minor regime" % (regime.det_r1, regime.det_r2)
         )
     raise UnsupportedRegimeError(
         "det R1 = 0: the vectorized difference operator is not invertible on the "
@@ -256,76 +258,39 @@ def _interior_dependency(sm: ShiftMatrix) -> tuple[int, list[Fraction]]:
     return m, [x * scale for x in c]
 
 
-def find_structure(sm: ShiftMatrix) -> GammaData:
-    """Node-relation coefficients with the edge relation closing at the right end.
+def _gamma(sm: ShiftMatrix, m: int, c: list[Fraction], variant: str) -> GammaData:
+    """Node-relation coefficients of one variant from the R2 row dependency (m, c).
 
-    gamma2 comes from the row dependency of R2: row m of R2 equals
-    sum_{i != m} gamma2[i] * row_i.  gamma1 solves the expansion of the last
-    row of R1 (without its last entry) in the rows of R1 with first entry
-    removed, skipping row m+1; those rows are a basis exactly because
-    det R1 != 0 while R2 is singular.
+    gamma2 is the dependency itself: row m of R2 equals
+    sum_{i != m} gamma2[i] * row_i.  gamma1 expands one clipped edge row of
+    R1 in the other rows clipped the opposite way, skipping one row; those
+    rows are a basis exactly because det R1 != 0 while R2 is singular.
+
+    * ``"right_edge"``: the last row without its last entry, in the rows
+      without their first entry, skipping row m+1;
+    * ``"left_edge"``: the first row without its first entry, in the rows
+      without their last entry, skipping row m.  Together with the unchanged
+      interior relation this cuts out the same constraint space as the
+      right-edge variant; the rank equality is exercised in the test suite.
     """
-    _require_supported(sm)
     n = sm.stencil.N
-    m, c = _interior_dependency(sm)
     gamma2 = {i: -c[i - 1] for i in range(1, n + 1) if i != m}
-
-    # e_i = row i of R1 without its first entry; g_{N+1} = last row without its last entry.
-    e_rows = {i: [sm.entry(i, k) for k in range(2, n + 2)] for i in range(1, n + 2)}
-    target = [sm.entry(n + 1, k) for k in range(1, n + 1)]
-    indices = [i for i in range(1, n + 2) if i != m + 1]
-    system = exactla.transpose([e_rows[i] for i in indices])
+    if variant == "right_edge":
+        row_cols, target_row, target_cols, skip = range(2, n + 2), n + 1, range(1, n + 1), m + 1
+    else:
+        row_cols, target_row, target_cols, skip = range(1, n + 1), 1, range(2, n + 2), m
+    indices = [i for i in range(1, n + 2) if i != skip]
+    system = exactla.transpose([[sm.entry(i, col) for col in row_cols] for i in indices])
+    target = [sm.entry(target_row, col) for col in target_cols]
     try:
         coeffs = exactla.solve_unique(system, target)
     except ValueError as exc:
-        raise StructureError("edge relation rows failed to form a basis: %s" % exc) from exc
-    gamma1 = {i: coeffs[pos] for pos, i in enumerate(indices)}
-    return GammaData(N=n, m=m, gamma1=gamma1, gamma2=gamma2, variant="right_edge")
+        raise StructureError("%s relation rows failed to form a basis: %s" % (variant, exc)) from exc
+    return GammaData(N=n, m=m, gamma1=dict(zip(indices, coeffs)), gamma2=gamma2, variant=variant)
 
 
-def find_alt_structure(sm: ShiftMatrix) -> GammaData:
-    """Mirrored node relations, the edge relation closing at the left end.
-
-    Expands the first row of R1 (without its first entry) in the rows of R1
-    with last entry removed, skipping row m.  Together with the unchanged
-    interior relation this cuts out the same constraint space as
-    ``find_structure``; the rank equality is exercised in the test suite.
-    """
-    _require_supported(sm)
-    n = sm.stencil.N
-    m, c = _interior_dependency(sm)
-    gamma2 = {i: -c[i - 1] for i in range(1, n + 1) if i != m}
-
-    # g_i = row i of R1 without its last entry; e_1 = first row without its first entry.
-    g_rows = {i: [sm.entry(i, k) for k in range(1, n + 1)] for i in range(1, n + 2)}
-    target = [sm.entry(1, k) for k in range(2, n + 2)]
-    indices = [i for i in range(1, n + 2) if i != m]
-    system = exactla.transpose([g_rows[i] for i in indices])
-    try:
-        coeffs = exactla.solve_unique(system, target)
-    except ValueError as exc:
-        raise StructureError("mirrored edge relation rows failed to form a basis: %s" % exc) from exc
-    gamma1 = {i: coeffs[pos] for pos, i in enumerate(indices)}
-    return GammaData(N=n, m=m, gamma1=gamma1, gamma2=gamma2, variant="left_edge")
-
-
-def cofactor(sm: ShiftMatrix, i: int, k: int) -> Fraction:
-    """Signed cofactor of the 1-based (i, k) entry of R1."""
-    size = sm.size
-    if not (1 <= i <= size and 1 <= k <= size):
-        raise ValueError("cofactor indices out of range")
-    minor = [
-        [sm.r1[r][c] for c in range(size) if c != k - 1]
-        for r in range(size)
-        if r != i - 1
-    ]
-    sign = -1 if (i + k) % 2 else 1
-    return sign * exactla.det(minor)
-
-
-def end_columns(sm: ShiftMatrix) -> EndColumnData:
+def _end_columns(sm: ShiftMatrix, m: int) -> EndColumnData:
     """Clipped end columns of R1 and, if dependent, their normalized relation."""
-    _require_supported(sm)
     n = sm.stencil.N
     first = tuple(sm.entry(i, 1) for i in range(2, n + 2))
     last = tuple(sm.entry(i, n + 1) for i in range(1, n + 1))
@@ -340,7 +305,6 @@ def end_columns(sm: ShiftMatrix) -> EndColumnData:
     lead = next(x for x in alpha if x != 0)
     alpha = tuple(x / lead for x in alpha)
 
-    m, _ = _interior_dependency(sm)
     l = None
     for cand in range(1, n + 1):
         sub = [
@@ -354,6 +318,17 @@ def end_columns(sm: ShiftMatrix) -> EndColumnData:
     if l is None:
         raise StructureError("no admissible column index l found; rank structure violated")
     return EndColumnData(first_inner=first, last_inner=last, dependent=True, alpha=alpha, l=l)
+
+
+def cofactor(report: StructureReport, i: int, k: int) -> Fraction:
+    """Signed cofactor B[i][k] of the 1-based (i, k) entry of R1.
+
+    Read off the adjugate: adj R1 = det R1 * R1^-1 and B[i][k] = adj R1[k][i].
+    """
+    size = report.matrix.size
+    if not (1 <= i <= size and 1 <= k <= size):
+        raise ValueError("cofactor indices out of range")
+    return report.matrix.det_r1 * report.r1_inverse[k - 1][i - 1]
 
 
 def spectrum(sm: ShiftMatrix) -> np.ndarray:
@@ -393,7 +368,11 @@ def index_table(ends: EndColumnData, k: int) -> IndexTable:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Bundled structural data for one stencil in the supported regime."""
+    """Bundled structural data for one stencil in the supported regime.
+
+    ``r1_inverse`` is R1^-1, exact; it drives the inverse difference operator
+    and, through the adjugate, every cofactor of R1.
+    """
 
     stencil: Stencil
     matrix: ShiftMatrix
@@ -401,20 +380,29 @@ class StructureReport:
     gamma: GammaData
     alt_gamma: GammaData
     ends: EndColumnData
+    r1_inverse: tuple[tuple[Fraction, ...], ...]
 
     def index_table(self, k: int) -> IndexTable:
         return index_table(self.ends, k)
 
 
 def analyze(stencil: Stencil) -> StructureReport:
-    """Full structural analysis; raises UnsupportedRegimeError outside the regime."""
+    """Full structural analysis; raises UnsupportedRegimeError outside the regime.
+
+    This is the one place a stencil's structure is derived: the regime check,
+    the R2 row dependency and the inversion of R1 each happen once here, and
+    every consumer reads the returned report.
+    """
     sm = build_shift_matrix(stencil)
-    _require_supported(sm)
+    regime = classify_regime(sm)
+    _require_supported(regime)
+    m, c = _interior_dependency(sm)
     return StructureReport(
         stencil=stencil,
         matrix=sm,
-        regime=classify_regime(sm),
-        gamma=find_structure(sm),
-        alt_gamma=find_alt_structure(sm),
-        ends=end_columns(sm),
+        regime=regime,
+        gamma=_gamma(sm, m, c, "right_edge"),
+        alt_gamma=_gamma(sm, m, c, "left_edge"),
+        ends=_end_columns(sm, m),
+        r1_inverse=tuple(tuple(row) for row in exactla.invert(sm.r1_lists())),
     )

@@ -199,7 +199,7 @@ def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3), seed: 
             if bad:
                 return CheckResult(1, "image membership", False,
                                    "image constructor left nonzero conditions: %s" % bad)
-            v2 = apply_difference_inverse(stencil, w2)
+            v2 = apply_difference_inverse(structure, w2)
             if not in_zero_trace_class(v2, k):
                 return CheckResult(1, "image membership", False,
                                    "preimage left the zero-trace class (b=%s, k=%d)" % (_b_text(stencil), k))

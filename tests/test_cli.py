@@ -40,6 +40,8 @@ def test_parse_accepts_ints_and_fraction_strings():
     assert parsed.stencil.coeffs == (1, 0, 1)
     assert parsed.problem.k == 0
     assert parsed.oracle is None
+    # with zero extension data there is no Hermite extension to cap k
+    assert parse_problem(json.dumps(dict(WORKED, k=40))).problem.k == 40
 
 
 @pytest.mark.parametrize(
@@ -72,6 +74,9 @@ def test_parse_accepts_ints_and_fraction_strings():
         (lambda d: d.update(oracle={"n_values": [2]}), "oracle.n_values[0]"),
         (lambda d: d.update(oracle={"m_values": [8]}), "oracle"),
         (lambda d: d.update(f1=[]), "f1"),
+        # the Hermite extension of nonzero f1/f2 has degree 2k+3 = 83 > 64
+        (lambda d: d.update(k=40, f1=[1]), "k"),
+        (lambda d: d.update(f0=[{"interval": [0, 2], "coeffs": [1] * 71}]), "f0"),
     ],
 )
 def test_parse_errors_name_the_offending_field(mutate, field):
@@ -178,6 +183,16 @@ def test_parse_failures_exit_1(tmp_path, capsys):
     doc["b"] = [1, 0]
     assert main(["analyze", _write(tmp_path, doc, "short.json")]) == 1
     assert "b:" in capsys.readouterr().err
+
+    over_cap = _write(tmp_path, dict(WORKED, k=40, f1=[1]), "over_cap.json")
+    for argv in (["analyze", over_cap], ["solve", over_cap, "--out", str(tmp_path / "cap")]):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: k:")
+    # f0 of degree 63 parses, but its double antiderivative exceeds the cap
+    steep = dict(WORKED, f0=[{"interval": [0, 2], "coeffs": [1] * 64}])
+    assert main(["solve", _write(tmp_path, steep, "steep.json"), "--out", str(tmp_path / "steep")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds cap" in err and len(err.splitlines()) == 1
 
 
 def test_solve_command_writes_report_and_csv(tmp_path, capsys):

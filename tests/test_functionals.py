@@ -115,7 +115,7 @@ def test_cofactor_functional_measures_the_preimage_jump():
         cof = {fn.label: fn for fn in fns}
         for trial in range(5):
             w = _rand_global(rng, 4, (0, n + 1))
-            v = apply_difference_inverse(s, w).refined(range(1, n + 1))
+            v = apply_difference_inverse(structure, w).refined(range(1, n + 1))
             for mu in (1, 2, 3):
                 got = cof["cofactor[mu=%d]" % mu].evaluate(w)
                 assert got == det_r1 * v.jump(l, mu)

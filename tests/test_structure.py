@@ -13,9 +13,6 @@ from ddbvp.structure import (
     build_shift_matrix,
     classify_regime,
     cofactor,
-    end_columns,
-    find_alt_structure,
-    find_structure,
     index_table,
     spectrum,
 )
@@ -91,9 +88,10 @@ def test_named_stencils_are_in_the_supported_regime():
 def test_gamma_relations_satisfy_their_defining_matrix_identities():
     pool = list(named_stencils()) + list(random_regime_stencils(count=8, seed=21))
     for s in pool:
-        sm = build_shift_matrix(s)
+        report = analyze(s)
+        sm = report.matrix
         n = s.N
-        gamma = find_structure(sm)
+        gamma = report.gamma
         assert gamma.variant == "right_edge"
         assert 1 <= gamma.m <= n
 
@@ -113,7 +111,7 @@ def test_gamma_relations_satisfy_their_defining_matrix_identities():
         assert set(gamma.gamma1) == {i for i in range(1, n + 2) if i != gamma.m + 1}
 
         # mirrored edge: first row without first entry, rows clipped at the end
-        alt = find_alt_structure(sm)
+        alt = report.alt_gamma
         assert alt.variant == "left_edge"
         assert alt.m == gamma.m and alt.gamma2 == gamma.gamma2
         for col in range(2, n + 2):
@@ -135,14 +133,15 @@ def test_worked_stencil_structure_numbers():
 
 def test_cofactors_match_sympy():
     for s in named_stencils():
-        sm = build_shift_matrix(s)
+        report = analyze(s)
+        sm = report.matrix
         m = _sym(sm.r1_lists())
         for i in range(1, sm.size + 1):
             for k in range(1, sm.size + 1):
-                got = cofactor(sm, i, k)
+                got = cofactor(report, i, k)
                 assert sp.Rational(got.numerator, got.denominator) == m.cofactor(i - 1, k - 1)
     with pytest.raises(ValueError):
-        cofactor(build_shift_matrix(Stencil.from_coeffs((1, 0, 1))), 0, 1)
+        cofactor(analyze(Stencil.from_coeffs((1, 0, 1))), 0, 1)
 
 
 def test_corner_cofactors_equal_det_r2():
@@ -150,22 +149,24 @@ def test_corner_cofactors_equal_det_r2():
     # matrix is Toeplitz, so they vanish across the whole supported regime
     pool = list(named_stencils()) + list(random_regime_stencils(count=8, seed=33))
     for s in pool:
-        sm = build_shift_matrix(s)
-        assert cofactor(sm, 1, 1) == sm.det_r2 == 0
-        assert cofactor(sm, sm.size, sm.size) == sm.det_r2
+        report = analyze(s)
+        sm = report.matrix
+        assert cofactor(report, 1, 1) == sm.det_r2 == 0
+        assert cofactor(report, sm.size, sm.size) == sm.det_r2
 
 
 def test_end_columns_dependency_and_admissible_index():
     for s in DEPENDENT_NAMED:
-        sm = build_shift_matrix(s)
-        ends = end_columns(sm)
+        report = analyze(s)
+        sm = report.matrix
+        ends = report.ends
         assert ends.dependent
         a1, a2 = ends.alpha
         for x, y in zip(ends.first_inner, ends.last_inner):
             assert a1 * x + a2 * y == 0
         # l is the smallest column for which R2 minus row m, column l stays
         # nonsingular; recheck against a direct sympy determinant sweep
-        gamma = find_structure(sm)
+        gamma = report.gamma
         n = s.N
         found = None
         for cand in range(1, n + 1):
@@ -180,7 +181,7 @@ def test_end_columns_dependency_and_admissible_index():
                 break
         assert ends.l == found
 
-    ends = end_columns(build_shift_matrix(INDEPENDENT_NAMED))
+    ends = analyze(INDEPENDENT_NAMED).ends
     assert not ends.dependent
     assert ends.alpha is None and ends.l is None
 
@@ -190,12 +191,11 @@ def test_cofactor_dependency_identity():
     # for every interior i; this is what collapses the higher-order image
     # conditions in the dependent case
     for s in DEPENDENT_NAMED:
-        sm = build_shift_matrix(s)
-        ends = end_columns(sm)
-        a1, a2 = ends.alpha
+        report = analyze(s)
+        a1, a2 = report.ends.alpha
         n = s.N
         for i in range(1, n + 1):
-            assert a1 * cofactor(sm, i, n + 1) + a2 * cofactor(sm, i + 1, 1) == 0
+            assert a1 * cofactor(report, i, n + 1) + a2 * cofactor(report, i + 1, 1) == 0
 
 
 def test_index_table_formulas():
