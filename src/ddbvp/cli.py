@@ -40,6 +40,9 @@ EXIT_REGIME = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFY = 4
 
+# Largest number of regular CSV rows, (N+1)/step, that ``solve`` will sample.
+MAX_SAMPLE_ROWS = 10 ** 6
+
 
 def _fmt_complex(z) -> str:
     if z.imag == 0:
@@ -119,6 +122,10 @@ def cmd_solve(args, out) -> int:
         return EXIT_PARSE
 
     parsed = load_problem(args.file)
+    span = parsed.stencil.N + 1
+    if span / step > MAX_SAMPLE_ROWS:
+        print("error: --samples %s gives more than %d CSV rows on (0, %d)" % (step, MAX_SAMPLE_ROWS, span), file=sys.stderr)
+        return EXIT_PARSE
     try:
         family = solve_nonhomogeneous(parsed.problem)
     except UnsupportedRegimeError as exc:

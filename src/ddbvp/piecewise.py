@@ -8,6 +8,12 @@ breakpoints move) and keep coefficients small.
 Besides the usual algebra and calculus this module implements the operator
 plumbing used everywhere else:
 
+* ``linear_combination``: the one place functions are summed.  It aligns its
+  terms once on the union of their breakpoints and adds the scaled pieces;
+  ``+``, ``-``, the matrix products below and ``apply_shifted_sum`` all go
+  through it.  Refinement (``PiecewisePoly.refined``) carries unsplit pieces
+  over unchanged and returns the function itself when nothing is inserted,
+  so aligning functions that already share their breakpoints is cheap;
 * ``vectorize`` / ``devectorize``: cut a function on (0, s) into s unit
   restrictions on (0, 1) and paste them back;
 * ``apply_difference`` / ``apply_difference_inverse``: the shift operator
@@ -18,11 +24,10 @@ plumbing used everywhere else:
   ``StructureReport``, so it takes the report rather than the stencil;
 * ``apply_shifted_sum``: the same operator applied to a function given on the
   enlarged interval (-N, 2N+1), restricted back to (0, N+1);
-* one-sided traces, jump tables and the zero-trace / interior-smoothness
-  class tests that define the Sobolev-type memberships used by the solvers.
+* one-sided traces, jumps and the zero-trace / interior-smoothness class
+  tests that define the Sobolev-type memberships used by the solvers.
 
-Coefficients are Fractions throughout; floating point only ever appears in
-``sample_floats`` output.
+Coefficients are Fractions throughout.
 """
 
 from __future__ import annotations
@@ -210,15 +215,26 @@ class PiecewisePoly:
     # -- refinement and alignment -------------------------------------------
 
     def refined(self, extra: Iterable) -> "PiecewisePoly":
-        """Same function with additional breakpoints inserted."""
-        pts = sorted(set(self.breaks) | {_frac(x) for x in extra})
-        if pts[0] < self.start or pts[-1] > self.end:
+        """Same function with additional breakpoints inserted.
+
+        Returns ``self`` when no new point falls inside the domain.  A piece
+        whose left breakpoint stays is carried over unchanged; only pieces
+        that start at an inserted point are re-expanded there.
+        """
+        new = {_frac(x) for x in extra}.difference(self.breaks)
+        if not new:
+            return self
+        if min(new) < self.start or max(new) > self.end:
             raise ValueError("refinement points outside the domain")
+        pts = sorted(new.union(self.breaks))
         pieces = []
-        for lo, hi in zip(pts, pts[1:]):
-            idx = self._piece_index(lo)
-            base = self.breaks[idx]
-            pieces.append(pshift(self.pieces[idx], lo - base))
+        idx = -1
+        for lo in pts[:-1]:
+            if lo == self.breaks[idx + 1]:
+                idx += 1
+                pieces.append(self.pieces[idx])
+            else:
+                pieces.append(pshift(self.pieces[idx], lo - self.breaks[idx]))
         return PiecewisePoly(breaks=tuple(pts), pieces=tuple(pieces))
 
     def _piece_index(self, t: Fraction) -> int:
@@ -234,20 +250,13 @@ class PiecewisePoly:
                 hi = mid - 1
         return lo
 
-    def aligned_with(self, other: "PiecewisePoly") -> tuple["PiecewisePoly", "PiecewisePoly"]:
-        if (self.start, self.end) != (other.start, other.end):
-            raise ValueError("domains differ: %s vs %s" % ((self.start, self.end), (other.start, other.end)))
-        pts = set(self.breaks) | set(other.breaks)
-        return self.refined(pts), other.refined(pts)
-
     # -- algebra --------------------------------------------------------------
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        a, b = self.aligned_with(other)
-        return PiecewisePoly(a.breaks, tuple(padd(x, y) for x, y in zip(a.pieces, b.pieces)))
+        return linear_combination(((1, self), (1, other)))
 
     def __sub__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        return self + other.scaled(Fraction(-1))
+        return linear_combination(((1, self), (-1, other)))
 
     def __neg__(self) -> "PiecewisePoly":
         return self.scaled(Fraction(-1))
@@ -256,22 +265,12 @@ class PiecewisePoly:
         s = _frac(s)
         return PiecewisePoly(self.breaks, tuple(pscale(c, s) for c in self.pieces))
 
-    def times(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        a, b = self.aligned_with(other)
-        return PiecewisePoly(a.breaks, tuple(pmul(x, y) for x, y in zip(a.pieces, b.pieces)))
-
-    def times_global(self, coeffs: Sequence) -> "PiecewisePoly":
-        """Multiply by a polynomial given in the global coordinate t."""
-        glob = ptrim([_frac(x) for x in coeffs])
-        pcs = tuple(pmul(c, pshift(glob, a)) for c, a in zip(self.pieces, self.breaks[:-1]))
-        return PiecewisePoly(self.breaks, pcs)
-
     def same(self, other: "PiecewisePoly") -> bool:
         """Exact equality as functions (up to breakpoint refinement)."""
         if (self.start, self.end) != (other.start, other.end):
             return False
-        a, b = self.aligned_with(other)
-        return all(x == y for x, y in zip(a.pieces, b.pieces))
+        a, b = align_many((self, other))
+        return a.pieces == b.pieces
 
     # -- calculus --------------------------------------------------------------
 
@@ -296,9 +295,6 @@ class PiecewisePoly:
         for c, lo, hi in zip(self.pieces, self.breaks, self.breaks[1:]):
             total += peval(pint(c, Fraction(0)), hi - lo)
         return total
-
-    def integral_over(self, a, b) -> Fraction:
-        return self.restricted(a, b).integral()
 
     # -- geometry ---------------------------------------------------------------
 
@@ -351,30 +347,13 @@ class PiecewisePoly:
         """Right minus left limit of the order-th derivative at an interior point."""
         return self.trace(t, order, 1) - self.trace(t, order, -1)
 
-    def interior_jumps(self, order: int = 0) -> list[tuple[Fraction, Fraction]]:
-        return [(t, self.jump(t, order)) for t in self.breaks[1:-1]]
-
-    # -- output -----------------------------------------------------------------
-
-    def sample_floats(self, step: Fraction) -> list[tuple[float, float]]:
-        """(t, value) samples at start, start+step, ...; breakpoints skipped."""
-        step = _frac(step)
-        if step <= 0:
-            raise ValueError("step must be positive")
-        out = []
-        t = self.start
-        while t <= self.end:
-            if t not in self.breaks:
-                out.append((float(t), float(self.trace(t, 0, 1))))
-            t += step
-        return out
-
 
 # ---------------------------------------------------------------------------
 # operator plumbing
 
 
 def align_many(funcs: Sequence[PiecewisePoly]) -> list[PiecewisePoly]:
+    """Refine functions on one domain to the union of their breakpoints."""
     if not funcs:
         return []
     span = (funcs[0].start, funcs[0].end)
@@ -384,6 +363,25 @@ def align_many(funcs: Sequence[PiecewisePoly]) -> list[PiecewisePoly]:
             raise ValueError("cannot align functions on different domains")
         pts |= set(f.breaks)
     return [f.refined(pts) for f in funcs]
+
+
+def linear_combination(terms: Iterable[tuple[object, PiecewisePoly]]) -> PiecewisePoly:
+    """sum c * f over (coefficient, function) pairs on one domain.
+
+    The functions are aligned once and summed piece by piece.  Terms with a
+    zero coefficient add nothing but still contribute their breakpoints.
+    """
+    terms = list(terms)
+    coefs = [_frac(c) for c, _ in terms]
+    funcs = align_many([f for _, f in terms])
+    pieces = []
+    for i in range(len(funcs[0].pieces)):
+        acc: tuple[Fraction, ...] = (Fraction(0),)
+        for c, f in zip(coefs, funcs):
+            if c:
+                acc = padd(acc, pscale(f.pieces[i], c))
+        pieces.append(acc)
+    return PiecewisePoly(funcs[0].breaks, tuple(pieces))
 
 
 def concat(parts: Sequence[PiecewisePoly]) -> PiecewisePoly:
@@ -431,14 +429,7 @@ def devectorize(components: Sequence[PiecewisePoly]) -> PiecewisePoly:
 
 def _apply_matrix(matrix: Sequence[Sequence[Fraction]], components: Sequence[PiecewisePoly]) -> list[PiecewisePoly]:
     comps = align_many(components)
-    out = []
-    for row in matrix:
-        acc = PiecewisePoly(comps[0].breaks, tuple((Fraction(0),) for _ in comps[0].pieces))
-        for coef, comp in zip(row, comps):
-            if coef:
-                acc = acc + comp.scaled(coef)
-        out.append(acc)
-    return out
+    return [linear_combination(zip(row, comps)) for row in matrix]
 
 
 def apply_difference(stencil: Stencil, f: PiecewisePoly) -> PiecewisePoly:
@@ -463,12 +454,8 @@ def apply_shifted_sum(stencil: Stencil, y: PiecewisePoly) -> PiecewisePoly:
     n = stencil.N
     if (y.start, y.end) != (Fraction(-n), Fraction(2 * n + 1)):
         raise ValueError("expected a function on (-%d, %d)" % (n, 2 * n + 1))
-    total = PiecewisePoly.zero(0, n + 1)
-    for j in range(-n, n + 1):
-        coef = stencil.b(j)
-        if coef:
-            total = total + y.shifted(-j).restricted(0, n + 1).scaled(coef)
-    return total
+    window = [(stencil.b(j), y.shifted(-j).restricted(0, n + 1)) for j in range(-n, n + 1) if stencil.b(j)]
+    return linear_combination([(0, PiecewisePoly.zero(0, n + 1))] + window)
 
 
 # ---------------------------------------------------------------------------
@@ -518,21 +505,9 @@ def in_smooth_class(f: PiecewisePoly, k: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integral functionals
-
-
-def moment(f: PiecewisePoly, i) -> Fraction:
-    """The second-antiderivative moment integral_0^i (i - tau) f(tau) dtau."""
-    i = _frac(i)
-    if i == 0:
-        return Fraction(0)
-    return f.restricted(0, i).times_global((i, -1)).integral()
+# the double antiderivative
 
 
 def double_antiderivative(f: PiecewisePoly) -> PiecewisePoly:
     """I with I(start) = I'(start) = 0 and I'' = f; I(t) = integral (t - tau) f."""
     return f.antiderivative(0).antiderivative(0)
-
-
-def inner_product(f: PiecewisePoly, g: PiecewisePoly) -> Fraction:
-    return f.times(g).integral()

@@ -55,6 +55,7 @@ from .piecewise import (
     concat,
     double_antiderivative,
     in_smooth_class,
+    linear_combination,
     pder,
     peval,
     ptrim,
@@ -385,7 +386,7 @@ def kernel_certificate(structure: StructureReport) -> KernelCertificate:
     basis = []
     if rank < 2:
         for c in exactla.nullspace(rows):
-            combo = v_one.scaled(c[0]) + v_lin.scaled(c[1])
+            combo = linear_combination(((c[0], v_one), (c[1], v_lin)))
             basis.append(KernelDirection(c=(c[0], c[1]), v=combo))
     return KernelCertificate(
         rank=rank,

@@ -37,6 +37,7 @@ from .piecewise import (
     apply_difference,
     apply_difference_inverse,
     in_zero_trace_class,
+    padd,
     pmul,
     two_point_hermite,
 )
@@ -127,12 +128,7 @@ def _hermite_glued(length: int, k: int, rng: random.Random, zero_end_jets: bool)
         else:
             piece = two_point_hermite(jets[i], jets[i + 1])
         bump = pmul(bump_shape, _random_poly(rng, 2))
-        merged = [Fraction(0)] * max(len(piece), len(bump))
-        for idx, c in enumerate(piece):
-            merged[idx] += c
-        for idx, c in enumerate(bump):
-            merged[idx] += c
-        pieces.append(tuple(merged))
+        pieces.append(padd(piece, bump))
     return PiecewisePoly.from_pieces(range(length + 1), pieces)
 
 

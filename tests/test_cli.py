@@ -218,7 +218,7 @@ def test_solve_command_writes_report_and_csv(tmp_path, capsys):
 def test_solve_samples_validation(tmp_path, capsys):
     path = _write(tmp_path, WORKED)
     # the = form keeps argparse from mistaking "-1/2" for an option
-    for bad in ("0", "-1/2", "nonsense"):
+    for bad in ("0", "-1/2", "nonsense", "1/1000000000"):
         code = main(["solve", path, "--out", str(tmp_path / "x"), "--samples=" + bad])
         assert code == 1
         assert "--samples" in capsys.readouterr().err

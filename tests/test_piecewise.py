@@ -16,8 +16,6 @@ from ddbvp.piecewise import (
     double_antiderivative,
     in_smooth_class,
     in_zero_trace_class,
-    inner_product,
-    moment,
     padd,
     pder,
     peval,
@@ -144,14 +142,8 @@ def test_calculus_round_trips():
 def test_integrals_and_moments():
     f = PiecewisePoly.from_global((0, 1), (0, 2))  # t on (0, 2)
     assert f.integral() == 2
-    assert f.integral_over(0, 1) == F(1, 2)
-    assert f.integral_over(F(1, 2), 1) == F(3, 8)
-    # moment(f, i) is the double antiderivative of f evaluated at i
-    assert moment(f, 1) == F(1, 6)
-    assert moment(f, 2) == double_antiderivative(f).value(2)
-    assert moment(f, 0) == 0
-    g = PiecewisePoly.constant(3, 0, 2)
-    assert inner_product(f, g) == 6
+    assert f.restricted(0, 1).integral() == F(1, 2)
+    assert f.restricted(F(1, 2), 1).integral() == F(3, 8)
 
 
 def test_shift_restrict_traces_jumps():
@@ -172,23 +164,10 @@ def test_shift_restrict_traces_jumps():
     assert (r.start, r.end) == (F(1, 2), F(3, 2))
     assert r.trace(F(3, 2), 0, -1) == f.trace(F(3, 2), 0, -1)
 
-    assert f.interior_jumps(0) == [(F(1), F(2))]
-
 
 def test_value_at_continuous_break_is_allowed():
     f = PiecewisePoly.from_global((0, 1), (0, 2)).refined([1])
     assert f.value(1) == 1
-
-
-def test_sample_floats_skips_breakpoints():
-    f = PiecewisePoly.from_global((0, 1), (0, 2)).refined([1])
-    pts = dict(f.sample_floats(F(1, 4)))
-    assert 1.0 not in pts
-    assert pts[0.25] == 0.25
-    assert 2.0 not in pts  # the end breakpoint is skipped as well
-    assert pts[1.75] == 1.75
-    with pytest.raises(ValueError):
-        f.sample_floats(F(0))
 
 
 def test_concat_and_zero_extension():

@@ -1,4 +1,4 @@
-"""Property tests for the exact identities the structure report relies on.
+"""Property tests for the exact identities the exact path relies on.
 
 Stencils are built inside the supported regime by construction:
 b_0 = ... = b_{N-1} = 0 makes R2 strictly lower triangular (det R2 = 0), and
@@ -12,13 +12,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddbvp import exactla
-from ddbvp.piecewise import PiecewisePoly, apply_difference, apply_difference_inverse
+from ddbvp.piecewise import (
+    PiecewisePoly,
+    apply_difference,
+    apply_difference_inverse,
+    apply_shifted_sum,
+    linear_combination,
+)
+from ddbvp.solver import BVPProblem, solve_nonhomogeneous
 from ddbvp.structure import Stencil, analyze, cofactor
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 nonzero = rationals.filter(lambda x: x != 0)
+nonzero_polys = st.lists(rationals, min_size=1, max_size=3).filter(any)
+
+DOMAIN = (Fraction(0), Fraction(3))
+inside = st.fractions(min_value=0, max_value=3, max_denominator=4)
+
+
+@st.composite
+def functions_on_domain(draw):
+    """A piecewise polynomial on DOMAIN with random rational breakpoints."""
+    interior = draw(st.sets(inside, max_size=4)) - set(DOMAIN)
+    breaks = sorted(interior | set(DOMAIN))
+    pieces = [draw(st.lists(rationals, min_size=1, max_size=3)) for _ in breaks[1:]]
+    return PiecewisePoly.from_pieces(breaks, pieces)
+
+
+def _off_break_points(draw, funcs):
+    """Points strictly inside DOMAIN that are no breakpoint of any function."""
+    breaks = set().union(*(f.breaks for f in funcs))
+    return draw(st.lists(
+        st.fractions(min_value=0, max_value=3, max_denominator=7).filter(lambda t: t not in breaks),
+        min_size=1, max_size=4,
+    ))
 
 
 @st.composite
@@ -62,3 +91,55 @@ def test_cofactor_from_adjugate_equals_signed_minor_determinant(stencil):
 def test_difference_operator_undoes_its_inverse_exactly(case):
     stencil, w = case
     assert apply_difference(stencil, apply_difference_inverse(analyze(stencil), w)).same(w)
+
+
+@SETTINGS
+@given(st.data())
+def test_linear_combination_sums_values_on_the_union_of_breakpoints(data):
+    terms = data.draw(st.lists(st.tuples(rationals, functions_on_domain()), min_size=1, max_size=4))
+    combo = linear_combination(terms)
+    assert combo.breaks == tuple(sorted(set().union(*(f.breaks for _, f in terms))))
+    for t in _off_break_points(data.draw, [f for _, f in terms]):
+        assert combo.value(t) == sum(c * f.value(t) for c, f in terms)
+
+
+@SETTINGS
+@given(st.data())
+def test_refined_keeps_the_function_and_every_unsplit_piece(data):
+    f = data.draw(functions_on_domain())
+    points = data.draw(st.lists(inside, max_size=4))
+    g = f.refined(points)
+    assert g.same(f)
+    assert g.breaks == tuple(sorted(set(f.breaks) | set(points)))
+    if set(points) <= set(f.breaks):
+        assert g is f
+    for lo, piece in zip(g.breaks, g.pieces):
+        if lo in f.breaks:
+            assert piece == f.pieces[f.breaks.index(lo)]
+
+
+@st.composite
+def extension_problems(draw):
+    """A supported stencil with nonzero extension data f1, f2 and k <= 2."""
+    stencil, f0 = draw(stencil_and_data())
+    return BVPProblem(
+        stencil=stencil,
+        k=draw(st.integers(min_value=0, max_value=2)),
+        f0=f0,
+        f1=tuple(draw(nonzero_polys)),
+        f2=tuple(draw(nonzero_polys)),
+    )
+
+
+@SETTINGS
+@given(extension_problems())
+def test_solution_extension_satisfies_the_equation_exactly(problem):
+    family = solve_nonhomogeneous(problem)
+    if family.v is None:
+        return
+    y = family.extension
+    assert all(y.jump(t, 0) == 0 for t in y.breaks[1:-1])
+    w = apply_shifted_sum(problem.stencil, y)
+    assert (w.start, w.end) == (0, problem.stencil.N + 1)
+    assert all(w.jump(t, mu) == 0 for t in w.breaks[1:-1] for mu in (0, 1))
+    assert w.derivative(2).scaled(-1).same(problem.f0)
