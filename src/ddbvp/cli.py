@@ -26,6 +26,7 @@ from .piecewise import DegreeCapError
 from .problem_io import (
     ParsedProblem,
     ProblemFileError,
+    grid_resolution_error,
     load_problem,
     solution_csv,
     solve_report,
@@ -148,6 +149,11 @@ def cmd_solve(args, out) -> int:
 
 def cmd_spectrum(args, out) -> int:
     parsed = load_problem(args.file)
+    for n in args.grid or ():
+        error = grid_resolution_error(parsed.stencil.N, n)
+        if error:
+            print("error: --grid %d: %s" % (n, error), file=sys.stderr)
+            return EXIT_PARSE
     sm = build_shift_matrix(parsed.stencil)
     _print_stencil(parsed, out)
     print("spectrum of R1:", file=out)

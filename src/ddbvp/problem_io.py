@@ -29,6 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .grid import MAX_GRID_UNKNOWNS
 from .piecewise import DEGREE_CAP, DegreeCapError, PiecewisePoly
 from .solver import BVPProblem, SolutionFamily, SolveStatus
 from .structure import Stencil
@@ -117,6 +118,15 @@ def _pieces(value, where: str) -> PiecewisePoly:
         raise ProblemFileError(where, str(exc)) from None
 
 
+def grid_resolution_error(big: int, n: int) -> str | None:
+    """Why a grid of n subdivisions per unit interval of (0, big+1) is refused, or None."""
+    if n < 4:
+        return "grid resolution must be >= 4"
+    if n * (big + 1) - 1 > MAX_GRID_UNKNOWNS:
+        return "grid of n(N+1)-1 = %d unknowns exceeds the limit of %d" % (n * (big + 1) - 1, MAX_GRID_UNKNOWNS)
+    return None
+
+
 def _coeff_list(value, where: str) -> tuple[Fraction, ...]:
     if not isinstance(value, list) or not value:
         raise ProblemFileError(where, "expected a nonempty list of coefficients")
@@ -177,8 +187,9 @@ def parse_problem(text: str) -> ParsedProblem:
             raise ProblemFileError("oracle.n_values", "expected a list of integers")
         n_values = tuple(_integer(x, "oracle.n_values[%d]" % j) for j, x in enumerate(ns))
         for j, n in enumerate(n_values):
-            if n < 4:
-                raise ProblemFileError("oracle.n_values[%d]" % j, "grid resolution must be >= 4")
+            error = grid_resolution_error(big, n)
+            if error:
+                raise ProblemFileError("oracle.n_values[%d]" % j, error)
         a = _pieces(raw["a"], "oracle.a") if "a" in raw else None
         oracle = OracleRequest(n_values=n_values, a=a)
 

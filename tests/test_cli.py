@@ -72,6 +72,8 @@ def test_parse_accepts_ints_and_fraction_strings():
         ),
         (lambda d: d.update(f0=[{"interval": [0, 1], "coeffs": [1]}]), "f0"),
         (lambda d: d.update(oracle={"n_values": [2]}), "oracle.n_values[0]"),
+        # N = 1: n(N+1)-1 = 8191 grid unknowns, above MAX_GRID_UNKNOWNS = 4096
+        (lambda d: d.update(oracle={"n_values": [8, 4096]}), "oracle.n_values[1]"),
         (lambda d: d.update(oracle={"m_values": [8]}), "oracle"),
         (lambda d: d.update(f1=[]), "f1"),
         # the Hermite extension of nonzero f1/f2 has degree 2k+3 = 83 > 64
@@ -261,6 +263,24 @@ def test_spectrum_command_with_grid_flags(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "grid n = 8:" in out and "grid n = 16:" in out
+
+
+def test_spectrum_rejects_grid_resolutions_before_assembling(tmp_path, capsys, monkeypatch):
+    import ddbvp.grid
+
+    def refuse(*args):
+        raise AssertionError("a rejected resolution reached the grid")
+
+    monkeypatch.setattr(ddbvp.grid, "spectrum_check", refuse)
+    path = _write(tmp_path, WORKED)
+    # N = 1: n = 2048 gives 4095 unknowns, within MAX_GRID_UNKNOWNS = 4096; 2049 gives 4097
+    for bad in ("2", "3", "-1", "2049"):
+        assert main(["spectrum", path, "--grid", "8", "--grid", bad]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --grid %s:" % bad), err
+    assert parse_problem(json.dumps(dict(WORKED, oracle={"n_values": [2048]}))).oracle.n_values == (2048,)
 
 
 def test_verify_fast_battery_passes(capsys):

@@ -1,10 +1,14 @@
 """Finite-difference oracle: assembly, spectra, convergence, index estimates."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ddbvp
 from ddbvp.grid import (
     assemble,
     convergence_study,
@@ -97,13 +101,92 @@ def test_zeroth_order_coefficient_enters_as_a_diagonal():
 
 
 def test_solve_grid_flags_singular_systems_and_checks_shape():
-    ops = assemble(Stencil.from_coeffs((1, 0, -1)), 8)
-    rhs = np.ones(ops.size)
-    sol = solve_grid(ops, rhs)
-    assert sol.ill_conditioned and sol.least_squares
-    assert np.all(np.isfinite(sol.values))
+    # (1, 0, -1) has a one-dimensional kernel; at n = 8 the factorisation
+    # finds it exactly singular, at 64 and 256 only the estimate catches it
+    for n in (8, 64, 256):
+        ops = assemble(Stencil.from_coeffs((1, 0, -1)), n)
+        sol = solve_grid(ops, np.ones(ops.size))
+        assert sol.ill_conditioned and sol.least_squares, (n, sol.condition)
+        assert np.all(np.isfinite(sol.values))
     with pytest.raises(ValueError):
         solve_grid(ops, np.ones(3))
+
+
+def _shift_extended_by_rows(stencil, n):
+    # the row-by-row definition: grid point i takes b_j from interior unknown i + jn
+    size = n * (stencil.N + 1) - 1
+    ref = np.zeros((size + 2, size))
+    for i in range(size + 2):
+        for j in range(-stencil.N, stencil.N + 1):
+            if 1 <= i + j * n <= size:
+                ref[i, i + j * n - 1] = float(stencil.b(j))
+    return ref
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 1), (1, 0, -1), (0, 1, 1, 1, 2), (1, 1, 2, 4, 4), (F(1, 3), 0, F(2, 7))])
+@pytest.mark.parametrize("a_kind", [None, "one", "t"])
+def test_operator_is_the_second_difference_of_the_extended_shift(coeffs, a_kind):
+    s = Stencil.from_coeffs(coeffs)
+    exact = all(F(c).denominator == 1 for c in coeffs)
+    a = {
+        None: None,
+        "one": PiecewisePoly.constant(1, 0, s.N + 1),
+        "t": PiecewisePoly.from_global((0, 1), (0, s.N + 1)),
+    }[a_kind]
+    for n in (4, 6, 8, 16):
+        ops = assemble(s, n, a)
+        ext = ops.shift_extended.matrix
+        assert np.array_equal(ext, _shift_extended_by_rows(s, n))
+        assert np.array_equal(ops.shift.matrix, ext[1:-1])
+        assert np.shares_memory(ops.shift.matrix, ext)
+        expected = -(ops.second_difference.matrix @ ext)
+        if a is not None:
+            expected += np.diag(ops.a_samples)
+        if exact:
+            assert np.array_equal(ops.operator.matrix, expected), (coeffs, n, a_kind)
+        else:
+            scale = np.abs(expected).max()
+            assert np.abs(ops.operator.matrix - expected).max() <= 1e-14 * scale, (coeffs, n, a_kind)
+
+
+def test_condition_estimate_bounds_kappa_1_from_below():
+    for s in named_stencils() + (Stencil.from_coeffs((F(1, 3), 0, F(2, 7))),):
+        for n in (8, 16, 32, 64):
+            ops = assemble(s, n)
+            a = ops.operator.matrix
+            kappa_1 = np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1)
+            sol = solve_grid(ops, np.ones(ops.size))
+            assert kappa_1 / 10 <= sol.condition <= kappa_1, (str(s), n, sol.condition, kappa_1)
+            assert not sol.ill_conditioned
+
+
+def test_named_stencils_solve_directly_at_n_512():
+    for s in named_stencils():
+        ops = assemble(s, 512)
+        rhs = np.linspace(-1.0, 2.0, ops.size)
+        sol = solve_grid(ops, rhs)
+        assert not sol.ill_conditioned and not sol.least_squares, (str(s), sol.condition)
+        residual = np.linalg.norm(ops.operator.matrix @ sol.values - rhs) / np.linalg.norm(rhs)
+        assert residual < 1e-8, (str(s), residual)
+
+
+def test_grid_solve_imports_no_scipy():
+    # importing scipy.sparse and scipy.sparse.linalg measured 0.45-0.6 s and
+    # about 32 MB of peak RSS on a 2-core x86-64 host; every import of ddbvp
+    # would pay it, since verification imports grid
+    code = (
+        "import sys, numpy as np, ddbvp\n"
+        "from ddbvp.grid import assemble, solve_grid\n"
+        "from ddbvp.structure import Stencil\n"
+        "ops = assemble(Stencil.from_coeffs((1, 0, 1)), 8)\n"
+        "assert not solve_grid(ops, np.ones(ops.size)).ill_conditioned\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ddbvp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_spectrum_containment_on_named_stencils():
