@@ -12,8 +12,8 @@ Four commands on JSON problem files (format documented in ``problem_io``):
 
 Exit codes: 0 success, 1 unreadable or invalid input (including data whose
 exact solve would exceed the polynomial degree cap), 2 stencil outside the
-supported regime, 3 infeasible problem (report still written), 4 verification
-failures.
+supported regime (including a failed exact rank assumption, ``StructureError``),
+3 infeasible problem (report still written), 4 verification failures.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .problem_io import (
     solve_report,
 )
 from .solver import SolveStatus, boundary_matrix, solve_nonhomogeneous
-from .structure import UnsupportedRegimeError, analyze, build_shift_matrix, classify_regime, spectrum
+from .structure import StructureError, UnsupportedRegimeError, analyze, build_shift_matrix, classify_regime, spectrum
 from . import exactla
 
 EXIT_OK = 0
@@ -226,6 +226,9 @@ def main(argv=None) -> int:
     except (ProblemFileError, OSError, DegreeCapError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
+    except StructureError as exc:
+        print("unsupported: %s" % exc, file=sys.stderr)
+        return EXIT_REGIME
 
 
 if __name__ == "__main__":

@@ -60,17 +60,14 @@ class GridOperators:
         return [Fraction(i, self.n) for i in range(1, self.size + 1)]
 
 
-def _sample(f: PiecewisePoly, t: Fraction) -> float:
-    """Sample value, averaging the one-sided limits across a jump."""
-    if t in f.breaks[1:-1]:
-        left = f.trace(t, 0, -1)
-        right = f.trace(t, 0, +1)
-        return float((left + right) / 2)
-    return float(f.value(t))
-
-
 def grid_samples(f: PiecewisePoly, ops: GridOperators) -> np.ndarray:
-    return np.array([_sample(f, t) for t in ops.points], dtype=float)
+    """f at the interior grid points, averaging the one-sided limits across a jump."""
+    samples = np.array(f.sample(ops.points), dtype=float)
+    for b in f.breaks[1:-1]:
+        i = b * ops.n - 1
+        if i.denominator == 1 and 0 <= i < ops.size:
+            samples[int(i)] = float((f.trace(b, 0, -1) + f.trace(b, 0, +1)) / 2)
+    return samples
 
 
 def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOperators:
@@ -95,7 +92,7 @@ def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOp
     full = (2.0 * shift_ext[1:-1] - shift_ext[:-2] - shift_ext[2:]) * (1.0 / h2)
     a_samples = None
     if a is not None:
-        a_samples = np.array([float(a.trace(Fraction(i, n), 0, +1)) for i in range(1, m_total)])
+        a_samples = np.array(a.sample([Fraction(i, n) for i in range(1, m_total)]))
         full[np.diag_indices(size)] += a_samples
 
     return GridOperators(
@@ -194,17 +191,24 @@ class IndexEstimate:
 
 
 def index_estimate(ops: GridOperators, relative_threshold: float = 1e-8) -> IndexEstimate:
-    a = ops.operator.matrix
-    forward = np.linalg.svd(a, compute_uv=False)
-    adjoint = np.linalg.svd(a.T.copy(), compute_uv=False)
-    top = max(forward.max(), adjoint.max())
+    """Count singular values of the grid operator below the relative threshold.
+
+    The operator is square, and A and A^T share their singular values, so one
+    SVD gives both counts: ``kernel_dim == cokernel_dim`` and ``balanced``
+    hold by construction.  ``balanced`` is a smoke check of the assembly, not
+    evidence that the continuous problem has index zero.
+    """
+    singular = np.linalg.svd(ops.operator.matrix, compute_uv=False)
+    top = singular.max()
     cut = relative_threshold * top if top > 0 else relative_threshold
+    small = int((singular < cut).sum())
+    smallest = float(singular.min())
     return IndexEstimate(
-        kernel_dim=int((forward < cut).sum()),
-        cokernel_dim=int((adjoint < cut).sum()),
+        kernel_dim=small,
+        cokernel_dim=small,
         threshold=cut,
-        smallest_forward=float(forward.min()),
-        smallest_adjoint=float(adjoint.min()),
+        smallest_forward=smallest,
+        smallest_adjoint=smallest,
     )
 
 

@@ -26,6 +26,7 @@ lines, so a solution can be reproduced byte-for-byte from the report alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -248,17 +249,24 @@ def canonical_problem_text(parsed: ParsedProblem) -> str:
 # solution CSV
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+# one CSV row: t, v, dv, w, f0, each float to 17 significant digits
+_ROW = ",".join(["%.17g"] * 5)
 
 
 def solution_csv(family: SolutionFamily, f0: PiecewisePoly, step: Fraction) -> str:
     """Sampled solution table: t,v,dv,w,f0 with one-sided rows at breaks.
 
-    Regular rows sample the open interval at multiples of ``step``, skipping
-    any breakpoint; every breakpoint of v, w or f0 contributes one row per
+    Regular rows sample the open interval at t = start + i*step, skipping
+    every breakpoint of v, w or f0; each breakpoint contributes one row per
     existing one-sided limit (left first).  Infeasible problems produce just
     the header.
+
+    The table is written in one sweep over the merged breakpoints, so rows
+    come out in order.  Left limits at the breakpoints come from ``trace``,
+    four calls per breakpoint.  Every right limit, at a breakpoint or at a
+    regular point (where it is the value), comes from one
+    ``PiecewisePoly.sample`` call per column, and t is divided out of
+    integers.  Every printed float is the correctly rounded exact value.
     """
     lines = [CSV_HEADER]
     if family.v is None:
@@ -266,26 +274,29 @@ def solution_csv(family: SolutionFamily, f0: PiecewisePoly, step: Fraction) -> s
     if step <= 0:
         raise ValueError("sample step must be positive")
     v = family.v
-    dv = v.derivative(1)
-    w = family.w
+    funcs = (v, v.derivative(1), family.w, f0)
     start, end = v.start, v.end
-    breaks = sorted(set(v.breaks) | set(w.breaks) | set(f0.breaks))
-    break_set = set(breaks)
+    breaks = sorted(set().union(*(g.breaks for g in funcs)))
 
-    rows = []
-    for b in breaks:
+    # t_i = start + i*step = (first + i*stride) / den
+    den = start.denominator * step.denominator
+    first = start.numerator * step.denominator
+    stride = step.numerator * start.denominator
+    # indices i of the regular rows strictly between consecutive breakpoints
+    gaps = [range(math.floor((lo - start) / step) + 1, math.ceil((hi - start) / step))
+            for lo, hi in zip(breaks, breaks[1:])]
+    points = []
+    for b, gap in zip(breaks, gaps):
+        points.append(b)
+        points.extend(Fraction(first + i * stride, den) for i in gap)
+    right = zip(*(g.sample(points) for g in funcs))  # right limits, in row order
+    for b, gap in zip(breaks, gaps + [range(0)]):
         if b > start:
-            rows.append((b, 0, tuple(g.trace(b, 0, -1) for g in (v, dv, w, f0))))
+            lines.append(_ROW % (float(b), *(float(g.trace(b, 0, -1)) for g in funcs)))
         if b < end:
-            rows.append((b, 2, tuple(g.trace(b, 0, +1) for g in (v, dv, w, f0))))
-    t = start
-    while t <= end:
-        if t not in break_set:
-            rows.append((t, 1, tuple(g.value(t) for g in (v, dv, w, f0))))
-        t += step
-    rows.sort(key=lambda r: (r[0], r[1]))
-    for t, _, values in rows:
-        lines.append(",".join([_fmt(float(t))] + [_fmt(float(x)) for x in values]))
+            lines.append(_ROW % (float(b), *next(right)))
+        for i in gap:
+            lines.append(_ROW % ((first + i * stride) / den, *next(right)))
     return "\n".join(lines) + "\n"
 
 

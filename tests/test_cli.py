@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from ddbvp import cli, solver
 from ddbvp.cli import main
+from ddbvp.piecewise import PiecewisePoly
 from ddbvp.problem_io import (
     ProblemFileError,
     canonical_problem_text,
@@ -15,6 +17,7 @@ from ddbvp.problem_io import (
     solve_report,
 )
 from ddbvp.solver import solve_nonhomogeneous
+from ddbvp.structure import StructureError
 
 WORKED = {
     "N": 1,
@@ -145,6 +148,89 @@ def _fmt_check(x: float) -> str:
     return "%.17g" % x
 
 
+def _reference_csv(family, f0, step):
+    """The per-point writer: two traces per regular point, then a sort."""
+    _fmt = _fmt_check
+    lines = ["t,v,dv,w,f0"]
+    if family.v is None:
+        return "\n".join(lines) + "\n"
+    v = family.v
+    dv = v.derivative(1)
+    w = family.w
+    start, end = v.start, v.end
+    breaks = sorted(set(v.breaks) | set(w.breaks) | set(f0.breaks))
+    break_set = set(breaks)
+
+    rows = []
+    for b in breaks:
+        if b > start:
+            rows.append((b, 0, tuple(g.trace(b, 0, -1) for g in (v, dv, w, f0))))
+        if b < end:
+            rows.append((b, 2, tuple(g.trace(b, 0, +1) for g in (v, dv, w, f0))))
+    t = start
+    while t <= end:
+        if t not in break_set:
+            rows.append((t, 1, tuple(g.value(t) for g in (v, dv, w, f0))))
+        t += step
+    rows.sort(key=lambda r: (r[0], r[1]))
+    for t, _, values in rows:
+        lines.append(",".join([_fmt(float(t))] + [_fmt(float(x)) for x in values]))
+    return "\n".join(lines) + "\n"
+
+
+# f0 breaks at 1/3 (and, on N = 2, at 4/3 and 5/2), with extension data so
+# that v, w and f0 all carry nonzero, non-dyadic values
+CSV_PROBLEMS = {
+    "N1": {
+        "N": 1, "b": [1, 0, 2], "k": 1,
+        "f0": [{"interval": [0, "1/3"], "coeffs": ["-3/7", 2]},
+               {"interval": ["1/3", 2], "coeffs": [1, 0, "-5/3"]}],
+        "f1": [1, -2], "f2": [3],
+    },
+    "N2": {
+        "N": 2, "b": [3, 1, 0, 0, -2], "k": 0,
+        "f0": [{"interval": [0, "4/3"], "coeffs": ["1/2"]},
+               {"interval": ["4/3", "5/2"], "coeffs": [-1, 3]},
+               {"interval": ["5/2", 3], "coeffs": [0, 0, "7/11"]}],
+    },
+}
+
+
+# 1/64 and 3/100 divide no off-node break; 1/6 lands on the f0 break 1/3;
+# 5/4 and 4 are longer than some or all pieces
+@pytest.mark.parametrize("step", ["1/64", "3/100", "1/6", "5/4", "4"])
+@pytest.mark.parametrize("name", sorted(CSV_PROBLEMS))
+def test_solution_csv_matches_the_per_point_writer(name, step):
+    parsed = parse_problem(json.dumps(CSV_PROBLEMS[name]))
+    family = solve_nonhomogeneous(parsed.problem)
+    assert family.v is not None
+    step = Fraction(step)
+    assert solution_csv(family, parsed.problem.f0, step) == _reference_csv(family, parsed.problem.f0, step)
+
+
+def test_solution_csv_samples_without_value_and_few_traces(monkeypatch):
+    parsed = parse_problem(json.dumps(CSV_PROBLEMS["N2"]))
+    family = solve_nonhomogeneous(parsed.problem)
+    calls = {"value": 0, "trace": 0}
+
+    def counting(name):
+        original = getattr(PiecewisePoly, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(PiecewisePoly, name, wrapper)
+
+    counting("value")
+    counting("trace")
+    text = solution_csv(family, parsed.problem.f0, Fraction(1, 64))
+    merged = set(family.v.breaks) | set(family.w.breaks) | set(parsed.problem.f0.breaks)
+    assert text.count("\n") > 3 * 64
+    assert calls["value"] == 0
+    assert 0 < calls["trace"] <= 8 * len(merged)
+
+
 # -- the command line -----------------------------------------------------------
 
 
@@ -238,6 +324,21 @@ def test_solve_infeasible_exits_3_with_header_only_csv(tmp_path, capsys):
     report = (tmp_path / "inf-report").read_text(encoding="utf-8")
     assert "status: infeasible" in report
     assert "smoothness: not applicable" in report
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+def test_structure_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command):
+    def failing(stencil):
+        raise StructureError("relation rows failed to form a basis")
+
+    monkeypatch.setattr(cli, "analyze", failing)
+    monkeypatch.setattr(solver, "analyze", failing)
+    argv = [command, _write(tmp_path, WORKED)]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "unsupported: relation rows failed to form a basis\n"
 
 
 def test_solve_unsupported_regime_exits_2(tmp_path, capsys):

@@ -170,6 +170,15 @@ def test_value_at_continuous_break_is_allowed():
     assert f.value(1) == 1
 
 
+def test_sample_takes_right_limits_and_rejects_points_off_its_walk():
+    f = PiecewisePoly.from_pieces((0, 1, 2), [(0, 1), (3, -1)])  # t then 3-x
+    assert f.sample([0, F(1, 2), 1, 1, F(3, 2)]) == [0.0, 0.5, 3.0, 3.0, 2.5]
+    assert f.sample([]) == []
+    for points in ([F(-1, 2)], [2], [F(3, 2), F(1, 2)]):
+        with pytest.raises(ValueError, match="outside"):
+            f.sample(points)
+
+
 def test_concat_and_zero_extension():
     left = PiecewisePoly.constant(2, -1, 0)
     right = PiecewisePoly.from_global((0, 1), (0, 2))

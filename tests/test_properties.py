@@ -8,6 +8,7 @@ would almost never hit det R2 = 0 once N grows.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,3 +144,38 @@ def test_solution_extension_satisfies_the_equation_exactly(problem):
     assert (w.start, w.end) == (0, problem.stencil.N + 1)
     assert all(w.jump(t, mu) == 0 for t in w.breaks[1:-1] for mu in (0, 1))
     assert w.derivative(2).scaled(-1).same(problem.f0)
+
+
+@st.composite
+def sampled_functions(draw):
+    """A piecewise polynomial of degree <= 8 on (-1, 3) with fractional breaks,
+    and a sorted list of points in [-1, 3), some of them on breakpoints."""
+    domain = {Fraction(-1), Fraction(3)}
+    interior = draw(st.sets(st.fractions(min_value=-1, max_value=3, max_denominator=12), max_size=5)) - domain
+    breaks = sorted(interior | domain)
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    f = PiecewisePoly.from_pieces(breaks, [draw(st.lists(coeffs, min_size=1, max_size=9)) for _ in breaks[1:]])
+    points = draw(st.lists(st.fractions(min_value=-1, max_value=3, max_denominator=60), max_size=12))
+    points += draw(st.lists(st.sampled_from(breaks[:-1]), max_size=4))
+    return f, sorted(t for t in points if t < 3)
+
+
+@SETTINGS
+@given(sampled_functions())
+def test_sample_is_the_correctly_rounded_right_limit(case):
+    f, points = case
+    expected = [float(f.trace(t, 0, +1)).hex() for t in points]
+    assert [x.hex() for x in f.sample(points)] == expected
+
+
+@SETTINGS
+@given(sampled_functions())
+def test_value_is_the_limit_where_both_sides_agree(case):
+    f, points = case
+    for t in points:
+        right = f.trace(t, 0, +1)
+        if t == f.start or t not in f.breaks or f.trace(t, 0, -1) == right:
+            assert f.value(t) == right
+        else:
+            with pytest.raises(ValueError, match="jumps"):
+                f.value(t)
