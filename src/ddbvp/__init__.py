@@ -56,8 +56,6 @@ from .piecewise import (
     apply_difference,
     apply_difference_inverse,
     apply_shifted_sum,
-    in_smooth_class,
-    in_zero_trace_class,
     smoothness_defects,
     trace_defects,
 )
@@ -151,8 +149,6 @@ __all__ = [
     "grid_samples",
     "hermite_extension",
     "image_functionals",
-    "in_smooth_class",
-    "in_zero_trace_class",
     "index_estimate",
     "index_report",
     "kernel_certificate",

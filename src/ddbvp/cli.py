@@ -32,7 +32,7 @@ from .problem_io import (
     solve_report,
 )
 from .solver import SolveStatus, boundary_matrix, solve_nonhomogeneous
-from .structure import StructureError, UnsupportedRegimeError, analyze, build_shift_matrix, classify_regime, spectrum
+from .structure import StructureError, UnsupportedRegimeError, analyze, build_shift_matrix, spectrum
 from . import exactla
 
 EXIT_OK = 0
@@ -59,19 +59,19 @@ def _print_stencil(parsed: ParsedProblem, out) -> None:
 
 def cmd_analyze(args, out) -> int:
     parsed = load_problem(args.file)
-    sm = build_shift_matrix(parsed.stencil)
-    regime = classify_regime(sm)
-    _print_stencil(parsed, out)
-    print("shift matrix R1:", file=out)
-    for row in sm.r1:
-        print("  [%s]" % ", ".join(str(x) for x in row), file=out)
-    print("det R1 = %s" % regime.det_r1, file=out)
-    print("det R2 = %s" % regime.det_r2, file=out)
-    print("regime: %s" % regime.regime.value, file=out)
     try:
         report = analyze(parsed.stencil)
     except UnsupportedRegimeError as exc:
-        print("unsupported: %s" % exc, file=out)
+        report = exc  # it carries the shift matrix and the regime, as a report does
+    _print_stencil(parsed, out)
+    print("shift matrix R1:", file=out)
+    for row in report.matrix.r1:
+        print("  [%s]" % ", ".join(str(x) for x in row), file=out)
+    print("det R1 = %s" % report.regime.det_r1, file=out)
+    print("det R2 = %s" % report.regime.det_r2, file=out)
+    print("regime: %s" % report.regime.regime.value, file=out)
+    if isinstance(report, UnsupportedRegimeError):
+        print("unsupported: %s" % report, file=out)
         return EXIT_REGIME
 
     gamma = report.gamma
@@ -91,7 +91,7 @@ def cmd_analyze(args, out) -> int:
         print("end columns dependent: no", file=out)
 
     print("spectrum of R1:", file=out)
-    for eig in spectrum(sm):
+    for eig in spectrum(report.matrix):
         print("  %s" % _fmt_complex(eig), file=out)
 
     k = parsed.problem.k

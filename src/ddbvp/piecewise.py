@@ -24,8 +24,11 @@ plumbing used everywhere else:
   ``StructureReport``, so it takes the report rather than the stencil;
 * ``apply_shifted_sum``: the same operator applied to a function given on the
   enlarged interval (-N, 2N+1), restricted back to (0, N+1);
-* one-sided traces, jumps and the zero-trace / interior-smoothness class
-  tests that define the Sobolev-type memberships used by the solvers;
+* one-sided traces and jumps at a point (``trace``, ``jump``), and the table of
+  every interior jump, ``PiecewisePoly.jumps``, from one ``pjet`` (the jet
+  [p(x), p'(x), ...]) at each end of each piece.  ``smoothness_defects`` and
+  ``trace_defects`` read that table; their empty lists define the
+  Sobolev-type memberships used by the solvers;
 * ``PiecewisePoly.sample``: floats of a function on many sorted points, for
   the solution CSV and the grid samples.  It walks the pieces with a
   cursor.  On each piece it writes the coefficients as integers n_j over one
@@ -107,6 +110,15 @@ def peval(c: Sequence[Fraction], x: Fraction) -> Fraction:
     out = Fraction(0)
     for coef in reversed(c):
         out = out * x + coef
+    return out
+
+
+def pjet(c: Sequence[Fraction], x: Fraction, count: int) -> list[Fraction]:
+    """[p(x), p'(x), ..., p^(count-1)(x)] by one chain of derivatives."""
+    out = []
+    for _ in range(count):
+        out.append(peval(c, x))
+        c = pder(c)
     return out
 
 
@@ -391,6 +403,15 @@ class PiecewisePoly:
         """Right minus left limit of the order-th derivative at an interior point."""
         return self.trace(t, order, 1) - self.trace(t, order, -1)
 
+    def jumps(self, count: int) -> list[tuple[Fraction, int, Fraction]]:
+        """(t, mu, jump(t, mu)) at every interior breakpoint t, for mu < count, by t then mu."""
+        out = []
+        for i, t in enumerate(self.breaks[1:-1]):
+            left = pjet(self.pieces[i], t - self.breaks[i], count)
+            right = pjet(self.pieces[i + 1], Fraction(0), count)
+            out.extend((t, mu, r - l) for mu, (l, r) in enumerate(zip(left, right)))
+        return out
+
 
 # ---------------------------------------------------------------------------
 # operator plumbing
@@ -514,38 +535,19 @@ def trace_defects(f: PiecewisePoly, k: int) -> list[tuple[str, Fraction, int, Fr
     breakpoint (so the zero extension keeps the same smoothness order).
     Returns a list of (kind, node, order, value) with nonzero values only.
     """
+    start = pjet(f.pieces[0], Fraction(0), k)
+    end = pjet(f.pieces[-1], f.end - f.breaks[-2], k)
+    jumps = smoothness_defects(f, k)
     out = []
     for mu in range(k):
-        v = f.trace(f.start, mu, 1)
-        if v != 0:
-            out.append(("endpoint", f.start, mu, v))
-        v = f.trace(f.end, mu, -1)
-        if v != 0:
-            out.append(("endpoint", f.end, mu, v))
-        for t in f.breaks[1:-1]:
-            j = f.jump(t, mu)
-            if j != 0:
-                out.append(("jump", t, mu, j))
+        out.extend(("endpoint", t, mu, v) for t, v in ((f.start, start[mu]), (f.end, end[mu])) if v != 0)
+        out.extend(("jump", t, m, j) for t, m, j in jumps if m == mu)
     return out
-
-
-def in_zero_trace_class(f: PiecewisePoly, k: int) -> bool:
-    return not trace_defects(f, k)
 
 
 def smoothness_defects(f: PiecewisePoly, k: int) -> list[tuple[Fraction, int, Fraction]]:
-    """Nonzero interior jumps of orders 0..k-1 (order-k smoothness on the open interval)."""
-    out = []
-    for mu in range(k):
-        for t in f.breaks[1:-1]:
-            j = f.jump(t, mu)
-            if j != 0:
-                out.append((t, mu, j))
-    return out
-
-
-def in_smooth_class(f: PiecewisePoly, k: int) -> bool:
-    return not smoothness_defects(f, k)
+    """Nonzero interior jumps of orders 0..k-1 by order, then node (order-k smoothness on the open interval)."""
+    return sorted((d for d in f.jumps(k) if d[2] != 0), key=lambda d: d[1])
 
 
 # ---------------------------------------------------------------------------

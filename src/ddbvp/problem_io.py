@@ -119,6 +119,10 @@ def _pieces(value, where: str) -> PiecewisePoly:
         raise ProblemFileError(where, str(exc)) from None
 
 
+# Largest N of a problem file: analyze's exact (N+1) x (N+1) elimination takes seconds at 64.
+MAX_STENCIL_N = 64
+
+
 def grid_resolution_error(big: int, n: int) -> str | None:
     """Why a grid of n subdivisions per unit interval of (0, big+1) is refused, or None."""
     if n < 4:
@@ -151,6 +155,8 @@ def parse_problem(text: str) -> ParsedProblem:
     big = _integer(doc["N"], "N")
     if big < 1:
         raise ProblemFileError("N", "must be >= 1")
+    if big > MAX_STENCIL_N:
+        raise ProblemFileError("N", "must be <= %d, got %d" % (MAX_STENCIL_N, big))
     raw_b = doc["b"]
     if not isinstance(raw_b, list):
         raise ProblemFileError("b", "expected a list of 2N+1 rationals")

@@ -54,10 +54,8 @@ from .piecewise import (
     apply_shifted_sum,
     concat,
     double_antiderivative,
-    in_smooth_class,
     linear_combination,
-    pder,
-    peval,
+    pjet,
     ptrim,
     smoothness_defects,
     two_point_hermite,
@@ -163,15 +161,6 @@ def boundary_matrix(structure: StructureReport) -> list[list[Fraction]]:
     ]
 
 
-def _poly_derivs_at(coeffs: tuple[Fraction, ...], t: Fraction, count: int) -> list[Fraction]:
-    out = []
-    c = coeffs
-    for _ in range(count):
-        out.append(peval(c, t))
-        c = pder(c)
-    return out
-
-
 def hermite_extension(stencil: Stencil, k: int, f1: tuple[Fraction, ...], f2: tuple[Fraction, ...]) -> PiecewisePoly:
     """Smooth extension psi on (-N, 2N+1): f1 left, f2 right, bump inside.
 
@@ -185,8 +174,8 @@ def hermite_extension(stencil: Stencil, k: int, f1: tuple[Fraction, ...], f2: tu
     zero = [Fraction(0)] * count
     left_pad = PiecewisePoly.from_global(f1, (-n, 0))
     right_pad = PiecewisePoly.from_global(f2, (n + 1, 2 * n + 1))
-    h1 = two_point_hermite(_poly_derivs_at(f1, Fraction(0), count), zero)
-    h2 = two_point_hermite(zero, _poly_derivs_at(f2, Fraction(n + 1), count))
+    h1 = two_point_hermite(pjet(f1, Fraction(0), count), zero)
+    h2 = two_point_hermite(zero, pjet(f2, Fraction(n + 1), count))
     parts = [left_pad, PiecewisePoly.from_pieces((0, 1), [h1])]
     if n > 1:
         parts.append(PiecewisePoly.zero(1, n))
@@ -211,31 +200,28 @@ def _smoothness(
     structure: StructureReport,
     k: int,
     v: PiecewisePoly,
-    data: PiecewisePoly,
+    data_defects: tuple[tuple[Fraction, int, Fraction], ...],
     y: PiecewisePoly,
     second_antiderivative: PiecewisePoly,
 ) -> SmoothnessReport:
+    """The report from v's jump table; ``data_defects`` are the reduced data's."""
     n = structure.stencil.N
-    data_defects = tuple(smoothness_defects(data, k))
     data_smooth = not data_defects
 
     integer_nodes = {Fraction(i) for i in range(1, n + 1)}
     node_jumps = []
     offgrid = []
-    for t in v.breaks[1:-1]:
-        for mu in range(0, k + 2):
-            jump = v.jump(t, mu)
-            if t in integer_nodes and mu >= 1:
-                node_jumps.append((t, mu, jump))
-            elif jump != 0:
-                offgrid.append((t, mu, jump))
-    smooth_interior = in_smooth_class(v, k + 2)
+    for t, mu, jump in v.jumps(k + 2):
+        if t in integer_nodes and mu >= 1:
+            node_jumps.append((t, mu, jump))
+        elif jump != 0:
+            offgrid.append((t, mu, jump))
+    # every nonzero jump of v is either a node jump or an off-grid defect
+    smooth_interior = not offgrid and all(jump == 0 for _, _, jump in node_jumps)
 
-    extension_jumps = []
-    for t in (Fraction(0), Fraction(n + 1)):
-        for mu in range(0, k + 2):
-            extension_jumps.append((t, mu, y.jump(t, mu)))
-    smooth_extension = in_smooth_class(y, k + 2)
+    extension_jumps = [(t, mu, y.jump(t, mu)) for t in (Fraction(0), Fraction(n + 1)) for mu in range(k + 2)]
+    # y pastes one-piece pads to v at 0 and N+1, so its other jumps are v's
+    smooth_extension = smooth_interior and all(jump == 0 for _, _, jump in extension_jumps)
 
     if data_smooth:
         zt_ok, zt_bad = _evaluate_constraints(
@@ -316,7 +302,8 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
         )
 
     d, null = solution
-    if in_smooth_class(reduced, k):
+    data_defects = tuple(smoothness_defects(reduced, k))
+    if not data_defects:
         stack = membership_functionals(structure.gamma, k + 2)
         full_rows = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in stack]
         full_rhs = [fn.evaluate(second) for fn in stack]
@@ -347,7 +334,7 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
         kernel=kernel,
         residuals=(),
         extension=y,
-        smoothness=_smoothness(structure, k, v, reduced, y, second),
+        smoothness=_smoothness(structure, k, v, data_defects, y, second),
     )
 
 

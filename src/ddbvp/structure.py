@@ -54,8 +54,13 @@ class UnsupportedRegimeError(ValueError):
     functional differential equations (Skubachevskii, "Elliptic Functional
     Differential Equations and Applications", Birkhauser 1997); a singular R1
     breaks invertibility of the difference operator altogether.  Neither is
-    handled here.
+    handled here.  The error carries the ``matrix`` and ``regime`` it was decided on.
     """
+
+    def __init__(self, message: str, matrix: "ShiftMatrix", regime: "RegimeReport"):
+        super().__init__(message)
+        self.matrix = matrix
+        self.regime = regime
 
 
 class StructureError(RuntimeError):
@@ -223,7 +228,7 @@ def classify_regime(sm: ShiftMatrix) -> RegimeReport:
     return RegimeReport(regime=regime, det_r1=sm.det_r1, det_r2=sm.det_r2)
 
 
-def _require_supported(regime: RegimeReport) -> None:
+def _require_supported(sm: ShiftMatrix, regime: RegimeReport) -> None:
     if regime.supported:
         return
     if regime.regime is Regime.NONSINGULAR_BOTH:
@@ -231,11 +236,11 @@ def _require_supported(regime: RegimeReport) -> None:
             "det R1 = %s and det R2 = %s: both minors nonsingular, so the operator "
             "preserves smoothness and the classical theory applies (see Skubachevskii, "
             "Elliptic Functional Differential Equations and Applications); this package "
-            "only handles the singular-minor regime" % (regime.det_r1, regime.det_r2)
+            "only handles the singular-minor regime" % (regime.det_r1, regime.det_r2), sm, regime,
         )
     raise UnsupportedRegimeError(
         "det R1 = 0: the vectorized difference operator is not invertible on the "
-        "interval and none of the structure theory here applies"
+        "interval and none of the structure theory here applies", sm, regime,
     )
 
 
@@ -395,7 +400,7 @@ def analyze(stencil: Stencil) -> StructureReport:
     """
     sm = build_shift_matrix(stencil)
     regime = classify_regime(sm)
-    _require_supported(regime)
+    _require_supported(sm, regime)
     m, c = _interior_dependency(sm)
     return StructureReport(
         stencil=stencil,

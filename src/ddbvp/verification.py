@@ -36,9 +36,9 @@ from .piecewise import (
     PiecewisePoly,
     apply_difference,
     apply_difference_inverse,
-    in_zero_trace_class,
     padd,
     pmul,
+    trace_defects,
     two_point_hermite,
 )
 from .solver import BVPProblem, SolveStatus, boundary_matrix, kernel_certificate, solve_homogeneous
@@ -181,7 +181,7 @@ def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3), seed: 
             fns = membership_functionals(structure.gamma, k)
 
             v = random_zero_trace_function(stencil.N + 1, k, rng)
-            if not in_zero_trace_class(v, k):
+            if trace_defects(v, k):
                 return CheckResult(1, "image membership", False,
                                    "constructor failed the zero-trace test (N=%d, k=%d)" % (stencil.N, k))
             w = apply_difference(stencil, v)
@@ -196,7 +196,7 @@ def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3), seed: 
                 return CheckResult(1, "image membership", False,
                                    "image constructor left nonzero conditions: %s" % bad)
             v2 = apply_difference_inverse(structure, w2)
-            if not in_zero_trace_class(v2, k):
+            if trace_defects(v2, k):
                 return CheckResult(1, "image membership", False,
                                    "preimage left the zero-trace class (b=%s, k=%d)" % (_b_text(stencil), k))
             instances += 1

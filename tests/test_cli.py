@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from ddbvp import cli, solver
+from ddbvp import cli, exactla, solver
 from ddbvp.cli import main
 from ddbvp.piecewise import PiecewisePoly
 from ddbvp.problem_io import (
+    MAX_STENCIL_N,
     ProblemFileError,
     canonical_problem_text,
     extract_problem_text,
@@ -17,7 +18,7 @@ from ddbvp.problem_io import (
     solve_report,
 )
 from ddbvp.solver import solve_nonhomogeneous
-from ddbvp.structure import StructureError
+from ddbvp.structure import Stencil, StructureError, UnsupportedRegimeError, analyze, build_shift_matrix
 
 WORKED = {
     "N": 1,
@@ -91,6 +92,20 @@ def test_parse_errors_name_the_offending_field(mutate, field):
         parse_problem(json.dumps(doc))
     assert exc.value.where == field
     assert str(exc.value).startswith(field + ":")
+
+
+@pytest.mark.parametrize("n", [MAX_STENCIL_N + 1, 10 ** 4])
+def test_stencils_wider_than_the_bound_exit_1_naming_n(tmp_path, capsys, n):
+    doc = dict(WORKED, N=n, b=["1"] * (2 * n + 1), f0=[{"interval": [0, n + 1], "coeffs": [1]}])
+    assert main(["analyze", _write(tmp_path, doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: N:") and len(err.splitlines()) == 1
+
+
+def test_stencil_at_the_bound_parses():
+    n = MAX_STENCIL_N
+    doc = dict(WORKED, N=n, b=["1"] * (2 * n + 1), f0=[{"interval": [0, n + 1], "coeffs": [1]}])
+    assert parse_problem(json.dumps(doc)).stencil.N == n
 
 
 def test_parse_rejects_malformed_json_with_location():
@@ -256,6 +271,23 @@ def test_analyze_rejects_unsupported_regimes(tmp_path, capsys):
     code = main(["analyze", _write(tmp_path, doc, "full.json")])
     assert code == 2
     assert "not invertible" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("b", [[1, 0, 1], [0, 1, 0], [1, 1, 1]])
+def test_analyze_command_analyzes_once(tmp_path, capsys, monkeypatch, b):
+    stencil = Stencil.from_coeffs(b)
+    calls = []
+    det = exactla.det
+    monkeypatch.setattr(exactla, "det", lambda m: calls.append(1) or det(m))
+    try:
+        analyze(stencil)
+    except UnsupportedRegimeError:
+        pass
+    once = len(calls)
+    calls.clear()
+    main(["analyze", _write(tmp_path, dict(WORKED, b=b))])
+    assert len(calls) == once
+    assert "det R1 = %s" % build_shift_matrix(stencil).det_r1 in capsys.readouterr().out
 
 
 def test_parse_failures_exit_1(tmp_path, capsys):

@@ -14,8 +14,6 @@ from ddbvp.piecewise import (
     concat,
     devectorize,
     double_antiderivative,
-    in_smooth_class,
-    in_zero_trace_class,
     padd,
     pder,
     peval,
@@ -281,8 +279,8 @@ def test_apply_shifted_sum_uses_the_outside_data():
 def test_trace_defects_and_zero_trace_class():
     # t(2 - t) on (0, 2): zero endpoint values, nonzero endpoint slopes
     f = PiecewisePoly.from_global((0, 2, -1), (0, 2))
-    assert in_zero_trace_class(f, 1)
-    assert not in_zero_trace_class(f, 2)
+    assert not trace_defects(f, 1)
+    assert trace_defects(f, 2)
     defects = trace_defects(f, 2)
     assert [(kind, node, order) for kind, node, order, _ in defects] == [
         ("endpoint", F(0), 1),
@@ -292,17 +290,17 @@ def test_trace_defects_and_zero_trace_class():
 
     # an interior kink of the first derivative also leaves the class at k = 2
     kinked = PiecewisePoly.from_pieces((0, 1, 2), [(0, 0, 1), (1, 0, -1)])
-    assert in_zero_trace_class(kinked, 1)
-    assert not in_zero_trace_class(kinked, 2)
+    assert not trace_defects(kinked, 1)
+    assert trace_defects(kinked, 2)
 
 
 def test_smoothness_defects_and_smooth_class():
     smooth = PiecewisePoly.from_global((1, 2, 3), (0, 2)).refined([1])
-    assert in_smooth_class(smooth, 4)
+    assert not smoothness_defects(smooth, 4)
     assert smoothness_defects(smooth, 4) == []
 
     step = PiecewisePoly.from_pieces((0, 1, 2), [(0,), (1,)])
-    assert not in_smooth_class(step, 1)
+    assert smoothness_defects(step, 1)
     assert smoothness_defects(step, 1) == [(F(1), 0, F(1))]
-    # in_smooth_class at k = 0 only requires piecewise membership, no matching
-    assert in_smooth_class(step, 0)
+    # smoothness at k = 0 only requires piecewise membership, no matching
+    assert not smoothness_defects(step, 0)

@@ -6,21 +6,35 @@ b_{-1}, b_N != 0 leave det R1 = +-b_N * b_{-1}^N != 0.  Rejection sampling
 would almost never hit det R2 = 0 once N grows.
 """
 
+import contextlib
+import io
+import json
+import math
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddbvp import exactla
+from ddbvp import cli, exactla
 from ddbvp.piecewise import (
     PiecewisePoly,
     apply_difference,
     apply_difference_inverse,
     apply_shifted_sum,
+    concat,
     linear_combination,
+    padd,
+    pder,
+    peval,
+    pjet,
+    smoothness_defects,
+    trace_defects,
 )
-from ddbvp.solver import BVPProblem, solve_nonhomogeneous
+from ddbvp.problem_io import MAX_STENCIL_N, canonical_problem_text, parse_problem
+from ddbvp.solver import BVPProblem, hermite_extension, solve_nonhomogeneous
 from ddbvp.structure import Stencil, analyze, cofactor
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -179,3 +193,183 @@ def test_value_is_the_limit_where_both_sides_agree(case):
         else:
             with pytest.raises(ValueError, match="jumps"):
                 f.value(t)
+
+
+# -- the jump table ------------------------------------------------------------
+
+
+def _reference_smoothness_defects(f, k):
+    """The per-point loop the jump table replaced: order-major, then by node."""
+    return [(t, mu, f.jump(t, mu)) for mu in range(k) for t in f.breaks[1:-1] if f.jump(t, mu) != 0]
+
+
+def _reference_trace_defects(f, k):
+    out = []
+    for mu in range(k):
+        for t, side in ((f.start, 1), (f.end, -1)):
+            if f.trace(t, mu, side) != 0:
+                out.append(("endpoint", t, mu, f.trace(t, mu, side)))
+        out.extend(("jump", t, m, j) for t, m, j in _reference_smoothness_defects(f, k) if m == mu)
+    return out
+
+
+@st.composite
+def functions_with_jumps(draw):
+    """A piecewise polynomial of degree <= 8 on (-1, 3) with fractional breaks.
+
+    At each interior break the right piece continues the jet of the left one
+    up to a drawn order (0 to 4), so zero and nonzero jumps both occur.
+    """
+    interior = draw(st.sets(st.fractions(min_value=-1, max_value=3, max_denominator=12), min_size=1, max_size=5))
+    breaks = sorted((interior - {Fraction(-1), Fraction(3)}) | {Fraction(-1), Fraction(3)})
+    coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+    pieces = [tuple(draw(st.lists(coeffs, min_size=1, max_size=9)))]
+    for lo, mid, hi in zip(breaks, breaks[1:], breaks[2:]):
+        jet = pjet(pieces[-1], mid - lo, draw(st.integers(min_value=0, max_value=4)))
+        taylor = tuple(value / math.factorial(mu) for mu, value in enumerate(jet))
+        pieces.append(taylor + tuple(draw(st.lists(coeffs, min_size=1, max_size=9 - len(taylor)))))
+    return PiecewisePoly.from_pieces(breaks, pieces)
+
+
+@SETTINGS
+@given(functions_with_jumps(), st.integers(min_value=0, max_value=6))
+def test_jump_table_equals_the_point_jumps(f, count):
+    assert f.jumps(count) == [(t, mu, f.jump(t, mu)) for t in f.breaks[1:-1] for mu in range(count)]
+
+
+@SETTINGS
+@given(st.lists(rationals, min_size=1, max_size=9), st.fractions(min_value=-3, max_value=3, max_denominator=7),
+       st.integers(min_value=0, max_value=10))
+def test_jet_is_the_chain_of_derivative_values(coeffs, x, count):
+    jet = pjet(coeffs, x, count)
+    assert len(jet) == count
+    c = tuple(coeffs)
+    for value in jet:
+        assert value == peval(c, x)
+        c = pder(c)
+
+
+@SETTINGS
+@given(functions_with_jumps(), st.integers(min_value=0, max_value=6))
+def test_defect_lists_equal_the_per_point_loops(f, k):
+    assert smoothness_defects(f, k) == _reference_smoothness_defects(f, k)
+    assert trace_defects(f, k) == _reference_trace_defects(f, k)
+
+
+@st.composite
+def smooth_solution_problems(draw):
+    """Data made from a known solution y = f1 | g | f2 with g one polynomial on
+    (0, N+1), so v is smooth inside.  f1 and f2 are g itself, or g bent by a
+    multiple of (t - seam)^2: then y jumps in its second derivative at the
+    seam, while R y stays C^1 and -(R y)'' is an admissible f0."""
+    stencil = draw(supported_stencils(max_n=3))
+    n = stencil.N
+    g = tuple(draw(nonzero_polys))
+    c = draw(nonzero)
+    f1 = draw(st.sampled_from((g, padd(g, (0, 0, c)))))
+    f2 = draw(st.sampled_from((g, padd(g, (c * (n + 1) ** 2, -2 * c * (n + 1), c)))))
+    y = concat([
+        PiecewisePoly.from_global(f1, (-n, 0)),
+        PiecewisePoly.from_global(g, (0, n + 1)),
+        PiecewisePoly.from_global(f2, (n + 1, 2 * n + 1)),
+    ])
+    f0 = apply_shifted_sum(stencil, y).derivative(2).scaled(-1)
+    return BVPProblem(stencil=stencil, k=draw(st.integers(min_value=0, max_value=2)), f0=f0, f1=f1, f2=f2)
+
+
+@SETTINGS
+@given(st.one_of(extension_problems(), smooth_solution_problems()))
+def test_smoothness_flags_equal_the_defect_lists(problem):
+    family = solve_nonhomogeneous(problem)
+    if family.v is None:
+        return
+    report = family.smoothness
+    k = problem.k
+    assert report.smooth_interior == (not smoothness_defects(family.v, k + 2))
+    assert report.smooth_extension == (not smoothness_defects(family.extension, k + 2))
+    psi = hermite_extension(problem.stencil, k, problem.f1, problem.f2)
+    reduced = problem.f0 + apply_shifted_sum(problem.stencil, psi).derivative(2)
+    assert report.data_defects == tuple(_reference_smoothness_defects(reduced, k))
+
+
+# -- problem files ---------------------------------------------------------------
+
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+json_rationals = st.one_of(st.integers(min_value=-9, max_value=9), small_rationals.map(str))
+
+
+@st.composite
+def problem_documents(draw):
+    """A valid problem file as a JSON-ready dict, N <= 3."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    inner = draw(st.sets(st.fractions(min_value=0, max_value=n + 1, max_denominator=5), max_size=3))
+    breaks = sorted(inner | {Fraction(0), Fraction(n + 1)})
+    f0 = [{"interval": [str(lo), str(hi)], "coeffs": draw(st.lists(json_rationals, min_size=1, max_size=3))}
+          for lo, hi in zip(breaks, breaks[1:])]
+    doc = {
+        "N": n,
+        "b": draw(st.lists(json_rationals, min_size=2 * n + 1, max_size=2 * n + 1)),
+        "k": draw(st.integers(min_value=0, max_value=3)),
+        "f0": f0,
+    }
+    for key in ("f1", "f2"):
+        if draw(st.booleans()):
+            doc[key] = draw(st.lists(json_rationals, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        doc["oracle"] = {"n_values": draw(st.lists(st.integers(min_value=4, max_value=16), max_size=2))}
+        if draw(st.booleans()):
+            doc["oracle"]["a"] = [{"interval": [0, n + 1], "coeffs": draw(st.lists(json_rationals, min_size=1, max_size=2))}]
+    return doc
+
+
+@SETTINGS
+@given(problem_documents())
+def test_canonical_text_is_a_fixed_point_of_parsing(doc):
+    text = canonical_problem_text(parse_problem(json.dumps(doc)))
+    assert canonical_problem_text(parse_problem(text)) == text
+
+
+def _wide_stencil(doc, n):
+    doc.update(N=n, b=["1"] * (2 * n + 1))
+
+
+MUTATIONS = (
+    lambda doc, draw: None,
+    lambda doc, draw: doc.pop(draw(st.sampled_from(sorted(doc)))),
+    lambda doc, draw: _wide_stencil(doc, draw(st.sampled_from((MAX_STENCIL_N + 1, 10 ** 4)))),
+    lambda doc, draw: doc.update(N=draw(st.integers(min_value=-2, max_value=5))),
+    lambda doc, draw: doc.update(b=[draw(st.floats(width=16))] + doc["b"][1:]),
+    lambda doc, draw: doc.update(b=doc["b"][1:]),
+    lambda doc, draw: doc.update(k=draw(st.sampled_from((-1, 1.5, "2", 40, None)))),
+    lambda doc, draw: doc["f0"][0].update(interval=[str(draw(small_rationals)), "1/2"]),
+    lambda doc, draw: doc["f0"][0].update(coeffs=draw(st.sampled_from(([], [0.5], ["x"], [[1]], "1")))),
+    lambda doc, draw: doc.update(f0=draw(st.sampled_from(([], {}, [{"interval": [0, 1]}], "f0")))),
+    lambda doc, draw: doc.update(f1=draw(st.sampled_from(([], [1e300], ["1/0"], {"a": 1})))),
+    lambda doc, draw: doc.update(oracle=draw(st.sampled_from(({"n_values": [2]}, {"n_values": [10 ** 6]}, [], {"q": 1})))),
+    lambda doc, draw: doc.update(extra=1),
+)
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """Problem file text: a valid document with one mutation, wrapped, cut short or empty."""
+    doc = draw(problem_documents())
+    draw(st.sampled_from(MUTATIONS))(doc, draw)
+    return draw(st.sampled_from((json.dumps(doc), json.dumps([doc]), json.dumps(doc)[:-1], "")))
+
+
+@SETTINGS
+@given(fuzzed_documents())
+def test_every_problem_file_ends_analyze_in_a_documented_exit_code(text):
+    handle, path = tempfile.mkstemp(suffix=".json")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["analyze", path])
+    finally:
+        os.unlink(path)
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1

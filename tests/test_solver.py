@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from ddbvp import solver
 from ddbvp.piecewise import (
     PiecewisePoly,
     apply_difference,
     apply_shifted_sum,
-    in_zero_trace_class,
     smoothness_defects,
+    trace_defects,
 )
 from ddbvp.solver import (
     BVPProblem,
@@ -75,7 +76,7 @@ def test_solver_recovers_a_constructed_smooth_solution_exactly():
             assert report.minimal_solvable is True
             assert report.smooth_interior
             assert all(value == 0 for _, _, value in report.node_jumps)
-            assert in_zero_trace_class(family.v, k + 2)
+            assert not trace_defects(family.v, k + 2)
 
 
 def test_generic_data_breaks_smoothness_but_solves():
@@ -101,6 +102,25 @@ def test_offgrid_data_breaks_stay_out_of_the_tracked_orders():
     assert family.v.jump(F(1, 2), 0) == 0
     assert family.v.jump(F(1, 2), 1) == 0
     assert family.v.jump(F(3, 2), 1) == 0
+
+
+def test_one_solve_reads_each_jump_table_once(monkeypatch):
+    tables, points, defects = [], [], []
+    jumps, jump, smoothness = PiecewisePoly.jumps, PiecewisePoly.jump, solver.smoothness_defects
+    monkeypatch.setattr(PiecewisePoly, "jumps", lambda f, count: tables.append((f, count)) or jumps(f, count))
+    monkeypatch.setattr(PiecewisePoly, "jump", lambda f, t, order=0: points.append(f) or jump(f, t, order))
+    monkeypatch.setattr(solver, "smoothness_defects", lambda f, k: defects.append((f, k)) or smoothness(f, k))
+    k = 1
+    problem = BVPProblem(
+        stencil=Stencil.from_coeffs((1, 0, 1)), k=k, f0=PiecewisePoly.constant(1, 0, 2), f1=(1, 2), f2=(3,)
+    )
+    family = solve_nonhomogeneous(problem)
+    # the Hermite extension's self-check and the reduced data, once each
+    assert [order for _, order in defects] == [k + 2, k]
+    assert [count for f, count in tables if f is family.v] == [k + 2]
+    assert len(tables) == 3
+    # point jumps are left only for the 2 (k+2) extension jumps of y at 0 and N+1
+    assert len(points) == 2 * (k + 2) and all(f is family.extension for f in points)
 
 
 def test_problem_validation():

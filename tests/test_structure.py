@@ -77,6 +77,16 @@ def test_analyze_rejects_unsupported_regimes():
         analyze(Stencil.from_coeffs((1, 1, 1)))
 
 
+def test_unsupported_regime_error_carries_the_matrix_and_regime():
+    for coeffs, regime in (((0, 1, 0), Regime.NONSINGULAR_BOTH), ((1, 1, 1), Regime.SINGULAR_FULL)):
+        stencil = Stencil.from_coeffs(coeffs)
+        with pytest.raises(UnsupportedRegimeError) as exc:
+            analyze(stencil)
+        assert exc.value.matrix == build_shift_matrix(stencil)
+        assert exc.value.regime == classify_regime(exc.value.matrix)
+        assert exc.value.regime.regime is regime
+
+
 def test_named_stencils_are_in_the_supported_regime():
     for s in named_stencils():
         report = analyze(s)
