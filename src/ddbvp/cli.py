@@ -19,6 +19,7 @@ supported regime (including a failed exact rank assumption, ``StructureError``),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from .problem_io import (
     ProblemFileError,
     grid_resolution_error,
     load_problem,
-    solution_csv,
+    solution_csv_lines,
     solve_report,
 )
 from .solver import SolveStatus, boundary_matrix, solve_nonhomogeneous
@@ -137,7 +138,7 @@ def cmd_solve(args, out) -> int:
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(solve_report(parsed, family))
     with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(solution_csv(family, parsed.problem.f0, step))
+        handle.writelines(solution_csv_lines(family, parsed.problem.f0, step))
     print("status: %s" % family.status.value, file=out)
     print("wrote %s and %s" % (report_path, csv_path), file=out)
     if family.status is SolveStatus.INFEASIBLE:
@@ -190,7 +191,9 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ddbvp",
         description="Exact analysis and solution of second-order differential-difference boundary value problems.",

@@ -1,12 +1,27 @@
 """Dense exact linear algebra over the rationals.
 
-Plain lists of lists of ``fractions.Fraction`` throughout; no floating point.
-Sizes here are tiny (a handful of rows), so everything is straightforward
-Gaussian elimination without pivot-growth heroics.
+Matrices come in and go out as plain lists of lists of ``fractions.Fraction``;
+no floating point, no tolerance.  Every elimination runs on integers in one
+kernel, ``_eliminate``: each row is scaled to integers by the lcm of its
+denominators, then fraction-free Gauss-Jordan elimination (Bareiss 1968,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination") replaces every non-pivot row by (p * row - f * pivot_row) //
+prev, with p the current and prev the previous pivot.  By Sylvester's
+identity every intermediate entry is a minor of the scaled matrix, so each
+division is exact and entries grow only as fast as those minors.
+
+Fractions are built only at the boundary: an RREF entry is the integer entry
+over the last pivot, and the determinant is the signed last pivot over the
+product of the row scales.  ``det`` and ``rank`` read the kernel directly;
+``rref`` and everything built on it (``nullspace``, ``left_nullspace``,
+``solve_affine``, ``solve_unique``, ``invert``, ``min_norm_solution``) read
+the RREF, which is canonical, so the results are those of any exact
+Gauss-Jordan elimination, entry for entry.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -16,13 +31,11 @@ Mat = list[list[Fraction]]
 
 def to_fraction(x) -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions; reject floats."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("refusing to coerce float %r to Fraction; pass a string or Fraction" % x)
     return Fraction(x)
-
-
-def mat_copy(a: Sequence[Sequence]) -> Mat:
-    return [[to_fraction(x) for x in row] for row in a]
 
 
 def identity(n: int) -> Mat:
@@ -42,70 +55,101 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return [[sum((ra[t] * cb[t] for t in range(len(ra))), Fraction(0)) for cb in bt] for ra in a]
 
 
+def _integer_rows(a: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Each row of a times the lcm of its denominators, and those multipliers."""
+    rows, scales = [], []
+    for row in a:
+        row = [to_fraction(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return rows, scales
+
+
+def _eliminate(m: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    Each step takes the first nonzero entry p of the next column at or below
+    the current row as pivot and replaces every other row by
+    (p * row - f * pivot_row) // prev, where f is the row's entry in the pivot
+    column and prev the previous pivot (1 at the start).  By Sylvester's
+    identity every entry stays a minor of the input, so the division is
+    exact (Bareiss 1968).  At the end every pivot row holds the last pivot d
+    in its own pivot column and zeros in the others, the rows below the rank
+    are zero, and the reduced row echelon form is m / d row by row.  For a
+    nonsingular square input, det = sign * d.
+
+    Returns the pivot columns and the sign of the row permutation.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i in range(rows):
+            if i == r:
+                continue
+            f = m[i][c]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in m[i]]
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, sign
+
+
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction Gaussian elimination. det([]) == 1 by convention."""
+    """Determinant by fraction-free elimination. det([]) == 1 by convention."""
     n = len(a)
     if n == 0:
         return Fraction(1)
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a nonsquare matrix")
-    m = mat_copy(a)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                factor = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return result * sign
+    m, scales = _integer_rows(a)
+    pivots, sign = _eliminate(m)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * m[-1][-1], math.prod(scales))
 
 
 def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    m = mat_copy(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    m, _ = _integer_rows(a)
+    pivots, _ = _eliminate(m)
+    d = m[0][pivots[0]] if pivots else 1
+    return [[Fraction(x, d) for x in row] for row in m], pivots
 
 
 def rank(a: Sequence[Sequence[Fraction]]) -> int:
     if not a or not a[0]:
         return 0
-    return len(rref(a)[1])
+    m, _ = _integer_rows(a)
+    return len(_eliminate(m)[0])
 
 
 def nullspace(a: Sequence[Sequence[Fraction]]) -> list[Vec]:
     """Basis of the right null space, one vector per free column of the RREF."""
     if not a:
         return []
-    cols = len(a[0])
-    red, pivots = rref(a)
+    return _null_basis(*rref(a), len(a[0]))
+
+
+def _null_basis(red: Mat, pivots: list[int], cols: int) -> list[Vec]:
+    """Null space basis of the first ``cols`` columns of a matrix in RREF."""
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -136,7 +180,8 @@ def solve_affine(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> tupl
     particular = [Fraction(0)] * cols
     for r, p in enumerate(pivots):
         particular[p] = red[r][cols]
-    return particular, nullspace(a)
+    # the first cols columns of the augmented RREF are the RREF of a
+    return particular, _null_basis(red, pivots, cols)
 
 
 def solve_unique(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
@@ -152,7 +197,7 @@ def solve_unique(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
 
 def invert(a: Sequence[Sequence[Fraction]]) -> Mat:
     n = len(a)
-    aug = [list(row) + ident for row, ident in zip(mat_copy(a), identity(n))]
+    aug = [list(row) + ident for row, ident in zip(a, identity(n))]
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

@@ -30,7 +30,8 @@ plumbing used everywhere else:
   ``trace_defects`` read that table; their empty lists define the
   Sobolev-type memberships used by the solvers;
 * ``PiecewisePoly.sample``: floats of a function on many sorted points, for
-  the solution CSV and the grid samples.  It walks the pieces with a
+  the solution CSV and the grid samples (``iter_samples`` yields them one at
+  a time, so the CSV can stream).  It walks the pieces with a
   cursor.  On each piece it writes the coefficients as integers n_j over one
   common denominator D, and evaluates at x = X/Q as
   sum n_j X^j Q^(d-j) / (D Q^d): integer Horner, then a single int / int
@@ -43,10 +44,11 @@ Coefficients are Fractions throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import exactla
 from .structure import Stencil, StructureReport, build_shift_matrix
@@ -138,34 +140,54 @@ def two_point_hermite(left: Sequence[Fraction], right: Sequence[Fraction]) -> tu
     """Coefficients on local (0, 1) matching derivative jets at both ends.
 
     ``left[mu]`` and ``right[mu]`` prescribe the mu-th derivative at x = 0
-    and x = 1; both jets must have the same length r, and the interpolant has
-    degree at most 2r - 1.  Two-point Hermite interpolation is unisolvent, so
-    the system always has exactly one solution.
+    and x = 1; both jets must have the same length r, and the interpolant,
+    of degree at most 2r - 1, is unique.  It is sum_mu left[mu] A_mu(x) +
+    right[mu] B_mu(x) in the closed-form basis
+
+        A_mu(x) = x^mu / mu! * (1 - x)^r * sum_{j < r - mu} C(r - 1 + j, j) x^j,
+        B_mu(x) = (-1)^mu A_mu(1 - x),
+
+    whose mu-th derivative is 1 at its own end and every other derivative of
+    order below r vanishes at both ends.  The basis is built once per r.
     """
     if len(left) != len(right):
         raise ValueError("end jets must have equal length")
     count = len(left)
+    weights = [_frac(x) / math.factorial(mu) for jet in (left, right) for mu, x in enumerate(jet)]
+    den = math.lcm(*(w.denominator for w in weights))
+    acc = [0] * (2 * count)
+    for w, poly in zip(weights, _hermite_basis(count)):
+        if w:
+            scale = w.numerator * (den // w.denominator)
+            for d, c in enumerate(poly):
+                acc[d] += scale * c
+    return ptrim([Fraction(x, den) for x in acc])
+
+
+@functools.cache
+def _hermite_basis(count: int) -> tuple[tuple[int, ...], ...]:
+    """mu! A_mu for mu < count, then mu! B_mu, as integer coefficient tuples of length 2 count."""
     size = 2 * count
-    rows = []
-    rhs = []
+    # (1 - x)^count * sum_{j < count - mu} C(count - 1 + j, j) x^j, shifted up by mu
+    power = [(-1) ** i * math.comb(count, i) for i in range(count + 1)]
+    left = []
     for mu in range(count):
-        row = [Fraction(0)] * size
-        fall = 1
-        for i in range(mu):
-            fall *= mu - i
-        row[mu] = Fraction(fall)
-        rows.append(row)
-        rhs.append(_frac(left[mu]))
-    for mu in range(count):
-        row = []
-        for d in range(size):
-            fall = 1
-            for i in range(mu):
-                fall *= d - i
-            row.append(Fraction(fall))
-        rows.append(row)
-        rhs.append(_frac(right[mu]))
-    return ptrim(exactla.solve_unique(rows, rhs))
+        poly = [0] * size
+        for j in range(count - mu):
+            c = math.comb(count - 1 + j, j)
+            for i, p in enumerate(power):
+                poly[mu + j + i] += c * p
+        left.append(tuple(poly))
+    # mu! B_mu(x) = (-1)^mu (mu! A_mu)(1 - x), expanding each (1 - x)^d
+    right = []
+    for mu, poly in enumerate(left):
+        out = [0] * size
+        for d, c in enumerate(poly):
+            if c:
+                for i in range(d + 1):
+                    out[i] += (-1) ** (mu + i) * c * math.comb(d, i)
+        right.append(tuple(out))
+    return tuple(left + right)
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +391,17 @@ class PiecewisePoly:
         """Right limits f(t+) as floats, at non-decreasing points of [start, end).
 
         Each float is the correctly rounded value of the exact right limit,
-        bit-identical to ``float(self.trace(t, 0, +1))``.  A cursor walks the
-        pieces, and each piece is evaluated in integer arithmetic: see the
-        module docstring.  Points may be Fractions or ints.
+        bit-identical to ``float(self.trace(t, 0, +1))``.  Points may be
+        Fractions or ints.  See ``iter_samples``.
         """
-        out = []
+        return list(self.iter_samples(points))
+
+    def iter_samples(self, points: Iterable) -> Iterator[float]:
+        """``sample`` one point at a time, for point streams too long to hold.
+
+        A cursor walks the pieces, and each piece is evaluated in integer
+        arithmetic: see the module docstring.
+        """
         last = len(self.pieces) - 1
         idx = -1
         lo_num, lo_den = hi_num, hi_den = self.start.as_integer_ratio()  # the first point enters piece 0
@@ -396,8 +424,7 @@ class PiecewisePoly:
             for n in numerators[1:]:
                 power *= x_den
                 acc = acc * x_num + n * power
-            out.append(acc / (scale * power))
-        return out
+            yield acc / (scale * power)
 
     def jump(self, t, order: int = 0) -> Fraction:
         """Right minus left limit of the order-th derivative at an interior point."""

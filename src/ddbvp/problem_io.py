@@ -25,10 +25,12 @@ lines, so a solution can be reproduced byte-for-byte from the report alone.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .grid import MAX_GRID_UNKNOWNS
 from .piecewise import DEGREE_CAP, DegreeCapError, PiecewisePoly
@@ -256,11 +258,16 @@ def canonical_problem_text(parsed: ParsedProblem) -> str:
 
 
 # one CSV row: t, v, dv, w, f0, each float to 17 significant digits
-_ROW = ",".join(["%.17g"] * 5)
+_ROW = ",".join(["%.17g"] * 5) + "\n"
 
 
 def solution_csv(family: SolutionFamily, f0: PiecewisePoly, step: Fraction) -> str:
-    """Sampled solution table: t,v,dv,w,f0 with one-sided rows at breaks.
+    """The whole sampled solution table as one string; see ``solution_csv_lines``."""
+    return "".join(solution_csv_lines(family, f0, step))
+
+
+def solution_csv_lines(family: SolutionFamily, f0: PiecewisePoly, step: Fraction) -> Iterator[str]:
+    """Sampled solution table, t,v,dv,w,f0, one newline-terminated line at a time.
 
     Regular rows sample the open interval at t = start + i*step, skipping
     every breakpoint of v, w or f0; each breakpoint contributes one row per
@@ -268,15 +275,16 @@ def solution_csv(family: SolutionFamily, f0: PiecewisePoly, step: Fraction) -> s
     the header.
 
     The table is written in one sweep over the merged breakpoints, so rows
-    come out in order.  Left limits at the breakpoints come from ``trace``,
-    four calls per breakpoint.  Every right limit, at a breakpoint or at a
-    regular point (where it is the value), comes from one
-    ``PiecewisePoly.sample`` call per column, and t is divided out of
-    integers.  Every printed float is the correctly rounded exact value.
+    come out in order and nothing but the breakpoints is held in memory.
+    Left limits at the breakpoints come from ``trace``, four calls per
+    breakpoint.  Every right limit, at a breakpoint or at a regular point
+    (where it is the value), comes from one ``PiecewisePoly.iter_samples``
+    stream per column, and t is divided out of integers.  Every printed float
+    is the correctly rounded exact value.
     """
-    lines = [CSV_HEADER]
+    yield CSV_HEADER + "\n"
     if family.v is None:
-        return "\n".join(lines) + "\n"
+        return
     if step <= 0:
         raise ValueError("sample step must be positive")
     v = family.v
@@ -291,19 +299,22 @@ def solution_csv(family: SolutionFamily, f0: PiecewisePoly, step: Fraction) -> s
     # indices i of the regular rows strictly between consecutive breakpoints
     gaps = [range(math.floor((lo - start) / step) + 1, math.ceil((hi - start) / step))
             for lo, hi in zip(breaks, breaks[1:])]
-    points = []
-    for b, gap in zip(breaks, gaps):
-        points.append(b)
-        points.extend(Fraction(first + i * stride, den) for i in gap)
-    right = zip(*(g.sample(points) for g in funcs))  # right limits, in row order
+
+    def points():
+        for b, gap in zip(breaks, gaps):
+            yield b
+            for i in gap:
+                yield Fraction(first + i * stride, den)
+
+    # right limits, in row order
+    right = zip(*(g.iter_samples(p) for g, p in zip(funcs, itertools.tee(points(), len(funcs)))))
     for b, gap in zip(breaks, gaps + [range(0)]):
         if b > start:
-            lines.append(_ROW % (float(b), *(float(g.trace(b, 0, -1)) for g in funcs)))
+            yield _ROW % (float(b), *(float(g.trace(b, 0, -1)) for g in funcs))
         if b < end:
-            lines.append(_ROW % (float(b), *next(right)))
+            yield _ROW % (float(b), *next(right))
         for i in gap:
-            lines.append(_ROW % ((first + i * stride) / den, *next(right)))
-    return "\n".join(lines) + "\n"
+            yield _ROW % ((first + i * stride) / den, *next(right))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command line interface and the problem file format."""
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from ddbvp.problem_io import (
     extract_problem_text,
     parse_problem,
     solution_csv,
+    solution_csv_lines,
     solve_report,
 )
 from ddbvp.solver import solve_nonhomogeneous
@@ -246,7 +248,38 @@ def test_solution_csv_samples_without_value_and_few_traces(monkeypatch):
     assert 0 < calls["trace"] <= 8 * len(merged)
 
 
+def test_solution_csv_lines_stream_the_samples(monkeypatch):
+    parsed = parse_problem(json.dumps(CSV_PROBLEMS["N1"]))
+    family = solve_nonhomogeneous(parsed.problem)
+    step = Fraction(1, 10 ** 4)
+    produced = [0]
+    original = PiecewisePoly.iter_samples
+
+    def counting(self, points):
+        for value in original(self, points):
+            produced[0] += 1
+            yield value
+
+    monkeypatch.setattr(PiecewisePoly, "iter_samples", counting)
+    head = list(itertools.islice(solution_csv_lines(family, parsed.problem.f0, step), 5))
+    # four columns, each sampled only as far as the rows taken
+    assert produced[0] <= 4 * 5
+    assert "".join(head) == "".join(solution_csv(family, parsed.problem.f0, step).splitlines(True)[:5])
+    assert all(line.endswith("\n") for line in head)
+
+
 # -- the command line -----------------------------------------------------------
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    path = _write(tmp_path, WORKED)
+    assert main(["analyze", path]) == 0
+    assert main(["solve", path, "--out", str(tmp_path / "a")]) == 0
+    assert main(["analyze", path]) == 0
+    with pytest.raises(SystemExit):
+        main(["solve", path])  # --out is required, on every call
+    assert "--out" in capsys.readouterr().err
 
 
 def test_analyze_command(tmp_path, capsys):

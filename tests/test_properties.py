@@ -30,8 +30,10 @@ from ddbvp.piecewise import (
     pder,
     peval,
     pjet,
+    ptrim,
     smoothness_defects,
     trace_defects,
+    two_point_hermite,
 )
 from ddbvp.problem_io import MAX_STENCIL_N, canonical_problem_text, parse_problem
 from ddbvp.solver import BVPProblem, hermite_extension, solve_nonhomogeneous
@@ -86,6 +88,190 @@ def stencil_and_data(draw):
     breaks = sorted({Fraction(i) for i in range(n + 2)} | {cut})
     pieces = [draw(st.lists(rationals, min_size=1, max_size=3)) for _ in breaks[1:]]
     return stencil, PiecewisePoly.from_pieces(breaks, pieces)
+
+
+# -- the fraction-free elimination kernel ----------------------------------------
+
+
+def _reference_det(a):
+    """Determinant by plain Fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    result = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        result *= m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return result
+
+
+def _reference_rref(a):
+    """Reduced row echelon form by plain Fraction Gauss-Jordan elimination."""
+    m = [[Fraction(x) for x in row] for row in a]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                m[i] = [x - m[i][c] * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _reference_null_basis(red, pivots, cols):
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(cols)]
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+def _all_fractions(*values):
+    """Every leaf of nested lists and tuples is exactly a Fraction."""
+    for value in values:
+        if isinstance(value, (list, tuple)):
+            if not _all_fractions(*value):
+                return False
+        elif type(value) is not Fraction:
+            return False
+    return True
+
+
+entries = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Tall, wide or square rational matrices with structure: zero rows and
+    columns, repeated rows and rows that combine two earlier ones."""
+    rows = draw(st.integers(min_value=0, max_value=6))
+    cols = rows if square else draw(st.integers(min_value=1, max_value=6))
+    m = []
+    for i in range(rows):
+        kind = draw(st.sampled_from(("free", "free", "zero", "copy", "combination")))
+        if kind == "zero":
+            m.append([Fraction(0)] * cols)
+        elif kind == "copy" and m:
+            m.append(list(draw(st.sampled_from(m))))
+        elif kind == "combination" and len(m) >= 2:
+            s, t = draw(entries), draw(entries)
+            u, w = draw(st.sampled_from(m)), draw(st.sampled_from(m))
+            m.append([s * x + t * y for x, y in zip(u, w)])
+        else:
+            m.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
+    for c in draw(st.sets(st.integers(min_value=0, max_value=max(cols - 1, 0)), max_size=2)):
+        for row in m:
+            if c < len(row):
+                row[c] = Fraction(0)
+    return m
+
+
+@SETTINGS
+@given(matrices())
+def test_rref_rank_and_nullspace_equal_the_fraction_reference(a):
+    red, pivots = exactla.rref(a)
+    assert (red, pivots) == _reference_rref(a)
+    assert _all_fractions(red)
+    if a:
+        assert exactla.rank(a) == len(pivots)
+        null = exactla.nullspace(a)
+        assert null == _reference_null_basis(red, pivots, len(a[0]))
+        assert _all_fractions(null)
+
+
+@st.composite
+def shuffled_triangular(draw):
+    """A nonsingular upper triangular matrix with its rows shuffled, so the
+    elimination must swap rows and the determinant's sign depends on it."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    diagonal = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(lambda x: x != 0)
+    rows = [[Fraction(0)] * i + [draw(diagonal)] + draw(st.lists(entries, min_size=n - i - 1, max_size=n - i - 1))
+            for i in range(n)]
+    return draw(st.permutations(rows))
+
+
+@SETTINGS
+@given(st.one_of(matrices(square=True), shuffled_triangular()))
+def test_det_and_invert_equal_the_fraction_reference(a):
+    d = exactla.det(a)
+    assert type(d) is Fraction
+    assert d == _reference_det(a)
+    n = len(a)
+    red, pivots = _reference_rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)])
+    if d == 0:
+        with pytest.raises(ValueError):
+            exactla.invert(a)
+    else:
+        inverse = exactla.invert(a)
+        assert inverse == [row[n:] for row in red]
+        assert _all_fractions(inverse)
+
+
+@SETTINGS
+@given(matrices(), st.data())
+def test_solve_affine_equals_the_fraction_reference(a, data):
+    b = data.draw(st.lists(entries, min_size=len(a), max_size=len(a)))
+    cols = len(a[0]) if a else 0
+    red, pivots = _reference_rref([row + [b[i]] for i, row in enumerate(a)])
+    got = exactla.solve_affine(a, b)
+    if cols in pivots:
+        assert got is None
+        return
+    particular = [Fraction(0)] * cols
+    for r, p in enumerate(pivots):
+        particular[p] = red[r][cols]
+    assert got == (particular, _reference_null_basis(red, pivots, cols))
+    assert _all_fractions(got)
+
+
+@SETTINGS
+@given(matrices(square=True).filter(lambda a: a), st.data())
+def test_a_float_entry_is_refused(a, data):
+    i = data.draw(st.integers(min_value=0, max_value=len(a) - 1))
+    j = data.draw(st.integers(min_value=0, max_value=len(a) - 1))
+    a[i][j] = float(a[i][j]) + 0.5
+    for call in (exactla.det, exactla.rref, exactla.rank, exactla.nullspace, exactla.invert,
+                 lambda m: exactla.solve_affine(m, [Fraction(0)] * len(m))):
+        with pytest.raises(TypeError):
+            call(a)
+
+
+# -- the closed-form Hermite basis -------------------------------------------------
+
+
+def _reference_hermite(left, right):
+    """The 2r x 2r system the closed form replaced: prescribed derivatives at 0 and 1."""
+    count = len(left)
+    rows = [[Fraction(math.factorial(mu) * (d == mu)) for d in range(2 * count)] for mu in range(count)]
+    rows += [[Fraction(math.perm(d, mu)) for d in range(2 * count)] for mu in range(count)]
+    return ptrim(exactla.solve_unique(rows, list(left) + list(right)))
+
+
+@SETTINGS
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_hermite_basis_equals_the_linear_system(count, data):
+    jet = st.lists(entries, min_size=count, max_size=count)
+    left, right = data.draw(jet), data.draw(jet)
+    h = two_point_hermite(left, right)
+    assert h == _reference_hermite(left, right)
+    assert _all_fractions(h) and len(h) <= 2 * count
+    assert pjet(h, Fraction(0), count) == left
+    assert pjet(h, Fraction(1), count) == right
 
 
 @SETTINGS
