@@ -17,10 +17,12 @@ analysis needs:
   2(k+2) when the clipped end columns of the shift matrix are independent and
   k+3 when they are dependent, in which case the higher-order conditions are
   built from cofactor weights;
-* ``solvability_elimination``: the data-side constraints for the second-order
-  problem -(R v)'' = f, obtained by writing every solution of -w'' = f as
-  w = d1*t + d2 - I (I the double antiderivative of f) and eliminating
-  (d1, d2) from the functional stack exactly.
+* ``solvability_constraints``: the data-side constraints for the second-order
+  problem -(R v)'' = f, for the zero-trace and the minimal-domain solution
+  classes.  Every solution of -w'' = f is w = d1*t + d2 - I (I the double
+  antiderivative of f); ``eliminate_constants`` takes the left null vectors
+  of the stack's (d1, d2) block as ``weights``, so each data constraint is
+  one weight vector dotted with the stack's values on I.
 
 Ranks are certified on monomial probes in exact arithmetic.
 """
@@ -92,23 +94,6 @@ class NodeFunctional:
             terms=tuple((node, mu, s * w) for node, mu, w in self.terms),
             label=self.label,
         )
-
-
-def combine(weighted: Sequence[tuple[Fraction, NodeFunctional]], label: str) -> NodeFunctional:
-    """Linear combination of functionals with merged, zero-pruned terms."""
-    acc: dict[tuple[Fraction, int], Fraction] = {}
-    for coef, fn in weighted:
-        if coef == 0:
-            continue
-        for node, mu, weight in fn.terms:
-            key = (node, mu)
-            acc[key] = acc.get(key, Fraction(0)) + coef * weight
-    terms = tuple(
-        (node, mu, w)
-        for (node, mu), w in sorted(acc.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-        if w != 0
-    )
-    return NodeFunctional(terms=terms, label=label)
 
 
 def membership_functionals(gamma: GammaData, k: int) -> list[NodeFunctional]:
@@ -217,52 +202,57 @@ class DataConstraints:
     Every solution of -w'' = f is w = d1*t + d2 - I with I the double
     antiderivative of f.  Stacking the node functionals that characterize the
     wanted solution class and eliminating the two constants leaves pure data
-    constraints: each residual functional, applied to I, must vanish.
-    ``d_rank`` is the rank of the eliminated (d1, d2) block; the residual
-    count is len(stack) - d_rank.
+    constraints: each row u of ``weights`` is a left null vector of the
+    stack's (d1, d2) block, and sum_i u_i * stack[i](I) must vanish.
+    ``d_rank`` is the rank of that block, len(stack) - count by rank-nullity.
     """
 
     stack: tuple[NodeFunctional, ...]
-    d_rank: int
-    residuals: tuple[NodeFunctional, ...]
+    weights: tuple[tuple[Fraction, ...], ...]
 
     @property
     def count(self) -> int:
-        return len(self.residuals)
+        return len(self.weights)
+
+    @property
+    def d_rank(self) -> int:
+        return len(self.stack) - self.count
+
+    def violations(self, values: Sequence[Fraction]) -> tuple[tuple[str, Fraction], ...]:
+        """Labelled nonzero residuals, given the stack's values on I in stack order."""
+        bad = []
+        for j, u in enumerate(self.weights):
+            value = sum((a * b for a, b in zip(u, values)), Fraction(0))
+            if value != 0:
+                bad.append(("data constraint %d" % j, value))
+        return tuple(bad)
 
 
 def eliminate_constants(stack: Sequence[NodeFunctional]) -> DataConstraints:
     """Eliminate (d1, d2) from a functional stack applied to w = d1 t + d2 - I."""
     d_block = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in stack]
-    left_null = exactla.left_nullspace(d_block)
-    residuals = tuple(
-        combine(list(zip(u, stack)), "data constraint %d" % j)
-        for j, u in enumerate(left_null)
-    )
     return DataConstraints(
         stack=tuple(stack),
-        d_rank=exactla.rank(d_block),
-        residuals=residuals,
+        weights=tuple(tuple(u) for u in exactla.left_nullspace(d_block)),
     )
 
 
-def solvability_constraints(structure: StructureReport, k: int, domain: str) -> DataConstraints:
+def solvability_constraints(structure: StructureReport, k: int) -> tuple[DataConstraints, DataConstraints]:
     """Data constraints of -(R v)'' = f for the two solution classes of order k.
 
-    ``domain`` selects what is demanded of the solution v:
+    Returns ``(zero_trace, minimal)``:
 
-    * ``"zero_trace"``: v of order k+2 with vanishing extension traces (so
-      the zero-extended solution stays order k+2 across the endpoints); the
-      stack is the full membership set of order k+2;
-    * ``"minimal"``: v in the operator's minimal domain (v and R v of order
-      k+2 on the open interval, zero-trace only at order 1); the stack is
-      ``image_functionals``, which is the same set in the independent
-      end-column case and the smaller cofactor set in the dependent one.
+    * ``zero_trace``: v of order k+2 with vanishing extension traces (so the
+      zero-extended solution stays order k+2 across the endpoints); the stack
+      is the full membership set of order k+2, whose first two members are
+      the order-zero boundary relations;
+    * ``minimal``: v in the operator's minimal domain (v and R v of order k+2
+      on the open interval, zero-trace only at order 1); the stack is
+      ``image_functionals``.  With independent end columns that is the same
+      set, and ``minimal is zero_trace``; with dependent ones it is the
+      smaller cofactor set.
     """
-    if domain == "zero_trace":
-        stack = membership_functionals(structure.gamma, k + 2)
-    elif domain == "minimal":
-        stack = image_functionals(structure, k)
-    else:
-        raise ValueError("domain must be 'zero_trace' or 'minimal'")
-    return eliminate_constants(stack)
+    zero_trace = eliminate_constants(membership_functionals(structure.gamma, k + 2))
+    if not structure.ends.dependent:
+        return zero_trace, zero_trace
+    return zero_trace, eliminate_constants(image_functionals(structure, k))

@@ -351,8 +351,7 @@ def _smoothness_lines(family: SolutionFamily) -> list[str]:
         ("zero-trace class", report.zero_trace_solvable, report.zero_trace_residuals),
         ("minimal domain", report.minimal_solvable, report.minimal_residuals),
     ):
-        verdict = {True: "yes", False: "no", None: "not determined"}[ok]
-        out.append("  solvable in the %s: %s" % (name, verdict))
+        out.append("  solvable in the %s: %s" % (name, "yes" if ok else "no"))
         for label, value in residuals:
             out.append("    violated: %s, residual %s" % (label, value))
     return out

@@ -41,13 +41,7 @@ from fractions import Fraction
 
 from . import exactla
 from .exactla import to_fraction
-from .functionals import (
-    DataConstraints,
-    image_functionals,
-    membership_functionals,
-    rank_of_functionals,
-    solvability_constraints,
-)
+from .functionals import membership_functionals, rank_of_functionals, solvability_constraints
 from .piecewise import (
     PiecewisePoly,
     apply_difference_inverse,
@@ -129,9 +123,9 @@ class SmoothnessReport:
     smooth_interior: bool
     extension_jumps: tuple[tuple[Fraction, int, Fraction], ...]
     smooth_extension: bool
-    zero_trace_solvable: bool | None
+    zero_trace_solvable: bool
     zero_trace_residuals: tuple[tuple[str, Fraction], ...]
-    minimal_solvable: bool | None
+    minimal_solvable: bool
     minimal_residuals: tuple[tuple[str, Fraction], ...]
 
 
@@ -187,27 +181,21 @@ def hermite_extension(stencil: Stencil, k: int, f1: tuple[Fraction, ...], f2: tu
     return psi
 
 
-def _evaluate_constraints(dc: DataConstraints, second_antiderivative: PiecewisePoly) -> tuple[bool, tuple[tuple[str, Fraction], ...]]:
-    bad = []
-    for fn in dc.residuals:
-        value = fn.evaluate(second_antiderivative)
-        if value != 0:
-            bad.append((fn.label, value))
-    return not bad, tuple(bad)
-
-
 def _smoothness(
     structure: StructureReport,
     k: int,
     v: PiecewisePoly,
     data_defects: tuple[tuple[Fraction, int, Fraction], ...],
     y: PiecewisePoly,
-    second_antiderivative: PiecewisePoly,
+    zero_trace_bad: tuple[tuple[str, Fraction], ...],
+    minimal_bad: tuple[tuple[str, Fraction], ...],
 ) -> SmoothnessReport:
-    """The report from v's jump table; ``data_defects`` are the reduced data's."""
-    n = structure.stencil.N
-    data_smooth = not data_defects
+    """The report from v's jump table; ``data_defects`` are the reduced data's.
 
+    ``zero_trace_bad`` and ``minimal_bad`` are the violated constraints of the
+    two solution classes; a class is solvable exactly when its list is empty.
+    """
+    n = structure.stencil.N
     integer_nodes = {Fraction(i) for i in range(1, n + 1)}
     node_jumps = []
     offgrid = []
@@ -223,32 +211,19 @@ def _smoothness(
     # y pastes one-piece pads to v at 0 and N+1, so its other jumps are v's
     smooth_extension = smooth_interior and all(jump == 0 for _, _, jump in extension_jumps)
 
-    if data_smooth:
-        zt_ok, zt_bad = _evaluate_constraints(
-            solvability_constraints(structure, k, "zero_trace"), second_antiderivative
-        )
-        mn_ok, mn_bad = _evaluate_constraints(
-            solvability_constraints(structure, k, "minimal"), second_antiderivative
-        )
-    else:
-        zt_ok, zt_bad = False, tuple(
-            ("data jump at %s, order %d" % (t, mu), val) for t, mu, val in data_defects
-        )
-        mn_ok, mn_bad = False, zt_bad
-
     return SmoothnessReport(
         k=k,
-        data_smooth=data_smooth,
+        data_smooth=not data_defects,
         data_defects=data_defects,
         node_jumps=tuple(node_jumps),
         offgrid_defects=tuple(offgrid),
         smooth_interior=smooth_interior,
         extension_jumps=tuple(extension_jumps),
         smooth_extension=smooth_extension,
-        zero_trace_solvable=zt_ok,
-        zero_trace_residuals=zt_bad,
-        minimal_solvable=mn_ok,
-        minimal_residuals=mn_bad,
+        zero_trace_solvable=not zero_trace_bad,
+        zero_trace_residuals=zero_trace_bad,
+        minimal_solvable=not minimal_bad,
+        minimal_residuals=minimal_bad,
     )
 
 
@@ -269,6 +244,11 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     enough for the zero-trace constraint stack of order k and that stack is
     feasible, d is taken from the stack's solution set instead, so the
     returned representative is as smooth as the data allows.
+
+    Each distinct constraint stack is built and evaluated on the double
+    antiderivative once: the boundary right-hand side is the value of the
+    zero-trace stack's first two members, and on smooth data the whole
+    stack's values feed both the refined d and the zero-trace residuals.
     """
     structure = analyze(problem.stencil)
     n = problem.stencil.N
@@ -281,7 +261,8 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     matrix = boundary_matrix(structure)
     pair_rows = (tuple(matrix[0]), tuple(matrix[1]))
     rank = exactla.rank(matrix)
-    rhs = [fn.evaluate(second) for fn in membership_functionals(structure.gamma, 1)]
+    zero_trace, minimal = solvability_constraints(structure, k)
+    rhs = [fn.evaluate(second) for fn in zero_trace.stack[:2]]
     solution = exactla.min_norm_solution(matrix, rhs)
     if solution is None:
         residuals = []
@@ -303,13 +284,20 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
 
     d, null = solution
     data_defects = tuple(smoothness_defects(reduced, k))
-    if not data_defects:
-        stack = membership_functionals(structure.gamma, k + 2)
-        full_rows = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in stack]
-        full_rhs = [fn.evaluate(second) for fn in stack]
-        refined = exactla.min_norm_solution(full_rows, full_rhs)
+    if data_defects:
+        zero_trace_bad = tuple(("data jump at %s, order %d" % (t, mu), val) for t, mu, val in data_defects)
+        minimal_bad = zero_trace_bad
+    else:
+        values = rhs + [fn.evaluate(second) for fn in zero_trace.stack[2:]]
+        full_rows = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in zero_trace.stack]
+        refined = exactla.min_norm_solution(full_rows, values)
         if refined is not None:
             d = refined[0]
+        zero_trace_bad = zero_trace.violations(values)
+        if minimal is zero_trace:
+            minimal_bad = zero_trace_bad
+        else:
+            minimal_bad = minimal.violations([fn.evaluate(second) for fn in minimal.stack])
     w = PiecewisePoly.from_global((d[1], d[0]), (0, n + 1)) - second
     v = apply_difference_inverse(structure, w) + psi.restricted(0, n + 1)
     y = concat([
@@ -334,7 +322,7 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
         kernel=kernel,
         residuals=(),
         extension=y,
-        smoothness=_smoothness(structure, k, v, data_defects, y, second),
+        smoothness=_smoothness(structure, k, v, data_defects, y, zero_trace_bad, minimal_bad),
     )
 
 
@@ -415,9 +403,9 @@ def index_report(problem: BVPProblem) -> IndexReport:
     structure = analyze(problem.stencil)
     k = problem.k
     table = structure.index_table(k)
-    image_rank = rank_of_functionals(image_functionals(structure, k))
-    zero_trace = solvability_constraints(structure, k, "zero_trace")
-    minimal = solvability_constraints(structure, k, "minimal")
+    zero_trace, minimal = solvability_constraints(structure, k)
+    # the minimal-domain stack is image_functionals(structure, k)
+    image_rank = rank_of_functionals(minimal.stack)
     cert = kernel_certificate(structure)
     rows = (
         CheckRow("image codimension at order k", table.codim_difference_image, image_rank),

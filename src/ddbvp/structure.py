@@ -310,18 +310,17 @@ def _end_columns(sm: ShiftMatrix, m: int) -> EndColumnData:
     lead = next(x for x in alpha if x != 0)
     alpha = tuple(x / lead for x in alpha)
 
-    l = None
-    for cand in range(1, n + 1):
-        sub = [
-            [sm.r1[r][c] for c in range(n) if c != cand - 1]
-            for r in range(n)
-            if r != m - 1
-        ]
-        if exactla.det(sub) != 0:
-            l = cand
-            break
-    if l is None:
-        raise StructureError("no admissible column index l found; rank structure violated")
+    # R2 without row m has rank N-1; by Cramer's rule its minor without
+    # column l is nonzero exactly where its one null vector is.  For N = 1
+    # the block has no rows and l = 1.
+    block = [list(row[:n]) for r, row in enumerate(sm.r1[:n]) if r != m - 1]
+    null = exactla.nullspace(block) if block else [[Fraction(1)]]
+    if len(null) != 1:
+        raise StructureError(
+            "R2 without row m has a null space of dimension %d, expected 1; no admissible "
+            "column index l; rank structure violated" % len(null)
+        )
+    l = next(j for j, x in enumerate(null[0], start=1) if x != 0)
     return EndColumnData(first_inner=first, last_inner=last, dependent=True, alpha=alpha, l=l)
 
 

@@ -225,8 +225,7 @@ def check_constraint_counts(orders=(0, 1)) -> CheckResult:
         structure = analyze(stencil)
         dependent = structure.ends.dependent
         for k in orders:
-            minimal = solvability_constraints(structure, k, "minimal").count
-            zero_trace = solvability_constraints(structure, k, "zero_trace").count
+            zero_trace, minimal = (dc.count for dc in solvability_constraints(structure, k))
             expect_min = (k + 1) if dependent else 2 * (k + 1)
             expect_zt = 2 * (k + 1)
             if (minimal, zero_trace) != (expect_min, expect_zt):

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from ddbvp import exactla
 from ddbvp.functionals import (
     NodeFunctional,
-    combine,
     eliminate_constants,
     image_functionals,
     membership_functionals,
@@ -60,15 +60,6 @@ def test_on_monomial_agrees_with_evaluate_on_global_polynomials():
         coeffs = [F(0)] * d + [F(1)]
         mono = PiecewisePoly.from_global(coeffs, (0, 2))
         assert fn.on_monomial(d) == fn.evaluate(mono)
-
-
-def test_combine_merges_terms_and_prunes_zeros():
-    a = NodeFunctional(terms=((F(0), 0, F(1)), (F(1), 0, F(2))), label="a")
-    b = NodeFunctional(terms=((F(1), 0, F(-2)), (F(2), 1, F(5))), label="b")
-    c = combine([(F(1), a), (F(1), b)], "sum")
-    assert c.terms == ((F(0), 0, F(1)), (F(2), 1, F(5)))
-    assert c.label == "sum"
-    assert combine([(F(0), a)], "nothing").terms == ()
 
 
 def test_membership_functional_counts_and_worked_form():
@@ -136,10 +127,39 @@ def test_eliminate_constants_residuals_kill_linear_functions():
     structure = analyze(Stencil.from_coeffs((0, 1, 1, 1, 2)))
     stack = membership_functionals(structure.gamma, 2)
     dc = eliminate_constants(stack)
-    assert dc.count == len(stack) - dc.d_rank
-    for fn in dc.residuals:
-        assert fn.on_monomial(0) == 0
-        assert fn.on_monomial(1) == 0
+    d_block = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in stack]
+    assert dc.count == len(dc.weights) == len(stack) - exactla.rank(d_block)
+    assert dc.d_rank == exactla.rank(d_block) == 2
+    for u in dc.weights:
+        assert len(u) == len(stack)
+        assert any(u)
+        for col in (0, 1):
+            assert sum(a * row[col] for a, row in zip(u, d_block)) == 0
+
+
+def test_violations_equal_the_merged_residual_functionals():
+    # u . (stack values on I) is the residual functional sum_i u_i stack[i]
+    # applied to I, whatever I is; a linear I violates nothing
+    rng = random.Random(31)
+    for s in DEPENDENT + (INDEPENDENT,):
+        structure = analyze(s)
+        n = s.N
+        for dc in solvability_constraints(structure, 1):
+            linear = _rand_global(rng, 1, (0, n + 1))
+            assert dc.violations([fn.evaluate(linear) for fn in dc.stack]) == ()
+            for trial in range(3):
+                f = _rand_global(rng, 5, (0, n + 1))
+                values = [fn.evaluate(f) for fn in dc.stack]
+                expected = []
+                for j, u in enumerate(dc.weights):
+                    value = sum(
+                        (a * w * f.trace(node, mu, 1 if node < n + 1 else -1)
+                         for a, fn in zip(u, dc.stack) for node, mu, w in fn.terms),
+                        F(0),
+                    )
+                    if value != 0:
+                        expected.append(("data constraint %d" % j, value))
+                assert dc.violations(values) == tuple(expected)
 
 
 def test_solvability_constraint_counts_match_the_index_table():
@@ -147,18 +167,30 @@ def test_solvability_constraint_counts_match_the_index_table():
         structure = analyze(s)
         for k in (0, 1):
             table = structure.index_table(k)
-            zt = solvability_constraints(structure, k, "zero_trace")
-            mn = solvability_constraints(structure, k, "minimal")
+            zt, mn = solvability_constraints(structure, k)
             assert zt.count == table.codim_zero_trace_domain == 2 * (k + 1)
             expected_min = (k + 1) if structure.ends.dependent else 2 * (k + 1)
             assert mn.count == table.codim_minimal_domain == expected_min
-    with pytest.raises(ValueError):
-        solvability_constraints(analyze(Stencil.from_coeffs((1, 0, 1))), 0, "sideways")
+            assert zt.d_rank == mn.d_rank == 2
 
 
 def test_independent_case_minimal_and_zero_trace_stacks_coincide():
     structure = analyze(INDEPENDENT)
     for k in (0, 1):
-        zt = solvability_constraints(structure, k, "zero_trace")
-        mn = solvability_constraints(structure, k, "minimal")
-        assert [fn.terms for fn in zt.stack] == [fn.terms for fn in mn.stack]
+        zt, mn = solvability_constraints(structure, k)
+        assert mn is zt
+        assert [fn.terms for fn in zt.stack] == [fn.terms for fn in membership_functionals(structure.gamma, k + 2)]
+        assert [fn.terms for fn in mn.stack] == [fn.terms for fn in image_functionals(structure, k)]
+
+
+def test_dependent_case_minimal_stack_is_the_image_set():
+    for s in DEPENDENT:
+        structure = analyze(s)
+        for k in (0, 1, 2):
+            zt, mn = solvability_constraints(structure, k)
+            assert mn is not zt
+            assert [fn.terms for fn in zt.stack] == [fn.terms for fn in membership_functionals(structure.gamma, k + 2)]
+            assert [fn.terms for fn in mn.stack] == [fn.terms for fn in image_functionals(structure, k)]
+            # both stacks open with the two order-zero boundary relations
+            boundary = [fn.terms for fn in membership_functionals(structure.gamma, 1)]
+            assert [fn.terms for fn in zt.stack[:2]] == boundary == [fn.terms for fn in mn.stack[:2]]

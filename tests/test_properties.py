@@ -15,7 +15,7 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ddbvp import cli, exactla
@@ -37,7 +37,7 @@ from ddbvp.piecewise import (
 )
 from ddbvp.problem_io import MAX_STENCIL_N, canonical_problem_text, parse_problem
 from ddbvp.solver import BVPProblem, hermite_extension, solve_nonhomogeneous
-from ddbvp.structure import Stencil, analyze, cofactor
+from ddbvp.structure import Stencil, analyze, build_shift_matrix, cofactor
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -285,6 +285,57 @@ def test_cofactor_from_adjugate_equals_signed_minor_determinant(stencil):
             minor = [[r1[r][c] for c in range(size) if c != k - 1] for r in range(size) if r != i - 1]
             sign = -1 if (i + k) % 2 else 1
             assert cofactor(report, i, k) == sign * exactla.det(minor)
+
+
+@st.composite
+def dependent_stencils(draw, max_n=4):
+    """Supported stencils whose clipped end columns are dependent, for N >= 1.
+
+    A drawn z != 0 is put in the null space of R2 (R2 z = 0 is linear in the
+    entries b_{1-N}..b_{N-1}), and b_{-j} = lam * b_{N+1-j} for j = 1..N makes
+    the end columns proportional.  The entries are a random element of the
+    solution space of those 2N linear equations in 2N+1 unknowns; leading
+    zeros of z spread the admissible column l over 1..N.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    z = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n).filter(any))
+    lam = draw(nonzero)
+    rows = []
+    for i in range(1, n + 1):  # (R2 z)_i = sum_k b_{k-i} z_k; unknown b_j sits at j + n
+        row = [Fraction(0)] * (2 * n + 1)
+        for k in range(1, n + 1):
+            row[k - i + n] += z[k - 1]
+        rows.append(row)
+    for j in range(1, n + 1):
+        row = [Fraction(0)] * (2 * n + 1)
+        row[n - j] += 1
+        row[2 * n + 1 - j] -= lam
+        rows.append(row)
+    basis = _reference_null_basis(*_reference_rref(rows), 2 * n + 1)
+    weights = draw(st.lists(nonzero, min_size=len(basis), max_size=len(basis)))
+    coeffs = [sum((w * v[i] for w, v in zip(weights, basis)), Fraction(0)) for i in range(2 * n + 1)]
+    stencil = Stencil.from_coeffs(coeffs)
+    assume(build_shift_matrix(stencil).det_r1 != 0)
+    return stencil
+
+
+def _reference_admissible_column(stencil, m):
+    """Smallest l whose minor of R2 without row m and column l is nonzero."""
+    n = stencil.N
+    r2 = [[stencil.b(k - i) for k in range(1, n + 1)] for i in range(1, n + 1)]
+    for cand in range(1, n + 1):
+        sub = [[x for c, x in enumerate(row) if c != cand - 1] for r, row in enumerate(r2) if r != m - 1]
+        if _reference_det(sub) != 0:  # the 0 x 0 minor of N = 1 is 1
+            return cand
+    return None
+
+
+@SETTINGS
+@given(dependent_stencils())
+def test_admissible_column_equals_the_minor_search(stencil):
+    report = analyze(stencil)
+    assert report.ends.dependent
+    assert report.ends.l == _reference_admissible_column(stencil, report.gamma.m)
 
 
 @SETTINGS

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from ddbvp import solver
+from ddbvp.functionals import NodeFunctional, solvability_constraints
 from ddbvp.piecewise import (
     PiecewisePoly,
     apply_difference,
     apply_shifted_sum,
+    double_antiderivative,
     smoothness_defects,
     trace_defects,
 )
@@ -121,6 +123,57 @@ def test_one_solve_reads_each_jump_table_once(monkeypatch):
     assert len(tables) == 3
     # point jumps are left only for the 2 (k+2) extension jumps of y at 0 and N+1
     assert len(points) == 2 * (k + 2) and all(f is family.extension for f in points)
+
+
+def test_one_solve_evaluates_each_constraint_stack_once(monkeypatch):
+    # on smooth data the zero-trace stack (2(k+2) members, the boundary pair
+    # first) is evaluated once; the minimal stack adds its k+3 members only
+    # when the end columns are dependent and it is a different stack
+    calls = []
+    evaluate = NodeFunctional.evaluate
+    monkeypatch.setattr(NodeFunctional, "evaluate", lambda fn, f: calls.append(fn) or evaluate(fn, f))
+    for s in named_stencils():
+        dependent = analyze(s).ends.dependent
+        for k in (0, 1, 2):
+            for f1, f2 in (((0,), (0,)), ((1, 2), (3,))):
+                f0 = PiecewisePoly.from_global((1, 1), (0, s.N + 1))
+                problem = BVPProblem(stencil=s, k=k, f0=f0, f1=f1, f2=f2)
+                calls.clear()
+                family = solve_nonhomogeneous(problem)
+                assert family.status is not SolveStatus.INFEASIBLE
+                assert family.smoothness.data_smooth
+                expected = 2 * (k + 2) + ((k + 3) if dependent else 0)
+                assert len(calls) == expected
+
+
+def test_each_class_reads_its_residuals_off_its_own_stack():
+    # with dependent end columns the two classes have different stacks; each
+    # residual is a weight vector of its own stack applied term by term to I
+    rng = random.Random(43)
+    for b in ((1, 0, 1), (1, 1, 2, 4, 4)):
+        s = Stencil.from_coeffs(b)
+        structure = analyze(s)
+        for k in (0, 1):
+            coeffs = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4))
+            f0 = PiecewisePoly.from_global(coeffs, (0, s.N + 1))
+            problem = BVPProblem(stencil=s, k=k, f0=f0)
+            report = solve_nonhomogeneous(problem).smoothness
+            assert report.data_smooth
+            second = double_antiderivative(problem.f0)
+            stacks = solvability_constraints(structure, k)
+            for dc, got in zip(stacks, (report.zero_trace_residuals, report.minimal_residuals)):
+                expected = []
+                for j, u in enumerate(dc.weights):
+                    value = sum(
+                        (a * w * second.trace(node, mu, 1 if node < s.N + 1 else -1)
+                         for a, fn in zip(u, dc.stack) for node, mu, w in fn.terms),
+                        F(0),
+                    )
+                    if value != 0:
+                        expected.append(("data constraint %d" % j, value))
+                assert got == tuple(expected)
+            assert [dc.count for dc in stacks] == [2 * (k + 1), k + 1]
+            assert report.zero_trace_residuals and report.minimal_residuals
 
 
 def test_problem_validation():
