@@ -55,13 +55,18 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     return [[sum((ra[t] * cb[t] for t in range(len(ra))), Fraction(0)) for cb in bt] for ra in a]
 
 
+def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers n_i and one common denominator D, the lcm, with values[i] = n_i / D."""
+    den = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def _integer_rows(a: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Each row of a times the lcm of its denominators, and those multipliers."""
     rows, scales = [], []
     for row in a:
-        row = [to_fraction(x) for x in row]
-        scale = math.lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (scale // x.denominator) for x in row])
+        nums, scale = integer_numerators([to_fraction(x) for x in row])
+        rows.append(nums)
         scales.append(scale)
     return rows, scales
 

@@ -24,11 +24,15 @@ analysis needs:
   of the stack's (d1, d2) block as ``weights``, so each data constraint is
   one weight vector dotted with the stack's values on I.
 
-Ranks are certified on monomial probes in exact arithmetic.
+Ranks are certified on monomial probes in exact arithmetic.  A functional's
+value, on a function (``evaluate``) or on a monomial (``on_monomial``), is
+summed term by term as integer ratios over their lcm, with one Fraction built
+at the end.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -57,7 +61,7 @@ class NodeFunctional:
         functions continuous there at that order); endpoints use the inner
         limit.
         """
-        total = Fraction(0)
+        products = []
         for node, mu, weight in self.terms:
             if weight == 0:
                 continue
@@ -74,26 +78,32 @@ class NodeFunctional:
                         "functional %r is undefined there" % (mu, node, left, right, self.label)
                     )
                 value = right
-            total += weight * value
-        return total
+            products.append((weight.numerator * value.numerator, weight.denominator * value.denominator))
+        return _ratio_sum(products)
 
     def on_monomial(self, d: int) -> Fraction:
-        """Exact value on t^d (global coordinate)."""
-        total = Fraction(0)
+        """Exact value on t^d (global coordinate): sum weight * d!/(d-mu)! * node^(d-mu)."""
+        products = []
         for node, mu, weight in self.terms:
-            if mu > d:
-                continue
-            fall = 1
-            for i in range(mu):
-                fall *= d - i
-            total += weight * fall * node ** (d - mu)
-        return total
+            if mu <= d:
+                x_num, x_den = node.as_integer_ratio()
+                products.append((
+                    weight.numerator * math.perm(d, mu) * x_num ** (d - mu),
+                    weight.denominator * x_den ** (d - mu),
+                ))
+        return _ratio_sum(products)
 
     def scaled(self, s: Fraction) -> "NodeFunctional":
         return NodeFunctional(
             terms=tuple((node, mu, s * w) for node, mu, w in self.terms),
             label=self.label,
         )
+
+
+def _ratio_sum(pairs: Sequence[tuple[int, int]]) -> Fraction:
+    """sum n / t over (n, t) integer pairs, t > 0, accumulated over the lcm of the t."""
+    common = math.lcm(*(t for _, t in pairs))
+    return Fraction(sum(n * (common // t) for n, t in pairs), common)
 
 
 def membership_functionals(gamma: GammaData, k: int) -> list[NodeFunctional]:

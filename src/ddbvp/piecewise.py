@@ -9,11 +9,11 @@ Besides the usual algebra and calculus this module implements the operator
 plumbing used everywhere else:
 
 * ``linear_combination``: the one place functions are summed.  It aligns its
-  terms once on the union of their breakpoints and adds the scaled pieces;
-  ``+``, ``-``, the matrix products below and ``apply_shifted_sum`` all go
-  through it.  Refinement (``PiecewisePoly.refined``) carries unsplit pieces
-  over unchanged and returns the function itself when nothing is inserted,
-  so aligning functions that already share their breakpoints is cheap;
+  terms on the union of their breakpoints, only when they do not all share
+  one breakpoint tuple, and adds the scaled pieces; ``+``, ``-``, the matrix
+  products below and ``apply_shifted_sum`` all go through it.  Refinement
+  (``PiecewisePoly.refined``) carries unsplit pieces over unchanged and
+  returns the function itself when nothing is inserted;
 * ``vectorize`` / ``devectorize``: cut a function on (0, s) into s unit
   restrictions on (0, 1) and paste them back;
 * ``apply_difference`` / ``apply_difference_inverse``: the shift operator
@@ -39,11 +39,22 @@ plumbing used everywhere else:
   float equals ``float`` of the exact Fraction value; nothing is rounded
   before that last step.
 
-Coefficients are Fractions throughout.
+The stored breakpoints and pieces are Fraction tuples, but the hot kernels
+compute in integers: a Fraction operation pays for a gcd, an integer one
+does not.  Each kernel writes its inputs as integer numerators over one
+common denominator (an lcm), works in Python ints and builds one Fraction per
+output value.  ``_taylor`` gives the Taylor coefficient
+p^(k)(x)/k! = sum_{d>=k} C(d, k) c_d x^(d-k) at x = X/Q by integer Horner
+with powers of Q, and reads c_k directly at x = 0 (a right limit at a
+breakpoint); ``trace``, ``pjet`` and ``pshift`` are built on it.
+``linear_combination`` accumulates each piece of the sum as
+c.numerator * P * (L // T), with P the integer numerators of a term's piece
+over their lcm D, T = c.denominator * D, and L the lcm of all the T.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -116,24 +127,39 @@ def peval(c: Sequence[Fraction], x: Fraction) -> Fraction:
 
 
 def pjet(c: Sequence[Fraction], x: Fraction, count: int) -> list[Fraction]:
-    """[p(x), p'(x), ..., p^(count-1)(x)] by one chain of derivatives."""
+    """[p(x), p'(x), ..., p^(count-1)(x)]."""
+    nums, den = exactla.integer_numerators(c)
     out = []
-    for _ in range(count):
-        out.append(peval(c, x))
-        c = pder(c)
+    for k in range(count):
+        num, den_k = _taylor(nums, den, x, k)
+        out.append(Fraction(math.factorial(k) * num, den_k))
     return out
 
 
 def pshift(c: Sequence[Fraction], s: Fraction) -> tuple[Fraction, ...]:
     """Coefficients of p(x + s): the Taylor expansion of p around s."""
-    out = []
-    work = list(c)  # holds p^(d) / d!
-    d = 0
-    while work:
-        out.append(peval(work, s))
-        d += 1
-        work = [work[i] * i / d for i in range(1, len(work))]
-    return ptrim(out)
+    nums, den = exactla.integer_numerators(c)
+    return ptrim([Fraction(*_taylor(nums, den, s, k)) for k in range(len(nums))])
+
+
+def _taylor(nums: Sequence[int], den: int, x: Fraction, k: int) -> tuple[int, int]:
+    """p^(k)(x) / k! as an unreduced integer ratio, for p = sum_d nums[d] t^d / den.
+
+    That is sum_{d >= k} C(d, k) c_d x^(d-k); at x = X/Q integer Horner gives
+    sum_d C(d, k) n_d X^(d-k) Q^(top-d) over den * Q^(top-k).  At x = 0 it is
+    c_k, so the right limit at a breakpoint costs nothing.
+    """
+    top = len(nums) - 1
+    if k > top:
+        return 0, 1
+    if not x:
+        return nums[k], den
+    x_num, x_den = x.as_integer_ratio()
+    acc, power = nums[top] * math.comb(top, k), 1
+    for d in range(top - 1, k - 1, -1):
+        power *= x_den
+        acc = acc * x_num + math.comb(d, k) * nums[d] * power
+    return acc, den * power
 
 
 def two_point_hermite(left: Sequence[Fraction], right: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -154,11 +180,10 @@ def two_point_hermite(left: Sequence[Fraction], right: Sequence[Fraction]) -> tu
         raise ValueError("end jets must have equal length")
     count = len(left)
     weights = [_frac(x) / math.factorial(mu) for jet in (left, right) for mu, x in enumerate(jet)]
-    den = math.lcm(*(w.denominator for w in weights))
+    scales, den = exactla.integer_numerators(weights)
     acc = [0] * (2 * count)
-    for w, poly in zip(weights, _hermite_basis(count)):
-        if w:
-            scale = w.numerator * (den // w.denominator)
+    for scale, poly in zip(scales, _hermite_basis(count)):
+        if scale:
             for d, c in enumerate(poly):
                 acc[d] += scale * c
     return ptrim([Fraction(x, den) for x in acc])
@@ -284,14 +309,7 @@ class PiecewisePoly:
         """Index of the piece whose half-open interval [b_i, b_{i+1}) contains t."""
         if not self.start <= t < self.end:
             raise ValueError("point %s outside domain" % t)
-        lo, hi = 0, len(self.pieces) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.breaks[mid] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return bisect.bisect_right(self.breaks, t) - 1
 
     # -- algebra --------------------------------------------------------------
 
@@ -368,11 +386,9 @@ class PiecewisePoly:
         else:
             if not self.start < t <= self.end:
                 raise ValueError("no left limit at %s" % t)
-            idx = len(self.pieces) - 1 if t == self.end else self._piece_index(t) - (1 if t in self.breaks else 0)
-        c = self.pieces[idx]
-        for _ in range(order):
-            c = pder(c)
-        return peval(c, t - self.breaks[idx])
+            idx = bisect.bisect_left(self.breaks, t) - 1  # the piece (b_i, b_{i+1}] holding t
+        num, den = _taylor(*exactla.integer_numerators(self.pieces[idx]), t - self.breaks[idx], order)
+        return Fraction(math.factorial(order) * num, den)
 
     def value(self, t) -> Fraction:
         """Value at a point of continuity; raises if the two limits disagree."""
@@ -413,8 +429,8 @@ class PiecewisePoly:
                 idx += 1
                 lo_num, lo_den = hi_num, hi_den
                 hi_num, hi_den = self.breaks[idx + 1].as_integer_ratio()
-                scale = math.lcm(*(c.denominator for c in self.pieces[idx]))
-                numerators = [c.numerator * (scale // c.denominator) for c in reversed(self.pieces[idx])]
+                numerators, scale = exactla.integer_numerators(self.pieces[idx])
+                numerators.reverse()
             # local coordinate x = t - lo = X/Q, and p(x) = sum n_j X^j Q^(d-j) / (scale * Q^d)
             x_num = p * lo_den - lo_num * q
             if x_num < 0:
@@ -460,20 +476,33 @@ def align_many(funcs: Sequence[PiecewisePoly]) -> list[PiecewisePoly]:
 def linear_combination(terms: Iterable[tuple[object, PiecewisePoly]]) -> PiecewisePoly:
     """sum c * f over (coefficient, function) pairs on one domain.
 
-    The functions are aligned once and summed piece by piece.  Terms with a
-    zero coefficient add nothing but still contribute their breakpoints.
+    Functions that do not all share one breakpoint tuple are aligned on the
+    union of their breakpoints first.  Terms with a zero coefficient add
+    nothing but still contribute their breakpoints.  Each piece of the sum is
+    accumulated in integers over one common denominator (module docstring).
     """
     terms = list(terms)
     coefs = [_frac(c) for c, _ in terms]
-    funcs = align_many([f for _, f in terms])
+    funcs = [f for _, f in terms]
+    breaks = funcs[0].breaks
+    if any(f.breaks != breaks for f in funcs):
+        funcs = align_many(funcs)
+        breaks = funcs[0].breaks
+    live = [(c, f) for c, f in zip(coefs, funcs) if c]
     pieces = []
-    for i in range(len(funcs[0].pieces)):
-        acc: tuple[Fraction, ...] = (Fraction(0),)
-        for c, f in zip(coefs, funcs):
-            if c:
-                acc = padd(acc, pscale(f.pieces[i], c))
-        pieces.append(acc)
-    return PiecewisePoly(funcs[0].breaks, tuple(pieces))
+    for i in range(len(breaks) - 1):
+        scaled = []
+        for c, f in live:
+            nums, den = exactla.integer_numerators(f.pieces[i])
+            scaled.append((c.numerator, c.denominator * den, nums))
+        common = math.lcm(*(t for _, t, _ in scaled))
+        acc = [0] * max((len(nums) for _, _, nums in scaled), default=0)
+        for c_num, t, nums in scaled:
+            m = c_num * (common // t)
+            for d, n in enumerate(nums):
+                acc[d] += m * n
+        pieces.append(ptrim([Fraction(a, common) for a in acc]))
+    return PiecewisePoly(breaks, tuple(pieces))
 
 
 def concat(parts: Sequence[PiecewisePoly]) -> PiecewisePoly:

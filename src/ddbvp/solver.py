@@ -245,10 +245,12 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     feasible, d is taken from the stack's solution set instead, so the
     returned representative is as smooth as the data allows.
 
-    Each distinct constraint stack is built and evaluated on the double
-    antiderivative once: the boundary right-hand side is the value of the
-    zero-trace stack's first two members, and on smooth data the whole
-    stack's values feed both the refined d and the zero-trace residuals.
+    The boundary right-hand side is the value of the order-zero node pair on
+    the double antiderivative.  Only on smooth data are the constraint stacks
+    built, and each distinct stack is evaluated once: the zero-trace stack
+    opens with that same pair, so its values are the right-hand side followed
+    by the values of its other members, and they feed both the refined d and
+    the zero-trace residuals.
     """
     structure = analyze(problem.stencil)
     n = problem.stencil.N
@@ -261,8 +263,7 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     matrix = boundary_matrix(structure)
     pair_rows = (tuple(matrix[0]), tuple(matrix[1]))
     rank = exactla.rank(matrix)
-    zero_trace, minimal = solvability_constraints(structure, k)
-    rhs = [fn.evaluate(second) for fn in zero_trace.stack[:2]]
+    rhs = [fn.evaluate(second) for fn in membership_functionals(structure.gamma, 1)]
     solution = exactla.min_norm_solution(matrix, rhs)
     if solution is None:
         residuals = []
@@ -288,6 +289,8 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
         zero_trace_bad = tuple(("data jump at %s, order %d" % (t, mu), val) for t, mu, val in data_defects)
         minimal_bad = zero_trace_bad
     else:
+        # the zero-trace stack opens with the boundary pair, whose values are rhs
+        zero_trace, minimal = solvability_constraints(structure, k)
         values = rhs + [fn.evaluate(second) for fn in zero_trace.stack[2:]]
         full_rows = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in zero_trace.stack]
         refined = exactla.min_norm_solution(full_rows, values)

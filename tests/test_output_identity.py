@@ -1,0 +1,97 @@
+"""Output identity guard: one sha256 over the exact outputs of a fixed set of solves.
+
+The digest was computed before the integer kernels of ``piecewise`` and
+``functionals`` went in, so a change to the arithmetic that alters any output
+byte (a Fraction, a piece, a report line, a CSV float) fails here.  An
+intended change of output must say so and update ``EXPECTED``.
+"""
+
+import dataclasses
+import enum
+import hashlib
+import json
+from fractions import Fraction
+
+from ddbvp import cli
+from ddbvp.piecewise import PiecewisePoly
+from ddbvp.solver import BVPProblem, solve_nonhomogeneous
+from ddbvp.structure import Stencil
+
+EXPECTED = "d2741e225b89b83dc634a298747e6c5bd3038e1019f6400cdacced4798ce39e6"
+
+
+def _dump(x) -> str:
+    """Canonical text of a result: every Fraction by repr, every piece written out."""
+    if isinstance(x, PiecewisePoly):
+        return "PiecewisePoly(%r, %r)" % (x.breaks, x.pieces)
+    if isinstance(x, Fraction):
+        assert type(x) is Fraction
+        return repr(x)
+    if isinstance(x, enum.Enum):
+        return repr(x)
+    if dataclasses.is_dataclass(x):
+        fields = ("%s=%s" % (f.name, _dump(getattr(x, f.name))) for f in dataclasses.fields(x))
+        return "%s(%s)" % (type(x).__name__, ", ".join(fields))
+    if isinstance(x, (tuple, list)):
+        return "[%s]" % ", ".join(_dump(y) for y in x)
+    assert isinstance(x, (int, str, bool, type(None))), type(x)
+    return repr(x)
+
+
+def _stencil(n: int, dependent: bool) -> Stencil:
+    """Supported regime by construction: b_0 = ... = b_{N-1} = 0, b_{-1}, b_N != 0.
+
+    The end columns are dependent exactly when b_{-N} = ... = b_{-2} = 0.
+    """
+    b = {j: 0 for j in range(-n, n + 1)}
+    b[-1] = 3 if n % 2 else -3
+    b[n] = 2 if n % 3 else -2
+    if not dependent:
+        for j in range(-n, -1):
+            b[j] = (1, -1, 2, -2)[(5 * j) % 4]
+    return Stencil.from_coeffs([b[j] for j in range(-n, n + 1)])
+
+
+def _problems():
+    for n in range(1, 9):
+        for dependent in (False, True):
+            s = _stencil(n, dependent)
+            smooth = PiecewisePoly.from_global((n, -1, Fraction(1, 2)), (0, n + 1))
+            cut = Fraction(2 * n + 1, 3)
+            rough = PiecewisePoly.from_pieces((0, cut, n + 1), ((1, Fraction(-1, 3)), (Fraction(2, 5), 0, 1)))
+            yield BVPProblem(stencil=s, k=(n + dependent) % 5, f0=smooth)
+            yield BVPProblem(stencil=s, k=(n + 2) % 5, f0=rough, f1=(1, Fraction(-1, 2)), f2=(2,))
+            yield BVPProblem(stencil=s, k=(n + 3) % 5, f0=smooth, f1=(Fraction(1, 3),), f2=(0, 1))
+    # boundary rank 1: affine families with a kernel direction, and infeasible data
+    for coeffs in ((1, 0, -1), (3, 1, 0, 0, 1), (3, 1, 1, 0, 0, 0, 1)):
+        s = Stencil.from_coeffs(coeffs)
+        n = s.N
+        yield BVPProblem(stencil=s, k=2, f0=PiecewisePoly.zero(0, n + 1))
+        yield BVPProblem(stencil=s, k=1, f0=PiecewisePoly.from_global((n, -1, Fraction(1, 2)), (0, n + 1)))
+        yield BVPProblem(stencil=s, k=0, f0=PiecewisePoly.constant(1, 0, n + 1), f1=(1, Fraction(-1, 2)), f2=(2,))
+
+
+CLI_DOCUMENTS = (
+    {"N": 1, "b": [1, 0, 1], "k": 0, "f0": [{"interval": [0, 2], "coeffs": [1]}]},
+    {
+        "N": 2, "b": [1, "1/2", 0, 0, 2], "k": 1,
+        "f0": [{"interval": [0, "4/3"], "coeffs": [1, "-1/2"]}, {"interval": ["4/3", 3], "coeffs": [2]}],
+        "f1": [1, 2], "f2": [-1, 1],
+    },
+    {"N": 3, "b": [0, 0, -3, 0, 0, 0, 2], "k": 2, "f0": [{"interval": [0, 4], "coeffs": [1, 1, "1/3"]}]},
+)
+
+
+def test_outputs_match_the_pinned_digest(tmp_path):
+    digest = hashlib.sha256()
+    for problem in _problems():
+        digest.update(_dump(solve_nonhomogeneous(problem)).encode())
+    for i, doc in enumerate(CLI_DOCUMENTS):
+        path = tmp_path / ("p%d.json" % i)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        prefix = tmp_path / ("p%d" % i)
+        assert cli.main(["solve", str(path), "--out", str(prefix), "--samples", "1/8"]) == 0
+        for suffix in ("-report", "-solution.csv"):
+            text = (tmp_path / ("p%d%s" % (i, suffix))).read_bytes()
+            digest.update(text.replace(str(tmp_path).encode(), b"<dir>"))
+    assert digest.hexdigest() == EXPECTED

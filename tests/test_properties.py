@@ -30,11 +30,15 @@ from ddbvp.piecewise import (
     pder,
     peval,
     pjet,
+    pmul,
+    pscale,
+    pshift,
     ptrim,
     smoothness_defects,
     trace_defects,
     two_point_hermite,
 )
+from ddbvp.functionals import NodeFunctional, membership_functionals
 from ddbvp.problem_io import MAX_STENCIL_N, canonical_problem_text, parse_problem
 from ddbvp.solver import BVPProblem, hermite_extension, solve_nonhomogeneous
 from ddbvp.structure import Stencil, analyze, build_shift_matrix, cofactor
@@ -482,6 +486,7 @@ def test_jet_is_the_chain_of_derivative_values(coeffs, x, count):
     assert len(jet) == count
     c = tuple(coeffs)
     for value in jet:
+        assert type(value) is Fraction
         assert value == peval(c, x)
         c = pder(c)
 
@@ -527,6 +532,170 @@ def test_smoothness_flags_equal_the_defect_lists(problem):
     psi = hermite_extension(problem.stencil, k, problem.f1, problem.f2)
     reduced = problem.f0 + apply_shifted_sum(problem.stencil, psi).derivative(2)
     assert report.data_defects == tuple(_reference_smoothness_defects(reduced, k))
+
+
+# -- the integer kernels ----------------------------------------------------------
+#
+# trace, pjet, pshift, linear_combination and the functionals compute in
+# integers over one common denominator; each is held to the plain Fraction
+# computation it replaced, kept here as the reference.
+
+
+def _reference_trace(f, t, order, side):
+    """Find the piece, differentiate it order times, evaluate by Fraction Horner."""
+    if side == 1:
+        idx = max(i for i, lo in enumerate(f.breaks[:-1]) if lo <= t)
+    else:
+        idx = min(i for i, hi in enumerate(f.breaks[1:]) if hi >= t)
+    c = f.pieces[idx]
+    for _ in range(order):
+        c = pder(c)
+    return peval(c, t - f.breaks[idx])
+
+
+def _reference_pshift(c, s):
+    """Taylor coefficients p^(d)(s) / d!, each by Horner on the scaled derivative."""
+    out = []
+    work = [Fraction(x) for x in c]
+    d = 0
+    while work:
+        out.append(peval(work, s))
+        d += 1
+        work = [work[i] * i / d for i in range(1, len(work))]
+    return ptrim(out)
+
+
+@SETTINGS
+@given(st.data())
+def test_trace_equals_the_fraction_derivative_chain(data):
+    f = data.draw(st.one_of(functions_with_jumps(), sampled_functions().map(lambda case: case[0])))
+    points = list(f.breaks)
+    points += data.draw(st.lists(st.fractions(min_value=-1, max_value=3, max_denominator=60), max_size=4))
+    for t in points:
+        for side in (1, -1):
+            if t == (f.end if side == 1 else f.start):
+                continue
+            for order in range(f.degree + 3):
+                got = f.trace(t, order, side)
+                assert type(got) is Fraction
+                assert got == _reference_trace(f, t, order, side)
+
+
+@SETTINGS
+@given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), min_size=1, max_size=10),
+       st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=13)))
+def test_pshift_equals_the_fraction_taylor_loop(coeffs, s):
+    got = pshift(coeffs, s)
+    assert got == _reference_pshift(coeffs, s)
+    assert _all_fractions(got)
+
+
+def _reference_linear_combination(terms):
+    """Re-expand every term on each piece of the union partition, then padd/pscale."""
+    breaks = sorted(set().union(*(f.breaks for _, f in terms)))
+    pieces = []
+    for lo in breaks[:-1]:
+        acc = (Fraction(0),)
+        for c, f in terms:
+            i = max(j for j, b in enumerate(f.breaks[:-1]) if b <= lo)
+            acc = padd(acc, pscale(_reference_pshift(f.pieces[i], lo - f.breaks[i]), Fraction(c)))
+        pieces.append(acc)
+    return tuple(breaks), tuple(pieces)
+
+
+@st.composite
+def combination_terms(draw):
+    """Terms on DOMAIN, some with zero coefficients; some functions have their
+    own breakpoints, others share one partition under distinct tuples."""
+    shared = draw(functions_on_domain()).breaks
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            f = draw(functions_on_domain())
+        else:
+            pieces = [draw(st.lists(rationals, min_size=1, max_size=4)) for _ in shared[1:]]
+            f = PiecewisePoly.from_pieces(list(shared), pieces)
+        terms.append((draw(st.one_of(st.just(0), rationals)), f))
+    return terms
+
+
+@SETTINGS
+@given(combination_terms())
+def test_linear_combination_equals_the_fraction_piece_sums(terms):
+    combo = linear_combination(terms)
+    assert (combo.breaks, combo.pieces) == _reference_linear_combination(terms)
+    assert _all_fractions(combo.breaks, combo.pieces)
+
+
+def _reference_on_monomial(fn, d):
+    total = Fraction(0)
+    for node, mu, weight in fn.terms:
+        if mu <= d:
+            fall = 1
+            for i in range(mu):
+                fall *= d - i
+            total += weight * fall * node ** (d - mu)
+    return total
+
+
+node_functionals = st.lists(
+    st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=7), st.integers(min_value=0, max_value=4),
+              st.one_of(st.just(Fraction(0)), rationals)),
+    max_size=6,
+).map(lambda terms: NodeFunctional(tuple(terms), "drawn"))
+
+
+@SETTINGS
+@given(node_functionals, st.integers(min_value=0, max_value=9))
+def test_on_monomial_equals_the_fraction_sum_and_evaluate(fn, d):
+    got = fn.on_monomial(d)
+    assert type(got) is Fraction
+    assert got == _reference_on_monomial(fn, d)
+    monomial = PiecewisePoly.from_global((0,) * d + (1,), (-3, 3))
+    value = fn.evaluate(monomial)
+    assert type(value) is Fraction
+    assert value == got
+
+
+@st.composite
+def zero_trace_images(draw):
+    """A supported stencil, k in 1..3 and R f for an order-k zero-trace f on (0, N+1).
+
+    Both stencil families are singular-minor by construction: b_0 = ... =
+    b_{N-1} = 0 (there gamma2 vanishes, so the interior relation reads
+    w^(mu)(m) = 0), and a drawn null vector of R2 with dependent end columns
+    (where gamma2 is mostly nonzero).  f is glued from two-point Hermite pieces between drawn node jets (zero at
+    both ends), plus on each unit interval a drawn polynomial times
+    x^k (1 - x)^k, which leaves every jet of order below k unchanged.
+    """
+    stencil = draw(st.one_of(supported_stencils(max_n=4), dependent_stencils()))
+    n = stencil.N
+    k = draw(st.integers(min_value=1, max_value=3))
+    jets = [[Fraction(0)] * k] + [draw(st.lists(rationals, min_size=k, max_size=k)) for _ in range(n)]
+    jets.append([Fraction(0)] * k)
+    bump = (Fraction(1),)
+    for _ in range(k):
+        bump = pmul(bump, (0, 1))
+        bump = pmul(bump, (1, -1))
+    pieces = [
+        padd(two_point_hermite(left, right), pmul(bump, draw(st.lists(rationals, min_size=1, max_size=2))))
+        for left, right in zip(jets, jets[1:])
+    ]
+    f = PiecewisePoly.from_pieces(range(n + 2), pieces)
+    assert not trace_defects(f, k)
+    return stencil, k, apply_difference(stencil, f)
+
+
+@SETTINGS
+@given(zero_trace_images())
+def test_membership_functionals_vanish_on_images(case):
+    stencil, k, w = case
+    fns = membership_functionals(analyze(stencil).gamma, k)
+    assert len(fns) == 2 * k
+    for fn in fns:
+        value = fn.evaluate(w)
+        assert type(value) is Fraction
+        assert value == 0
 
 
 # -- problem files ---------------------------------------------------------------

@@ -146,6 +146,25 @@ def test_one_solve_evaluates_each_constraint_stack_once(monkeypatch):
                 assert len(calls) == expected
 
 
+def test_constraint_stacks_are_built_only_for_smooth_data(monkeypatch):
+    # the boundary pair gives the right-hand side; the stacks serve only the
+    # smooth branch, so rough or infeasible data never builds them
+    calls = []
+    monkeypatch.setattr(solver, "solvability_constraints", lambda *a: calls.append(a) or solvability_constraints(*a))
+    rough = PiecewisePoly.from_pieces((0, F(1, 3), 2), ((1,), (2,)))
+    smooth = PiecewisePoly.from_global((1, 1), (0, 2))
+    for f0, smooth_data in ((rough, False), (smooth, True)):
+        for f1, f2 in (((0,), (0,)), ((1, 2), (3,))):
+            calls.clear()
+            family = solve_nonhomogeneous(BVPProblem(stencil=Stencil.from_coeffs((1, 0, 1)), k=1, f0=f0, f1=f1, f2=f2))
+            assert family.smoothness.data_smooth is smooth_data
+            assert len(calls) == (1 if smooth_data else 0)
+    calls.clear()
+    family = solve_nonhomogeneous(BVPProblem(stencil=RANK_ONE, k=1, f0=smooth))
+    assert family.status is SolveStatus.INFEASIBLE
+    assert calls == []
+
+
 def test_each_class_reads_its_residuals_off_its_own_stack():
     # with dependent end columns the two classes have different stacks; each
     # residual is a weight vector of its own stack applied term by term to I
