@@ -183,24 +183,14 @@ def image_functionals(structure: StructureReport, k: int) -> list[NodeFunctional
     return out
 
 
-def rank_of_functionals(fns: Sequence[NodeFunctional], probe_degree: int | None = None) -> int:
+def rank_of_functionals(fns: Sequence[NodeFunctional]) -> int:
     """Exact rank of a functional family, certified on monomial probes.
 
-    The probe space is span{1, t, ..., t^D}.  D defaults to
-    len(fns) + max order + 2; a caller-supplied D smaller than
-    len(fns) + max order - 1 cannot certify independence and is rejected.
+    The probe space is span{1, t, ..., t^D} with D = len(fns) + max order + 2.
     """
     if not fns:
         return 0
-    max_order = max(fn.max_order for fn in fns)
-    needed = len(fns) + max_order
-    if probe_degree is None:
-        probe_degree = needed + 2
-    if probe_degree + 1 < len(fns) or probe_degree < max_order:
-        raise ValueError(
-            "probe degree %d cannot certify the rank of %d functionals of order <= %d"
-            % (probe_degree, len(fns), max_order)
-        )
+    probe_degree = len(fns) + max(fn.max_order for fn in fns) + 2
     matrix = [[fn.on_monomial(d) for d in range(probe_degree + 1)] for fn in fns]
     return exactla.rank(matrix)
 

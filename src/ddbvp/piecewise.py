@@ -10,20 +10,20 @@ plumbing used everywhere else:
 
 * ``linear_combination``: the one place functions are summed.  It aligns its
   terms on the union of their breakpoints, only when they do not all share
-  one breakpoint tuple, and adds the scaled pieces; ``+``, ``-``, the matrix
-  products below and ``apply_shifted_sum`` all go through it.  Refinement
-  (``PiecewisePoly.refined``) carries unsplit pieces over unchanged and
-  returns the function itself when nothing is inserted;
-* ``vectorize`` / ``devectorize``: cut a function on (0, s) into s unit
-  restrictions on (0, 1) and paste them back;
-* ``apply_difference`` / ``apply_difference_inverse``: the shift operator
-  sum_j b_j f(t + j) of a :class:`~ddbvp.structure.Stencil` on (0, N+1) with
-  zero extension, realized as multiplication of the vectorization by the
-  shift matrix; the inverse multiplies by the R1^-1 that
-  :func:`~ddbvp.structure.analyze` computed once and stored in its
-  ``StructureReport``, so it takes the report rather than the stencil;
-* ``apply_shifted_sum``: the same operator applied to a function given on the
-  enlarged interval (-N, 2N+1), restricted back to (0, N+1);
+  one breakpoint tuple, and adds the scaled pieces; ``+`` and ``-`` go
+  through it.  Refinement (``PiecewisePoly.refined``) carries unsplit pieces
+  over unchanged and returns the function itself when nothing is inserted;
+* the shift operator sum_j b_j f(t + j) of a :class:`~ddbvp.structure.Stencil`
+  on (0, N+1), which reduces to the Toeplitz matrix R1 acting on the
+  restrictions of f to unit intervals.  One kernel, ``_unit_product``, takes
+  an m x c matrix M and f on c consecutive unit intervals, refines f once so
+  that every unit carries the same fractional offsets, and returns the
+  function on (0, m) whose unit i is sum_k M[i][k] * (unit k of f).
+  ``apply_shifted_sum`` runs it on y given on (-N, 2N+1) with the band matrix
+  [i][i + j + N] = b_j, ``apply_difference`` on the zero extension of f, and
+  ``apply_difference_inverse`` with the R1^-1 that
+  :func:`~ddbvp.structure.analyze` stored in its ``StructureReport`` (so it
+  takes the report rather than the stencil);
 * one-sided traces and jumps at a point (``trace``, ``jump``), and the table of
   every interior jump, ``PiecewisePoly.jumps``, from one ``pjet`` (the jet
   [p(x), p'(x), ...]) at each end of each piece.  ``smoothness_defects`` and
@@ -47,9 +47,10 @@ output value.  ``_taylor`` gives the Taylor coefficient
 p^(k)(x)/k! = sum_{d>=k} C(d, k) c_d x^(d-k) at x = X/Q by integer Horner
 with powers of Q, and reads c_k directly at x = 0 (a right limit at a
 breakpoint); ``trace``, ``pjet`` and ``pshift`` are built on it.
-``linear_combination`` accumulates each piece of the sum as
-c.numerator * P * (L // T), with P the integer numerators of a term's piece
-over their lcm D, T = c.denominator * D, and L the lcm of all the T.
+``_integer_sum``, under ``linear_combination`` and ``_unit_product``,
+accumulates each piece of a sum as c.numerator * P * (L // T), with P the
+integer numerators of a term's piece over their lcm D,
+T = c.denominator * D, and L the lcm of all the T.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from . import exactla
-from .structure import Stencil, StructureReport, build_shift_matrix
+from .structure import Stencil, StructureReport
 
 DEGREE_CAP = 64
 
@@ -479,7 +480,7 @@ def linear_combination(terms: Iterable[tuple[object, PiecewisePoly]]) -> Piecewi
     Functions that do not all share one breakpoint tuple are aligned on the
     union of their breakpoints first.  Terms with a zero coefficient add
     nothing but still contribute their breakpoints.  Each piece of the sum is
-    accumulated in integers over one common denominator (module docstring).
+    one ``_integer_sum`` (module docstring).
     """
     terms = list(terms)
     coefs = [_frac(c) for c, _ in terms]
@@ -489,20 +490,23 @@ def linear_combination(terms: Iterable[tuple[object, PiecewisePoly]]) -> Piecewi
         funcs = align_many(funcs)
         breaks = funcs[0].breaks
     live = [(c, f) for c, f in zip(coefs, funcs) if c]
-    pieces = []
-    for i in range(len(breaks) - 1):
-        scaled = []
-        for c, f in live:
-            nums, den = exactla.integer_numerators(f.pieces[i])
-            scaled.append((c.numerator, c.denominator * den, nums))
-        common = math.lcm(*(t for _, t, _ in scaled))
-        acc = [0] * max((len(nums) for _, _, nums in scaled), default=0)
-        for c_num, t, nums in scaled:
-            m = c_num * (common // t)
-            for d, n in enumerate(nums):
-                acc[d] += m * n
-        pieces.append(ptrim([Fraction(a, common) for a in acc]))
-    return PiecewisePoly(breaks, tuple(pieces))
+    pieces = tuple(
+        _integer_sum((c, exactla.integer_numerators(f.pieces[i])) for c, f in live)
+        for i in range(len(breaks) - 1)
+    )
+    return PiecewisePoly(breaks, pieces)
+
+
+def _integer_sum(terms: Iterable[tuple[Fraction, tuple[list[int], int]]]) -> tuple[Fraction, ...]:
+    """sum c * P / D over (c, (P, D)) terms, accumulated in integers over one lcm."""
+    scaled = [(c.numerator, c.denominator * den, nums) for c, (nums, den) in terms if c]
+    common = math.lcm(*(t for _, t, _ in scaled))
+    acc = [0] * max((len(nums) for _, _, nums in scaled), default=0)
+    for c_num, t, nums in scaled:
+        m = c_num * (common // t)
+        for d, n in enumerate(nums):
+            acc[d] += m * n
+    return ptrim([Fraction(a, common) for a in acc])
 
 
 def concat(parts: Sequence[PiecewisePoly]) -> PiecewisePoly:
@@ -531,52 +535,46 @@ def zero_extension(f: PiecewisePoly, a, b) -> PiecewisePoly:
     return concat(parts)
 
 
-def vectorize(f: PiecewisePoly, segments: int) -> list[PiecewisePoly]:
-    """Unit-interval restrictions of a function on (0, segments), each moved to (0, 1)."""
-    if (f.start, f.end) != (Fraction(0), Fraction(segments)):
-        raise ValueError("vectorize expects the domain (0, %d)" % segments)
-    return [f.restricted(k, k + 1).shifted(-k) for k in range(segments)]
+def _unit_product(matrix: Sequence[Sequence[Fraction]], f: PiecewisePoly, start: int) -> PiecewisePoly:
+    """Unit i on (0, m) is sum_k M[i][k] * (unit k of f), for M m x c and f on (start, start + c).
 
-
-def devectorize(components: Sequence[PiecewisePoly]) -> PiecewisePoly:
-    """Inverse of :func:`vectorize`: paste unit components side by side."""
-    parts = []
-    for k, comp in enumerate(components):
-        if (comp.start, comp.end) != (Fraction(0), Fraction(1)):
-            raise ValueError("component %d is not on (0, 1)" % k)
-        parts.append(comp.shifted(k))
-    return concat(parts)
-
-
-def _apply_matrix(matrix: Sequence[Sequence[Fraction]], components: Sequence[PiecewisePoly]) -> list[PiecewisePoly]:
-    comps = align_many(components)
-    return [linear_combination(zip(row, comps)) for row in matrix]
+    Each piece of f's common refinement gives its integer numerators once.
+    """
+    cols = len(matrix[0])
+    if (f.start, f.end) != (start, start + cols):
+        raise ValueError("expected a function on (%d, %d)" % (start, start + cols))
+    offsets = sorted({b - math.floor(b) for b in f.breaks})
+    f = f.refined(start + k + o for k in range(cols) for o in offsets)
+    numerators = [exactla.integer_numerators(c) for c in f.pieces]
+    per_unit = len(offsets)
+    breaks, pieces = [], []
+    for i, row in enumerate(matrix):
+        breaks.extend(i + o for o in offsets)
+        pieces.extend(_integer_sum(zip(row, numerators[q::per_unit])) for q in range(per_unit))
+    breaks.append(Fraction(len(matrix)))
+    return PiecewisePoly(tuple(breaks), tuple(pieces))
 
 
 def apply_difference(stencil: Stencil, f: PiecewisePoly) -> PiecewisePoly:
-    """sum_j b_j f(t + j) on (0, N+1), f extended by zero outside."""
-    sm = build_shift_matrix(stencil)
-    comps = vectorize(f, stencil.N + 1)
-    return devectorize(_apply_matrix(sm.r1_lists(), comps))
+    """sum_j b_j f(t + j) on (0, N+1), f extended by zero outside (concat refuses f off (0, N+1))."""
+    n = stencil.N
+    return apply_shifted_sum(stencil, concat([PiecewisePoly.zero(-n, 0), f, PiecewisePoly.zero(n + 1, 2 * n + 1)]))
 
 
 def apply_difference_inverse(structure: StructureReport, w: PiecewisePoly) -> PiecewisePoly:
     """The unique zero-extended f on (0, N+1) with apply_difference(f) == w.
 
-    Multiplies the vectorization of w by the report's R1^-1; the report
-    exists only for stencils with det R1 != 0, so the inverse always exists.
+    Multiplies the unit pieces of w by the report's R1^-1; the report exists
+    only for stencils with det R1 != 0, so the inverse always exists.
     """
-    comps = vectorize(w, structure.stencil.N + 1)
-    return devectorize(_apply_matrix(structure.r1_inverse, comps))
+    return _unit_product(structure.r1_inverse, w, 0)
 
 
 def apply_shifted_sum(stencil: Stencil, y: PiecewisePoly) -> PiecewisePoly:
     """sum_j b_j y(t + j) restricted to (0, N+1), for y given on (-N, 2N+1)."""
     n = stencil.N
-    if (y.start, y.end) != (Fraction(-n), Fraction(2 * n + 1)):
-        raise ValueError("expected a function on (-%d, %d)" % (n, 2 * n + 1))
-    window = [(stencil.b(j), y.shifted(-j).restricted(0, n + 1)) for j in range(-n, n + 1) if stencil.b(j)]
-    return linear_combination([(0, PiecewisePoly.zero(0, n + 1))] + window)
+    band = [[stencil.b(k - i - n) for k in range(3 * n + 1)] for i in range(n + 1)]
+    return _unit_product(band, y, -n)
 
 
 # ---------------------------------------------------------------------------

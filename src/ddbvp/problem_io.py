@@ -16,8 +16,8 @@ Every number that feeds the exact computation is an integer or a "p/q"
 string; floats are rejected so no rounding can sneak in through an input
 file.  f1/f2/oracle are optional.  Piece coefficients are in the local
 coordinate of the piece (x = t - left endpoint).  Polynomial degrees are
-checked against ``piecewise.DEGREE_CAP`` on parsing: every piece, and, when
-f1 or f2 is nonzero, the degree 2k+3 of their Hermite extension.
+checked against ``piecewise.DEGREE_CAP`` on parsing: every piece, and the
+degree 2k+3 of the Hermite extension that every solve builds, so k <= 30.
 
 Reports embed the canonical re-serialization of their input between marker
 lines, so a solution can be reproduced byte-for-byte from the report alone.
@@ -177,9 +177,9 @@ def parse_problem(text: str) -> ParsedProblem:
     f0 = _pieces(doc["f0"], "f0")
     f1 = _coeff_list(doc["f1"], "f1") if "f1" in doc else (Fraction(0),)
     f2 = _coeff_list(doc["f2"], "f2") if "f2" in doc else (Fraction(0),)
-    if any(f1 + f2) and 2 * k + 3 > DEGREE_CAP:
+    if 2 * k + 3 > DEGREE_CAP:
         raise ProblemFileError(
-            "k", "nonzero f1/f2 need a Hermite extension of degree 2k+3 = %d, above the "
+            "k", "the solve builds a Hermite extension of degree 2k+3 = %d, above the "
             "polynomial degree cap %d" % (2 * k + 3, DEGREE_CAP)
         )
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,8 +47,8 @@ def test_parse_accepts_ints_and_fraction_strings():
     assert parsed.stencil.coeffs == (1, 0, 1)
     assert parsed.problem.k == 0
     assert parsed.oracle is None
-    # with zero extension data there is no Hermite extension to cap k
-    assert parse_problem(json.dumps(dict(WORKED, k=40))).problem.k == 40
+    # every solve builds a Hermite extension of degree 2k+3 <= 64
+    assert parse_problem(json.dumps(dict(WORKED, k=30))).problem.k == 30
 
 
 @pytest.mark.parametrize(
@@ -102,6 +103,18 @@ def test_stencils_wider_than_the_bound_exit_1_naming_n(tmp_path, capsys, n):
     assert main(["analyze", _write(tmp_path, doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: N:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("k", [31, 10 ** 6])
+def test_k_above_the_extension_bound_exits_1_naming_k(tmp_path, capsys, k):
+    # zero extension data: the solve would still build the (k+2)-jet Hermite basis
+    path = _write(tmp_path, dict(WORKED, k=k))
+    for argv in (["analyze", path], ["solve", path, "--out", str(tmp_path / "out")]):
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k:") and len(err.splitlines()) == 1
 
 
 def test_stencil_at_the_bound_parses():

@@ -12,7 +12,6 @@ from ddbvp.piecewise import (
     apply_difference_inverse,
     apply_shifted_sum,
     concat,
-    devectorize,
     double_antiderivative,
     padd,
     pder,
@@ -24,7 +23,6 @@ from ddbvp.piecewise import (
     smoothness_defects,
     trace_defects,
     two_point_hermite,
-    vectorize,
     zero_extension,
 )
 from ddbvp.structure import Stencil, analyze
@@ -193,18 +191,6 @@ def test_concat_and_zero_extension():
         zero_extension(right, 1, 5)
 
 
-def test_vectorize_devectorize_round_trip():
-    f = PiecewisePoly.from_global((0, 0, 1), (0, 3))  # t^2 on (0, 3)
-    comps = vectorize(f, 3)
-    assert len(comps) == 3
-    for comp in comps:
-        assert (comp.start, comp.end) == (F(0), F(1))
-    assert comps[1].value(F(1, 2)) == F(9, 4)  # (3/2)^2
-    assert devectorize(comps).same(f)
-    with pytest.raises(ValueError):
-        vectorize(f, 2)
-
-
 # -- the difference operator --------------------------------------------------
 
 
@@ -266,11 +252,19 @@ def test_apply_shifted_sum_uses_the_outside_data():
     # on (1, 2): y(t-1) = 0, y(t+1) = 1
     assert w.trace(F(3, 2), 0, 1) == 1
 
-    # agreement with apply_difference when y is the zero extension
-    v = PiecewisePoly.from_global((0, 1, 1), (0, 2))
-    assert apply_shifted_sum(stencil, zero_extension(v, -1, 3)).same(
-        apply_difference(stencil, v)
-    )
+
+def test_operators_reject_functions_on_the_wrong_interval():
+    stencil = Stencil.from_coeffs((1, 0, 1))
+    structure = analyze(stencil)
+    for a, b in ((0, 3), (F(1, 2), 2), (-1, 2)):
+        f = PiecewisePoly.from_global((0, 1), (a, b))
+        with pytest.raises(ValueError):
+            apply_difference(stencil, f)
+        with pytest.raises(ValueError):
+            apply_difference_inverse(structure, f)
+    for a, b in ((0, 2), (-1, 2), (-1, F(7, 2))):
+        with pytest.raises(ValueError):
+            apply_shifted_sum(stencil, PiecewisePoly.constant(1, a, b))
 
 
 # -- smoothness classes -------------------------------------------------------

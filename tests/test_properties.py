@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from ddbvp import cli, exactla
 from ddbvp.piecewise import (
     PiecewisePoly,
+    align_many,
     apply_difference,
     apply_difference_inverse,
     apply_shifted_sum,
@@ -347,6 +348,57 @@ def test_admissible_column_equals_the_minor_search(stencil):
 def test_difference_operator_undoes_its_inverse_exactly(case):
     stencil, w = case
     assert apply_difference(stencil, apply_difference_inverse(analyze(stencil), w)).same(w)
+
+
+@st.composite
+def off_node_functions(draw, start, stop):
+    """A function on (start, stop) breaking at some integer nodes and off them.
+
+    At least one breakpoint is off the integer nodes, so the unit pieces of
+    the function have different partitions.
+    """
+    nodes = draw(st.sets(st.integers(min_value=start + 1, max_value=stop - 1)))
+    cuts = draw(st.sets(st.fractions(min_value=start, max_value=stop, max_denominator=5), max_size=4))
+    cuts.add(draw(st.integers(min_value=start, max_value=stop - 1)) + Fraction(draw(st.integers(1, 4)), 5))
+    breaks = sorted(nodes | cuts | {start, stop})
+    pieces = [draw(nonzero_polys) for _ in breaks[1:]]
+    return PiecewisePoly.from_pieces(breaks, pieces)
+
+
+def _reference_shifted_sum(stencil, y):
+    """sum_j b_j y(t + j) as a sum of shifted and restricted copies of y."""
+    n = stencil.N
+    window = [(stencil.b(j), y.shifted(-j).restricted(0, n + 1)) for j in range(-n, n + 1) if stencil.b(j)]
+    return linear_combination([(0, PiecewisePoly.zero(0, n + 1))] + window)
+
+
+def _reference_difference_inverse(structure, w):
+    """Cut w into unit pieces moved to (0, 1), align them, and paste back the rows of R1^-1 times them."""
+    n = structure.stencil.N
+    units = align_many([w.restricted(k, k + 1).shifted(-k) for k in range(n + 1)])
+    return concat([linear_combination(zip(row, units)).shifted(i) for i, row in enumerate(structure.r1_inverse)])
+
+
+@SETTINGS
+@given(st.data())
+def test_shifted_sum_equals_the_sum_of_shifted_copies(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    stencil = Stencil.from_coeffs(data.draw(st.lists(st.one_of(st.just(0), rationals), min_size=2 * n + 1, max_size=2 * n + 1)))
+    y = data.draw(off_node_functions(-n, 2 * n + 1))
+    got = apply_shifted_sum(stencil, y)
+    assert got.same(_reference_shifted_sum(stencil, y))
+    assert _all_fractions(got.breaks, got.pieces)
+
+
+@SETTINGS
+@given(supported_stencils(max_n=4), st.data())
+def test_difference_inverse_equals_the_unit_row_sums(stencil, data):
+    structure = analyze(stencil)
+    w = data.draw(off_node_functions(0, stencil.N + 1))
+    got = apply_difference_inverse(structure, w)
+    expected = _reference_difference_inverse(structure, w)
+    assert (got.breaks, got.pieces) == (expected.breaks, expected.pieces)
+    assert _all_fractions(got.breaks, got.pieces)
 
 
 @SETTINGS
