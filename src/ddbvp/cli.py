@@ -133,10 +133,11 @@ def cmd_solve(args, out) -> int:
     except UnsupportedRegimeError as exc:
         print("unsupported: %s" % exc, file=out)
         return EXIT_REGIME
+    report = solve_report(parsed, family)  # built before any file is opened
     report_path = args.out + "-report"
     csv_path = args.out + "-solution.csv"
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(solve_report(parsed, family))
+        handle.write(report)
     with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.writelines(solution_csv_lines(family, parsed.problem.f0, step))
     print("status: %s" % family.status.value, file=out)

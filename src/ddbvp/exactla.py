@@ -46,15 +46,6 @@ def transpose(a: Sequence[Sequence[Fraction]]) -> Mat:
     return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vec:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
-
-
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Mat:
-    bt = transpose(b)
-    return [[sum((ra[t] * cb[t] for t in range(len(ra))), Fraction(0)) for cb in bt] for ra in a]
-
-
 def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers n_i and one common denominator D, the lcm, with values[i] = n_i / D."""
     den = math.lcm(*(x.denominator for x in values))

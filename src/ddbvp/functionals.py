@@ -24,10 +24,10 @@ analysis needs:
   of the stack's (d1, d2) block as ``weights``, so each data constraint is
   one weight vector dotted with the stack's values on I.
 
-Ranks are certified on monomial probes in exact arithmetic.  A functional's
-value, on a function (``evaluate``) or on a monomial (``on_monomial``), is
-summed term by term as integer ratios over their lcm, with one Fraction built
-at the end.
+Ranks are read off the weights in atom coordinates.  A functional's value,
+on a function (``evaluate``) or on a monomial (``on_monomial``), is summed
+term by term as integer ratios over their lcm, with one Fraction built at the
+end.
 """
 
 from __future__ import annotations
@@ -184,15 +184,35 @@ def image_functionals(structure: StructureReport, k: int) -> list[NodeFunctional
 
 
 def rank_of_functionals(fns: Sequence[NodeFunctional]) -> int:
-    """Exact rank of a functional family, certified on monomial probes.
+    """Exact rank of a functional family, read off its weights.
 
-    The probe space is span{1, t, ..., t^D} with D = len(fns) + max order + 2.
+    Atoms w -> w^(mu)(x) at distinct (x, mu) are linearly independent on
+    polynomials: they lie inside a full Hermite set, and Hermite interpolation
+    is unisolvent.  So the rank is that of the weight matrix in atom
+    coordinates (repeated atoms summed, zero weights dropped).  Parts linked
+    by shared derivative orders touch disjoint columns, so their ranks add.
     """
-    if not fns:
-        return 0
-    probe_degree = len(fns) + max(fn.max_order for fn in fns) + 2
-    matrix = [[fn.on_monomial(d) for d in range(probe_degree + 1)] for fn in fns]
-    return exactla.rank(matrix)
+    parts: list[tuple[set[int], list[dict]]] = []
+    for fn in fns:
+        weights: dict[tuple[Fraction, int], Fraction] = {}
+        for node, mu, weight in fn.terms:
+            weights[node, mu] = weights.get((node, mu), Fraction(0)) + weight
+        row = {atom: w for atom, w in weights.items() if w}
+        orders = {mu for _, mu in row}
+        rows = [row]
+        rest = []
+        for part_orders, part_rows in parts:
+            if part_orders & orders:
+                orders |= part_orders
+                rows += part_rows
+            else:
+                rest.append((part_orders, part_rows))
+        parts = rest + [(orders, rows)]
+    total = 0
+    for _, rows in parts:
+        atoms = sorted(set().union(*rows))
+        total += exactla.rank([[row.get(atom, Fraction(0)) for atom in atoms] for row in rows])
+    return total
 
 
 @dataclass(frozen=True)
@@ -204,7 +224,6 @@ class DataConstraints:
     wanted solution class and eliminating the two constants leaves pure data
     constraints: each row u of ``weights`` is a left null vector of the
     stack's (d1, d2) block, and sum_i u_i * stack[i](I) must vanish.
-    ``d_rank`` is the rank of that block, len(stack) - count by rank-nullity.
     """
 
     stack: tuple[NodeFunctional, ...]
@@ -213,10 +232,6 @@ class DataConstraints:
     @property
     def count(self) -> int:
         return len(self.weights)
-
-    @property
-    def d_rank(self) -> int:
-        return len(self.stack) - self.count
 
     def violations(self, values: Sequence[Fraction]) -> tuple[tuple[str, Fraction], ...]:
         """Labelled nonzero residuals, given the stack's values on I in stack order."""

@@ -274,9 +274,6 @@ class PiecewisePoly:
     def degree(self) -> int:
         return max(len(c) - 1 for c in self.pieces)
 
-    def is_zero(self) -> bool:
-        return all(c == (Fraction(0),) for c in self.pieces)
-
     def __repr__(self) -> str:
         rng = "(%s, %s)" % (self.start, self.end)
         return "PiecewisePoly(%d pieces on %s, degree %d)" % (len(self.pieces), rng, self.degree)
@@ -351,12 +348,6 @@ class PiecewisePoly:
             pcs.append(F)
             acc = peval(F, hi - lo)
         return PiecewisePoly(self.breaks, tuple(pcs))
-
-    def integral(self) -> Fraction:
-        total = Fraction(0)
-        for c, lo, hi in zip(self.pieces, self.breaks, self.breaks[1:]):
-            total += peval(pint(c, Fraction(0)), hi - lo)
-        return total
 
     # -- geometry ---------------------------------------------------------------
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -145,6 +146,9 @@ def parse_problem(text: str) -> ParsedProblem:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError("line %d, column %d" % (exc.lineno, exc.colno), exc.msg) from None
+    except ValueError:
+        # an integer literal beyond the interpreter's decimal conversion limit
+        raise ProblemFileError("document", "integer literal of more than %d digits" % sys.get_int_max_str_digits()) from None
     if not isinstance(doc, dict):
         raise ProblemFileError("document", "expected a JSON object")
     unknown = set(doc) - {"N", "b", "k", "f0", "f1", "f2", "oracle"}

@@ -24,9 +24,9 @@ degree 2k+3).  The reduced problem for w = y - psi has zero extension data and
 right-hand side f0 + (R psi)''.
 
 There is one solve path, ``solve_nonhomogeneous``; ``solve_homogeneous`` is
-its zero-extension-data case.  Each entry point analyzes the stencil once and
-passes the ``StructureReport`` on: the boundary matrix, the node relations
-and the inverse difference operator (through the report's R1^-1) all read it.
+its zero-extension-data case.  A problem analyzes its stencil once and keeps
+the ``StructureReport`` (``BVPProblem.structure``); the solve and the index
+report read the node relations, end columns and R1^-1 from it.
 
 Beyond the solve itself the module certifies the structure theory on the
 instance: triviality of the kernel of the order-k operator, the codimension
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 
 from . import exactla
@@ -91,6 +92,11 @@ class BVPProblem:
     @property
     def homogeneous_extension(self) -> bool:
         return self.f1 == (Fraction(0),) and self.f2 == (Fraction(0),)
+
+    @cached_property
+    def structure(self) -> StructureReport:
+        """The stencil's analysis, computed on first use and kept."""
+        return analyze(self.stencil)
 
 
 @dataclass(frozen=True)
@@ -252,7 +258,7 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     by the values of its other members, and they feed both the refined d and
     the zero-trace residuals.
     """
-    structure = analyze(problem.stencil)
+    structure = problem.structure
     n = problem.stencil.N
     k = problem.k
     psi = hermite_extension(problem.stencil, k, problem.f1, problem.f2)
@@ -403,7 +409,7 @@ class IndexReport:
 
 
 def index_report(problem: BVPProblem) -> IndexReport:
-    structure = analyze(problem.stencil)
+    structure = problem.structure
     k = problem.k
     table = structure.index_table(k)
     zero_trace, minimal = solvability_constraints(structure, k)

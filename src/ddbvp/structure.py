@@ -199,15 +199,6 @@ class IndexTable:
     index_zero_trace: int
     index_minimal: int
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (
-            self.codim_difference_image,
-            self.codim_minimal_domain,
-            self.codim_zero_trace_domain,
-            self.index_zero_trace,
-            self.index_minimal,
-        )
-
 
 def build_shift_matrix(stencil: Stencil) -> ShiftMatrix:
     """Assemble R1[i][k] = b_{k-i} and its two determinants."""

@@ -361,6 +361,18 @@ def test_parse_failures_exit_1(tmp_path, capsys):
     assert err.startswith("error:") and "exceeds cap" in err and len(err.splitlines()) == 1
 
 
+def test_an_over_long_integer_literal_exits_1(tmp_path, capsys):
+    # json.loads refuses a bare integer past the interpreter's 4300-digit
+    # conversion limit with a plain ValueError, not a JSONDecodeError
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(WORKED).replace('"b": [1,', '"b": [%s,' % ("7" * 5001)), encoding="utf-8")
+    for argv in (["analyze", str(huge)], ["solve", str(huge), "--out", str(tmp_path / "huge")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: document: integer literal") and len(err.splitlines()) == 1
+    assert not (tmp_path / "huge-report").exists()
+
+
 def test_solve_command_writes_report_and_csv(tmp_path, capsys):
     prefix = str(tmp_path / "run")
     code = main(["solve", _write(tmp_path, WORKED), "--out", prefix])
@@ -417,6 +429,17 @@ def test_structure_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch, co
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == "unsupported: relation rows failed to form a basis\n"
+
+
+def test_a_failed_report_leaves_no_output_files(tmp_path, monkeypatch):
+    def failing(parsed, family):
+        raise ValueError("report formatting failed")
+
+    monkeypatch.setattr(cli, "solve_report", failing)
+    with pytest.raises(ValueError, match="report formatting failed"):
+        main(["solve", _write(tmp_path, WORKED), "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run-report").exists()
+    assert not (tmp_path / "run-solution.csv").exists()
 
 
 def test_solve_unsupported_regime_exits_2(tmp_path, capsys):

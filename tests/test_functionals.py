@@ -121,13 +121,36 @@ def test_rank_certification_probe_guard():
     assert rank_of_functionals([fn, fn.scaled(F(2))]) == 1
 
 
+def test_rank_is_read_off_the_atom_weights():
+    d0 = NodeFunctional(((F(0), 1, F(1)),), "w'(0)")
+    d1 = NodeFunctional(((F(1), 1, F(1)),), "w'(1)")
+    # equal on every polynomial of degree <= 1, yet independent
+    assert [d0.on_monomial(d) for d in (0, 1)] == [d1.on_monomial(d) for d in (0, 1)]
+    assert rank_of_functionals([d0, d1]) == 2
+    # repeated atoms sum, and a functional whose weights cancel is zero
+    halves = NodeFunctional(((F(0), 1, F(1, 2)), (F(0), 1, F(1, 2))), "halves")
+    assert rank_of_functionals([d0, halves]) == 1
+    cancel = NodeFunctional(((F(1), 0, F(1)), (F(1), 0, F(-1))), "cancel")
+    assert rank_of_functionals([cancel]) == 0
+    # a mixed-order functional links the orders it touches
+    mixed = NodeFunctional(((F(0), 1, F(1)), (F(1), 0, F(1))), "mixed")
+    value = NodeFunctional(((F(1), 0, F(-1)),), "-w(1)")
+    assert rank_of_functionals([d0, mixed, value]) == 2
+    assert rank_of_functionals([d1, mixed, value]) == 3
+
+
+def _d_rank(dc):
+    """Rank of the stack's (d1, d2) block, by rank-nullity."""
+    return len(dc.stack) - dc.count
+
+
 def test_eliminate_constants_residuals_kill_linear_functions():
     structure = analyze(Stencil.from_coeffs((0, 1, 1, 1, 2)))
     stack = membership_functionals(structure.gamma, 2)
     dc = eliminate_constants(stack)
     d_block = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in stack]
     assert dc.count == len(dc.weights) == len(stack) - exactla.rank(d_block)
-    assert dc.d_rank == exactla.rank(d_block) == 2
+    assert _d_rank(dc) == exactla.rank(d_block) == 2
     for u in dc.weights:
         assert len(u) == len(stack)
         assert any(u)
@@ -169,7 +192,7 @@ def test_solvability_constraint_counts_match_the_index_table():
             assert zt.count == table.codim_zero_trace_domain == 2 * (k + 1)
             expected_min = (k + 1) if structure.ends.dependent else 2 * (k + 1)
             assert mn.count == table.codim_minimal_domain == expected_min
-            assert zt.d_rank == mn.d_rank == 2
+            assert _d_rank(zt) == _d_rank(mn) == 2
 
 
 def test_independent_case_minimal_and_zero_trace_stacks_coincide():

@@ -39,7 +39,7 @@ from ddbvp.piecewise import (
     trace_defects,
     two_point_hermite,
 )
-from ddbvp.functionals import NodeFunctional, membership_functionals
+from ddbvp.functionals import NodeFunctional, membership_functionals, rank_of_functionals
 from ddbvp.problem_io import MAX_STENCIL_N, canonical_problem_text, parse_problem
 from ddbvp.solver import BVPProblem, hermite_extension, solve_nonhomogeneous
 from ddbvp.structure import Stencil, analyze, build_shift_matrix, cofactor
@@ -707,6 +707,50 @@ def test_on_monomial_equals_the_fraction_sum_and_evaluate(fn, d):
     value = fn.evaluate(monomial)
     assert type(value) is Fraction
     assert value == got
+
+
+def _probe_rank(fns, degree):
+    """Rank of the family's values on the monomials t^0..t^degree."""
+    return exactla.rank([[fn.on_monomial(d) for d in range(degree + 1)] for fn in fns])
+
+
+atom_nodes = st.sampled_from((Fraction(-3), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)))
+atom_weights = st.one_of(st.just(Fraction(0)), rationals)
+mixed_order_functionals = st.lists(
+    st.tuples(atom_nodes, st.integers(min_value=0, max_value=3), atom_weights), max_size=5,
+).map(lambda terms: NodeFunctional(tuple(terms), "mixed"))
+one_order_functionals = st.tuples(
+    st.integers(min_value=0, max_value=3), st.lists(st.tuples(atom_nodes, atom_weights), max_size=5),
+).map(lambda drawn: NodeFunctional(tuple((x, drawn[0], w) for x, w in drawn[1]), "one order"))
+
+
+@st.composite
+def functional_families(draw):
+    """Families with shared nodes and orders, repeated atoms, zero weights and scaled duplicates."""
+    fns = draw(st.lists(st.one_of(one_order_functionals, mixed_order_functionals), max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=2)) if fns else 0):
+        fns.append(draw(st.sampled_from(fns)).scaled(draw(rationals)))
+    return fns
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(functional_families(), st.integers(min_value=-4, max_value=2))
+def test_atom_rank_equals_the_probe_rank_at_the_hermite_degree(fns, offset):
+    # Polynomials of degree <= sum over nodes of (highest order there + 1),
+    # minus 1, take any values on that full Hermite set, so probes of that
+    # degree see every atom; fewer probes can only lose rank.  The atom count
+    # minus 1 is not enough: w'(0) and w'(1) agree on P_1.
+    top: dict[Fraction, int] = {}
+    for fn in fns:
+        for node, mu, _ in fn.terms:
+            top[node] = max(top.get(node, 0), mu)
+    hermite_degree = sum(mu + 1 for mu in top.values()) - 1
+    rank = rank_of_functionals(fns)
+    degree = max(hermite_degree + offset, 0)
+    if degree >= hermite_degree:
+        assert rank == _probe_rank(fns, degree)
+    else:
+        assert _probe_rank(fns, degree) <= rank
 
 
 @st.composite

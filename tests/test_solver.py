@@ -32,13 +32,17 @@ F = Fraction
 RANK_ONE = Stencil.from_coeffs((1, 0, -1))
 
 
+def _is_zero(f):
+    return all(c == (Fraction(0),) for c in f.pieces)
+
+
 def _solution_invariants(problem, family):
     """The properties every successful solve must satisfy exactly."""
     n = problem.stencil.N
     v, w = family.v, family.w
     # the equation itself: w = R v and -w'' = f0
     assert apply_difference(problem.stencil, v).same(w)
-    assert (w.derivative(2) + problem.f0).is_zero()
+    assert _is_zero(w.derivative(2) + problem.f0)
     # Dirichlet part of the generalized problem (homogeneous data here)
     assert v.trace(0, 0, 1) == 0
     assert v.trace(n + 1, 0, -1) == 0
@@ -243,14 +247,14 @@ def test_affine_family_with_explicit_kernel_direction():
     assert wk.same(
         PiecewisePoly.from_global((direction.c[1], direction.c[0]), (0, 2))
     )
-    assert wk.derivative(2).is_zero()
+    assert _is_zero(wk.derivative(2))
     assert vk.trace(0, 0, 1) == 0 and vk.trace(2, 0, -1) == 0
     assert vk.jump(1, 0) == 0
     assert vk.jump(1, 1) != 0  # a genuine hat: the kink is what keeps it nontrivial
 
     # shifting the particular solution along the kernel keeps the equation
     shifted = family.v + vk.scaled(F(7, 3))
-    assert (apply_difference(RANK_ONE, shifted).derivative(2) + problem.f0).is_zero()
+    assert _is_zero(apply_difference(RANK_ONE, shifted).derivative(2) + problem.f0)
 
 
 def test_kernel_certificate_ranks():
@@ -280,7 +284,7 @@ def test_hermite_extension_matches_data_and_stays_smooth():
         assert psi.value(F(-1)) == -1
         assert psi.value(F(9, 2)) == 3 - F(81, 4)
         # dead middle
-        assert psi.restricted(1, 2).is_zero()
+        assert _is_zero(psi.restricted(1, 2))
         # globally of order k+2: no jumps anywhere, including the seams
         assert smoothness_defects(psi, k + 2) == []
 
@@ -303,7 +307,7 @@ def test_solve_nonhomogeneous_satisfies_the_full_problem():
     # the equation holds with the full shifted sum of y
     w_full = apply_shifted_sum(s, y)
     assert w_full.same(family.w)
-    assert (w_full.derivative(2) + f0).is_zero()
+    assert _is_zero(w_full.derivative(2) + f0)
     # v is the interior part of y and continuous
     assert family.v.same(y.restricted(0, 2))
     for t in family.v.breaks[1:-1]:
@@ -334,3 +338,26 @@ def test_index_report_checks_out_on_named_stencils():
             ]
             assert report.boundary_rank == 2
             assert report.table.k == k
+
+
+def test_index_report_checks_out_up_to_the_largest_k():
+    # k = 30 is the largest order a problem file may ask for
+    for s in named_stencils():
+        for k in range(31):
+            report = index_report(BVPProblem(stencil=s, k=k, f0=PiecewisePoly.constant(1, 0, s.N + 1)))
+            assert report.all_ok, (s, k, [(row.name, row.expected, row.got) for row in report.rows if not row.ok])
+
+
+def test_solve_and_index_report_analyze_a_problem_once(monkeypatch):
+    calls = []
+
+    def counting(stencil):
+        calls.append(stencil)
+        return analyze(stencil)
+
+    monkeypatch.setattr(solver, "analyze", counting)
+    problem = BVPProblem(stencil=RANK_ONE, k=1, f0=PiecewisePoly.constant(1, 0, RANK_ONE.N + 1))
+    solve_nonhomogeneous(problem)
+    index_report(problem)
+    solve_nonhomogeneous(problem)
+    assert calls == [RANK_ONE]

@@ -208,14 +208,24 @@ def test_cofactor_dependency_identity():
             assert a1 * cofactor(report, i, n + 1) + a2 * cofactor(report, i + 1, 1) == 0
 
 
+def _as_tuple(t):
+    return (
+        t.codim_difference_image,
+        t.codim_minimal_domain,
+        t.codim_zero_trace_domain,
+        t.index_zero_trace,
+        t.index_minimal,
+    )
+
+
 def test_index_table_formulas():
     dep = analyze(Stencil.from_coeffs((1, 0, 1))).ends
     indep = analyze(INDEPENDENT_NAMED).ends
     for k in range(0, 4):
         t = index_table(dep, k)
-        assert t.as_tuple() == (k + 3, k + 1, 2 * (k + 1), -2 * (k + 1), -(k + 1))
+        assert _as_tuple(t) == (k + 3, k + 1, 2 * (k + 1), -2 * (k + 1), -(k + 1))
         t = index_table(indep, k)
-        assert t.as_tuple() == (
+        assert _as_tuple(t) == (
             2 * (k + 2),
             2 * (k + 1),
             2 * (k + 1),
