@@ -14,8 +14,19 @@ operator is applied in extended form: from interior samples of v it produces
 negative second difference taken back down to the interior points.  Composing
 the two square interior matrices instead would silently impose (Rv)(0) =
 (Rv)(M) = 0, which is a condition on Rv that the problem never asks for.
-The interior shift matrix is a view of the extended one.  ``solve_grid``
-factors once; its ``condition`` is a lower-bound 1-norm estimate from that LU.
+``assemble`` writes that composition straight from the stencil and stores
+only the operator; the shift matrices are built when read.
+
+Grouped by residue r = i mod n, the operator is cyclic block-tridiagonal:
+unknown i couples to unknowns of residues r and r +- 1 (mod n) only.
+``solve_grid`` eliminates residues 1..n-1 first, a block-tridiagonal chain
+solved by odd-even (cyclic) reduction (Golub & Van Loan, Matrix
+Computations, section 4.5), and solves residue 0 last through its N x N Schur
+complement.  The order matters: for a = 0 the chain is (1/h^2) K (x) R1, K
+the Dirichlet second difference, so every pivot is a positive multiple of R1,
+which is invertible; the residue-0 block 2 R2 / h^2 is singular whenever
+det R2 = 0.  Its ``condition`` is a lower-bound 1-norm estimate from the same
+solve.
 """
 
 from __future__ import annotations
@@ -23,13 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .piecewise import PiecewisePoly
 from .structure import Stencil, build_shift_matrix, spectrum
 
-MAX_GRID_UNKNOWNS = 4096  # largest n(N+1)-1 taken from input; 4 dense matrices ~512 MB
+MAX_GRID_UNKNOWNS = 4096  # largest n(N+1)-1 taken from input; one dense operator ~134 MB
 
 
 @dataclass(frozen=True)
@@ -44,20 +56,36 @@ class GridOperator:
 
 @dataclass(frozen=True)
 class GridOperators:
-    """The assembled operator family; ``shift`` is a view of ``shift_extended``."""
+    """The assembled boundary value operator; the shift and second-difference matrices are built on first read."""
 
     stencil: Stencil
     n: int
     size: int
-    shift: GridOperator
-    shift_extended: GridOperator
-    second_difference: GridOperator
     operator: GridOperator
     a_samples: np.ndarray | None
 
     @property
     def points(self) -> list[Fraction]:
         return [Fraction(i, self.n) for i in range(1, self.size + 1)]
+
+    @cached_property
+    def shift_extended(self) -> GridOperator:
+        matrix = _extended_shift(self.stencil, self.n)
+        return GridOperator("difference operator, interior to all grid points", self.n, self.size, matrix)
+
+    @property
+    def shift(self) -> GridOperator:
+        """A view of ``shift_extended`` without its two boundary rows."""
+        matrix = self.shift_extended.matrix[1:-1]
+        return GridOperator("difference operator, interior to interior", self.n, self.size, matrix)
+
+    @property
+    def second_difference(self) -> GridOperator:
+        second = np.zeros((self.size, self.size + 2))
+        h2 = (1.0 / self.n) ** 2
+        for offset, weight in enumerate((1.0, -2.0, 1.0)):
+            np.fill_diagonal(second[:, offset:], weight / h2)
+        return GridOperator("second difference, all grid points to interior", self.n, self.size, second)
 
 
 def grid_samples(f: PiecewisePoly, ops: GridOperators) -> np.ndarray:
@@ -70,10 +98,14 @@ def grid_samples(f: PiecewisePoly, ops: GridOperators) -> np.ndarray:
     return samples
 
 
-def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOperators:
-    """Assemble the grid operators at resolution n (n >= 4 per unit interval)."""
+def _check_resolution(n: int) -> None:
     if n < 4:
         raise ValueError("need at least 4 subdivisions per unit interval")
+
+
+def _extended_shift(stencil: Stencil, n: int) -> np.ndarray:
+    """The difference operator from interior samples to all grid points 0..M."""
+    _check_resolution(n)
     big = stencil.N
     m_total = n * (big + 1)
     size = m_total - 1
@@ -83,25 +115,39 @@ def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOp
     for j in range(-big, big + 1):
         rows = np.arange(max(0, 1 - j * n), min(m_total, size - j * n) + 1)
         shift_ext[rows, rows + j * n - 1] = float(stencil.b(j))
+    return shift_ext
 
-    h2 = (1.0 / n) ** 2
-    second = np.zeros((size, m_total + 1))
-    for offset, weight in enumerate((1.0, -2.0, 1.0)):
-        np.fill_diagonal(second[:, offset:], weight / h2)
-    # -(second @ shift_ext): n >= 4 leaves one nonzero term per entry, so this is exact
-    full = (2.0 * shift_ext[1:-1] - shift_ext[:-2] - shift_ext[2:]) * (1.0 / h2)
+
+def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOperators:
+    """Assemble the grid operator at resolution n (n >= 4 per unit interval).
+
+    Row i of -(second difference) applied to the extended shift is
+    (2 (Rv)_i - (Rv)_{i-1} - (Rv)_{i+1}) / h^2, so each shift j and neighbour
+    d in {-1, 0, 1} adds (weight_d b_j) / h^2 on the diagonal at offset
+    jn + d.  For n >= 3 no two of these diagonals meet, so every entry is one
+    rounded product, as in the composed form.
+    """
+    _check_resolution(n)
+    size = n * (stencil.N + 1) - 1
+    inv_h2 = 1.0 / (1.0 / n) ** 2
+    full = np.zeros((size, size))
+    for j in range(-stencil.N, stencil.N + 1):
+        b_j = float(stencil.b(j))
+        if b_j == 0.0:
+            continue  # leaves those entries +0.0, as in the composed form
+        for d, weight in ((-1, -1.0), (0, 2.0), (1, -1.0)):
+            offset = j * n + d
+            band = full[:, offset:] if offset >= 0 else full[-offset:, :]
+            np.fill_diagonal(band, (weight * b_j) * inv_h2)
     a_samples = None
     if a is not None:
-        a_samples = np.array(a.sample([Fraction(i, n) for i in range(1, m_total)]))
+        a_samples = np.array(a.sample([Fraction(i, n) for i in range(1, size + 1)]))
         full[np.diag_indices(size)] += a_samples
 
     return GridOperators(
         stencil=stencil,
         n=n,
         size=size,
-        shift=GridOperator("difference operator, interior to interior", n, size, shift_ext[1:-1]),
-        shift_extended=GridOperator("difference operator, interior to all grid points", n, size, shift_ext),
-        second_difference=GridOperator("second difference, all grid points to interior", n, size, second),
         operator=GridOperator("boundary value operator", n, size, full),
         a_samples=a_samples,
     )
@@ -109,7 +155,14 @@ def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOp
 
 @dataclass(frozen=True)
 class GridSolution:
-    """``condition`` is ||A||_1 max_j ||A^-1 p_j||_1 / ||p_j||_1 over three fixed Hager/Higham probes: a lower bound on kappa_1."""
+    """A grid solve and its conditioning.
+
+    ``condition`` is ||A||_1 max_j ||A^-1 p_j||_1 / ||p_j||_1 over three fixed
+    Hager/Higham probes, solved beside f by the same residue-block
+    elimination: a lower bound on kappa_1, and inf when a pivot block is
+    exactly singular.  Above 1e12 the system counts as ill conditioned and
+    ``values`` come from dense least squares instead (``least_squares``).
+    """
 
     values: np.ndarray
     condition: float
@@ -117,8 +170,90 @@ class GridSolution:
     least_squares: bool
 
 
+def _residue_blocks(a: np.ndarray, n: int, big: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks (r, r), (r, r - 1) and (r, r + 1) of ``a`` by residue r = i mod n.
+
+    Slot [r, k] of the returned index holds unknown i = r + kn, a matrix
+    index of r + kn - 1.  Residue 0 has no unknown at k = 0; that slot holds
+    -1, and its rows and columns of every block are zero.
+    """
+    index = np.arange(n)[:, None] + n * np.arange(big + 1) - 1
+    pad = index < 0
+
+    def gather(step: int) -> np.ndarray:
+        cols = np.roll(index, -step, axis=0)
+        block = a[index[:, :, None], cols[:, None, :]]
+        block[pad[:, :, None] | np.roll(pad, -step, axis=0)[:, None, :]] = 0.0
+        return block
+
+    return index, gather(0), gather(-1), gather(1)
+
+
+def _cyclic_reduction(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the block-tridiagonal system with blocks ``lower[i]`` (i, i-1), ``diag[i]`` and ``upper[i]`` (i, i+1).
+
+    ``lower[0]`` and ``upper[-1]`` must be zero.  Each level solves the odd
+    blocks against their couplings in one batched call and folds them into
+    the even blocks, which form the next, half-length system.
+    """
+    m, p = diag.shape[:2]
+    if m == 1:
+        return np.linalg.solve(diag[0], rhs[0])[None]
+    odd = np.linalg.solve(diag[1::2], np.concatenate([lower[1::2], upper[1::2], rhs[1::2]], axis=2))
+    # odd[t] is block 2t + 1; with a zero block at each end, even block 2t reads its neighbours at t and t + 1
+    padded = np.concatenate([np.zeros_like(odd[:1]), odd, np.zeros_like(odd[:1])])
+    evens = (m + 1) // 2
+    from_left = lower[::2] @ padded[:evens]
+    from_right = upper[::2] @ padded[1:evens + 1]
+    x_even = _cyclic_reduction(
+        -from_left[:, :, :p],
+        diag[::2] - from_left[:, :, p:2 * p] - from_right[:, :, :p],
+        -from_right[:, :, p:2 * p],
+        rhs[::2] - from_left[:, :, 2 * p:] - from_right[:, :, 2 * p:],
+    )
+    x = np.empty_like(rhs)
+    x[::2] = x_even
+    x_pad = np.concatenate([x_even, np.zeros_like(x_even[:1])])
+    odds = m // 2
+    x[1::2] = odd[:, :, 2 * p:] - odd[:, :, :p] @ x_pad[:odds] - odd[:, :, p:2 * p] @ x_pad[1:odds + 1]
+    return x
+
+
+def _residue_solve(a: np.ndarray, n: int, big: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """A^-1 rhs for the grid operator ``a``, and ||A||_1, both from its residue blocks."""
+    index, diag, lower, upper = _residue_blocks(a, n, big)
+    col_sums = np.abs(diag).sum(axis=1)
+    col_sums += np.roll(np.abs(upper).sum(axis=1), 1, axis=0)
+    col_sums += np.roll(np.abs(lower).sum(axis=1), -1, axis=0)
+    norm_1 = float(col_sums.max())
+
+    # residues 1..n-1 form the chain; its couplings to residue 0 become extra right-hand sides
+    b = rhs[index]
+    q = rhs.shape[1]
+    to_residue_0 = np.zeros_like(diag[1:])
+    to_residue_0[0], to_residue_0[-1] = lower[1], upper[-1]
+    lower[1] = 0.0
+    upper[-1] = 0.0
+    y = _cyclic_reduction(lower[1:], diag[1:], upper[1:], np.concatenate([b[1:], to_residue_0], axis=2))
+
+    # residue 0 last, through its Schur complement; slot 0 is the padding
+    schur = diag[0] - upper[0] @ y[0, :, q:] - lower[0] @ y[-1, :, q:]
+    g = b[0] - upper[0] @ y[0, :, :q] - lower[0] @ y[-1, :, :q]
+    x0 = np.zeros_like(b[0])
+    x0[1:] = np.linalg.solve(schur[1:, 1:], g[1:])
+
+    solved = np.empty_like(rhs)
+    solved[index[1:]] = y[:, :, :q] - y[:, :, q:] @ x0
+    solved[index[0, 1:]] = x0[1:]
+    return solved, norm_1
+
+
 def solve_grid(ops: GridOperators, f0_samples: np.ndarray) -> GridSolution:
-    """One LU solve, shared with the probes of ``condition``; least squares when that exceeds 1e12."""
+    """Solve A v = f by residue blocks, with the probes of ``condition`` as extra right-hand sides.
+
+    Dense least squares replaces the block solve when the condition estimate
+    exceeds 1e12 or a pivot block is singular.
+    """
     a = ops.operator.matrix
     rhs = np.asarray(f0_samples, dtype=float)
     if rhs.shape != (ops.size,):
@@ -126,9 +261,9 @@ def solve_grid(ops: GridOperators, f0_samples: np.ndarray) -> GridSolution:
     ramp = 1.0 + np.arange(ops.size) / (ops.size - 1)
     probes = np.column_stack([np.ones(ops.size), ramp, ramp * (-1.0) ** np.arange(ops.size)])
     try:
-        solved = np.linalg.solve(a, np.column_stack([rhs, probes]))
+        solved, norm_1 = _residue_solve(a, ops.n, ops.stencil.N, np.column_stack([rhs, probes]))
         growth = np.abs(solved[:, 1:]).sum(axis=0) / np.abs(probes).sum(axis=0)
-        condition = float(np.linalg.norm(a, 1) * growth.max())
+        condition = float(norm_1 * growth.max())
     except np.linalg.LinAlgError:
         condition = math.inf
     ill = not math.isfinite(condition) or condition > 1e12
@@ -162,8 +297,7 @@ def spectrum_check(stencil: Stencil, n: int, tolerance: float = 1e-8) -> Spectru
     exact_r1 = spectrum(sm)
     r2 = np.array([[float(x) for x in row] for row in sm.r2_lists()], dtype=float)
     exact_r2 = np.linalg.eigvals(r2) if sm.stencil.N >= 1 and r2.size else np.array([])
-    ops = assemble(stencil, n)
-    grid_eigs = np.linalg.eigvals(ops.shift.matrix)
+    grid_eigs = np.linalg.eigvals(_extended_shift(stencil, n)[1:-1])
 
     containment = max(float(np.abs(grid_eigs - lam).min()) for lam in exact_r1)
     union = np.concatenate([exact_r1, exact_r2]) if exact_r2.size else exact_r1
@@ -249,7 +383,7 @@ def convergence_study(
     for n in resolutions:
         ops = assemble(stencil, n, a)
         sol = solve_grid(ops, grid_samples(f0, ops))
-        exact = np.array([float(exact_v.value(t)) for t in ops.points])
+        exact = np.array(exact_v.sample(ops.points))
         rows.append(ConvergenceRow(n=n, max_error=float(np.abs(sol.values - exact).max())))
 
     exact_reproduction = all(r.max_error < rounding_floor for r in rows)

@@ -65,6 +65,17 @@ class ParsedProblem:
     oracle: OracleRequest | None
 
 
+# Longest echo of a rejected value in an error line; longer ones are clipped.
+ECHO_CHARS = 40
+
+
+def _clip(text: str) -> str:
+    """``text``, or its first ECHO_CHARS characters and its length when it is longer."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return "%s… (%d characters)" % (text[:ECHO_CHARS], len(text))
+
+
 def _rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise ProblemFileError(where, "expected an integer or a 'p/q' string, got %r" % (value,))
@@ -74,13 +85,13 @@ def _rational(value, where: str) -> Fraction:
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ProblemFileError(where, "not a rational: %r (%s)" % (value, exc)) from None
-    raise ProblemFileError(where, "expected an integer or a 'p/q' string, got %r" % (value,))
+            raise ProblemFileError(where, "not a rational: %s (%s)" % (_clip(repr(value)), _clip(str(exc)))) from None
+    raise ProblemFileError(where, "expected an integer or a 'p/q' string, got %s" % _clip(repr(value)))
 
 
 def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ProblemFileError(where, "expected an integer, got %r" % (value,))
+        raise ProblemFileError(where, "expected an integer, got %s" % _clip(repr(value)))
     return value
 
 

@@ -373,6 +373,16 @@ def test_an_over_long_integer_literal_exits_1(tmp_path, capsys):
     assert not (tmp_path / "huge-report").exists()
 
 
+def test_an_over_long_rational_string_is_echoed_clipped(tmp_path, capsys):
+    # a quoted literal reaches Fraction, whose error names the digit limit;
+    # the error line echoes only the start of the literal
+    path = _write(tmp_path, dict(WORKED, b=["7" * 5001, 0, 1]))
+    assert main(["analyze", path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: b[0]: not a rational") and len(err) < 200, err
+
+
 def test_solve_command_writes_report_and_csv(tmp_path, capsys):
     prefix = str(tmp_path / "run")
     code = main(["solve", _write(tmp_path, WORKED), "--out", prefix])

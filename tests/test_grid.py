@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -228,3 +229,106 @@ def test_convergence_study_exact_reproduction_and_order():
     assert study.observed_order is not None
     assert 1.8 <= study.observed_order <= 2.2
     assert study.rows[-1].max_error < study.rows[0].max_error
+
+
+def _dense_reference(a, rhs):
+    # the dense LU solve with the same probes and threshold as solve_grid
+    size = len(rhs)
+    ramp = 1.0 + np.arange(size) / (size - 1)
+    probes = np.column_stack([np.ones(size), ramp, ramp * (-1.0) ** np.arange(size)])
+    try:
+        solved = np.linalg.solve(a, np.column_stack([rhs, probes]))
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    growth = np.abs(solved[:, 1:]).sum(axis=0) / np.abs(probes).sum(axis=0)
+    return solved[:, 0], np.linalg.norm(a, 1) * growth.max()
+
+
+# the named stencils, a singular one, a non-integer one, the identity and an
+# N = 3 stencil of the acceptance pool
+BLOCK_SOLVE_COEFFS = [
+    (1, 0, 1),
+    (0, 1, 1, 1, 2),
+    (1, 1, 2, 4, 4),
+    (1, 0, -1),
+    (F(1, 3), 0, F(2, 7)),
+    (0, 1, 0),
+    (-3, -2, 0, -2, 0, -2, 3),
+]
+
+
+def _a_of_kind(kind, s):
+    return {
+        None: None,
+        "one": PiecewisePoly.constant(1, 0, s.N + 1),
+        "t": PiecewisePoly.from_global((0, 1), (0, s.N + 1)),
+    }[kind]
+
+
+@pytest.mark.parametrize("coeffs", BLOCK_SOLVE_COEFFS)
+@pytest.mark.parametrize("a_kind", [None, "one", "t"])
+def test_block_solve_matches_dense_lu(coeffs, a_kind):
+    # odd n and n = 4 give chains of n - 1 residues whose reduction levels
+    # end in an odd block, an even block, or a single block
+    s = Stencil.from_coeffs(coeffs)
+    for n in (4, 5, 7, 8, 16, 64, 256):
+        ops = assemble(s, n, _a_of_kind(a_kind, s))
+        rhs = np.cos(np.arange(ops.size))
+        sol = solve_grid(ops, rhs)
+        reference, condition = _dense_reference(ops.operator.matrix, rhs)
+        ill = not np.isfinite(condition) or condition > 1e12
+        assert sol.ill_conditioned == ill, (coeffs, a_kind, n, sol.condition, condition)
+        if not ill:
+            rel = np.abs(sol.values - reference).max() / np.abs(reference).max()
+            assert rel <= 1e-10, (coeffs, a_kind, n, rel)
+            assert sol.condition == pytest.approx(condition, rel=1e-8), (coeffs, a_kind, n)
+
+
+@pytest.mark.parametrize("coeffs", BLOCK_SOLVE_COEFFS)
+def test_operator_couples_neighbouring_residues_only(coeffs):
+    s = Stencil.from_coeffs(coeffs)
+    for n in (4, 5, 8, 16):
+        ops = assemble(s, n, _a_of_kind("t", s))
+        residue = np.arange(1, ops.size + 1) % n
+        offset = (residue[None, :] - residue[:, None]) % n
+        a = ops.operator.matrix
+        assert np.all(a[~np.isin(offset, (0, 1, n - 1))] == 0.0), (coeffs, n)
+        for d in (0, 1, n - 1):
+            assert np.any(a[offset == d] != 0.0), (coeffs, n, d)
+
+
+def test_operator_matches_the_composed_form_bit_for_bit():
+    # the composed second difference of the extended shift, entry for entry,
+    # including the sign of every zero
+    for coeffs in BLOCK_SOLVE_COEFFS:
+        s = Stencil.from_coeffs(coeffs)
+        for n in (4, 7, 16):
+            ops = assemble(s, n)
+            ext = _shift_extended_by_rows(s, n)
+            composed = (2.0 * ext[1:-1] - ext[:-2] - ext[2:]) * (1.0 / (1.0 / n) ** 2)
+            assert ops.operator.matrix.tobytes() == composed.tobytes(), (coeffs, n)
+
+
+def test_assembly_and_block_solve_memory():
+    # in units of one size x size float64 array: assembly keeps the operator
+    # alone, and a well-conditioned solve allocates O(size) beside it
+    s = Stencil.from_coeffs((1, 1, 2, 4, 4))
+    n = 256
+    size = n * (s.N + 1) - 1
+    unit = size * size * 8
+    warm = assemble(s, 8)
+    solve_grid(warm, np.ones(warm.size))
+    rhs = np.linspace(-1.0, 2.0, size)
+    tracemalloc.start()
+    try:
+        ops = assemble(s, n)
+        retained, peak = tracemalloc.get_traced_memory()
+        assert retained <= 1.05 * unit and peak <= 1.25 * unit, (retained / unit, peak / unit)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sol = solve_grid(ops, rhs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert not sol.ill_conditioned
+    assert peak <= 0.25 * unit, peak / unit
