@@ -23,15 +23,9 @@ import functools
 import sys
 from fractions import Fraction
 
+from .grid import grid_resolution_error, spectrum_check
 from .piecewise import DegreeCapError
-from .problem_io import (
-    ParsedProblem,
-    ProblemFileError,
-    grid_resolution_error,
-    load_problem,
-    solution_csv_lines,
-    solve_report,
-)
+from .problem_io import ParsedProblem, ProblemFileError, load_problem, solution_csv_lines, solve_report
 from .solver import SolveStatus, boundary_matrix, solve_nonhomogeneous
 from .structure import StructureError, UnsupportedRegimeError, analyze, build_shift_matrix, spectrum
 from . import exactla
@@ -53,9 +47,7 @@ def _fmt_complex(z) -> str:
 
 
 def _print_stencil(parsed: ParsedProblem, out) -> None:
-    stencil = parsed.stencil
-    coeffs = ", ".join(str(stencil.b(j)) for j in range(-stencil.N, stencil.N + 1))
-    print("stencil: N = %d, b = (%s)" % (stencil.N, coeffs), file=out)
+    print("stencil: N = %d, b = %s" % (parsed.stencil.N, parsed.stencil), file=out)
 
 
 def cmd_analyze(args, out) -> int:
@@ -165,14 +157,11 @@ def cmd_spectrum(args, out) -> int:
     resolutions = tuple(args.grid or ())
     if not resolutions and parsed.oracle is not None:
         resolutions = parsed.oracle.n_values
-    if resolutions:
-        from .grid import spectrum_check
-
-        for n in resolutions:
-            chk = spectrum_check(parsed.stencil, n)
-            print("grid n = %d: containment distance %.3e, block distance %.3e, %s"
-                  % (n, chk.containment_distance, chk.block_distance,
-                     "ok" if chk.ok else "MISMATCH"), file=out)
+    for n in resolutions:
+        chk = spectrum_check(parsed.stencil, n)
+        print("grid n = %d: containment distance %.3e, block distance %.3e, %s"
+              % (n, chk.containment_distance, chk.block_distance,
+                 "ok" if chk.ok else "MISMATCH"), file=out)
     return EXIT_OK
 
 

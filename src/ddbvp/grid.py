@@ -17,6 +17,12 @@ the two square interior matrices instead would silently impose (Rv)(0) =
 ``assemble`` writes that composition straight from the stencil and stores
 only the operator; the shift matrices are built when read.
 
+Index i means grid point t_i throughout: ``assemble`` stores the operator as
+the M x M array ``padded`` whose row and column 0, for t_0, are zero, and
+``operator`` is its view ``padded[1:, 1:]``.  Index i = kn + r is entry
+[k, r] of either axis pair of ``padded.reshape(N + 1, n, N + 1, n)``, so the
+residue blocks below are plain reads of that reshape.
+
 Grouped by residue r = i mod n, the operator is cyclic block-tridiagonal:
 unknown i couples to unknowns of residues r and r +- 1 (mod n) only.
 ``solve_grid`` eliminates residues 1..n-1 first, a block-tridiagonal chain
@@ -41,16 +47,25 @@ import numpy as np
 from .piecewise import PiecewisePoly
 from .structure import Stencil, build_shift_matrix, spectrum
 
-MAX_GRID_UNKNOWNS = 4096  # largest n(N+1)-1 taken from input; one dense operator ~134 MB
+MAX_GRID_UNKNOWNS = 4096  # largest n(N+1)-1 taken from input; one M x M matrix ~134 MB
+SPECTRUM_TOLERANCE = 1e-8  # containment distance that ``SpectrumCheck.ok`` accepts
+INDEX_THRESHOLD = 1e-8  # singular values below this fraction of the largest count as zero
+ROUNDING_FLOOR = 1e-10  # max-node error below which a convergence study counts as exact reproduction
+
+
+def grid_resolution_error(big: int, n: int) -> str | None:
+    """Why a grid of n subdivisions per unit interval of (0, big+1) is refused, or None."""
+    if n < 4:
+        return "grid resolution must be >= 4"
+    if n * (big + 1) - 1 > MAX_GRID_UNKNOWNS:
+        return "grid of n(N+1)-1 = %d unknowns exceeds the limit of %d" % (n * (big + 1) - 1, MAX_GRID_UNKNOWNS)
+    return None
 
 
 @dataclass(frozen=True)
 class GridOperator:
     """One dense double-precision grid matrix."""
 
-    description: str
-    n: int
-    size: int
     matrix: np.ndarray
 
 
@@ -61,8 +76,13 @@ class GridOperators:
     stencil: Stencil
     n: int
     size: int
-    operator: GridOperator
+    padded: np.ndarray
     a_samples: np.ndarray | None
+
+    @property
+    def operator(self) -> GridOperator:
+        """The size x size operator on the interior unknowns, a view of ``padded``."""
+        return GridOperator(self.padded[1:, 1:])
 
     @property
     def points(self) -> list[Fraction]:
@@ -70,22 +90,20 @@ class GridOperators:
 
     @cached_property
     def shift_extended(self) -> GridOperator:
-        matrix = _extended_shift(self.stencil, self.n)
-        return GridOperator("difference operator, interior to all grid points", self.n, self.size, matrix)
+        """The difference operator from interior samples to all grid points."""
+        return GridOperator(_extended_shift(self.stencil, self.n))
 
     @property
     def shift(self) -> GridOperator:
         """A view of ``shift_extended`` without its two boundary rows."""
-        matrix = self.shift_extended.matrix[1:-1]
-        return GridOperator("difference operator, interior to interior", self.n, self.size, matrix)
+        return GridOperator(self.shift_extended.matrix[1:-1])
 
     @property
     def second_difference(self) -> GridOperator:
-        second = np.zeros((self.size, self.size + 2))
+        """The second difference from all grid points to the interior."""
         h2 = (1.0 / self.n) ** 2
-        for offset, weight in enumerate((1.0, -2.0, 1.0)):
-            np.fill_diagonal(second[:, offset:], weight / h2)
-        return GridOperator("second difference, all grid points to interior", self.n, self.size, second)
+        weights = enumerate((1.0, -2.0, 1.0))
+        return GridOperator(_diagonals(np.zeros((self.size, self.size + 2)), ((d, w / h2) for d, w in weights)))
 
 
 def grid_samples(f: PiecewisePoly, ops: GridOperators) -> np.ndarray:
@@ -103,19 +121,22 @@ def _check_resolution(n: int) -> None:
         raise ValueError("need at least 4 subdivisions per unit interval")
 
 
-def _extended_shift(stencil: Stencil, n: int) -> np.ndarray:
-    """The difference operator from interior samples to all grid points 0..M."""
-    _check_resolution(n)
-    big = stencil.N
-    m_total = n * (big + 1)
-    size = m_total - 1
+def _diagonals(out: np.ndarray, diagonals) -> np.ndarray:
+    """Write each (offset, value) pair along its diagonal of ``out``, the entries out[i, i + offset]."""
+    for offset, value in diagonals:
+        np.fill_diagonal(out[:, offset:] if offset >= 0 else out[-offset:, :], value)
+    return out
 
-    # grid point i = 0..M takes b_j from interior unknown i + jn (column i + jn - 1)
-    shift_ext = np.zeros((m_total + 1, size))
-    for j in range(-big, big + 1):
-        rows = np.arange(max(0, 1 - j * n), min(m_total, size - j * n) + 1)
-        shift_ext[rows, rows + j * n - 1] = float(stencil.b(j))
-    return shift_ext
+
+def _extended_shift(stencil: Stencil, n: int) -> np.ndarray:
+    """The difference operator from interior samples to all grid points 0..M.
+
+    Grid point i takes b_j from interior unknown i + jn, column i + jn - 1.
+    """
+    _check_resolution(n)
+    size = n * (stencil.N + 1) - 1
+    shifts = range(-stencil.N, stencil.N + 1)
+    return _diagonals(np.zeros((size + 2, size)), ((j * n - 1, float(stencil.b(j))) for j in shifts))
 
 
 def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOperators:
@@ -130,27 +151,17 @@ def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOp
     _check_resolution(n)
     size = n * (stencil.N + 1) - 1
     inv_h2 = 1.0 / (1.0 / n) ** 2
-    full = np.zeros((size, size))
+    padded = np.zeros((size + 1, size + 1))
+    interior = padded[1:, 1:]
     for j in range(-stencil.N, stencil.N + 1):
         b_j = float(stencil.b(j))
-        if b_j == 0.0:
-            continue  # leaves those entries +0.0, as in the composed form
-        for d, weight in ((-1, -1.0), (0, 2.0), (1, -1.0)):
-            offset = j * n + d
-            band = full[:, offset:] if offset >= 0 else full[-offset:, :]
-            np.fill_diagonal(band, (weight * b_j) * inv_h2)
+        if b_j != 0.0:  # a zero b_j leaves its entries +0.0, as in the composed form
+            _diagonals(interior, ((j * n + d, (w * b_j) * inv_h2) for d, w in ((-1, -1.0), (0, 2.0), (1, -1.0))))
     a_samples = None
     if a is not None:
         a_samples = np.array(a.sample([Fraction(i, n) for i in range(1, size + 1)]))
-        full[np.diag_indices(size)] += a_samples
-
-    return GridOperators(
-        stencil=stencil,
-        n=n,
-        size=size,
-        operator=GridOperator("boundary value operator", n, size, full),
-        a_samples=a_samples,
-    )
+        interior[np.diag_indices(size)] += a_samples
+    return GridOperators(stencil=stencil, n=n, size=size, padded=padded, a_samples=a_samples)
 
 
 @dataclass(frozen=True)
@@ -161,32 +172,23 @@ class GridSolution:
     Hager/Higham probes, solved beside f by the same residue-block
     elimination: a lower bound on kappa_1, and inf when a pivot block is
     exactly singular.  Above 1e12 the system counts as ill conditioned and
-    ``values`` come from dense least squares instead (``least_squares``).
+    ``values`` come from dense least squares instead.
     """
 
     values: np.ndarray
     condition: float
     ill_conditioned: bool
-    least_squares: bool
 
 
-def _residue_blocks(a: np.ndarray, n: int, big: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The blocks (r, r), (r, r - 1) and (r, r + 1) of ``a`` by residue r = i mod n.
+def _residue_blocks(padded: np.ndarray, n: int, big: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The blocks (r, r), (r, r - 1) and (r, r + 1) of ``padded`` by residue r = i mod n, neighbours taken mod n.
 
-    Slot [r, k] of the returned index holds unknown i = r + kn, a matrix
-    index of r + kn - 1.  Residue 0 has no unknown at k = 0; that slot holds
-    -1, and its rows and columns of every block are zero.
+    Entry [r, k, l] of block (r, s) is padded[kn + r, ln + s].  Slot k = 0 of
+    residue 0 is t_0, so its row and column are zero in every block.
     """
-    index = np.arange(n)[:, None] + n * np.arange(big + 1) - 1
-    pad = index < 0
-
-    def gather(step: int) -> np.ndarray:
-        cols = np.roll(index, -step, axis=0)
-        block = a[index[:, :, None], cols[:, None, :]]
-        block[pad[:, :, None] | np.roll(pad, -step, axis=0)[:, None, :]] = 0.0
-        return block
-
-    return index, gather(0), gather(-1), gather(1)
+    by_residue = padded.reshape(big + 1, n, big + 1, n).transpose(1, 3, 0, 2)
+    r = np.arange(n)
+    return by_residue[r, r], by_residue[r, r - 1], by_residue[r, (r + 1) % n]
 
 
 def _cyclic_reduction(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -219,33 +221,30 @@ def _cyclic_reduction(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rh
     return x
 
 
-def _residue_solve(a: np.ndarray, n: int, big: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """A^-1 rhs for the grid operator ``a``, and ||A||_1, both from its residue blocks."""
-    index, diag, lower, upper = _residue_blocks(a, n, big)
+def _residue_solve(padded: np.ndarray, n: int, big: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """A^-1 rhs for the grid operator held in ``padded``, and ||A||_1, both from its residue blocks."""
+    diag, lower, upper = _residue_blocks(padded, n, big)
     col_sums = np.abs(diag).sum(axis=1)
     col_sums += np.roll(np.abs(upper).sum(axis=1), 1, axis=0)
     col_sums += np.roll(np.abs(lower).sum(axis=1), -1, axis=0)
     norm_1 = float(col_sums.max())
 
     # residues 1..n-1 form the chain; its couplings to residue 0 become extra right-hand sides
-    b = rhs[index]
     q = rhs.shape[1]
+    b = np.concatenate([np.zeros((1, q)), rhs]).reshape(big + 1, n, q).transpose(1, 0, 2)
     to_residue_0 = np.zeros_like(diag[1:])
     to_residue_0[0], to_residue_0[-1] = lower[1], upper[-1]
-    lower[1] = 0.0
-    upper[-1] = 0.0
+    lower[1] = upper[-1] = 0.0
     y = _cyclic_reduction(lower[1:], diag[1:], upper[1:], np.concatenate([b[1:], to_residue_0], axis=2))
 
-    # residue 0 last, through its Schur complement; slot 0 is the padding
+    # residue 0 last, through its Schur complement; slot 0 is t_0
     schur = diag[0] - upper[0] @ y[0, :, q:] - lower[0] @ y[-1, :, q:]
     g = b[0] - upper[0] @ y[0, :, :q] - lower[0] @ y[-1, :, :q]
     x0 = np.zeros_like(b[0])
     x0[1:] = np.linalg.solve(schur[1:, 1:], g[1:])
 
-    solved = np.empty_like(rhs)
-    solved[index[1:]] = y[:, :, :q] - y[:, :, q:] @ x0
-    solved[index[0, 1:]] = x0[1:]
-    return solved, norm_1
+    x = np.concatenate([x0[None], y[:, :, :q] - y[:, :, q:] @ x0])
+    return x.transpose(1, 0, 2).reshape(-1, q)[1:], norm_1
 
 
 def solve_grid(ops: GridOperators, f0_samples: np.ndarray) -> GridSolution:
@@ -254,21 +253,20 @@ def solve_grid(ops: GridOperators, f0_samples: np.ndarray) -> GridSolution:
     Dense least squares replaces the block solve when the condition estimate
     exceeds 1e12 or a pivot block is singular.
     """
-    a = ops.operator.matrix
     rhs = np.asarray(f0_samples, dtype=float)
     if rhs.shape != (ops.size,):
         raise ValueError("right-hand side must have one sample per interior point")
     ramp = 1.0 + np.arange(ops.size) / (ops.size - 1)
     probes = np.column_stack([np.ones(ops.size), ramp, ramp * (-1.0) ** np.arange(ops.size)])
     try:
-        solved, norm_1 = _residue_solve(a, ops.n, ops.stencil.N, np.column_stack([rhs, probes]))
+        solved, norm_1 = _residue_solve(ops.padded, ops.n, ops.stencil.N, np.column_stack([rhs, probes]))
         growth = np.abs(solved[:, 1:]).sum(axis=0) / np.abs(probes).sum(axis=0)
         condition = float(norm_1 * growth.max())
     except np.linalg.LinAlgError:
         condition = math.inf
     ill = not math.isfinite(condition) or condition > 1e12
-    values = np.linalg.lstsq(a, rhs, rcond=None)[0] if ill else solved[:, 0]
-    return GridSolution(values=values, condition=condition, ill_conditioned=ill, least_squares=ill)
+    values = np.linalg.lstsq(ops.operator.matrix, rhs, rcond=None)[0] if ill else solved[:, 0]
+    return GridSolution(values=values, condition=condition, ill_conditioned=ill)
 
 
 @dataclass(frozen=True)
@@ -285,14 +283,13 @@ class SpectrumCheck:
     n: int
     containment_distance: float
     block_distance: float
-    tolerance: float
 
     @property
     def ok(self) -> bool:
-        return self.containment_distance <= self.tolerance
+        return self.containment_distance <= SPECTRUM_TOLERANCE
 
 
-def spectrum_check(stencil: Stencil, n: int, tolerance: float = 1e-8) -> SpectrumCheck:
+def spectrum_check(stencil: Stencil, n: int) -> SpectrumCheck:
     sm = build_shift_matrix(stencil)
     exact_r1 = spectrum(sm)
     r2 = np.array([[float(x) for x in row] for row in sm.r2_lists()], dtype=float)
@@ -302,7 +299,7 @@ def spectrum_check(stencil: Stencil, n: int, tolerance: float = 1e-8) -> Spectru
     containment = max(float(np.abs(grid_eigs - lam).min()) for lam in exact_r1)
     union = np.concatenate([exact_r1, exact_r2]) if exact_r2.size else exact_r1
     block = max(float(np.abs(union - mu).min()) for mu in grid_eigs)
-    return SpectrumCheck(n=n, containment_distance=containment, block_distance=block, tolerance=tolerance)
+    return SpectrumCheck(n=n, containment_distance=containment, block_distance=block)
 
 
 @dataclass(frozen=True)
@@ -313,7 +310,6 @@ class IndexEstimate:
     cokernel_dim: int
     threshold: float
     smallest_forward: float
-    smallest_adjoint: float
 
     @property
     def index(self) -> int:
@@ -324,8 +320,8 @@ class IndexEstimate:
         return self.kernel_dim == self.cokernel_dim
 
 
-def index_estimate(ops: GridOperators, relative_threshold: float = 1e-8) -> IndexEstimate:
-    """Count singular values of the grid operator below the relative threshold.
+def index_estimate(ops: GridOperators) -> IndexEstimate:
+    """Count singular values of the grid operator below ``INDEX_THRESHOLD`` times the largest.
 
     The operator is square, and A and A^T share their singular values, so one
     SVD gives both counts: ``kernel_dim == cokernel_dim`` and ``balanced``
@@ -334,16 +330,9 @@ def index_estimate(ops: GridOperators, relative_threshold: float = 1e-8) -> Inde
     """
     singular = np.linalg.svd(ops.operator.matrix, compute_uv=False)
     top = singular.max()
-    cut = relative_threshold * top if top > 0 else relative_threshold
+    cut = INDEX_THRESHOLD * top if top > 0 else INDEX_THRESHOLD
     small = int((singular < cut).sum())
-    smallest = float(singular.min())
-    return IndexEstimate(
-        kernel_dim=small,
-        cokernel_dim=small,
-        threshold=cut,
-        smallest_forward=smallest,
-        smallest_adjoint=smallest,
-    )
+    return IndexEstimate(kernel_dim=small, cokernel_dim=small, threshold=cut, smallest_forward=float(singular.min()))
 
 
 @dataclass(frozen=True)
@@ -372,27 +361,18 @@ class ConvergenceStudy:
 
 
 def convergence_study(
-    stencil: Stencil,
-    f0: PiecewisePoly,
-    exact_v: PiecewisePoly,
-    resolutions: tuple[int, ...] = (32, 64, 128),
-    a: PiecewisePoly | None = None,
-    rounding_floor: float = 1e-10,
+    stencil: Stencil, f0: PiecewisePoly, exact_v: PiecewisePoly, resolutions: tuple[int, ...] = (32, 64, 128)
 ) -> ConvergenceStudy:
     rows = []
     for n in resolutions:
-        ops = assemble(stencil, n, a)
+        ops = assemble(stencil, n)
         sol = solve_grid(ops, grid_samples(f0, ops))
         exact = np.array(exact_v.sample(ops.points))
         rows.append(ConvergenceRow(n=n, max_error=float(np.abs(sol.values - exact).max())))
 
-    exact_reproduction = all(r.max_error < rounding_floor for r in rows)
-    orders = []
-    if not exact_reproduction:
-        for prev, nxt in zip(rows, rows[1:]):
-            if nxt.max_error == 0 or prev.max_error == 0:
-                continue
-            ratio = math.log(prev.max_error / nxt.max_error)
-            step = math.log(nxt.n / prev.n)
-            orders.append(ratio / step)
+    exact_reproduction = all(r.max_error < ROUNDING_FLOOR for r in rows)
+    orders = [] if exact_reproduction else [
+        math.log(prev.max_error / nxt.max_error) / math.log(nxt.n / prev.n)
+        for prev, nxt in zip(rows, rows[1:]) if prev.max_error != 0 and nxt.max_error != 0
+    ]
     return ConvergenceStudy(rows=tuple(rows), orders=tuple(orders), exact_reproduction=exact_reproduction)

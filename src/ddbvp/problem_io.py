@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .grid import MAX_GRID_UNKNOWNS
+from .grid import grid_resolution_error
 from .piecewise import DEGREE_CAP, DegreeCapError, PiecewisePoly
 from .solver import BVPProblem, SolutionFamily, SolveStatus
 from .structure import Stencil
@@ -135,15 +135,6 @@ def _pieces(value, where: str) -> PiecewisePoly:
 
 # Largest N of a problem file: analyze's exact (N+1) x (N+1) elimination takes seconds at 64.
 MAX_STENCIL_N = 64
-
-
-def grid_resolution_error(big: int, n: int) -> str | None:
-    """Why a grid of n subdivisions per unit interval of (0, big+1) is refused, or None."""
-    if n < 4:
-        return "grid resolution must be >= 4"
-    if n * (big + 1) - 1 > MAX_GRID_UNKNOWNS:
-        return "grid of n(N+1)-1 = %d unknowns exceeds the limit of %d" % (n * (big + 1) - 1, MAX_GRID_UNKNOWNS)
-    return None
 
 
 def _coeff_list(value, where: str) -> tuple[Fraction, ...]:
@@ -376,8 +367,7 @@ def solve_report(parsed: ParsedProblem, family: SolutionFamily) -> str:
     stencil = parsed.stencil
     lines = []
     lines.append("second-order difference boundary value problem")
-    lines.append("stencil: N = %d, b = (%s)" % (
-        stencil.N, ", ".join(str(stencil.b(j)) for j in range(-stencil.N, stencil.N + 1))))
+    lines.append("stencil: N = %d, b = %s" % (stencil.N, stencil))
     lines.append("smoothness order k = %d" % parsed.problem.k)
     lines.append("")
     lines.append("status: %s" % family.status.value)

@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from . import exactla
 from .exactla import to_fraction
-from .functionals import membership_functionals, rank_of_functionals, solvability_constraints
+from .functionals import DataConstraints, membership_functionals, rank_of_functionals, solvability_constraints
 from .piecewise import (
     PiecewisePoly,
     apply_difference_inverse,
@@ -97,6 +97,11 @@ class BVPProblem:
     def structure(self) -> StructureReport:
         """The stencil's analysis, computed on first use and kept."""
         return analyze(self.stencil)
+
+    @cached_property
+    def constraints(self) -> tuple[DataConstraints, DataConstraints]:
+        """The zero-trace and minimal-domain constraint stacks of order k, built on first use and kept."""
+        return solvability_constraints(self.structure, self.k)
 
 
 @dataclass(frozen=True)
@@ -253,10 +258,10 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
 
     The boundary right-hand side is the value of the order-zero node pair on
     the double antiderivative.  Only on smooth data are the constraint stacks
-    built, and each distinct stack is evaluated once: the zero-trace stack
-    opens with that same pair, so its values are the right-hand side followed
-    by the values of its other members, and they feed both the refined d and
-    the zero-trace residuals.
+    built, once per problem (``BVPProblem.constraints``), and each distinct
+    stack is evaluated once: the zero-trace stack opens with that same pair,
+    so its values are the right-hand side followed by the values of its other
+    members, and they feed both the refined d and the zero-trace residuals.
     """
     structure = problem.structure
     n = problem.stencil.N
@@ -296,7 +301,7 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
         minimal_bad = zero_trace_bad
     else:
         # the zero-trace stack opens with the boundary pair, whose values are rhs
-        zero_trace, minimal = solvability_constraints(structure, k)
+        zero_trace, minimal = problem.constraints
         values = rhs + [fn.evaluate(second) for fn in zero_trace.stack[2:]]
         full_rows = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in zero_trace.stack]
         refined = exactla.min_norm_solution(full_rows, values)
@@ -412,7 +417,7 @@ def index_report(problem: BVPProblem) -> IndexReport:
     structure = problem.structure
     k = problem.k
     table = structure.index_table(k)
-    zero_trace, minimal = solvability_constraints(structure, k)
+    zero_trace, minimal = problem.constraints
     # the minimal-domain stack is image_functionals(structure, k)
     image_rank = rank_of_functionals(minimal.stack)
     cert = kernel_certificate(structure)

@@ -11,6 +11,7 @@ import pytest
 
 import ddbvp
 from ddbvp.grid import (
+    _residue_blocks,
     assemble,
     convergence_study,
     grid_samples,
@@ -107,7 +108,7 @@ def test_solve_grid_flags_singular_systems_and_checks_shape():
     for n in (8, 64, 256):
         ops = assemble(Stencil.from_coeffs((1, 0, -1)), n)
         sol = solve_grid(ops, np.ones(ops.size))
-        assert sol.ill_conditioned and sol.least_squares, (n, sol.condition)
+        assert sol.ill_conditioned, (n, sol.condition)
         assert np.all(np.isfinite(sol.values))
     with pytest.raises(ValueError):
         solve_grid(ops, np.ones(3))
@@ -122,6 +123,24 @@ def _shift_extended_by_rows(stencil, n):
             if 1 <= i + j * n <= size:
                 ref[i, i + j * n - 1] = float(stencil.b(j))
     return ref
+
+
+def _second_difference_by_rows(n, size):
+    # the row-by-row definition: interior point i + 1 reads grid points i, i + 1 and i + 2
+    h2 = (1.0 / n) ** 2
+    ref = np.zeros((size, size + 2))
+    for i in range(size):
+        ref[i, i:i + 3] = (1.0 / h2, -2.0 / h2, 1.0 / h2)
+    return ref
+
+
+def test_second_difference_matches_its_row_by_row_definition():
+    for coeffs in ((1, 0, 1), (0, 1, 1, 1, 2), (-3, -2, 0, -2, 0, -2, 3)):
+        s = Stencil.from_coeffs(coeffs)
+        for n in (4, 5, 7, 16):
+            ops = assemble(s, n)
+            ref = _second_difference_by_rows(n, ops.size)
+            assert ops.second_difference.matrix.tobytes() == ref.tobytes(), (coeffs, n)
 
 
 @pytest.mark.parametrize("coeffs", [(1, 0, 1), (1, 0, -1), (0, 1, 1, 1, 2), (1, 1, 2, 4, 4), (F(1, 3), 0, F(2, 7))])
@@ -166,7 +185,7 @@ def test_named_stencils_solve_directly_at_n_512():
         ops = assemble(s, 512)
         rhs = np.linspace(-1.0, 2.0, ops.size)
         sol = solve_grid(ops, rhs)
-        assert not sol.ill_conditioned and not sol.least_squares, (str(s), sol.condition)
+        assert not sol.ill_conditioned, (str(s), sol.condition)
         residual = np.linalg.norm(ops.operator.matrix @ sol.values - rhs) / np.linalg.norm(rhs)
         assert residual < 1e-8, (str(s), residual)
 
@@ -332,3 +351,47 @@ def test_assembly_and_block_solve_memory():
         tracemalloc.stop()
     assert not sol.ill_conditioned
     assert peak <= 0.25 * unit, peak / unit
+
+
+@pytest.mark.parametrize("coeffs", BLOCK_SOLVE_COEFFS)
+def test_operator_is_the_interior_view_of_the_padded_matrix(coeffs):
+    # row and column 0 of padded stand for t_0 and hold +0.0 exactly
+    s = Stencil.from_coeffs(coeffs)
+    for n in (4, 7):
+        ops = assemble(s, n, _a_of_kind("t", s))
+        matrix = ops.operator.matrix
+        assert matrix.shape == (ops.size, ops.size)
+        assert ops.padded.shape == (ops.size + 1, ops.size + 1)
+        assert np.shares_memory(matrix, ops.padded)
+        assert np.array_equal(matrix, ops.padded[1:, 1:])
+        zeros = np.zeros(ops.size + 1).tobytes()
+        assert ops.padded[0].tobytes() == zeros and ops.padded[:, 0].tobytes() == zeros, (coeffs, n)
+
+
+def _residue_blocks_by_index(a, n, big):
+    # the index gather on the size x size operator: slot [r, k] holds unknown
+    # r + kn, matrix index r + kn - 1; residue 0 has no unknown at k = 0, so
+    # that slot holds -1 and its rows and columns are zeroed
+    index = np.arange(n)[:, None] + n * np.arange(big + 1) - 1
+    pad = index < 0
+
+    def gather(step):
+        cols = np.roll(index, -step, axis=0)
+        block = a[index[:, :, None], cols[:, None, :]]
+        block[pad[:, :, None] | np.roll(pad, -step, axis=0)[:, None, :]] = 0.0
+        return block
+
+    return gather(0), gather(-1), gather(1)
+
+
+@pytest.mark.parametrize("coeffs", BLOCK_SOLVE_COEFFS)
+@pytest.mark.parametrize("a_kind", [None, "t"])
+def test_residue_blocks_match_the_index_gather(coeffs, a_kind):
+    s = Stencil.from_coeffs(coeffs)
+    for n in (4, 5, 7, 16):
+        ops = assemble(s, n, _a_of_kind(a_kind, s))
+        got = _residue_blocks(ops.padded, n, s.N)
+        expected = _residue_blocks_by_index(ops.operator.matrix, n, s.N)
+        for name, g, e in zip(("diagonal", "lower", "upper"), got, expected):
+            assert g.shape == e.shape == (n, s.N + 1, s.N + 1)
+            assert g.tobytes() == e.tobytes(), (coeffs, a_kind, n, name)

@@ -361,3 +361,13 @@ def test_solve_and_index_report_analyze_a_problem_once(monkeypatch):
     index_report(problem)
     solve_nonhomogeneous(problem)
     assert calls == [RANK_ONE]
+
+
+def test_solve_and_index_report_build_the_constraint_stacks_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "solvability_constraints", lambda *a: calls.append(a) or solvability_constraints(*a))
+    s = Stencil.from_coeffs((1, 1, 2, 4, 4))
+    problem = BVPProblem(stencil=s, k=1, f0=PiecewisePoly.from_global((1, 1), (0, s.N + 1)))
+    assert solve_nonhomogeneous(problem).smoothness.data_smooth
+    assert index_report(problem).all_ok
+    assert len(calls) == 1
