@@ -19,6 +19,7 @@ supported regime (including a failed exact rank assumption, ``StructureError``),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 from fractions import Fraction
@@ -46,12 +47,33 @@ def _fmt_complex(z) -> str:
     return "%.17g%+.17gj" % (z.real, z.imag)
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int/str digit limit while exact results are computed and formatted.
+
+    Values computed from inputs within the limit can exceed it.  The limit is
+    process-wide, so it is restored on the way out; parsing runs outside this
+    scope and keeps it.
+    """
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _print_stencil(parsed: ParsedProblem, out) -> None:
     print("stencil: N = %d, b = %s" % (parsed.stencil.N, parsed.stencil), file=out)
 
 
 def cmd_analyze(args, out) -> int:
     parsed = load_problem(args.file)
+    with _unlimited_int_digits():
+        return _analyze_report(parsed, out)
+
+
+def _analyze_report(parsed: ParsedProblem, out) -> int:
     try:
         report = analyze(parsed.stencil)
     except UnsupportedRegimeError as exc:
@@ -120,6 +142,11 @@ def cmd_solve(args, out) -> int:
     if span / step > MAX_SAMPLE_ROWS:
         print("error: --samples %s gives more than %d CSV rows on (0, %d)" % (step, MAX_SAMPLE_ROWS, span), file=sys.stderr)
         return EXIT_PARSE
+    with _unlimited_int_digits():
+        return _solve_and_write(args, parsed, step, out)
+
+
+def _solve_and_write(args, parsed: ParsedProblem, step: Fraction, out) -> int:
     try:
         family = solve_nonhomogeneous(parsed.problem)
     except UnsupportedRegimeError as exc:

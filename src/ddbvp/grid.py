@@ -1,38 +1,33 @@
 """Finite-difference cross-check for the exact machinery.
 
-Everything in this module is double-precision evidence, deliberately kept
-apart from the rational computations: grids validate spectra, convergence
-rates and index claims numerically, and they are the only place a nonzero
-zeroth-order coefficient a(t) is handled.  Nothing here feeds back into an
-exact result.
+Everything here is double-precision evidence, kept apart from the rational
+computations: grids validate spectra, convergence rates and index claims
+numerically, and they are the only place a nonzero zeroth-order coefficient
+a(t) is handled.  Nothing here feeds back into an exact result.
 
-The grid puts n subdivisions on each unit interval of (0, N+1), so there are
-M - 1 interior points t_i = i/n with M = n(N+1).  Dirichlet zeros at t_0 and
-t_M are eliminated structurally (interior unknowns only).  The difference
-operator is applied in extended form: from interior samples of v it produces
-(Rv) at all grid points 0..M (zero fill outside), and only then is the
-negative second difference taken back down to the interior points.  Composing
-the two square interior matrices instead would silently impose (Rv)(0) =
-(Rv)(M) = 0, which is a condition on Rv that the problem never asks for.
-``assemble`` writes that composition straight from the stencil and stores
-only the operator; the shift matrices are built when read.
+The grid puts n subdivisions on each unit interval of (0, N+1): M - 1
+interior points t_i = i/n with M = n(N+1), the Dirichlet zeros at t_0 and t_M
+eliminated.  The shift takes interior samples of v to (Rv) at all grid points
+0..M, and only then is the negative second difference taken back down to the
+interior; composing square interior matrices instead would impose (Rv)(0) =
+(Rv)(M) = 0, which the problem never asks for.  ``assemble`` writes that
+composition straight from the stencil and stores only the operator, as the
+M x M array ``padded`` whose row and column 0, for t_0, are zero;
+``operator`` is its view ``padded[1:, 1:]``.  So index i means t_i
+throughout, and i = kn + r is entry [k, r] of either axis pair of
+``padded.reshape(N + 1, n, N + 1, n)``: residue blocks are reads of it.
 
-Index i means grid point t_i throughout: ``assemble`` stores the operator as
-the M x M array ``padded`` whose row and column 0, for t_0, are zero, and
-``operator`` is its view ``padded[1:, 1:]``.  Index i = kn + r is entry
-[k, r] of either axis pair of ``padded.reshape(N + 1, n, N + 1, n)``, so the
-residue blocks below are plain reads of that reshape.
-
-Grouped by residue r = i mod n, the operator is cyclic block-tridiagonal:
-unknown i couples to unknowns of residues r and r +- 1 (mod n) only.
-``solve_grid`` eliminates residues 1..n-1 first, a block-tridiagonal chain
-solved by odd-even (cyclic) reduction (Golub & Van Loan, Matrix
-Computations, section 4.5), and solves residue 0 last through its N x N Schur
-complement.  The order matters: for a = 0 the chain is (1/h^2) K (x) R1, K
-the Dirichlet second difference, so every pivot is a positive multiple of R1,
-which is invertible; the residue-0 block 2 R2 / h^2 is singular whenever
-det R2 = 0.  Its ``condition`` is a lower-bound 1-norm estimate from the same
-solve.
+By residue r = i mod n the interior shift couples each residue to itself
+only, as n - 1 copies of R1 and, without its t_0 slot, one of R2.
+``spectrum_check`` tests that decoupling exactly and takes the grid spectrum
+from those blocks.  The operator couples residue r to r and r +- 1 (mod n).
+``solve_grid`` eliminates residues 1..n-1 first by odd-even (cyclic) block
+reduction (Golub & Van Loan, Matrix Computations, section 4.5) and solves
+residue 0 last through its N x N Schur complement: for a = 0 the chain is
+(1/h^2) K (x) R1, K the Dirichlet second difference, so every pivot is a
+positive multiple of the invertible R1, while the residue-0 block 2 R2 / h^2
+is singular whenever det R2 = 0.  Its ``condition`` is a lower-bound 1-norm
+estimate from the same solve.
 """
 
 from __future__ import annotations
@@ -91,7 +86,7 @@ class GridOperators:
     @cached_property
     def shift_extended(self) -> GridOperator:
         """The difference operator from interior samples to all grid points."""
-        return GridOperator(_extended_shift(self.stencil, self.n))
+        return GridOperator(_extended_shift(self.stencil, self.n)[:, 1:])
 
     @property
     def shift(self) -> GridOperator:
@@ -101,8 +96,7 @@ class GridOperators:
     @property
     def second_difference(self) -> GridOperator:
         """The second difference from all grid points to the interior."""
-        h2 = (1.0 / self.n) ** 2
-        weights = enumerate((1.0, -2.0, 1.0))
+        h2, weights = (1.0 / self.n) ** 2, enumerate((1.0, -2.0, 1.0))
         return GridOperator(_diagonals(np.zeros((self.size, self.size + 2)), ((d, w / h2) for d, w in weights)))
 
 
@@ -129,14 +123,11 @@ def _diagonals(out: np.ndarray, diagonals) -> np.ndarray:
 
 
 def _extended_shift(stencil: Stencil, n: int) -> np.ndarray:
-    """The difference operator from interior samples to all grid points 0..M.
-
-    Grid point i takes b_j from interior unknown i + jn, column i + jn - 1.
-    """
+    """The shift from samples at t_0..t_{M-1} to all grid points 0..M: b_j at [i, i + jn], column 0 (t_0) zero."""
     _check_resolution(n)
-    size = n * (stencil.N + 1) - 1
-    shifts = range(-stencil.N, stencil.N + 1)
-    return _diagonals(np.zeros((size + 2, size)), ((j * n - 1, float(stencil.b(j))) for j in shifts))
+    out = np.zeros((n * (stencil.N + 1) + 1, n * (stencil.N + 1)))
+    _diagonals(out[:, 1:], ((j * n - 1, float(stencil.b(j))) for j in range(-stencil.N, stencil.N + 1)))
+    return out
 
 
 def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOperators:
@@ -273,11 +264,11 @@ def solve_grid(ops: GridOperators, f0_samples: np.ndarray) -> GridSolution:
 class SpectrumCheck:
     """Distances between exact and grid spectra.
 
-    ``containment_distance`` is the largest distance from an eigenvalue of R1
-    to the nearest eigenvalue of the interior grid shift matrix; the grid
-    matrix block-decomposes by residue class mod n into n-1 copies of R1 and
-    one copy of R2, so ``block_distance`` (largest distance from a grid
-    eigenvalue to the union of the R1 and R2 spectra) should be tiny as well.
+    ``containment_distance``: largest distance from an eigenvalue of R1 to the
+    grid spectrum; ``block_distance``: largest distance from a grid eigenvalue
+    to the union of the R1 and R2 spectra.  The grid spectrum is that of the
+    residue blocks, exactly so when no entry of the shift couples two residues
+    (tested ``== 0``); otherwise both distances are inf and ``ok`` fails.
     """
 
     n: int
@@ -289,15 +280,24 @@ class SpectrumCheck:
         return self.containment_distance <= SPECTRUM_TOLERANCE
 
 
+def _padded_shift(stencil: Stencil, n: int) -> np.ndarray:
+    """The interior shift in the layout of ``GridOperators.padded``: M x M, row and column 0 (t_0) zero."""
+    shift = _extended_shift(stencil, n)[:-1]
+    shift[0] = 0.0
+    return shift
+
+
 def spectrum_check(stencil: Stencil, n: int) -> SpectrumCheck:
     sm = build_shift_matrix(stencil)
     exact_r1 = spectrum(sm)
-    r2 = np.array([[float(x) for x in row] for row in sm.r2_lists()], dtype=float)
-    exact_r2 = np.linalg.eigvals(r2) if sm.stencil.N >= 1 and r2.size else np.array([])
-    grid_eigs = np.linalg.eigvals(_extended_shift(stencil, n)[1:-1])
-
+    exact_r2 = np.linalg.eigvals(np.array([[float(x) for x in row] for row in sm.r2_lists()], dtype=float))
+    shift = _padded_shift(stencil, n)
+    blocks = _residue_blocks(shift, n, stencil.N)[0]
+    if np.count_nonzero(blocks) != np.count_nonzero(shift):  # a nonzero entry couples two residues
+        return SpectrumCheck(n=n, containment_distance=math.inf, block_distance=math.inf)
+    grid_eigs = np.concatenate([np.linalg.eigvals(blocks[1:]).ravel(), np.linalg.eigvals(blocks[0, 1:, 1:])])
     containment = max(float(np.abs(grid_eigs - lam).min()) for lam in exact_r1)
-    union = np.concatenate([exact_r1, exact_r2]) if exact_r2.size else exact_r1
+    union = np.concatenate([exact_r1, exact_r2])
     block = max(float(np.abs(union - mu).min()) for mu in grid_eigs)
     return SpectrumCheck(n=n, containment_distance=containment, block_distance=block)
 

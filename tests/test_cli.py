@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import re
+import sys
 import time
 from fractions import Fraction
 
@@ -381,6 +383,67 @@ def test_an_over_long_rational_string_is_echoed_clipped(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: b[0]: not a rational") and len(err) < 200, err
+
+
+def _long_rational(seed):
+    # numerator and denominator of 1500 digits each, well inside the digit limit
+    return "%d/%d" % (10 ** 1499 + 7 * seed + 1, 10 ** 1499 + 11 * seed + 2)
+
+
+# inputs inside the interpreter's int/str digit limit whose exact results pass it
+LONG_RATIONALS = {
+    "supported": dict(
+        N=1, b=[_long_rational(1), 0, _long_rational(2)], k=8,
+        f0=[{"interval": [0, 2], "coeffs": [_long_rational(3), _long_rational(4)]}], f1=[_long_rational(5)],
+    ),
+    # det R1 has about 4500 digits, and the regime error message prints it
+    "unsupported": dict(N=2, b=[_long_rational(j) for j in range(1, 6)], k=0, f0=[{"interval": [0, 3], "coeffs": [1]}]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_RATIONALS))
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+def test_exact_results_past_the_digit_limit_are_printed_in_full(tmp_path, capsys, case, command):
+    argv = [command, _write(tmp_path, LONG_RATIONALS[case])]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "long")]
+    limit = sys.get_int_max_str_digits()
+    code = main(argv)
+    assert sys.get_int_max_str_digits() == limit
+    captured = capsys.readouterr()
+    assert code == (0 if case == "supported" else 2), captured.err
+    assert captured.err == ""
+    written = sorted(tmp_path.glob("long-*"))
+    assert len(written) == (2 if (case, command) == ("supported", "solve") else 0)
+    assert all(path.stat().st_size > 0 for path in written)
+    if case == "unsupported":
+        assert captured.out.count("unsupported: det R1 = ") == 1
+    if (case, command) != ("supported", "analyze"):  # the analyze printout stays inside the limit there
+        text = (tmp_path / "long-report").read_text(encoding="utf-8") if written else captured.out
+        assert max(len(digits) for digits in re.findall(r"\d+", text)) > limit
+
+
+def test_the_digit_limit_is_lifted_only_while_exact_results_are_written(tmp_path, capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    seen = []
+
+    def report(parsed, family):
+        seen.append(sys.get_int_max_str_digits())
+        return "report\n"
+
+    def failing_csv(family, f0, step):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "solve_report", report)
+    monkeypatch.setattr(cli, "solution_csv_lines", failing_csv)
+    assert main(["solve", _write(tmp_path, WORKED), "--out", str(tmp_path / "run")]) == 1
+    assert seen == [0] and sys.get_int_max_str_digits() == limit
+    assert capsys.readouterr().err == "error: disk full\n"
+
+    monkeypatch.setattr(cli, "solve_report", lambda parsed, family: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["solve", _write(tmp_path, WORKED), "--out", str(tmp_path / "run")])
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_solve_command_writes_report_and_csv(tmp_path, capsys):

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import ddbvp
+from ddbvp import grid
 from ddbvp.grid import (
+    SPECTRUM_TOLERANCE,
     _residue_blocks,
     assemble,
     convergence_study,
@@ -21,8 +23,8 @@ from ddbvp.grid import (
 )
 from ddbvp.piecewise import PiecewisePoly
 from ddbvp.solver import BVPProblem, solve_homogeneous
-from ddbvp.structure import Stencil
-from ddbvp.verification import named_stencils
+from ddbvp.structure import Stencil, build_shift_matrix, spectrum
+from ddbvp.verification import named_stencils, random_regime_stencils
 
 F = Fraction
 
@@ -395,3 +397,72 @@ def test_residue_blocks_match_the_index_gather(coeffs, a_kind):
         for name, g, e in zip(("diagonal", "lower", "upper"), got, expected):
             assert g.shape == e.shape == (n, s.N + 1, s.N + 1)
             assert g.tobytes() == e.tobytes(), (coeffs, a_kind, n, name)
+
+
+def _dense_containment(stencil, n):
+    # the reference: dense eigenvalues of the whole interior shift, built row
+    # by row, and the largest distance from an R1 eigenvalue to them
+    grid_eigs = np.linalg.eigvals(_shift_extended_by_rows(stencil, n)[1:-1])
+    return max(float(np.abs(grid_eigs - lam).min()) for lam in spectrum(build_shift_matrix(stencil)))
+
+
+def test_spectrum_check_agrees_with_the_dense_spectrum():
+    # the named stencils, the acceptance pool, a singular and a non-integer one
+    extra = (Stencil.from_coeffs((1, 0, -1)), Stencil.from_coeffs((F(1, 3), 0, F(2, 7))))
+    for s in named_stencils() + random_regime_stencils() + extra:
+        for n in (4, 5, 8, 16):
+            dense = _dense_containment(s, n)
+            check = spectrum_check(s, n)
+            assert dense <= SPECTRUM_TOLERANCE, (str(s), n, dense)
+            assert check.ok == (dense <= SPECTRUM_TOLERANCE), (str(s), n, check, dense)
+            assert check.block_distance <= SPECTRUM_TOLERANCE, (str(s), n, check)
+
+
+def test_spectrum_check_solves_no_eigenproblem_larger_than_r1(monkeypatch):
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def recording(a):
+        shapes.append(np.shape(a)[-2:])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    for coeffs in BLOCK_SOLVE_COEFFS:
+        s = Stencil.from_coeffs(coeffs)
+        for n in (4, 64, 256):
+            shapes.clear()
+            assert spectrum_check(s, n).ok, (coeffs, n)
+            assert shapes and max(max(shape) for shape in shapes) <= s.N + 1, (coeffs, n, shapes)
+
+
+def test_spectrum_check_memory():
+    # in units of one size x size float64 array: the padded shift, once
+    s = Stencil.from_coeffs((1, 1, 2, 4, 4))
+    n = 256
+    size = n * (s.N + 1) - 1
+    unit = size * size * 8
+    spectrum_check(s, 8)
+    tracemalloc.start()
+    try:
+        check = spectrum_check(s, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.ok
+    assert peak <= 1.05 * unit, peak / unit
+
+
+def test_spectrum_check_fails_on_any_coupling_between_residues(monkeypatch):
+    # the decoupling test is exact: a coupling far below every distance
+    # tolerance still fails the check
+    padded_shift = grid._padded_shift
+
+    def coupled(stencil, n):
+        shift = padded_shift(stencil, n)
+        shift[1, 2] = 1e-300  # t_1 to t_2, residues 1 and 2
+        return shift
+
+    monkeypatch.setattr(grid, "_padded_shift", coupled)
+    check = spectrum_check(Stencil.from_coeffs((1, 0, 1)), 8)
+    assert not check.ok
+    assert check.containment_distance == check.block_distance == np.inf

@@ -14,11 +14,12 @@ import os
 import tempfile
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ddbvp import cli, exactla
+from ddbvp import cli, exactla, grid
 from ddbvp.piecewise import (
     PiecewisePoly,
     align_many,
@@ -875,3 +876,31 @@ def test_every_problem_file_ends_analyze_in_a_documented_exit_code(text):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+
+
+# -- the residue blocks of the grid shift -----------------------------------------
+
+
+@st.composite
+def grid_stencils(draw):
+    big = draw(st.integers(min_value=1, max_value=3))
+    return Stencil.from_coeffs(draw(st.lists(rationals, min_size=2 * big + 1, max_size=2 * big + 1)))
+
+
+@SETTINGS
+@given(grid_stencils(), st.integers(min_value=4, max_value=12))
+def test_the_grid_shift_is_block_diagonal_by_residue(stencil, n):
+    # spectrum_check takes the grid spectrum from these blocks: grouping the
+    # indices by residue mod n is a permutation similarity, so the blocks'
+    # spectra are the grid spectrum exactly when no entry couples two residues
+    big = stencil.N
+    by_residue = grid._padded_shift(stencil, n).reshape(big + 1, n, big + 1, n).transpose(1, 3, 0, 2)
+    assert np.all(by_residue[~np.eye(n, dtype=bool)] == 0.0)
+    sm = build_shift_matrix(stencil)
+    r1 = np.array([[float(x) for x in row] for row in sm.r1])
+    for r in range(1, n):
+        assert by_residue[r, r].tobytes() == r1.tobytes(), r
+    # residue 0 is R2 behind the zero row and column of t_0
+    padded_r2 = np.zeros_like(r1)
+    padded_r2[1:, 1:] = [[float(x) for x in row] for row in sm.r2_lists()]
+    assert by_residue[0, 0].tobytes() == padded_r2.tobytes()
