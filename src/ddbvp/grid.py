@@ -27,7 +27,9 @@ residue 0 last through its N x N Schur complement: for a = 0 the chain is
 (1/h^2) K (x) R1, K the Dirichlet second difference, so every pivot is a
 positive multiple of the invertible R1, while the residue-0 block 2 R2 / h^2
 is singular whenever det R2 = 0.  Its ``condition`` is a lower-bound 1-norm
-estimate from the same solve.
+estimate from the same solve.  ``index_estimate`` runs the same elimination
+with no right-hand sides and counts the kernel from the singular values of
+that N x N Schur complement, not of the whole operator.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .structure import Stencil, build_shift_matrix, spectrum
 
 MAX_GRID_UNKNOWNS = 4096  # largest n(N+1)-1 taken from input; one M x M matrix ~134 MB
 SPECTRUM_TOLERANCE = 1e-8  # containment distance that ``SpectrumCheck.ok`` accepts
-INDEX_THRESHOLD = 1e-8  # singular values below this fraction of the largest count as zero
+INDEX_THRESHOLD = 1e-8  # singular values below this fraction of ||A||_1 count as zero
 ROUNDING_FLOOR = 1e-10  # max-node error below which a convergence study counts as exact reproduction
 
 
@@ -212,8 +214,14 @@ def _cyclic_reduction(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rh
     return x
 
 
-def _residue_solve(padded: np.ndarray, n: int, big: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """A^-1 rhs for the grid operator held in ``padded``, and ||A||_1, both from its residue blocks."""
+def _residue_eliminate(
+    padded: np.ndarray, n: int, big: int, rhs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Eliminate residues 1..n-1 (the chain C) from A x = rhs; a singular pivot block raises ``LinAlgError``.
+
+    Returns the N x N residue-0 Schur complement S = D0 - V C^-1 U, its right
+    side, the chain solves [C^-1 rhs, C^-1 U] per residue, and ||A||_1.
+    """
     diag, lower, upper = _residue_blocks(padded, n, big)
     col_sums = np.abs(diag).sum(axis=1)
     col_sums += np.roll(np.abs(upper).sum(axis=1), 1, axis=0)
@@ -225,15 +233,21 @@ def _residue_solve(padded: np.ndarray, n: int, big: int, rhs: np.ndarray) -> tup
     b = np.concatenate([np.zeros((1, q)), rhs]).reshape(big + 1, n, q).transpose(1, 0, 2)
     to_residue_0 = np.zeros_like(diag[1:])
     to_residue_0[0], to_residue_0[-1] = lower[1], upper[-1]
-    lower[1] = upper[-1] = 0.0
+    lower[1] = upper[-1] = 0.0  # the blocks are gathered copies, so ``padded`` keeps these entries
     y = _cyclic_reduction(lower[1:], diag[1:], upper[1:], np.concatenate([b[1:], to_residue_0], axis=2))
 
-    # residue 0 last, through its Schur complement; slot 0 is t_0
+    # slot 0 of residue 0 is t_0, a zero row and column of every block
     schur = diag[0] - upper[0] @ y[0, :, q:] - lower[0] @ y[-1, :, q:]
     g = b[0] - upper[0] @ y[0, :, :q] - lower[0] @ y[-1, :, :q]
-    x0 = np.zeros_like(b[0])
-    x0[1:] = np.linalg.solve(schur[1:, 1:], g[1:])
+    return schur[1:, 1:], g[1:], y, norm_1
 
+
+def _residue_solve(padded: np.ndarray, n: int, big: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """A^-1 rhs for the grid operator held in ``padded``, and ||A||_1: residue 0 solved last, then back-substituted."""
+    schur, g, y, norm_1 = _residue_eliminate(padded, n, big, rhs)
+    q = rhs.shape[1]
+    x0 = np.zeros((big + 1, q))
+    x0[1:] = np.linalg.solve(schur, g)
     x = np.concatenate([x0[None], y[:, :, :q] - y[:, :, q:] @ x0])
     return x.transpose(1, 0, 2).reshape(-1, q)[1:], norm_1
 
@@ -304,7 +318,12 @@ def spectrum_check(stencil: Stencil, n: int) -> SpectrumCheck:
 
 @dataclass(frozen=True)
 class IndexEstimate:
-    """Numerical kernel and cokernel dimensions from singular values."""
+    """Numerical kernel and cokernel dimensions from singular values.
+
+    ``threshold`` is ``INDEX_THRESHOLD`` times ||A||_1.  ``smallest_forward``
+    is sigma_min of the residue-0 Schur complement S, an upper bound on
+    sigma_min(A) since S^-1 is a block of A^-1 (on the dense fallback, of A).
+    """
 
     kernel_dim: int
     cokernel_dim: int
@@ -321,16 +340,23 @@ class IndexEstimate:
 
 
 def index_estimate(ops: GridOperators) -> IndexEstimate:
-    """Count singular values of the grid operator below ``INDEX_THRESHOLD`` times the largest.
+    """Count singular values of the residue-0 Schur complement below ``INDEX_THRESHOLD`` times ||A||_1.
 
-    The operator is square, and A and A^T share their singular values, so one
-    SVD gives both counts: ``kernel_dim == cokernel_dim`` and ``balanced``
-    hold by construction.  ``balanced`` is a smoke check of the assembly, not
-    evidence that the continuous problem has index zero.
+    With the chain C of residues 1..n-1 invertible, A and S = D0 - V C^-1 U
+    have the same nullity, so the N x N S stands in for the whole operator.
+    A singular pivot block of the chain (for a = 0, det R1 = 0) falls back to
+    the SVD of A.  S is square, and S and S^T share their singular values,
+    so one SVD gives both counts: ``kernel_dim == cokernel_dim`` and
+    ``balanced`` hold by construction.  ``balanced`` is a smoke check of the
+    assembly, not evidence that the continuous problem has index zero.
     """
-    singular = np.linalg.svd(ops.operator.matrix, compute_uv=False)
-    top = singular.max()
-    cut = INDEX_THRESHOLD * top if top > 0 else INDEX_THRESHOLD
+    try:
+        schur, _, _, norm_1 = _residue_eliminate(ops.padded, ops.n, ops.stencil.N, np.empty((ops.size, 0)))
+        singular = np.linalg.svd(schur, compute_uv=False)
+    except np.linalg.LinAlgError:
+        norm_1 = float(np.linalg.norm(ops.operator.matrix, 1))
+        singular = np.linalg.svd(ops.operator.matrix, compute_uv=False)
+    cut = INDEX_THRESHOLD * norm_1 if norm_1 > 0 else INDEX_THRESHOLD
     small = int((singular < cut).sum())
     return IndexEstimate(kernel_dim=small, cokernel_dim=small, threshold=cut, smallest_forward=float(singular.min()))
 

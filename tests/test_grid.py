@@ -233,6 +233,42 @@ def test_index_estimates_balance():
     assert singular.smallest_forward < singular.threshold
 
 
+def _dense_kernel_count(ops):
+    # the reference: singular values of the whole operator below 1e-8 of the largest
+    singular = np.linalg.svd(ops.operator.matrix, compute_uv=False)
+    return int((singular < 1e-8 * singular.max()).sum()), float(singular.min())
+
+
+def test_index_estimate_matches_the_dense_svd_count():
+    # the named stencils, the acceptance pool and the singular (1, 0, -1)
+    for s in named_stencils() + random_regime_stencils() + (Stencil.from_coeffs((1, 0, -1)),):
+        for n in (16, 64):
+            for kind in (None, "one", "t"):
+                ops = assemble(s, n, _a_of_kind(kind, s))
+                est = index_estimate(ops)
+                dense, smallest = _dense_kernel_count(ops)
+                assert est.kernel_dim == dense, (str(s), n, kind, est, dense)
+                assert est.balanced
+                if est.kernel_dim == 0:
+                    # S^-1 is a block of A^-1, so sigma_min(S) >= sigma_min(A)
+                    assert est.smallest_forward >= (1 - 1e-9) * smallest, (str(s), n, kind, est, smallest)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, 2, 4), (3, 3, 3), (2, -2, 2)])
+def test_index_estimate_falls_back_to_dense_when_r1_is_singular(coeffs):
+    # det R1 = 0: for a = 0 every pivot of the chain is a multiple of R1, so
+    # the elimination raises and the dense SVD counts a kernel of dimension
+    # about n; a = -30t makes the chain invertible again
+    s = Stencil.from_coeffs(coeffs)
+    assert build_shift_matrix(s).det_r1 == 0
+    for n in (16, 64):
+        for kind in (None, "-30t"):
+            ops = assemble(s, n, _a_of_kind(kind, s))
+            dense = _dense_kernel_count(ops)[0]
+            assert index_estimate(ops).kernel_dim == dense, (coeffs, n, kind, dense)
+            assert (dense >= n - 1) if kind is None else dense == 0, (coeffs, n, kind, dense)
+
+
 def test_convergence_study_exact_reproduction_and_order():
     stencil = Stencil.from_coeffs((1, 0, 1))
     f0 = PiecewisePoly.constant(1, 0, 2)
@@ -283,6 +319,7 @@ def _a_of_kind(kind, s):
         None: None,
         "one": PiecewisePoly.constant(1, 0, s.N + 1),
         "t": PiecewisePoly.from_global((0, 1), (0, s.N + 1)),
+        "-30t": PiecewisePoly.from_global((0, -30), (0, s.N + 1)),
     }[kind]
 
 
@@ -466,3 +503,33 @@ def test_spectrum_check_fails_on_any_coupling_between_residues(monkeypatch):
     check = spectrum_check(Stencil.from_coeffs((1, 0, 1)), 8)
     assert not check.ok
     assert check.containment_distance == check.block_distance == np.inf
+
+
+def test_index_estimate_decomposes_nothing_larger_than_n(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    for coeffs in BLOCK_SOLVE_COEFFS:
+        s = Stencil.from_coeffs(coeffs)
+        for n in (4, 64, 256):
+            shapes.clear()
+            index_estimate(assemble(s, n))
+            assert shapes and max(max(shape) for shape in shapes) <= s.N, (coeffs, n, shapes)
+
+
+@pytest.mark.parametrize("coeffs", BLOCK_SOLVE_COEFFS)
+def test_solve_and_index_estimate_leave_padded_unchanged(coeffs):
+    # the elimination zeroes its copies of the end couplings, never padded itself
+    s = Stencil.from_coeffs(coeffs)
+    for n in (4, 7, 16):
+        ops = assemble(s, n, _a_of_kind("t", s))
+        before = ops.padded.tobytes()
+        solve_grid(ops, np.cos(np.arange(ops.size)))
+        assert ops.padded.tobytes() == before, (coeffs, n, "solve_grid")
+        index_estimate(ops)
+        assert ops.padded.tobytes() == before, (coeffs, n, "index_estimate")
