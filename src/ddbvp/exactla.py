@@ -12,10 +12,10 @@ division is exact and entries grow only as fast as those minors.
 
 Fractions are built only at the boundary: an RREF entry is the integer entry
 over the last pivot, and the determinant is the signed last pivot over the
-product of the row scales.  ``det`` and ``rank`` read the kernel directly;
-``rref`` and everything built on it (``nullspace``, ``left_nullspace``,
-``solve_affine``, ``solve_unique``, ``invert``, ``min_norm_solution``) read
-the RREF, which is canonical, so the results are those of any exact
+product of the row scales.  ``det``, ``rank`` and ``invert`` read the kernel
+directly; ``rref`` and everything built on it (``nullspace``,
+``left_nullspace``, ``solve_affine``, ``solve_unique``, ``min_norm_solution``)
+read the RREF.  The RREF is canonical, so the results are those of any exact
 Gauss-Jordan elimination, entry for entry.
 """
 
@@ -192,12 +192,15 @@ def solve_unique(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
 
 
 def invert(a: Sequence[Sequence[Fraction]]) -> Mat:
+    """Inverse by eliminating [a | I]: row i ends with the last pivot in column i,
+    and its right half over that pivot is row i of the inverse."""
     n = len(a)
-    aug = [list(row) + ident for row, ident in zip(a, identity(n))]
-    red, pivots = rref(aug)
+    rows, scales = _integer_rows(a)
+    m = [row + [scale * (i == j) for j in range(n)] for i, (row, scale) in enumerate(zip(rows, scales))]
+    pivots, _ = _eliminate(m)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
 
 
 def min_norm_solution(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> tuple[Vec, list[Vec]] | None:

@@ -133,7 +133,8 @@ def _pieces(value, where: str) -> PiecewisePoly:
         raise ProblemFileError(where, str(exc)) from None
 
 
-# Largest N of a problem file: analyze's exact (N+1) x (N+1) elimination takes seconds at 64.
+# Largest N of a problem file.  analyze's exact inversion of R1 takes about 0.10 s at N = 64
+# and 0.35 s at N = 96 (one core of a 2-core Xeon); the cap is not yet re-set from these figures.
 MAX_STENCIL_N = 64
 
 

@@ -29,10 +29,13 @@ conditions are built from:
 * the resulting codimension/index table.
 
 ``analyze`` derives all of this once per stencil: it checks the regime,
-finds the R2 row dependency and inverts R1 a single time, and returns a
-``StructureReport`` (carrying R1^-1) that every consumer reads instead of
-recomputing.  All of this is exact rational arithmetic.  Only ``spectrum``
-leaves the rationals, returning floating-point eigenvalues for diagnostics.
+inverts R1 a single time and reads the R2 row dependency (its last row), the
+admissible column (its last column) and the gamma1 expansions (combinations
+of its rows) off R1^-1; only the end-column dependency takes its own N x 2
+elimination.  It returns a ``StructureReport`` (carrying R1^-1) that every
+consumer reads instead of recomputing.  All of this is exact rational
+arithmetic.  Only ``spectrum`` leaves the rationals, returning floating-point
+eigenvalues for diagnostics.
 """
 
 from __future__ import annotations
@@ -235,58 +238,49 @@ def _require_supported(sm: ShiftMatrix, regime: RegimeReport) -> None:
     )
 
 
-def _interior_dependency(sm: ShiftMatrix) -> tuple[int, list[Fraction]]:
-    """The (unique up to scale) dependency among the rows of R2.
+def _gamma(sm: ShiftMatrix, inverse: exactla.Mat, m: int, gamma2: dict[int, Fraction], variant: str) -> GammaData:
+    """Node-relation coefficients of one variant, read off R1^-1.
 
-    Returns (m, c) with sum_i c_i * row_i(R2) = 0, c normalized so that its
-    first nonzero entry c_m equals 1.  In the supported regime the left null
-    space of R2 is exactly one-dimensional; anything else is an internal error.
-    """
-    basis = exactla.left_nullspace(sm.r2_lists())
-    if len(basis) != 1:
-        raise StructureError(
-            "left null space of R2 has dimension %d, expected 1; rank structure "
-            "of the supported regime violated" % len(basis)
-        )
-    c = basis[0]
-    m = next(i for i, x in enumerate(c, start=1) if x != 0)
-    scale = 1 / c[m - 1]
-    return m, [x * scale for x in c]
-
-
-def _gamma(sm: ShiftMatrix, m: int, c: list[Fraction], variant: str) -> GammaData:
-    """Node-relation coefficients of one variant from the R2 row dependency (m, c).
-
-    gamma2 is the dependency itself: row m of R2 equals
+    gamma2 is the R2 row dependency: row m of R2 equals
     sum_{i != m} gamma2[i] * row_i.  gamma1 expands one clipped edge row of
-    R1 in the other rows clipped the opposite way, skipping one row; those
-    rows are a basis exactly because det R1 != 0 while R2 is singular.
+    R1 in the other rows clipped the opposite way, skipping one row:
 
     * ``"right_edge"``: the last row without its last entry, in the rows
-      without their first entry, skipping row m+1;
+      without their first entry, skipping row p = m+1;
     * ``"left_edge"``: the first row without its first entry, in the rows
-      without their last entry, skipping row m.  Together with the unchanged
+      without their last entry, skipping row p = m.  Together with the unchanged
       interior relation this cuts out the same constraint space as the
       right-edge variant; the rank equality is exercised in the test suite.
+
+    Either way the rows of R1 but p, with one column q deleted, must reach a
+    target t on the other columns.  With P = R1^-1, every y with
+    (y R1)_k = t_k for k != q is y = sum_{k != q} t_k P[k] + tau P[q], and
+    tau = -y_p / P[q][p] sets y_p = 0.  The rows are a basis exactly when their
+    minor, the cofactor B[p][q] = det R1 * P[q][p], is nonzero.
     """
     n = sm.stencil.N
-    gamma2 = {i: -c[i - 1] for i in range(1, n + 1) if i != m}
     if variant == "right_edge":
-        row_cols, target_row, target_cols, skip = range(2, n + 2), n + 1, range(1, n + 1), m + 1
+        p, q, target = m + 1, 1, {k: sm.entry(n + 1, k - 1) for k in range(2, n + 2)}
     else:
-        row_cols, target_row, target_cols, skip = range(1, n + 1), 1, range(2, n + 2), m
-    indices = [i for i in range(1, n + 2) if i != skip]
-    system = exactla.transpose([[sm.entry(i, col) for col in row_cols] for i in indices])
-    target = [sm.entry(target_row, col) for col in target_cols]
-    try:
-        coeffs = exactla.solve_unique(system, target)
-    except ValueError as exc:
-        raise StructureError("%s relation rows failed to form a basis: %s" % (variant, exc)) from exc
-    return GammaData(N=n, m=m, gamma1=dict(zip(indices, coeffs)), gamma2=gamma2, variant=variant)
+        p, q, target = m, n + 1, {k: sm.entry(1, k + 1) for k in range(1, n + 1)}
+    pivot = inverse[q - 1][p - 1]
+    if pivot == 0:
+        raise StructureError("%s relation rows failed to form a basis" % variant)
+    terms = [(t, inverse[k - 1]) for k, t in target.items() if t]
+    y = [sum((t * row[i] for t, row in terms), Fraction(0)) for i in range(n + 1)]
+    tau = -y[p - 1] / pivot
+    gamma1 = {i: y[i - 1] + tau * inverse[q - 1][i - 1] for i in range(1, n + 2) if i != p}
+    return GammaData(N=n, m=m, gamma1=gamma1, gamma2=gamma2, variant=variant)
 
 
-def _end_columns(sm: ShiftMatrix, m: int) -> EndColumnData:
-    """Clipped end columns of R1 and, if dependent, their normalized relation."""
+def _end_columns(sm: ShiftMatrix, inverse: exactla.Mat) -> EndColumnData:
+    """Clipped end columns of R1 and, if dependent, their normalized relation.
+
+    l is read off the last column of R1^-1 without its last entry, the null
+    vector of R2 (R1^-1[N+1][N+1] = det R2 / det R1 = 0).  R2 without row m
+    has rank N-1 and shares it, and by Cramer's rule that block's minor
+    without column l is nonzero exactly where the null vector is.
+    """
     n = sm.stencil.N
     first = tuple(sm.entry(i, 1) for i in range(2, n + 2))
     last = tuple(sm.entry(i, n + 1) for i in range(1, n + 1))
@@ -300,18 +294,7 @@ def _end_columns(sm: ShiftMatrix, m: int) -> EndColumnData:
     alpha = null[0]
     lead = next(x for x in alpha if x != 0)
     alpha = tuple(x / lead for x in alpha)
-
-    # R2 without row m has rank N-1; by Cramer's rule its minor without
-    # column l is nonzero exactly where its one null vector is.  For N = 1
-    # the block has no rows and l = 1.
-    block = [list(row[:n]) for r, row in enumerate(sm.r1[:n]) if r != m - 1]
-    null = exactla.nullspace(block) if block else [[Fraction(1)]]
-    if len(null) != 1:
-        raise StructureError(
-            "R2 without row m has a null space of dimension %d, expected 1; no admissible "
-            "column index l; rank structure violated" % len(null)
-        )
-    l = next(j for j, x in enumerate(null[0], start=1) if x != 0)
+    l = next(i for i in range(1, n + 1) if inverse[i - 1][n] != 0)
     return EndColumnData(first_inner=first, last_inner=last, dependent=True, alpha=alpha, l=l)
 
 
@@ -384,20 +367,26 @@ class StructureReport:
 def analyze(stencil: Stencil) -> StructureReport:
     """Full structural analysis; raises UnsupportedRegimeError outside the regime.
 
-    This is the one place a stencil's structure is derived: the regime check,
-    the R2 row dependency and the inversion of R1 each happen once here, and
-    every consumer reads the returned report.
+    This is the one place a stencil's structure is derived: the regime check
+    and the inversion of R1 each happen once here, and every consumer reads
+    the returned report.  The last row of R1^-1 without its last entry is the
+    left null vector c of R2 (R1^-1[N+1][N+1] = det R2 / det R1 = 0); m is its
+    first nonzero index.
     """
     sm = build_shift_matrix(stencil)
     regime = classify_regime(sm)
     _require_supported(sm, regime)
-    m, c = _interior_dependency(sm)
+    inverse = exactla.invert(sm.r1_lists())
+    n = stencil.N
+    c = inverse[n][:n]
+    m = next(i for i, x in enumerate(c, start=1) if x != 0)
+    gamma2 = {i: -c[i - 1] / c[m - 1] for i in range(1, n + 1) if i != m}
     return StructureReport(
         stencil=stencil,
         matrix=sm,
         regime=regime,
-        gamma=_gamma(sm, m, c, "right_edge"),
-        alt_gamma=_gamma(sm, m, c, "left_edge"),
-        ends=_end_columns(sm, m),
-        r1_inverse=tuple(tuple(row) for row in exactla.invert(sm.r1_lists())),
+        gamma=_gamma(sm, inverse, m, gamma2, "right_edge"),
+        alt_gamma=_gamma(sm, inverse, m, gamma2, "left_edge"),
+        ends=_end_columns(sm, inverse),
+        r1_inverse=tuple(tuple(row) for row in inverse),
     )

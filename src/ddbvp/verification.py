@@ -42,7 +42,7 @@ from .piecewise import (
     two_point_hermite,
 )
 from .solver import BVPProblem, SolveStatus, boundary_matrix, kernel_certificate, solve_homogeneous
-from .structure import Regime, Stencil, StructureReport, analyze, build_shift_matrix, classify_regime
+from .structure import Regime, Stencil, StructureReport, UnsupportedRegimeError, analyze, build_shift_matrix, classify_regime
 
 DEFAULT_SEED = 20260816
 
@@ -85,10 +85,7 @@ def random_regime_stencils(
         if coeffs in seen:
             continue
         seen.add(coeffs)
-        try:
-            stencil = Stencil.from_coeffs(coeffs)
-        except ValueError:
-            continue
+        stencil = Stencil.from_coeffs(coeffs)
         if classify_regime(build_shift_matrix(stencil)).regime is Regime.SINGULAR_MINOR:
             found.append(stencil)
     return tuple(found)
@@ -308,13 +305,12 @@ def check_boundary_rank_cases(bound: int = 3) -> CheckResult:
     representatives: dict[int, Stencil] = {}
     counts = {0: 0, 1: 0, 2: 0}
     for coeffs in itertools.product(range(-bound, bound + 1), repeat=3):
+        stencil = Stencil.from_coeffs(coeffs)
         try:
-            stencil = Stencil.from_coeffs(coeffs)
-        except ValueError:
+            structure = analyze(stencil)
+        except UnsupportedRegimeError:
             continue
-        if classify_regime(build_shift_matrix(stencil)).regime is not Regime.SINGULAR_MINOR:
-            continue
-        rank = exactla.rank(boundary_matrix(analyze(stencil)))
+        rank = exactla.rank(boundary_matrix(structure))
         counts[rank] += 1
         representatives.setdefault(rank, stencil)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddbvp import cli, exactla, grid
@@ -342,6 +342,79 @@ def test_admissible_column_equals_the_minor_search(stencil):
     report = analyze(stencil)
     assert report.ends.dependent
     assert report.ends.l == _reference_admissible_column(stencil, report.gamma.m)
+
+
+def _assert_gamma_identities(report):
+    """The relations analyze reads off R1^-1 satisfy the systems they solve."""
+    sm = report.matrix
+    n = report.stencil.N
+    gamma = report.gamma
+    assert gamma.variant == "right_edge"
+    assert 1 <= gamma.m <= n
+
+    # interior: row m of R2 is the gamma2-combination of the other rows
+    r2 = sm.r2_lists()
+    for col in range(n):
+        combo = sum(gamma.gamma2[i] * r2[i - 1][col] for i in gamma.gamma2)
+        assert combo == r2[gamma.m - 1][col]
+
+    # edge: last row of R1 without its last entry expands in the rows
+    # with first entry removed, skipping row m+1
+    for col in range(1, n + 1):
+        combo = sum(gamma.gamma1[i] * sm.entry(i, col + 1) for i in gamma.gamma1)
+        assert combo == sm.entry(n + 1, col)
+    assert set(gamma.gamma1) == {i for i in range(1, n + 2) if i != gamma.m + 1}
+
+    # mirrored edge: first row without first entry, rows clipped at the end
+    alt = report.alt_gamma
+    assert alt.variant == "left_edge"
+    assert alt.m == gamma.m and alt.gamma2 == gamma.gamma2
+    for col in range(2, n + 2):
+        combo = sum(alt.gamma1[i] * sm.entry(i, col - 1) for i in alt.gamma1)
+        assert combo == sm.entry(1, col)
+    assert set(alt.gamma1) == {i for i in range(1, n + 2) if i != alt.m}
+
+    # m is the first nonzero index of the left null vector of R2, found by elimination
+    (c,) = exactla.left_nullspace(r2)
+    assert gamma.m == next(i for i, x in enumerate(c, start=1) if x)
+
+
+@SETTINGS
+@given(st.one_of(dependent_stencils(max_n=6), supported_stencils()))
+@example(Stencil.from_coeffs((1, 0, 1)))
+@example(Stencil.from_coeffs((0, 1, 1, 1, 2)))
+@example(Stencil.from_coeffs((1, 1, 2, 4, 4)))
+def test_gamma_relations_satisfy_their_defining_matrix_identities(stencil):
+    _assert_gamma_identities(analyze(stencil))
+
+
+def _wide_regime_stencil(n, dependent):
+    """b_0 = ... = b_{N-1} = 0 and b_{-1}, b_N != 0 put the stencil in the regime;
+    the end columns are dependent exactly when b_{-2} = ... = b_{-N} = 0."""
+    far_left = [0] * (n - 1) if dependent else [(-1) ** j * (j % 3 + 1) for j in range(n - 1)]
+    return Stencil.from_coeffs(far_left + [3] + [0] * n + [-2])
+
+
+@pytest.mark.parametrize("dependent", (False, True))
+@pytest.mark.parametrize("n", (8, 16, 32, 64))
+def test_gamma_relations_hold_on_wide_stencils(n, dependent):
+    report = analyze(_wide_regime_stencil(n, dependent))
+    assert report.ends.dependent is dependent
+    _assert_gamma_identities(report)
+    if dependent:
+        block = [row for r, row in enumerate(report.matrix.r2_lists()) if r != report.gamma.m - 1]
+        (z,) = exactla.nullspace(block)
+        assert report.ends.l == next(j for j, x in enumerate(z, start=1) if x)
+
+
+@pytest.mark.parametrize("dependent", (False, True))
+def test_analyze_runs_four_eliminations(monkeypatch, dependent):
+    # det R1, det R2, the inversion of R1 and the N x 2 end-column pair
+    kernel, calls = exactla._eliminate, []
+    monkeypatch.setattr(exactla, "_eliminate", lambda m: calls.append(len(m)) or kernel(m))
+    report = analyze(_wide_regime_stencil(8, dependent))
+    assert report.ends.dependent is dependent
+    assert calls == [9, 8, 9, 8]
 
 
 @SETTINGS

@@ -95,41 +95,6 @@ def test_named_stencils_are_in_the_supported_regime():
         assert report.matrix.det_r2 == 0
 
 
-def test_gamma_relations_satisfy_their_defining_matrix_identities():
-    pool = list(named_stencils()) + list(random_regime_stencils(count=8, seed=21))
-    for s in pool:
-        report = analyze(s)
-        sm = report.matrix
-        n = s.N
-        gamma = report.gamma
-        assert gamma.variant == "right_edge"
-        assert 1 <= gamma.m <= n
-
-        # interior: row m of R2 is the gamma2-combination of the other rows
-        r2 = sm.r2_lists()
-        for col in range(n):
-            combo = sum(gamma.gamma2[i] * r2[i - 1][col] for i in gamma.gamma2)
-            assert combo == r2[gamma.m - 1][col]
-
-        # edge: last row of R1 without its last entry expands in the rows
-        # with first entry removed, skipping row m+1
-        for col in range(1, n + 1):
-            combo = sum(
-                gamma.gamma1[i] * sm.entry(i, col + 1) for i in gamma.gamma1
-            )
-            assert combo == sm.entry(n + 1, col)
-        assert set(gamma.gamma1) == {i for i in range(1, n + 2) if i != gamma.m + 1}
-
-        # mirrored edge: first row without first entry, rows clipped at the end
-        alt = report.alt_gamma
-        assert alt.variant == "left_edge"
-        assert alt.m == gamma.m and alt.gamma2 == gamma.gamma2
-        for col in range(2, n + 2):
-            combo = sum(alt.gamma1[i] * sm.entry(i, col - 1) for i in alt.gamma1)
-            assert combo == sm.entry(1, col)
-        assert set(alt.gamma1) == {i for i in range(1, n + 2) if i != alt.m}
-
-
 def test_worked_stencil_structure_numbers():
     report = analyze(Stencil.from_coeffs((1, 0, 1)))
     assert report.gamma.m == 1
