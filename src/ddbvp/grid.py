@@ -10,17 +10,17 @@ interior points t_i = i/n with M = n(N+1), the Dirichlet zeros at t_0 and t_M
 eliminated.  The shift takes interior samples of v to (Rv) at all grid points
 0..M, and only then is the negative second difference taken back down to the
 interior; composing square interior matrices instead would impose (Rv)(0) =
-(Rv)(M) = 0, which the problem never asks for.  ``assemble`` writes that
-composition straight from the stencil and stores only the operator, as the
-M x M array ``padded`` whose row and column 0, for t_0, are zero;
-``operator`` is its view ``padded[1:, 1:]``.  So index i means t_i
-throughout, and i = kn + r is entry [k, r] of either axis pair of
-``padded.reshape(N + 1, n, N + 1, n)``: residue blocks are reads of it.
+(Rv)(M) = 0, which the problem never asks for.  Index i means t_i
+throughout, i = kn + r being slot k of residue r = i mod n.
 
-By residue r = i mod n the interior shift couples each residue to itself
-only, as n - 1 copies of R1 and, without its t_0 slot, one of R2.
-``spectrum_check`` tests that decoupling exactly and takes the grid spectrum
-from those blocks.  The operator couples residue r to r and r +- 1 (mod n).
+By residue the interior shift couples each residue to itself only, as n - 1
+copies of R1 and, without its t_0 slot, one of R2.  ``spectrum_check`` tests
+that decoupling exactly and takes the grid spectrum from those blocks.  The
+operator couples residue r to r and r +- 1 (mod n), and ``assemble`` writes
+just these blocks, straight from the stencil: [r, k, l] of ``diag``,
+``lower`` and ``upper`` couples t_{kn+r} to t_{ln+s}, s = r, r - 1, r + 1,
+and slot 0 of residue 0 (t_0) is a zero row and column of each.
+``operator`` scatters them into an M x M array on every read.
 ``solve_grid`` eliminates residues 1..n-1 first by odd-even (cyclic) block
 reduction (Golub & Van Loan, Matrix Computations, section 4.5) and solves
 residue 0 last through its N x N Schur complement: for a = 0 the chain is
@@ -44,7 +44,7 @@ import numpy as np
 from .piecewise import PiecewisePoly
 from .structure import Stencil, build_shift_matrix, spectrum
 
-MAX_GRID_UNKNOWNS = 4096  # largest n(N+1)-1 taken from input; one M x M matrix ~134 MB
+MAX_GRID_UNKNOWNS = 4096  # largest n(N+1)-1 from input; an M x M read of operator, fallback or shift ~134 MB
 SPECTRUM_TOLERANCE = 1e-8  # containment distance that ``SpectrumCheck.ok`` accepts
 INDEX_THRESHOLD = 1e-8  # singular values below this fraction of ||A||_1 count as zero
 ROUNDING_FLOOR = 1e-10  # max-node error below which a convergence study counts as exact reproduction
@@ -68,18 +68,24 @@ class GridOperator:
 
 @dataclass(frozen=True)
 class GridOperators:
-    """The assembled boundary value operator; the shift and second-difference matrices are built on first read."""
+    """The assembled operator as n x (N+1) x (N+1) residue blocks; every dense matrix is built on read."""
 
     stencil: Stencil
     n: int
     size: int
-    padded: np.ndarray
+    diag: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     a_samples: np.ndarray | None
 
     @property
     def operator(self) -> GridOperator:
-        """The size x size operator on the interior unknowns, a view of ``padded``."""
-        return GridOperator(self.padded[1:, 1:])
+        """The size x size interior operator, scattered from the blocks into a fresh array on every read."""
+        padded = np.zeros((self.size + 1, self.size + 1))
+        by_residue = padded.reshape(self.stencil.N + 1, self.n, self.stencil.N + 1, self.n).transpose(1, 3, 0, 2)
+        r = np.arange(self.n)
+        by_residue[r, r], by_residue[r, r - 1], by_residue[r, (r + 1) % self.n] = self.diag, self.lower, self.upper
+        return GridOperator(padded[1:, 1:])
 
     @property
     def points(self) -> list[Fraction]:
@@ -133,28 +139,31 @@ def _extended_shift(stencil: Stencil, n: int) -> np.ndarray:
 
 
 def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOperators:
-    """Assemble the grid operator at resolution n (n >= 4 per unit interval).
+    """Assemble the grid operator at resolution n (n >= 4 per unit interval) as residue blocks.
 
     Row i of -(second difference) applied to the extended shift is
-    (2 (Rv)_i - (Rv)_{i-1} - (Rv)_{i+1}) / h^2, so each shift j and neighbour
-    d in {-1, 0, 1} adds (weight_d b_j) / h^2 on the diagonal at offset
-    jn + d.  For n >= 3 no two of these diagonals meet, so every entry is one
-    rounded product, as in the composed form.
+    (2 (Rv)_i - (Rv)_{i-1} - (Rv)_{i+1}) / h^2: shift j and neighbour d in
+    {-1, 0, 1} put (w_d b_j) / h^2 at column i + jn + d, slot offset j of
+    residue r + d, or j + d where r + d wraps mod n.  No two of these meet, so
+    every entry is one rounded product, as in the composed form.
     """
     _check_resolution(n)
-    size = n * (stencil.N + 1) - 1
+    big = stencil.N
+    size = n * (big + 1) - 1
     inv_h2 = 1.0 / (1.0 / n) ** 2
-    padded = np.zeros((size + 1, size + 1))
-    interior = padded[1:, 1:]
-    for j in range(-stencil.N, stencil.N + 1):
-        b_j = float(stencil.b(j))
-        if b_j != 0.0:  # a zero b_j leaves its entries +0.0, as in the composed form
-            _diagonals(interior, ((j * n + d, (w * b_j) * inv_h2) for d, w in ((-1, -1.0), (0, 2.0), (1, -1.0))))
+    band = np.zeros(2 * big + 3)
+    band[1:-1] = [float(stencil.b(j)) for j in range(-big, big + 1)]
+    # rows 1 - o .. N + 1 - o of the reversed windows hold b_{l-k+o} at [k, l]; 0.0 - b, not -b, keeps zeros +0.0
+    centre, side = (np.lib.stride_tricks.sliding_window_view(x * inv_h2, big + 1)[::-1] for x in (2.0 * band, 0.0 - band))
+    diag, lower, upper = (np.repeat(x[None, 1:big + 2], n, axis=0) for x in (centre, side, side))
+    lower[0], upper[-1] = side[:big + 1], side[2:]
     a_samples = None
     if a is not None:
         a_samples = np.array(a.sample([Fraction(i, n) for i in range(1, size + 1)]))
-        interior[np.diag_indices(size)] += a_samples
-    return GridOperators(stencil=stencil, n=n, size=size, padded=padded, a_samples=a_samples)
+        diag.reshape(n, -1)[:, ::big + 2] += np.concatenate([[0.0], a_samples]).reshape(big + 1, n).T
+    diag[0, 0] = lower[0, 0] = upper[0, 0] = 0.0  # the row of t_0
+    diag[0, :, 0] = lower[1, :, 0] = upper[-1, :, 0] = 0.0  # its column, seen from residues 0, 1 and n - 1
+    return GridOperators(stencil=stencil, n=n, size=size, diag=diag, lower=lower, upper=upper, a_samples=a_samples)
 
 
 @dataclass(frozen=True)
@@ -174,11 +183,7 @@ class GridSolution:
 
 
 def _residue_blocks(padded: np.ndarray, n: int, big: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The blocks (r, r), (r, r - 1) and (r, r + 1) of ``padded`` by residue r = i mod n, neighbours taken mod n.
-
-    Entry [r, k, l] of block (r, s) is padded[kn + r, ln + s].  Slot k = 0 of
-    residue 0 is t_0, so its row and column are zero in every block.
-    """
+    """Blocks (r, s) = (r, r), (r, r - 1), (r, r + 1) mod n of M x M ``padded``: [r, k, l] is padded[kn + r, ln + s]."""
     by_residue = padded.reshape(big + 1, n, big + 1, n).transpose(1, 3, 0, 2)
     r = np.arange(n)
     return by_residue[r, r], by_residue[r, r - 1], by_residue[r, (r + 1) % n]
@@ -214,15 +219,13 @@ def _cyclic_reduction(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rh
     return x
 
 
-def _residue_eliminate(
-    padded: np.ndarray, n: int, big: int, rhs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+def _residue_eliminate(ops: GridOperators, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Eliminate residues 1..n-1 (the chain C) from A x = rhs; a singular pivot block raises ``LinAlgError``.
 
     Returns the N x N residue-0 Schur complement S = D0 - V C^-1 U, its right
     side, the chain solves [C^-1 rhs, C^-1 U] per residue, and ||A||_1.
     """
-    diag, lower, upper = _residue_blocks(padded, n, big)
+    diag, lower, upper = ops.diag, ops.lower, ops.upper
     col_sums = np.abs(diag).sum(axis=1)
     col_sums += np.roll(np.abs(upper).sum(axis=1), 1, axis=0)
     col_sums += np.roll(np.abs(lower).sum(axis=1), -1, axis=0)
@@ -230,11 +233,12 @@ def _residue_eliminate(
 
     # residues 1..n-1 form the chain; its couplings to residue 0 become extra right-hand sides
     q = rhs.shape[1]
-    b = np.concatenate([np.zeros((1, q)), rhs]).reshape(big + 1, n, q).transpose(1, 0, 2)
+    b = np.concatenate([np.zeros((1, q)), rhs]).reshape(ops.stencil.N + 1, ops.n, q).transpose(1, 0, 2)
     to_residue_0 = np.zeros_like(diag[1:])
     to_residue_0[0], to_residue_0[-1] = lower[1], upper[-1]
-    lower[1] = upper[-1] = 0.0  # the blocks are gathered copies, so ``padded`` keeps these entries
-    y = _cyclic_reduction(lower[1:], diag[1:], upper[1:], np.concatenate([b[1:], to_residue_0], axis=2))
+    chain_lower, chain_upper = lower[1:].copy(), upper[1:].copy()
+    chain_lower[0] = chain_upper[-1] = 0.0  # on copies, so the stored blocks keep these couplings
+    y = _cyclic_reduction(chain_lower, diag[1:], chain_upper, np.concatenate([b[1:], to_residue_0], axis=2))
 
     # slot 0 of residue 0 is t_0, a zero row and column of every block
     schur = diag[0] - upper[0] @ y[0, :, q:] - lower[0] @ y[-1, :, q:]
@@ -242,11 +246,11 @@ def _residue_eliminate(
     return schur[1:, 1:], g[1:], y, norm_1
 
 
-def _residue_solve(padded: np.ndarray, n: int, big: int, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """A^-1 rhs for the grid operator held in ``padded``, and ||A||_1: residue 0 solved last, then back-substituted."""
-    schur, g, y, norm_1 = _residue_eliminate(padded, n, big, rhs)
+def _residue_solve(ops: GridOperators, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+    """A^-1 rhs for the grid operator ``ops``, and ||A||_1: residue 0 solved last, then back-substituted."""
+    schur, g, y, norm_1 = _residue_eliminate(ops, rhs)
     q = rhs.shape[1]
-    x0 = np.zeros((big + 1, q))
+    x0 = np.zeros((ops.stencil.N + 1, q))
     x0[1:] = np.linalg.solve(schur, g)
     x = np.concatenate([x0[None], y[:, :, :q] - y[:, :, q:] @ x0])
     return x.transpose(1, 0, 2).reshape(-1, q)[1:], norm_1
@@ -264,7 +268,7 @@ def solve_grid(ops: GridOperators, f0_samples: np.ndarray) -> GridSolution:
     ramp = 1.0 + np.arange(ops.size) / (ops.size - 1)
     probes = np.column_stack([np.ones(ops.size), ramp, ramp * (-1.0) ** np.arange(ops.size)])
     try:
-        solved, norm_1 = _residue_solve(ops.padded, ops.n, ops.stencil.N, np.column_stack([rhs, probes]))
+        solved, norm_1 = _residue_solve(ops, np.column_stack([rhs, probes]))
         growth = np.abs(solved[:, 1:]).sum(axis=0) / np.abs(probes).sum(axis=0)
         condition = float(norm_1 * growth.max())
     except np.linalg.LinAlgError:
@@ -295,7 +299,7 @@ class SpectrumCheck:
 
 
 def _padded_shift(stencil: Stencil, n: int) -> np.ndarray:
-    """The interior shift in the layout of ``GridOperators.padded``: M x M, row and column 0 (t_0) zero."""
+    """The interior shift in the padded layout of ``GridOperators.operator``: M x M, row and column 0 (t_0) zero."""
     shift = _extended_shift(stencil, n)[:-1]
     shift[0] = 0.0
     return shift
@@ -351,11 +355,12 @@ def index_estimate(ops: GridOperators) -> IndexEstimate:
     assembly, not evidence that the continuous problem has index zero.
     """
     try:
-        schur, _, _, norm_1 = _residue_eliminate(ops.padded, ops.n, ops.stencil.N, np.empty((ops.size, 0)))
+        schur, _, _, norm_1 = _residue_eliminate(ops, np.empty((ops.size, 0)))
         singular = np.linalg.svd(schur, compute_uv=False)
     except np.linalg.LinAlgError:
-        norm_1 = float(np.linalg.norm(ops.operator.matrix, 1))
-        singular = np.linalg.svd(ops.operator.matrix, compute_uv=False)
+        matrix = ops.operator.matrix
+        norm_1 = float(np.linalg.norm(matrix, 1))
+        singular = np.linalg.svd(matrix, compute_uv=False)
     cut = INDEX_THRESHOLD * norm_1 if norm_1 > 0 else INDEX_THRESHOLD
     small = int((singular < cut).sum())
     return IndexEstimate(kernel_dim=small, cokernel_dim=small, threshold=cut, smallest_forward=float(singular.min()))

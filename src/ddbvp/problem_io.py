@@ -221,16 +221,12 @@ def load_problem(path: str) -> ParsedProblem:
         return parse_problem(handle.read())
 
 
-def _format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def _pieces_doc(f: PiecewisePoly) -> list:
     out = []
     for i, piece in enumerate(f.pieces):
         out.append({
-            "interval": [_format_rational(f.breaks[i]), _format_rational(f.breaks[i + 1])],
-            "coeffs": [_format_rational(c) for c in piece],
+            "interval": [str(f.breaks[i]), str(f.breaks[i + 1])],
+            "coeffs": [str(c) for c in piece],
             "basis": "local",
         })
     return out
@@ -242,14 +238,14 @@ def canonical_problem_text(parsed: ParsedProblem) -> str:
     problem = parsed.problem
     doc = {
         "N": stencil.N,
-        "b": [_format_rational(stencil.b(j)) for j in range(-stencil.N, stencil.N + 1)],
+        "b": [str(stencil.b(j)) for j in range(-stencil.N, stencil.N + 1)],
         "k": problem.k,
         "f0": _pieces_doc(problem.f0),
     }
     if problem.f1 != (Fraction(0),):
-        doc["f1"] = [_format_rational(c) for c in problem.f1]
+        doc["f1"] = [str(c) for c in problem.f1]
     if problem.f2 != (Fraction(0),):
-        doc["f2"] = [_format_rational(c) for c in problem.f2]
+        doc["f2"] = [str(c) for c in problem.f2]
     if parsed.oracle is not None:
         oracle = {}
         if parsed.oracle.n_values:

@@ -288,9 +288,7 @@ def _end_columns(sm: ShiftMatrix, inverse: exactla.Mat) -> EndColumnData:
     null = exactla.nullspace(pair)
     if not null:
         return EndColumnData(first_inner=first, last_inner=last, dependent=False, alpha=None, l=None)
-    if len(null) > 1:
-        # Both columns zero cannot happen when det R1 != 0, det R2 = 0.
-        raise StructureError("end columns are both zero; regime invariant violated")
+    # the nullity is 1: nullity 2 needs both columns zero, leaving b_0 alone, and det R2 = b_0^N = 0 forces det R1 = 0
     alpha = null[0]
     lead = next(x for x in alpha if x != 0)
     alpha = tuple(x / lead for x in alpha)

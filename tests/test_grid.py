@@ -13,7 +13,6 @@ import ddbvp
 from ddbvp import grid
 from ddbvp.grid import (
     SPECTRUM_TOLERANCE,
-    _residue_blocks,
     assemble,
     convergence_study,
     grid_samples,
@@ -368,12 +367,14 @@ def test_operator_matches_the_composed_form_bit_for_bit():
 
 
 def test_assembly_and_block_solve_memory():
-    # in units of one size x size float64 array: assembly keeps the operator
-    # alone, and a well-conditioned solve allocates O(size) beside it
+    # assembly keeps the three residue-block stacks alone (a = 0, so no
+    # a_samples), and a well-conditioned solve allocates, in units of one
+    # size x size float64 array, O(size) beside them
     s = Stencil.from_coeffs((1, 1, 2, 4, 4))
     n = 256
     size = n * (s.N + 1) - 1
     unit = size * size * 8
+    blocks = 3 * n * (s.N + 1) ** 2 * 8
     warm = assemble(s, 8)
     solve_grid(warm, np.ones(warm.size))
     rhs = np.linspace(-1.0, 2.0, size)
@@ -381,7 +382,7 @@ def test_assembly_and_block_solve_memory():
     try:
         ops = assemble(s, n)
         retained, peak = tracemalloc.get_traced_memory()
-        assert retained <= 1.05 * unit and peak <= 1.25 * unit, (retained / unit, peak / unit)
+        assert retained <= 1.05 * blocks and peak <= 1.25 * blocks, (retained / blocks, peak / blocks)
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         sol = solve_grid(ops, rhs)
@@ -394,17 +395,16 @@ def test_assembly_and_block_solve_memory():
 
 @pytest.mark.parametrize("coeffs", BLOCK_SOLVE_COEFFS)
 def test_operator_is_the_interior_view_of_the_padded_matrix(coeffs):
-    # row and column 0 of padded stand for t_0 and hold +0.0 exactly
+    # slot 0 of residue 0 stands for t_0, the row and column that operator
+    # drops from its padded scatter: +0.0 exactly in every block
     s = Stencil.from_coeffs(coeffs)
     for n in (4, 7):
         ops = assemble(s, n, _a_of_kind("t", s))
-        matrix = ops.operator.matrix
-        assert matrix.shape == (ops.size, ops.size)
-        assert ops.padded.shape == (ops.size + 1, ops.size + 1)
-        assert np.shares_memory(matrix, ops.padded)
-        assert np.array_equal(matrix, ops.padded[1:, 1:])
-        zeros = np.zeros(ops.size + 1).tobytes()
-        assert ops.padded[0].tobytes() == zeros and ops.padded[:, 0].tobytes() == zeros, (coeffs, n)
+        assert ops.operator.matrix.shape == (ops.size, ops.size)
+        rows = (ops.diag[0, 0], ops.lower[0, 0], ops.upper[0, 0])  # blocks (0, 0), (0, n - 1) and (0, 1)
+        cols = (ops.diag[0, :, 0], ops.lower[1, :, 0], ops.upper[-1, :, 0])  # blocks (0, 0), (1, 0) and (n - 1, 0)
+        zeros = np.zeros(s.N + 1).tobytes()
+        assert all(x.tobytes() == zeros for x in rows + cols), (coeffs, n)
 
 
 def _residue_blocks_by_index(a, n, big):
@@ -426,12 +426,16 @@ def _residue_blocks_by_index(a, n, big):
 @pytest.mark.parametrize("coeffs", BLOCK_SOLVE_COEFFS)
 @pytest.mark.parametrize("a_kind", [None, "t"])
 def test_residue_blocks_match_the_index_gather(coeffs, a_kind):
+    # against the row-by-row composed form, so every entry and the sign of every zero is checked
     s = Stencil.from_coeffs(coeffs)
     for n in (4, 5, 7, 16):
         ops = assemble(s, n, _a_of_kind(a_kind, s))
-        got = _residue_blocks(ops.padded, n, s.N)
-        expected = _residue_blocks_by_index(ops.operator.matrix, n, s.N)
-        for name, g, e in zip(("diagonal", "lower", "upper"), got, expected):
+        ext = _shift_extended_by_rows(s, n)
+        composed = (2.0 * ext[1:-1] - ext[:-2] - ext[2:]) * (1.0 / (1.0 / n) ** 2)
+        if ops.a_samples is not None:
+            composed += np.diag(ops.a_samples)
+        expected = _residue_blocks_by_index(composed, n, s.N)
+        for name, g, e in zip(("diagonal", "lower", "upper"), (ops.diag, ops.lower, ops.upper), expected):
             assert g.shape == e.shape == (n, s.N + 1, s.N + 1)
             assert g.tobytes() == e.tobytes(), (coeffs, a_kind, n, name)
 
@@ -524,12 +528,14 @@ def test_index_estimate_decomposes_nothing_larger_than_n(monkeypatch):
 
 @pytest.mark.parametrize("coeffs", BLOCK_SOLVE_COEFFS)
 def test_solve_and_index_estimate_leave_padded_unchanged(coeffs):
-    # the elimination zeroes its copies of the end couplings, never padded itself
+    # the elimination zeroes its copies of the end couplings, never the
+    # stored block stacks that operator scatters into its padded matrix
     s = Stencil.from_coeffs(coeffs)
     for n in (4, 7, 16):
         ops = assemble(s, n, _a_of_kind("t", s))
-        before = ops.padded.tobytes()
+        stacks = (ops.diag, ops.lower, ops.upper)
+        before = [x.tobytes() for x in stacks]
         solve_grid(ops, np.cos(np.arange(ops.size)))
-        assert ops.padded.tobytes() == before, (coeffs, n, "solve_grid")
+        assert [x.tobytes() for x in stacks] == before, (coeffs, n, "solve_grid")
         index_estimate(ops)
-        assert ops.padded.tobytes() == before, (coeffs, n, "index_estimate")
+        assert [x.tobytes() for x in stacks] == before, (coeffs, n, "index_estimate")

@@ -388,6 +388,15 @@ def test_gamma_relations_satisfy_their_defining_matrix_identities(stencil):
     _assert_gamma_identities(analyze(stencil))
 
 
+@SETTINGS
+@given(st.one_of(dependent_stencils(max_n=6), supported_stencils()))
+def test_end_column_pair_has_nullity_at_most_one(stencil):
+    # nullity 2 means both clipped end columns are zero: b_0 alone, so det R2 = b_0^N = 0 would force det R1 = 0
+    ends = analyze(stencil).ends
+    null = exactla.nullspace([[x, y] for x, y in zip(ends.first_inner, ends.last_inner)])
+    assert len(null) == (1 if ends.dependent else 0)
+
+
 def _wide_regime_stencil(n, dependent):
     """b_0 = ... = b_{N-1} = 0 and b_{-1}, b_N != 0 put the stencil in the regime;
     the end columns are dependent exactly when b_{-2} = ... = b_{-N} = 0."""
