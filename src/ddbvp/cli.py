@@ -11,7 +11,8 @@ Four commands on JSON problem files (format documented in ``problem_io``):
 * ``verify``   - the acceptance battery (fast or full).
 
 Exit codes: 0 success, 1 unreadable or invalid input (including data whose
-exact solve would exceed the polynomial degree cap), 2 stencil outside the
+exact solve would exceed the polynomial degree cap, and a stencil coefficient
+or a CSV sample outside the double range), 2 stencil outside the
 supported regime (including a failed exact rank assumption, ``StructureError``),
 3 infeasible problem (report still written), 4 verification failures.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -28,7 +30,7 @@ from .grid import grid_resolution_error, spectrum_check
 from .piecewise import DegreeCapError
 from .problem_io import ParsedProblem, ProblemFileError, load_problem, solution_csv_lines, solve_report
 from .solver import SolveStatus, boundary_matrix, solve_nonhomogeneous
-from .structure import StructureError, UnsupportedRegimeError, analyze, build_shift_matrix, spectrum
+from .structure import StructureError, UnsupportedRegimeError, spectrum
 from . import exactla
 
 EXIT_OK = 0
@@ -74,20 +76,15 @@ def cmd_analyze(args, out) -> int:
 
 
 def _analyze_report(parsed: ParsedProblem, out) -> int:
+    stencil = parsed.stencil
     try:
-        report = analyze(parsed.stencil)
+        report = stencil.structure
     except UnsupportedRegimeError as exc:
-        report = exc  # it carries the shift matrix and the regime, as a report does
-    _print_stencil(parsed, out)
-    print("shift matrix R1:", file=out)
-    for row in report.matrix.r1:
-        print("  [%s]" % ", ".join(str(x) for x in row), file=out)
-    print("det R1 = %s" % report.regime.det_r1, file=out)
-    print("det R2 = %s" % report.regime.det_r2, file=out)
-    print("regime: %s" % report.regime.regime.value, file=out)
-    if isinstance(report, UnsupportedRegimeError):
-        print("unsupported: %s" % report, file=out)
+        _print_regime(parsed, out)
+        print("unsupported: %s" % exc, file=out)
         return EXIT_REGIME
+    eigs = spectrum(stencil)  # a coefficient outside the double range stops here, before the first line
+    _print_regime(parsed, out)
 
     gamma = report.gamma
     print("anchor node m = %d" % gamma.m, file=out)
@@ -106,7 +103,7 @@ def _analyze_report(parsed: ParsedProblem, out) -> int:
         print("end columns dependent: no", file=out)
 
     print("spectrum of R1:", file=out)
-    for eig in spectrum(report.matrix):
+    for eig in eigs:
         print("  %s" % _fmt_complex(eig), file=out)
 
     k = parsed.problem.k
@@ -119,6 +116,17 @@ def _analyze_report(parsed: ParsedProblem, out) -> int:
     print("  index, minimal-domain problem: %d" % table.index_minimal, file=out)
     print("boundary matrix rank: %d" % exactla.rank(boundary_matrix(report)), file=out)
     return EXIT_OK
+
+
+def _print_regime(parsed: ParsedProblem, out) -> None:
+    stencil = parsed.stencil
+    _print_stencil(parsed, out)
+    print("shift matrix R1:", file=out)
+    for row in stencil.r1:
+        print("  [%s]" % ", ".join(str(x) for x in row), file=out)
+    print("det R1 = %s" % stencil.det_r1, file=out)
+    print("det R2 = %s" % stencil.det_r2, file=out)
+    print("regime: %s" % stencil.regime.value, file=out)
 
 
 def _gamma_text(coeffs: dict) -> str:
@@ -155,10 +163,14 @@ def _solve_and_write(args, parsed: ParsedProblem, step: Fraction, out) -> int:
     report = solve_report(parsed, family)  # built before any file is opened
     report_path = args.out + "-report"
     csv_path = args.out + "-solution.csv"
+    try:
+        with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(solution_csv_lines(family, parsed.problem.f0, step))
+    except OverflowError:
+        os.remove(csv_path)
+        raise OverflowError("a sample of v, dv, w or f0 lies outside the double range; no CSV or report written") from None
     with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(report)
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(solution_csv_lines(family, parsed.problem.f0, step))
     print("status: %s" % family.status.value, file=out)
     print("wrote %s and %s" % (report_path, csv_path), file=out)
     if family.status is SolveStatus.INFEASIBLE:
@@ -175,10 +187,10 @@ def cmd_spectrum(args, out) -> int:
         if error:
             print("error: --grid %d: %s" % (n, error), file=sys.stderr)
             return EXIT_PARSE
-    sm = build_shift_matrix(parsed.stencil)
+    eigs = spectrum(parsed.stencil)  # a coefficient outside the double range stops here, before the first line
     _print_stencil(parsed, out)
     print("spectrum of R1:", file=out)
-    for eig in spectrum(sm):
+    for eig in eigs:
         print("  %s" % _fmt_complex(eig), file=out)
 
     resolutions = tuple(args.grid or ())
@@ -243,7 +255,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (ProblemFileError, OSError, DegreeCapError) as exc:
+    except (ProblemFileError, OSError, DegreeCapError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except StructureError as exc:

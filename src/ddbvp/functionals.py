@@ -49,10 +49,6 @@ class NodeFunctional:
     terms: tuple[tuple[Fraction, int, Fraction], ...]  # (node, order, weight)
     label: str
 
-    @property
-    def max_order(self) -> int:
-        return max((mu for _, mu, _ in self.terms), default=0)
-
     def evaluate(self, f: PiecewisePoly) -> Fraction:
         """Apply to a piecewise polynomial, using one-sided limits.
 
@@ -166,14 +162,14 @@ def image_functionals(structure: StructureReport, k: int) -> list[NodeFunctional
     n = structure.stencil.N
     l = structure.ends.l
     assert l is not None
-    b_last_l = cofactor(structure, n + 1, l)
+    b_last_l = cofactor(structure.stencil, n + 1, l)
     if b_last_l == 0:
         # The admissible column index guarantees this cofactor is nonzero;
         # hitting zero means the end-column data is inconsistent.
         raise ValueError("cofactor B[N+1][l] vanished for l = %d; end-column data inconsistent" % l)
-    weights = [(Fraction(0), cofactor(structure, 1, l + 1))]
+    weights = [(Fraction(0), cofactor(structure.stencil, 1, l + 1))]
     for i in range(1, n + 1):
-        weights.append((Fraction(i), cofactor(structure, i + 1, l + 1) - cofactor(structure, i, l)))
+        weights.append((Fraction(i), cofactor(structure.stencil, i + 1, l + 1) - cofactor(structure.stencil, i, l)))
     weights.append((Fraction(n + 1), -b_last_l))
     weights = [(node, w) for node, w in weights if w != 0]
     out = membership_functionals(structure.gamma, 1)

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .piecewise import PiecewisePoly
-from .structure import Stencil, build_shift_matrix, spectrum
+from .structure import Stencil, spectrum
 
 MAX_GRID_UNKNOWNS = 4096  # largest n(N+1)-1 from input; an M x M read of operator, fallback or shift ~134 MB
 SPECTRUM_TOLERANCE = 1e-8  # containment distance that ``SpectrumCheck.ok`` accepts
@@ -306,9 +306,8 @@ def _padded_shift(stencil: Stencil, n: int) -> np.ndarray:
 
 
 def spectrum_check(stencil: Stencil, n: int) -> SpectrumCheck:
-    sm = build_shift_matrix(stencil)
-    exact_r1 = spectrum(sm)
-    exact_r2 = np.linalg.eigvals(np.array([[float(x) for x in row] for row in sm.r2_lists()], dtype=float))
+    exact_r1 = spectrum(stencil)
+    exact_r2 = np.linalg.eigvals(np.array([row[:stencil.N] for row in stencil.r1[:stencil.N]], dtype=float))
     shift = _padded_shift(stencil, n)
     blocks = _residue_blocks(shift, n, stencil.N)[0]
     if np.count_nonzero(blocks) != np.count_nonzero(shift):  # a nonzero entry couples two residues

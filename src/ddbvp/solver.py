@@ -24,9 +24,9 @@ degree 2k+3).  The reduced problem for w = y - psi has zero extension data and
 right-hand side f0 + (R psi)''.
 
 There is one solve path, ``solve_nonhomogeneous``; ``solve_homogeneous`` is
-its zero-extension-data case.  A problem analyzes its stencil once and keeps
-the ``StructureReport`` (``BVPProblem.structure``); the solve and the index
-report read the node relations, end columns and R1^-1 from it.
+its zero-extension-data case.  The solve and the index report read the node
+relations, end columns and R1^-1 from the stencil's ``StructureReport``
+(``Stencil.structure``), which is derived once per stencil object.
 
 Beyond the solve itself the module certifies the structure theory on the
 instance: triviality of the kernel of the order-k operator, the codimension
@@ -55,7 +55,7 @@ from .piecewise import (
     smoothness_defects,
     two_point_hermite,
 )
-from .structure import IndexTable, Stencil, StructureReport, analyze
+from .structure import IndexTable, Stencil, StructureReport
 
 
 class SolveStatus(Enum):
@@ -94,14 +94,9 @@ class BVPProblem:
         return self.f1 == (Fraction(0),) and self.f2 == (Fraction(0),)
 
     @cached_property
-    def structure(self) -> StructureReport:
-        """The stencil's analysis, computed on first use and kept."""
-        return analyze(self.stencil)
-
-    @cached_property
     def constraints(self) -> tuple[DataConstraints, DataConstraints]:
         """The zero-trace and minimal-domain constraint stacks of order k, built on first use and kept."""
-        return solvability_constraints(self.structure, self.k)
+        return solvability_constraints(self.stencil.structure, self.k)
 
 
 @dataclass(frozen=True)
@@ -263,7 +258,7 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     so its values are the right-hand side followed by the values of its other
     members, and they feed both the refined d and the zero-trace residuals.
     """
-    structure = problem.structure
+    structure = problem.stencil.structure
     n = problem.stencil.N
     k = problem.k
     psi = hermite_extension(problem.stencil, k, problem.f1, problem.f2)
@@ -414,7 +409,7 @@ class IndexReport:
 
 
 def index_report(problem: BVPProblem) -> IndexReport:
-    structure = problem.structure
+    structure = problem.stencil.structure
     k = problem.k
     table = structure.index_table(k)
     zero_trace, minimal = problem.constraints

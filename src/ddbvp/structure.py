@@ -32,10 +32,12 @@ conditions are built from:
 inverts R1 a single time and reads the R2 row dependency (its last row), the
 admissible column (its last column) and the gamma1 expansions (combinations
 of its rows) off R1^-1; only the end-column dependency takes its own N x 2
-elimination.  It returns a ``StructureReport`` (carrying R1^-1) that every
-consumer reads instead of recomputing.  All of this is exact rational
-arithmetic.  Only ``spectrum`` leaves the rationals, returning floating-point
-eigenvalues for diagnostics.
+elimination.  A ``Stencil`` carries R1, its two determinants, its regime and
+its ``structure`` (the ``StructureReport`` of ``analyze``, carrying R1^-1),
+each computed on first use, and every consumer reads them from the stencil
+instead of recomputing.  All of this is exact rational arithmetic.  Only
+``spectrum`` leaves the rationals, returning floating-point eigenvalues for
+diagnostics.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -57,13 +60,8 @@ class UnsupportedRegimeError(ValueError):
     functional differential equations (Skubachevskii, "Elliptic Functional
     Differential Equations and Applications", Birkhauser 1997); a singular R1
     breaks invertibility of the difference operator altogether.  Neither is
-    handled here.  The error carries the ``matrix`` and ``regime`` it was decided on.
+    handled here.
     """
-
-    def __init__(self, message: str, matrix: "ShiftMatrix", regime: "RegimeReport"):
-        super().__init__(message)
-        self.matrix = matrix
-        self.regime = regime
 
 
 class StructureError(RuntimeError):
@@ -72,7 +70,12 @@ class StructureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Stencil:
-    """Integer-shift stencil b_{-N}, ..., b_N with rational entries."""
+    """Integer-shift stencil b_{-N}, ..., b_N with rational entries.
+
+    A stencil carries what is derived from it: R1, its two determinants and
+    its ``structure``, each computed on first use and kept as long as the
+    stencil object lives.
+    """
 
     N: int
     coeffs: tuple[Fraction, ...]
@@ -93,30 +96,33 @@ class Stencil:
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
 
+    @cached_property
+    def r1(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Toeplitz matrix R1[i][k] = b_{k-i} of the vectorized operator."""
+        n = self.N
+        return tuple(tuple(self.b(k - i) for k in range(1, n + 2)) for i in range(1, n + 2))
 
-@dataclass(frozen=True)
-class ShiftMatrix:
-    """The Toeplitz matrix R1 of the vectorized operator, with cached minors."""
+    @cached_property
+    def det_r1(self) -> Fraction:
+        return exactla.det([list(row) for row in self.r1])
 
-    stencil: Stencil
-    r1: tuple[tuple[Fraction, ...], ...]
-    det_r1: Fraction
-    det_r2: Fraction
+    @cached_property
+    def det_r2(self) -> Fraction:
+        """det of R2, the leading principal N x N minor of R1."""
+        n = self.N
+        return exactla.det([list(row[:n]) for row in self.r1[:n]])
 
     @property
-    def size(self) -> int:
-        return self.stencil.N + 1
+    def regime(self) -> Regime:
+        """Classification by the two determinants; det R2 is read only when det R1 != 0."""
+        if self.det_r1 == 0:
+            return Regime.SINGULAR_FULL
+        return Regime.SINGULAR_MINOR if self.det_r2 == 0 else Regime.NONSINGULAR_BOTH
 
-    def r1_lists(self) -> exactla.Mat:
-        return [list(row) for row in self.r1]
-
-    def r2_lists(self) -> exactla.Mat:
-        n = self.stencil.N
-        return [list(row[:n]) for row in self.r1[:n]]
-
-    def entry(self, i: int, k: int) -> Fraction:
-        """1-based entry R1[i][k] = b_{k-i}."""
-        return self.r1[i - 1][k - 1]
+    @cached_property
+    def structure(self) -> StructureReport:
+        """``analyze(self)``, computed on first use; raises UnsupportedRegimeError outside the regime."""
+        return analyze(self)
 
 
 class Regime(Enum):
@@ -125,17 +131,6 @@ class Regime(Enum):
     SINGULAR_MINOR = "singular minor"        # det R1 != 0, det R2 == 0: handled here
     NONSINGULAR_BOTH = "nonsingular both"    # classical smooth theory applies
     SINGULAR_FULL = "singular full matrix"   # det R1 == 0: operator not invertible
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    regime: Regime
-    det_r1: Fraction
-    det_r2: Fraction
-
-    @property
-    def supported(self) -> bool:
-        return self.regime is Regime.SINGULAR_MINOR
 
 
 @dataclass(frozen=True)
@@ -203,42 +198,24 @@ class IndexTable:
     index_minimal: int
 
 
-def build_shift_matrix(stencil: Stencil) -> ShiftMatrix:
-    """Assemble R1[i][k] = b_{k-i} and its two determinants."""
-    n = stencil.N
-    r1 = tuple(tuple(stencil.b(k - i) for k in range(1, n + 2)) for i in range(1, n + 2))
-    det_r1 = exactla.det([list(row) for row in r1])
-    det_r2 = exactla.det([list(row[:n]) for row in r1[:n]])
-    return ShiftMatrix(stencil=stencil, r1=r1, det_r1=det_r1, det_r2=det_r2)
-
-
-def classify_regime(sm: ShiftMatrix) -> RegimeReport:
-    if sm.det_r1 == 0:
-        regime = Regime.SINGULAR_FULL
-    elif sm.det_r2 == 0:
-        regime = Regime.SINGULAR_MINOR
-    else:
-        regime = Regime.NONSINGULAR_BOTH
-    return RegimeReport(regime=regime, det_r1=sm.det_r1, det_r2=sm.det_r2)
-
-
-def _require_supported(sm: ShiftMatrix, regime: RegimeReport) -> None:
-    if regime.supported:
+def _require_supported(stencil: Stencil) -> None:
+    regime = stencil.regime
+    if regime is Regime.SINGULAR_MINOR:
         return
-    if regime.regime is Regime.NONSINGULAR_BOTH:
+    if regime is Regime.NONSINGULAR_BOTH:
         raise UnsupportedRegimeError(
             "det R1 = %s and det R2 = %s: both minors nonsingular, so the operator "
             "preserves smoothness and the classical theory applies (see Skubachevskii, "
             "Elliptic Functional Differential Equations and Applications); this package "
-            "only handles the singular-minor regime" % (regime.det_r1, regime.det_r2), sm, regime,
+            "only handles the singular-minor regime" % (stencil.det_r1, stencil.det_r2)
         )
     raise UnsupportedRegimeError(
         "det R1 = 0: the vectorized difference operator is not invertible on the "
-        "interval and none of the structure theory here applies", sm, regime,
+        "interval and none of the structure theory here applies"
     )
 
 
-def _gamma(sm: ShiftMatrix, inverse: exactla.Mat, m: int, gamma2: dict[int, Fraction], variant: str) -> GammaData:
+def _gamma(stencil: Stencil, inverse: exactla.Mat, m: int, gamma2: dict[int, Fraction], variant: str) -> GammaData:
     """Node-relation coefficients of one variant, read off R1^-1.
 
     gamma2 is the R2 row dependency: row m of R2 equals
@@ -258,11 +235,11 @@ def _gamma(sm: ShiftMatrix, inverse: exactla.Mat, m: int, gamma2: dict[int, Frac
     tau = -y_p / P[q][p] sets y_p = 0.  The rows are a basis exactly when their
     minor, the cofactor B[p][q] = det R1 * P[q][p], is nonzero.
     """
-    n = sm.stencil.N
+    n = stencil.N
     if variant == "right_edge":
-        p, q, target = m + 1, 1, {k: sm.entry(n + 1, k - 1) for k in range(2, n + 2)}
+        p, q, target = m + 1, 1, {k: stencil.b(k - n - 2) for k in range(2, n + 2)}
     else:
-        p, q, target = m, n + 1, {k: sm.entry(1, k + 1) for k in range(1, n + 1)}
+        p, q, target = m, n + 1, {k: stencil.b(k) for k in range(1, n + 1)}
     pivot = inverse[q - 1][p - 1]
     if pivot == 0:
         raise StructureError("%s relation rows failed to form a basis" % variant)
@@ -273,7 +250,7 @@ def _gamma(sm: ShiftMatrix, inverse: exactla.Mat, m: int, gamma2: dict[int, Frac
     return GammaData(N=n, m=m, gamma1=gamma1, gamma2=gamma2, variant=variant)
 
 
-def _end_columns(sm: ShiftMatrix, inverse: exactla.Mat) -> EndColumnData:
+def _end_columns(stencil: Stencil, inverse: exactla.Mat) -> EndColumnData:
     """Clipped end columns of R1 and, if dependent, their normalized relation.
 
     l is read off the last column of R1^-1 without its last entry, the null
@@ -281,9 +258,9 @@ def _end_columns(sm: ShiftMatrix, inverse: exactla.Mat) -> EndColumnData:
     has rank N-1 and shares it, and by Cramer's rule that block's minor
     without column l is nonzero exactly where the null vector is.
     """
-    n = sm.stencil.N
-    first = tuple(sm.entry(i, 1) for i in range(2, n + 2))
-    last = tuple(sm.entry(i, n + 1) for i in range(1, n + 1))
+    n = stencil.N
+    first = tuple(stencil.b(1 - i) for i in range(2, n + 2))
+    last = tuple(stencil.b(n + 1 - i) for i in range(1, n + 1))
     pair = [[first[i], last[i]] for i in range(n)]
     null = exactla.nullspace(pair)
     if not null:
@@ -296,26 +273,30 @@ def _end_columns(sm: ShiftMatrix, inverse: exactla.Mat) -> EndColumnData:
     return EndColumnData(first_inner=first, last_inner=last, dependent=True, alpha=alpha, l=l)
 
 
-def cofactor(report: StructureReport, i: int, k: int) -> Fraction:
+def cofactor(stencil: Stencil, i: int, k: int) -> Fraction:
     """Signed cofactor B[i][k] of the 1-based (i, k) entry of R1.
 
     Read off the adjugate: adj R1 = det R1 * R1^-1 and B[i][k] = adj R1[k][i].
     """
-    size = report.matrix.size
-    if not (1 <= i <= size and 1 <= k <= size):
+    if not (1 <= i <= stencil.N + 1 and 1 <= k <= stencil.N + 1):
         raise ValueError("cofactor indices out of range")
-    return report.matrix.det_r1 * report.r1_inverse[k - 1][i - 1]
+    return stencil.det_r1 * stencil.structure.r1_inverse[k - 1][i - 1]
 
 
-def spectrum(sm: ShiftMatrix) -> np.ndarray:
+def spectrum(stencil: Stencil) -> np.ndarray:
     """Eigenvalues of R1 in double precision, sorted by (real, imag).
 
     The spectrum of the difference operator on L2(0, N+1) is exactly the
     spectrum of R1, so this doubles as a diagnostic for the discrete operator
-    built in :mod:`ddbvp.grid`.
+    built in :mod:`ddbvp.grid`.  A coefficient outside the double range
+    raises OverflowError naming it.
     """
-    dense = np.array([[float(x) for x in row] for row in sm.r1], dtype=float)
-    eigs = np.linalg.eigvals(dense)
+    for j, c in enumerate(stencil.coeffs, start=-stencil.N):
+        try:
+            float(c)
+        except OverflowError:
+            raise OverflowError("stencil coefficient b_%d lies outside the double range" % j) from None
+    eigs = np.linalg.eigvals(np.array(stencil.r1, dtype=float))
     order = np.lexsort((eigs.imag, eigs.real))
     return eigs[order]
 
@@ -351,8 +332,6 @@ class StructureReport:
     """
 
     stencil: Stencil
-    matrix: ShiftMatrix
-    regime: RegimeReport
     gamma: GammaData
     alt_gamma: GammaData
     ends: EndColumnData
@@ -365,26 +344,22 @@ class StructureReport:
 def analyze(stencil: Stencil) -> StructureReport:
     """Full structural analysis; raises UnsupportedRegimeError outside the regime.
 
-    This is the one place a stencil's structure is derived: the regime check
-    and the inversion of R1 each happen once here, and every consumer reads
-    the returned report.  The last row of R1^-1 without its last entry is the
-    left null vector c of R2 (R1^-1[N+1][N+1] = det R2 / det R1 = 0); m is its
-    first nonzero index.
+    This is the one place a stencil's structure is derived, and
+    ``Stencil.structure`` keeps its result: the inversion of R1 happens once
+    here, and every consumer reads the stencil's report.  The last row of
+    R1^-1 without its last entry is the left null vector c of R2
+    (R1^-1[N+1][N+1] = det R2 / det R1 = 0); m is its first nonzero index.
     """
-    sm = build_shift_matrix(stencil)
-    regime = classify_regime(sm)
-    _require_supported(sm, regime)
-    inverse = exactla.invert(sm.r1_lists())
+    _require_supported(stencil)
+    inverse = exactla.invert([list(row) for row in stencil.r1])
     n = stencil.N
     c = inverse[n][:n]
     m = next(i for i, x in enumerate(c, start=1) if x != 0)
     gamma2 = {i: -c[i - 1] / c[m - 1] for i in range(1, n + 1) if i != m}
     return StructureReport(
         stencil=stencil,
-        matrix=sm,
-        regime=regime,
-        gamma=_gamma(sm, inverse, m, gamma2, "right_edge"),
-        alt_gamma=_gamma(sm, inverse, m, gamma2, "left_edge"),
-        ends=_end_columns(sm, inverse),
+        gamma=_gamma(stencil, inverse, m, gamma2, "right_edge"),
+        alt_gamma=_gamma(stencil, inverse, m, gamma2, "left_edge"),
+        ends=_end_columns(stencil, inverse),
         r1_inverse=tuple(tuple(row) for row in inverse),
     )

@@ -13,8 +13,8 @@ The random function constructors double as reusable test utilities:
   two-point Hermite interpolation plus x^k(1-x)^k bumps;
 * ``random_order_k_function``: same gluing with free endpoint jets (order-k
   smoothness only);
-* ``random_image_member``: a random order-k function corrected by a global
-  polynomial so that all image membership conditions vanish exactly.
+* ``random_image_member``: a random order-k function corrected at two node
+  jets so that all image membership conditions vanish exactly.
 """
 
 from __future__ import annotations
@@ -42,9 +42,16 @@ from .piecewise import (
     two_point_hermite,
 )
 from .solver import BVPProblem, SolveStatus, boundary_matrix, kernel_certificate, solve_homogeneous
-from .structure import Regime, Stencil, StructureReport, UnsupportedRegimeError, analyze, build_shift_matrix, classify_regime
+from .structure import Regime, Stencil, StructureReport, UnsupportedRegimeError
 
 DEFAULT_SEED = 20260816
+MAX_TRIES = 50000  # draws ``random_regime_stencils`` makes before it gives up
+CODIMENSION_ORDERS = (0, 1, 2)  # criterion 2
+CONSTRAINT_ORDERS = (0, 1)  # criterion 3
+BOX_BOUND = 3  # criterion 6 scans the N = 1 box |b_j| <= BOX_BOUND
+SPECTRUM_RESOLUTIONS = (8, 16)  # criterion 7
+INDEX_RESOLUTION = 64  # criterion 9
+EQUIVALENCE_ORDERS = (1, 2)  # criterion 10
 
 NAMED_COEFFS = ((1, 0, 1), (0, 1, 1, 1, 2), (1, 1, 2, 4, 4))
 
@@ -66,19 +73,18 @@ def random_regime_stencils(
     max_shift: int = 3,
     bound: int = 3,
     seed: int = DEFAULT_SEED,
-    max_tries: int = 50000,
 ) -> tuple[Stencil, ...]:
     """Fixed-seed rejection sampling for supported-regime stencils.
 
     Draws integer stencils with N <= max_shift and |b_j| <= bound and keeps
     those with det R1 != 0, det R2 = 0.  Returns fewer than ``count`` only
-    when the box is too small (e.g. bound = 0), which callers must report.
+    when the box is too small (e.g. bound = 0).
     """
     rng = random.Random(seed)
     found: list[Stencil] = []
     seen: set[tuple[int, ...]] = set()
     tries = 0
-    while len(found) < count and tries < max_tries:
+    while len(found) < count and tries < MAX_TRIES:
         tries += 1
         n = rng.randint(1, max_shift)
         coeffs = tuple(rng.randint(-bound, bound) for _ in range(2 * n + 1))
@@ -86,7 +92,7 @@ def random_regime_stencils(
             continue
         seen.add(coeffs)
         stencil = Stencil.from_coeffs(coeffs)
-        if classify_regime(build_shift_matrix(stencil)).regime is Regime.SINGULAR_MINOR:
+        if stencil.regime is Regime.SINGULAR_MINOR:
             found.append(stencil)
     return tuple(found)
 
@@ -138,38 +144,34 @@ def random_order_k_function(interval_count: int, k: int, rng: random.Random) -> 
 def random_image_member(structure: StructureReport, k: int, rng: random.Random) -> PiecewisePoly:
     """Random order-k function satisfying all image membership conditions.
 
-    Takes a random order-k function and subtracts the global polynomial that
-    matches its values under the membership functionals; since the
-    functionals have full rank on polynomials, the correction always exists.
+    Takes a random order-k function w0 and subtracts a Hermite-glued
+    correction.  In the right-edge relations the atoms w^(mu)(N+1) and
+    w^(mu)(m) each appear in exactly one functional, with weight 1, so the
+    correction's node jets are zero except there, where they equal the edge
+    and interior relation values on w0.  Every other node jet of w0 survives,
+    so the result is in general not in the zero-trace class.
     """
-    stencil = structure.stencil
-    w0 = random_order_k_function(stencil.N + 1, k, rng)
-    fns = membership_functionals(structure.gamma, k)
-    if not fns:
-        return w0
-    degree = len(fns) + max(fn.max_order for fn in fns) + 2
-    rows = [[fn.on_monomial(d) for d in range(degree)] for fn in fns]
-    rhs = [fn.evaluate(w0) for fn in fns]
-    solution = exactla.min_norm_solution(rows, rhs)
-    if solution is None:
-        raise RuntimeError("membership functionals lost rank on the polynomial probe")
-    correction = PiecewisePoly.from_global(solution[0], (0, stencil.N + 1))
-    return w0 - correction
+    n = structure.stencil.N
+    w0 = random_order_k_function(n + 1, k, rng)
+    fns = membership_functionals(structure.gamma, k)  # edge[mu], interior[mu] for mu < k
+    jets = [[Fraction(0)] * k for _ in range(n + 2)]
+    for mu in range(k):
+        jets[n + 1][mu] = fns[2 * mu].evaluate(w0)
+        jets[structure.gamma.m][mu] = fns[2 * mu + 1].evaluate(w0)
+    pieces = [two_point_hermite(jets[i], jets[i + 1]) for i in range(n + 1)]
+    return w0 - PiecewisePoly.from_pieces(range(n + 2), pieces)
 
 
 # ---------------------------------------------------------------------------
 # the numbered checks
 
 
-def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3), seed: int = DEFAULT_SEED) -> CheckResult:
+def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3)) -> CheckResult:
     """Criterion 1: the difference operator maps the zero-trace class onto
     the functional-characterized image, in both directions, exactly."""
-    if not pool:
-        return CheckResult(1, "image membership", True, "no supported-regime stencils in the pool; nothing to test")
-    rng = random.Random(seed + 1)
-    instances = 0
+    rng = random.Random(DEFAULT_SEED + 1)
     for stencil in pool:
-        structure = analyze(stencil)
+        structure = stencil.structure
         for k in orders:
             fns = membership_functionals(structure.gamma, k)
 
@@ -192,32 +194,31 @@ def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3), seed: 
             if trace_defects(v2, k):
                 return CheckResult(1, "image membership", False,
                                    "preimage left the zero-trace class (b=%s, k=%d)" % (stencil, k))
-            instances += 1
     return CheckResult(1, "image membership", True,
                        "%d stencils x %s, forward and inverse, exact" % (len(pool), list(orders)))
 
 
-def check_image_codimension(orders=(0, 1, 2)) -> CheckResult:
+def check_image_codimension() -> CheckResult:
     """Criterion 2: functional rank matches the image codimension table."""
     for stencil in named_stencils():
-        structure = analyze(stencil)
+        structure = stencil.structure
         dependent = structure.ends.dependent
-        for k in orders:
+        for k in CODIMENSION_ORDERS:
             got = rank_of_functionals(image_functionals(structure, k))
             expected = (k + 3) if dependent else 2 * (k + 2)
             if got != expected:
                 return CheckResult(2, "image codimension counts", False,
                                    "b=%s k=%d: rank %d, expected %d" % (stencil, k, got, expected))
     return CheckResult(2, "image codimension counts", True,
-                       "named stencils, k in %s, exact integer match" % (list(orders),))
+                       "named stencils, k in %s, exact integer match" % (list(CODIMENSION_ORDERS),))
 
 
-def check_constraint_counts(orders=(0, 1)) -> CheckResult:
+def check_constraint_counts() -> CheckResult:
     """Criterion 3: post-elimination solvability constraint counts."""
     for stencil in named_stencils():
-        structure = analyze(stencil)
+        structure = stencil.structure
         dependent = structure.ends.dependent
-        for k in orders:
+        for k in CONSTRAINT_ORDERS:
             zero_trace, minimal = (dc.count for dc in solvability_constraints(structure, k))
             expect_min = (k + 1) if dependent else 2 * (k + 1)
             expect_zt = 2 * (k + 1)
@@ -226,15 +227,13 @@ def check_constraint_counts(orders=(0, 1)) -> CheckResult:
                                    "b=%s k=%d: got (%d, %d), expected (%d, %d)"
                                    % (stencil, k, minimal, zero_trace, expect_min, expect_zt))
     return CheckResult(3, "solvability constraint counts", True,
-                       "named stencils, k in %s, both domain variants" % (list(orders),))
+                       "named stencils, k in %s, both domain variants" % (list(CONSTRAINT_ORDERS),))
 
 
 def check_kernel_certificates(pool: tuple[Stencil, ...]) -> CheckResult:
     """Criterion 4: the order-k operator kernel is trivial on every stencil."""
-    if not pool:
-        return CheckResult(4, "trivial kernel certificates", True, "no supported-regime stencils in the pool; nothing to test")
     for stencil in pool:
-        cert = kernel_certificate(analyze(stencil))
+        cert = kernel_certificate(stencil.structure)
         if cert.rank != 2 or cert.dim_kernel != 0:
             return CheckResult(4, "trivial kernel certificates", False,
                                "b=%s: rank %d" % (stencil, cert.rank))
@@ -269,8 +268,7 @@ def check_worked_solution() -> CheckResult:
 
 def _violating_data(stencil: Stencil, count_expected: int):
     """Monomial data violating each residual constraint of the boundary system."""
-    structure = analyze(stencil)
-    matrix = boundary_matrix(structure)
+    matrix = boundary_matrix(stencil.structure)
     null_left = exactla.left_nullspace(matrix)
     if len(null_left) != count_expected:
         return None
@@ -292,10 +290,10 @@ def _violating_data(stencil: Stencil, count_expected: int):
     return witnesses
 
 
-def check_boundary_rank_cases(bound: int = 3) -> CheckResult:
+def check_boundary_rank_cases() -> CheckResult:
     """Criterion 6: boundary matrix rank cases with explicit witnesses.
 
-    Scans the full N = 1 integer box |b_j| <= bound for supported-regime
+    Scans the full N = 1 integer box |b_j| <= ``BOX_BOUND`` for supported-regime
     stencils, classifies them by boundary matrix rank, and for one
     representative of each observed rank verifies dim ker = 2 - rank (by
     solving with f0 = 0) and #constraints = 2 - rank (by exhibiting monomial
@@ -304,10 +302,10 @@ def check_boundary_rank_cases(bound: int = 3) -> CheckResult:
     """
     representatives: dict[int, Stencil] = {}
     counts = {0: 0, 1: 0, 2: 0}
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=3):
+    for coeffs in itertools.product(range(-BOX_BOUND, BOX_BOUND + 1), repeat=3):
         stencil = Stencil.from_coeffs(coeffs)
         try:
-            structure = analyze(stencil)
+            structure = stencil.structure
         except UnsupportedRegimeError:
             continue
         rank = exactla.rank(boundary_matrix(structure))
@@ -318,7 +316,7 @@ def check_boundary_rank_cases(bound: int = 3) -> CheckResult:
         return CheckResult(6, "boundary rank cases", False,
                            "no full-rank instance found in the box, which contradicts the named examples")
 
-    notes = ["box scan |b_j| <= %d, N = 1: rank counts %s" % (bound, {r: counts[r] for r in (2, 1, 0)})]
+    notes = ["box scan |b_j| <= %d, N = 1: rank counts %s" % (BOX_BOUND, {r: counts[r] for r in (2, 1, 0)})]
     for rank, stencil in sorted(representatives.items(), reverse=True):
         expected_dim = 2 - rank
         zero = PiecewisePoly.zero(0, stencil.N + 1)
@@ -346,20 +344,18 @@ def check_boundary_rank_cases(bound: int = 3) -> CheckResult:
     return CheckResult(6, "boundary rank cases", True, "; ".join(notes))
 
 
-def check_spectrum_containment(pool: tuple[Stencil, ...], resolutions=(8, 16)) -> CheckResult:
+def check_spectrum_containment(pool: tuple[Stencil, ...]) -> CheckResult:
     """Criterion 7: exact shift-matrix spectrum sits inside the grid spectrum."""
-    if not pool:
-        return CheckResult(7, "spectrum containment", True, "no supported-regime stencils in the pool; nothing to test")
     worst = 0.0
     for stencil in pool:
-        for n in resolutions:
+        for n in SPECTRUM_RESOLUTIONS:
             chk = spectrum_check(stencil, n)
             worst = max(worst, chk.containment_distance)
             if not chk.ok:
                 return CheckResult(7, "spectrum containment", False,
                                    "b=%s n=%d: distance %.3e" % (stencil, n, chk.containment_distance))
     return CheckResult(7, "spectrum containment", True,
-                       "%d stencils, n in %s, worst distance %.2e" % (len(pool), list(resolutions), worst))
+                       "%d stencils, n in %s, worst distance %.2e" % (len(pool), list(SPECTRUM_RESOLUTIONS), worst))
 
 
 def check_oracle_convergence() -> CheckResult:
@@ -394,7 +390,7 @@ def check_oracle_convergence() -> CheckResult:
     return CheckResult(8, "oracle convergence", True, detail)
 
 
-def check_index_estimates(resolution: int = 64) -> CheckResult:
+def check_index_estimates() -> CheckResult:
     """Criterion 9: numerical kernel and cokernel dimensions agree."""
     stencils = named_stencils() + (Stencil.from_coeffs([1, 0, -1]),)
     cases = 0
@@ -403,23 +399,21 @@ def check_index_estimates(resolution: int = 64) -> CheckResult:
         for label, a in (("0", None),
                          ("1", PiecewisePoly.constant(1, *domain)),
                          ("t", PiecewisePoly.from_global((0, 1), domain))):
-            est = index_estimate(assemble(stencil, resolution, a))
+            est = index_estimate(assemble(stencil, INDEX_RESOLUTION, a))
             if not est.balanced:
                 return CheckResult(9, "discrete index balance", False,
                                    "b=%s a=%s: kernel %d, cokernel %d"
                                    % (stencil, label, est.kernel_dim, est.cokernel_dim))
             cases += 1
     return CheckResult(9, "discrete index balance", True,
-                       "%d stencil/coefficient cases at n=%d, all balanced" % (cases, resolution))
+                       "%d stencil/coefficient cases at n=%d, all balanced" % (cases, INDEX_RESOLUTION))
 
 
-def check_structure_equivalence(pool: tuple[Stencil, ...], orders=(1, 2)) -> CheckResult:
+def check_structure_equivalence(pool: tuple[Stencil, ...]) -> CheckResult:
     """Criterion 10: mirrored node relations cut out the same constraint space."""
-    if not pool:
-        return CheckResult(10, "mirrored structure equivalence", True, "no supported-regime stencils in the pool; nothing to test")
     for stencil in pool:
-        structure = analyze(stencil)
-        for k in orders:
+        structure = stencil.structure
+        for k in EQUIVALENCE_ORDERS:
             std = membership_functionals(structure.gamma, k)
             alt = membership_functionals(structure.alt_gamma, k)
             r_std = rank_of_functionals(std)
@@ -430,7 +424,7 @@ def check_structure_equivalence(pool: tuple[Stencil, ...], orders=(1, 2)) -> Che
                                    "b=%s k=%d: ranks %d / %d / stacked %d"
                                    % (stencil, k, r_std, r_alt, r_both))
     return CheckResult(10, "mirrored structure equivalence", True,
-                       "%d stencils, k in %s, equal-rank stacks" % (len(pool), list(orders)))
+                       "%d stencils, k in %s, equal-rank stacks" % (len(pool), list(EQUIVALENCE_ORDERS)))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +446,6 @@ def run_battery(level: str = "fast") -> list[CheckResult]:
         return results
 
     pool = named + random_regime_stencils()
-    pool_note = "" if len(pool) >= 23 else " (random pool smaller than requested)"
     results.append(check_membership_theorem(pool))
     results.append(check_image_codimension())
     results.append(check_constraint_counts())
@@ -463,7 +456,4 @@ def run_battery(level: str = "fast") -> list[CheckResult]:
     results.append(check_oracle_convergence())
     results.append(check_index_estimates())
     results.append(check_structure_equivalence(pool))
-    if pool_note:
-        results.append(CheckResult(0, "random stencil pool", True,
-                                   "only %d supported-regime stencils found%s" % (len(pool), pool_note)))
     return results

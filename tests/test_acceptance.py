@@ -7,9 +7,15 @@ The stencil pool is the three named stencils plus twenty fixed-seed random
 ones in the supported regime, built once per module.
 """
 
+import random
+
 import pytest
 
+from ddbvp import structure
+from ddbvp.functionals import membership_functionals
+from ddbvp.piecewise import trace_defects
 from ddbvp.verification import (
+    DEFAULT_SEED,
     check_boundary_rank_cases,
     check_constraint_counts,
     check_image_codimension,
@@ -21,7 +27,9 @@ from ddbvp.verification import (
     check_structure_equivalence,
     check_worked_solution,
     named_stencils,
+    random_image_member,
     random_regime_stencils,
+    random_zero_trace_function,
     run_battery,
 )
 
@@ -46,6 +54,23 @@ def _report(result):
 def test_criterion_01_image_membership(pool):
     # exact rational check, k in {1, 2, 3}, both directions of the mapping
     _report(check_membership_theorem(pool))
+
+
+def test_image_members_are_exact_and_mostly_outside_the_zero_trace_class(pool):
+    # criterion 1's own draws: a zero-trace function, then an image member.
+    # The correction zeroes the membership conditions exactly, and keeps
+    # w0's other node jets, so the inverse direction sees data outside the
+    # zero-trace class (68 of the 69 cases; the last one is zero-trace by chance).
+    rng = random.Random(DEFAULT_SEED + 1)
+    outside = 0
+    for stencil in pool:
+        for k in (1, 2, 3):
+            random_zero_trace_function(stencil.N + 1, k, rng)
+            w = random_image_member(stencil.structure, k, rng)
+            assert [fn.evaluate(w) for fn in membership_functionals(stencil.structure.gamma, k)] == [0] * (2 * k)
+            outside += bool(trace_defects(w, k))
+    assert len(pool) * 3 == 69
+    assert outside == 68
 
 
 def test_criterion_02_image_codimension(pool):
@@ -104,3 +129,18 @@ def test_fast_battery_wiring():
     assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
     with pytest.raises(ValueError):
         run_battery("sideways")
+
+
+def test_full_battery_analyzes_each_stencil_object_once(monkeypatch):
+    analyzed = []
+    analyze = structure.analyze
+    monkeypatch.setattr(structure, "analyze", lambda s: analyzed.append(s) or analyze(s))
+    results = run_battery("full")
+    assert [r.number for r in results] == list(range(1, 11))
+    assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
+    ids = [id(s) for s in analyzed]  # ``analyzed`` keeps every object alive, so ids are not reused
+    assert len(set(ids)) == len(ids)
+    # the 23 pool stencils (criteria 1, 4 and 10), the 3 named stencils of
+    # criteria 2 and 3 each, the box of criterion 6 and the model stencil of
+    # criteria 5 and 8 each; criteria 7 and 9 analyze nothing
+    assert len(ids) == 23 + 3 + 3 + 7 ** 3 + 1 + 1

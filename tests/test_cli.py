@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from ddbvp import cli, exactla, solver
+from ddbvp import cli, exactla, structure
 from ddbvp.cli import main
 from ddbvp.piecewise import PiecewisePoly
 from ddbvp.problem_io import (
@@ -23,7 +23,7 @@ from ddbvp.problem_io import (
     solve_report,
 )
 from ddbvp.solver import solve_nonhomogeneous
-from ddbvp.structure import Stencil, StructureError, UnsupportedRegimeError, analyze, build_shift_matrix
+from ddbvp.structure import Stencil, StructureError, analyze
 
 WORKED = {
     "N": 1,
@@ -323,19 +323,14 @@ def test_analyze_rejects_unsupported_regimes(tmp_path, capsys):
 
 @pytest.mark.parametrize("b", [[1, 0, 1], [0, 1, 0], [1, 1, 1]])
 def test_analyze_command_analyzes_once(tmp_path, capsys, monkeypatch, b):
-    stencil = Stencil.from_coeffs(b)
-    calls = []
+    calls, analyses = [], []
     det = exactla.det
-    monkeypatch.setattr(exactla, "det", lambda m: calls.append(1) or det(m))
-    try:
-        analyze(stencil)
-    except UnsupportedRegimeError:
-        pass
-    once = len(calls)
-    calls.clear()
+    monkeypatch.setattr(exactla, "det", lambda m: calls.append(len(m)) or det(m))
+    monkeypatch.setattr(structure, "analyze", lambda s: analyses.append(s) or analyze(s))
     main(["analyze", _write(tmp_path, dict(WORKED, b=b))])
-    assert len(calls) == once
-    assert "det R1 = %s" % build_shift_matrix(stencil).det_r1 in capsys.readouterr().out
+    assert sorted(calls) == [1, 2]  # det R2 and det R1, each once
+    assert len(analyses) == 1
+    assert "det R1 = %s" % Stencil.from_coeffs(b).det_r1 in capsys.readouterr().out
 
 
 def test_parse_failures_exit_1(tmp_path, capsys):
@@ -494,8 +489,7 @@ def test_structure_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch, co
     def failing(stencil):
         raise StructureError("relation rows failed to form a basis")
 
-    monkeypatch.setattr(cli, "analyze", failing)
-    monkeypatch.setattr(solver, "analyze", failing)
+    monkeypatch.setattr(structure, "analyze", failing)
     argv = [command, _write(tmp_path, WORKED)]
     if command == "solve":
         argv += ["--out", str(tmp_path / "x")]
@@ -521,6 +515,28 @@ def test_solve_unsupported_regime_exits_2(tmp_path, capsys):
     code = main(["solve", _write(tmp_path, doc), "--out", str(tmp_path / "no")])
     assert code == 2
     assert not (tmp_path / "no-report").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum"])
+def test_a_coefficient_outside_the_double_range_exits_1_before_any_output(tmp_path, capsys, command):
+    code = main([command, _write(tmp_path, dict(WORKED, b=["1e400", 0, 1]))])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: stencil coefficient b_-1 lies outside the double range\n"
+
+
+def test_solve_needs_no_double_of_the_stencil(tmp_path, capsys):
+    assert main(["solve", _write(tmp_path, dict(WORKED, b=["1e400", 0, 1])), "--out", str(tmp_path / "big")]) == 0
+
+
+def test_a_csv_sample_outside_the_double_range_exits_1_and_writes_no_file(tmp_path, capsys):
+    code = main(["solve", _write(tmp_path, dict(WORKED, b=["1e-400", 0, 1])), "--out", str(tmp_path / "tiny")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: a sample of v, dv, w or f0 lies outside the double range; no CSV or report written\n"
+    assert not list(tmp_path.glob("tiny-*"))
 
 
 def test_spectrum_command_with_grid_flags(tmp_path, capsys):

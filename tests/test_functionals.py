@@ -34,7 +34,6 @@ def test_evaluate_uses_one_sided_limits_at_the_endpoints():
     f = PiecewisePoly.from_global((1, 2, 1), (0, 2))  # (1 + t)^2
     # value at 0 plus 3 * derivative at 2: 1 + 3 * 6
     assert fn.evaluate(f) == 19
-    assert fn.max_order == 1
 
 
 def test_evaluate_rejects_a_jump_at_a_touched_interior_node():
@@ -101,7 +100,7 @@ def test_cofactor_functional_measures_the_preimage_jump():
         structure = analyze(s)
         n = s.N
         l = structure.ends.l
-        det_r1 = structure.matrix.det_r1
+        det_r1 = s.det_r1
         fns = image_functionals(structure, 2)
         cof = {fn.label: fn for fn in fns}
         for trial in range(5):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ddbvp
-from ddbvp import grid
+from ddbvp import exactla, grid
 from ddbvp.grid import (
     SPECTRUM_TOLERANCE,
     assemble,
@@ -22,7 +22,7 @@ from ddbvp.grid import (
 )
 from ddbvp.piecewise import PiecewisePoly
 from ddbvp.solver import BVPProblem, solve_homogeneous
-from ddbvp.structure import Stencil, build_shift_matrix, spectrum
+from ddbvp.structure import Stencil, spectrum
 from ddbvp.verification import named_stencils, random_regime_stencils
 
 F = Fraction
@@ -259,7 +259,7 @@ def test_index_estimate_falls_back_to_dense_when_r1_is_singular(coeffs):
     # the elimination raises and the dense SVD counts a kernel of dimension
     # about n; a = -30t makes the chain invertible again
     s = Stencil.from_coeffs(coeffs)
-    assert build_shift_matrix(s).det_r1 == 0
+    assert s.det_r1 == 0
     for n in (16, 64):
         for kind in (None, "-30t"):
             ops = assemble(s, n, _a_of_kind(kind, s))
@@ -444,7 +444,7 @@ def _dense_containment(stencil, n):
     # the reference: dense eigenvalues of the whole interior shift, built row
     # by row, and the largest distance from an R1 eigenvalue to them
     grid_eigs = np.linalg.eigvals(_shift_extended_by_rows(stencil, n)[1:-1])
-    return max(float(np.abs(grid_eigs - lam).min()) for lam in spectrum(build_shift_matrix(stencil)))
+    return max(float(np.abs(grid_eigs - lam).min()) for lam in spectrum(stencil))
 
 
 def test_spectrum_check_agrees_with_the_dense_spectrum():
@@ -474,6 +474,16 @@ def test_spectrum_check_solves_no_eigenproblem_larger_than_r1(monkeypatch):
             shapes.clear()
             assert spectrum_check(s, n).ok, (coeffs, n)
             assert shapes and max(max(shape) for shape in shapes) <= s.N + 1, (coeffs, n, shapes)
+
+
+def test_spectrum_check_runs_no_exact_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("exact elimination in spectrum_check")
+
+    monkeypatch.setattr(exactla, "det", refuse)
+    monkeypatch.setattr(exactla, "invert", refuse)
+    for coeffs in ((1, 0, 1), (1, 1, 2, 4, 4), (1, 1, 1), (0, 1, 0)):
+        assert spectrum_check(Stencil.from_coeffs(coeffs), 8).n == 8
 
 
 def test_spectrum_check_memory():

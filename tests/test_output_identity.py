@@ -95,3 +95,27 @@ def test_outputs_match_the_pinned_digest(tmp_path):
             text = (tmp_path / ("p%d%s" % (i, suffix))).read_bytes()
             digest.update(text.replace(str(tmp_path).encode(), b"<dir>"))
     assert digest.hexdigest() == EXPECTED
+
+
+# The digest below was taken before ``Stencil`` took over the shift matrix and
+# regime types, so the text of ``analyze`` and ``spectrum`` (both exit paths)
+# is pinned across that change.
+STRUCTURE_EXPECTED = "baef079d0f330b602d6b77bbf6daec596f0a63fd5db1a91755dd389ed60429c8"
+
+STRUCTURE_DOCUMENTS = CLI_DOCUMENTS + tuple(
+    {"N": 1, "b": b, "k": 1, "f0": [{"interval": [0, 2], "coeffs": [1]}]}
+    for b in ([0, 1, 0], [1, 1, 1], [1, 0, -1])
+)
+
+
+def test_analyze_and_spectrum_match_the_pinned_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for i, doc in enumerate(STRUCTURE_DOCUMENTS):
+        path = tmp_path / ("s%d.json" % i)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (["analyze", str(path)], ["spectrum", str(path), "--grid", "8"]):
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            for part in (str(code), captured.out, captured.err):
+                digest.update(part.replace(str(tmp_path), "<dir>").encode() + b"\0")
+    assert digest.hexdigest() == STRUCTURE_EXPECTED

@@ -43,7 +43,7 @@ from ddbvp.piecewise import (
 from ddbvp.functionals import NodeFunctional, membership_functionals, rank_of_functionals
 from ddbvp.problem_io import MAX_STENCIL_N, canonical_problem_text, parse_problem
 from ddbvp.solver import BVPProblem, hermite_extension, solve_nonhomogeneous
-from ddbvp.structure import Stencil, analyze, build_shift_matrix, cofactor
+from ddbvp.structure import Stencil, analyze, cofactor
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -283,14 +283,13 @@ def test_hermite_basis_equals_the_linear_system(count, data):
 @SETTINGS
 @given(supported_stencils())
 def test_cofactor_from_adjugate_equals_signed_minor_determinant(stencil):
-    report = analyze(stencil)
-    r1 = report.matrix.r1
-    size = report.matrix.size
+    r1 = stencil.r1
+    size = stencil.N + 1
     for i in range(1, size + 1):
         for k in range(1, size + 1):
             minor = [[r1[r][c] for c in range(size) if c != k - 1] for r in range(size) if r != i - 1]
             sign = -1 if (i + k) % 2 else 1
-            assert cofactor(report, i, k) == sign * exactla.det(minor)
+            assert cofactor(stencil, i, k) == sign * exactla.det(minor)
 
 
 @st.composite
@@ -321,7 +320,7 @@ def dependent_stencils(draw, max_n=4):
     weights = draw(st.lists(nonzero, min_size=len(basis), max_size=len(basis)))
     coeffs = [sum((w * v[i] for w, v in zip(weights, basis)), Fraction(0)) for i in range(2 * n + 1)]
     stencil = Stencil.from_coeffs(coeffs)
-    assume(build_shift_matrix(stencil).det_r1 != 0)
+    assume(stencil.det_r1 != 0)
     return stencil
 
 
@@ -346,14 +345,14 @@ def test_admissible_column_equals_the_minor_search(stencil):
 
 def _assert_gamma_identities(report):
     """The relations analyze reads off R1^-1 satisfy the systems they solve."""
-    sm = report.matrix
-    n = report.stencil.N
+    s = report.stencil
+    n = s.N
     gamma = report.gamma
     assert gamma.variant == "right_edge"
     assert 1 <= gamma.m <= n
 
     # interior: row m of R2 is the gamma2-combination of the other rows
-    r2 = sm.r2_lists()
+    r2 = [list(row[:n]) for row in s.r1[:n]]
     for col in range(n):
         combo = sum(gamma.gamma2[i] * r2[i - 1][col] for i in gamma.gamma2)
         assert combo == r2[gamma.m - 1][col]
@@ -361,8 +360,8 @@ def _assert_gamma_identities(report):
     # edge: last row of R1 without its last entry expands in the rows
     # with first entry removed, skipping row m+1
     for col in range(1, n + 1):
-        combo = sum(gamma.gamma1[i] * sm.entry(i, col + 1) for i in gamma.gamma1)
-        assert combo == sm.entry(n + 1, col)
+        combo = sum(gamma.gamma1[i] * s.b(col + 1 - i) for i in gamma.gamma1)
+        assert combo == s.b(col - n - 1)
     assert set(gamma.gamma1) == {i for i in range(1, n + 2) if i != gamma.m + 1}
 
     # mirrored edge: first row without first entry, rows clipped at the end
@@ -370,8 +369,8 @@ def _assert_gamma_identities(report):
     assert alt.variant == "left_edge"
     assert alt.m == gamma.m and alt.gamma2 == gamma.gamma2
     for col in range(2, n + 2):
-        combo = sum(alt.gamma1[i] * sm.entry(i, col - 1) for i in alt.gamma1)
-        assert combo == sm.entry(1, col)
+        combo = sum(alt.gamma1[i] * s.b(col - 1 - i) for i in alt.gamma1)
+        assert combo == s.b(col - 1)
     assert set(alt.gamma1) == {i for i in range(1, n + 2) if i != alt.m}
 
     # m is the first nonzero index of the left null vector of R2, found by elimination
@@ -411,7 +410,8 @@ def test_gamma_relations_hold_on_wide_stencils(n, dependent):
     assert report.ends.dependent is dependent
     _assert_gamma_identities(report)
     if dependent:
-        block = [row for r, row in enumerate(report.matrix.r2_lists()) if r != report.gamma.m - 1]
+        n = report.stencil.N
+        block = [list(row[:n]) for r, row in enumerate(report.stencil.r1[:n]) if r != report.gamma.m - 1]
         (z,) = exactla.nullspace(block)
         assert report.ends.l == next(j for j, x in enumerate(z, start=1) if x)
 
@@ -978,11 +978,10 @@ def test_the_grid_shift_is_block_diagonal_by_residue(stencil, n):
     big = stencil.N
     by_residue = grid._padded_shift(stencil, n).reshape(big + 1, n, big + 1, n).transpose(1, 3, 0, 2)
     assert np.all(by_residue[~np.eye(n, dtype=bool)] == 0.0)
-    sm = build_shift_matrix(stencil)
-    r1 = np.array([[float(x) for x in row] for row in sm.r1])
+    r1 = np.array([[float(x) for x in row] for row in stencil.r1])
     for r in range(1, n):
         assert by_residue[r, r].tobytes() == r1.tobytes(), r
     # residue 0 is R2 behind the zero row and column of t_0
     padded_r2 = np.zeros_like(r1)
-    padded_r2[1:, 1:] = [[float(x) for x in row] for row in sm.r2_lists()]
+    padded_r2[1:, 1:] = [[float(x) for x in row[:big]] for row in stencil.r1[:big]]
     assert by_residue[0, 0].tobytes() == padded_r2.tobytes()

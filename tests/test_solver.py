@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ddbvp import solver
+from ddbvp import solver, structure
 from ddbvp.functionals import NodeFunctional, solvability_constraints
 from ddbvp.piecewise import (
     PiecewisePoly,
@@ -349,18 +349,23 @@ def test_index_report_checks_out_up_to_the_largest_k():
 
 
 def test_solve_and_index_report_analyze_a_problem_once(monkeypatch):
+    # a fresh stencil: module constants such as RANK_ONE keep the analysis
+    # an earlier test gave them
     calls = []
 
     def counting(stencil):
         calls.append(stencil)
         return analyze(stencil)
 
-    monkeypatch.setattr(solver, "analyze", counting)
-    problem = BVPProblem(stencil=RANK_ONE, k=1, f0=PiecewisePoly.constant(1, 0, RANK_ONE.N + 1))
+    monkeypatch.setattr(structure, "analyze", counting)
+    stencil = Stencil.from_coeffs(RANK_ONE.coeffs)
+    problem = BVPProblem(stencil=stencil, k=1, f0=PiecewisePoly.constant(1, 0, stencil.N + 1))
     solve_nonhomogeneous(problem)
     index_report(problem)
     solve_nonhomogeneous(problem)
-    assert calls == [RANK_ONE]
+    solve_nonhomogeneous(BVPProblem(stencil=stencil, k=0, f0=PiecewisePoly.constant(2, 0, stencil.N + 1)))
+    assert len(calls) == 1 and calls[0] is stencil
+    assert not hasattr(problem, "structure")
 
 
 def test_solve_and_index_report_build_the_constraint_stacks_once(monkeypatch):

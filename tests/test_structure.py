@@ -10,12 +10,11 @@ from ddbvp.structure import (
     Stencil,
     UnsupportedRegimeError,
     analyze,
-    build_shift_matrix,
-    classify_regime,
     cofactor,
     index_table,
     spectrum,
 )
+from ddbvp import exactla, structure
 from ddbvp.verification import named_stencils, random_regime_stencils
 
 DEPENDENT_NAMED = (Stencil.from_coeffs((1, 0, 1)), Stencil.from_coeffs((1, 1, 2, 4, 4)))
@@ -24,6 +23,10 @@ INDEPENDENT_NAMED = Stencil.from_coeffs((0, 1, 1, 1, 2))
 
 def _sym(rows):
     return sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def _r2(s):
+    return [row[:s.N] for row in s.r1[:s.N]]
 
 
 def test_stencil_validation_and_lookup():
@@ -39,35 +42,48 @@ def test_stencil_validation_and_lookup():
 
 def test_shift_matrix_is_toeplitz_in_the_stencil():
     for s in named_stencils():
-        sm = build_shift_matrix(s)
-        for i in range(1, sm.size + 1):
-            for k in range(1, sm.size + 1):
-                assert sm.entry(i, k) == s.b(k - i)
+        assert len(s.r1) == s.N + 1
+        for i in range(1, s.N + 2):
+            assert len(s.r1[i - 1]) == s.N + 1
+            for k in range(1, s.N + 2):
+                assert s.r1[i - 1][k - 1] == s.b(k - i)
 
 
 def test_determinants_match_sympy():
     pool = list(named_stencils()) + list(random_regime_stencils(count=10, seed=5))
     for s in pool:
-        sm = build_shift_matrix(s)
-        assert sp.Rational(sm.det_r1.numerator, sm.det_r1.denominator) == _sym(sm.r1_lists()).det()
-        r2 = sm.r2_lists()
+        assert sp.Rational(s.det_r1.numerator, s.det_r1.denominator) == _sym(s.r1).det()
+        r2 = _r2(s)
         expected_r2 = _sym(r2).det() if r2 else sp.Integer(1)
-        assert sp.Rational(sm.det_r2.numerator, sm.det_r2.denominator) == expected_r2
+        assert sp.Rational(s.det_r2.numerator, s.det_r2.denominator) == expected_r2
 
 
 def test_regime_classification_three_cases():
-    singular_minor = classify_regime(build_shift_matrix(Stencil.from_coeffs((1, 0, 1))))
-    assert singular_minor.regime is Regime.SINGULAR_MINOR
-    assert singular_minor.supported
-
-    nonsingular = classify_regime(build_shift_matrix(Stencil.from_coeffs((0, 1, 0))))
-    assert nonsingular.regime is Regime.NONSINGULAR_BOTH
-    assert not nonsingular.supported
-
+    assert Stencil.from_coeffs((1, 0, 1)).regime is Regime.SINGULAR_MINOR
+    assert Stencil.from_coeffs((0, 1, 0)).regime is Regime.NONSINGULAR_BOTH
     # b = (1, 1, 1): R1 = [[1, 1], [1, 1]] is singular
-    full = classify_regime(build_shift_matrix(Stencil.from_coeffs((1, 1, 1))))
-    assert full.regime is Regime.SINGULAR_FULL
-    assert not full.supported
+    assert Stencil.from_coeffs((1, 1, 1)).regime is Regime.SINGULAR_FULL
+
+
+def test_regime_of_a_singular_r1_runs_one_determinant(monkeypatch):
+    calls = []
+    det = exactla.det
+    monkeypatch.setattr(exactla, "det", lambda a: calls.append(len(a)) or det(a))
+    s = Stencil.from_coeffs((1, 1, 1))
+    assert s.regime is Regime.SINGULAR_FULL
+    assert s.regime is Regime.SINGULAR_FULL
+    assert calls == [2]
+
+
+def test_a_stencil_is_analyzed_once_and_keeps_its_report(monkeypatch):
+    calls = []
+    monkeypatch.setattr(structure, "analyze", lambda s: calls.append(s) or analyze(s))
+    s = Stencil.from_coeffs((1, 1, 2, 4, 4))
+    assert s.structure is s.structure
+    assert cofactor(s, 1, 2) == s.det_r1 * s.structure.r1_inverse[1][0]
+    assert calls == [s]
+    assert Stencil.from_coeffs(s.coeffs).structure == s.structure
+    assert len(calls) == 2
 
 
 def test_analyze_rejects_unsupported_regimes():
@@ -77,22 +93,23 @@ def test_analyze_rejects_unsupported_regimes():
         analyze(Stencil.from_coeffs((1, 1, 1)))
 
 
-def test_unsupported_regime_error_carries_the_matrix_and_regime():
+def test_unsupported_regime_error_carries_only_its_message():
     for coeffs, regime in (((0, 1, 0), Regime.NONSINGULAR_BOTH), ((1, 1, 1), Regime.SINGULAR_FULL)):
         stencil = Stencil.from_coeffs(coeffs)
         with pytest.raises(UnsupportedRegimeError) as exc:
-            analyze(stencil)
-        assert exc.value.matrix == build_shift_matrix(stencil)
-        assert exc.value.regime == classify_regime(exc.value.matrix)
-        assert exc.value.regime.regime is regime
+            stencil.structure
+        assert exc.value.args == (str(exc.value),)
+        assert not hasattr(exc.value, "matrix") and not hasattr(exc.value, "regime")
+        assert stencil.regime is regime
+        assert ("det R1 = %s" % stencil.det_r1) in str(exc.value)
 
 
 def test_named_stencils_are_in_the_supported_regime():
     for s in named_stencils():
-        report = analyze(s)
-        assert report.regime.regime is Regime.SINGULAR_MINOR
-        assert report.matrix.det_r1 != 0
-        assert report.matrix.det_r2 == 0
+        assert s.regime is Regime.SINGULAR_MINOR
+        assert s.det_r1 != 0
+        assert s.det_r2 == 0
+        assert s.structure.stencil is s
 
 
 def test_worked_stencil_structure_numbers():
@@ -108,15 +125,13 @@ def test_worked_stencil_structure_numbers():
 
 def test_cofactors_match_sympy():
     for s in named_stencils():
-        report = analyze(s)
-        sm = report.matrix
-        m = _sym(sm.r1_lists())
-        for i in range(1, sm.size + 1):
-            for k in range(1, sm.size + 1):
-                got = cofactor(report, i, k)
+        m = _sym(s.r1)
+        for i in range(1, s.N + 2):
+            for k in range(1, s.N + 2):
+                got = cofactor(s, i, k)
                 assert sp.Rational(got.numerator, got.denominator) == m.cofactor(i - 1, k - 1)
     with pytest.raises(ValueError):
-        cofactor(analyze(Stencil.from_coeffs((1, 0, 1))), 0, 1)
+        cofactor(Stencil.from_coeffs((1, 0, 1)), 0, 1)
 
 
 def test_corner_cofactors_equal_det_r2():
@@ -124,16 +139,13 @@ def test_corner_cofactors_equal_det_r2():
     # matrix is Toeplitz, so they vanish across the whole supported regime
     pool = list(named_stencils()) + list(random_regime_stencils(count=8, seed=33))
     for s in pool:
-        report = analyze(s)
-        sm = report.matrix
-        assert cofactor(report, 1, 1) == sm.det_r2 == 0
-        assert cofactor(report, sm.size, sm.size) == sm.det_r2
+        assert cofactor(s, 1, 1) == s.det_r2 == 0
+        assert cofactor(s, s.N + 1, s.N + 1) == s.det_r2
 
 
 def test_end_columns_dependency_and_admissible_index():
     for s in DEPENDENT_NAMED:
         report = analyze(s)
-        sm = report.matrix
         ends = report.ends
         assert ends.dependent
         a1, a2 = ends.alpha
@@ -146,7 +158,7 @@ def test_end_columns_dependency_and_admissible_index():
         found = None
         for cand in range(1, n + 1):
             sub = [
-                [sm.r1_lists()[r][c] for c in range(n) if c != cand - 1]
+                [s.r1[r][c] for c in range(n) if c != cand - 1]
                 for r in range(n)
                 if r != gamma.m - 1
             ]
@@ -166,11 +178,10 @@ def test_cofactor_dependency_identity():
     # for every interior i; this is what collapses the higher-order image
     # conditions in the dependent case
     for s in DEPENDENT_NAMED:
-        report = analyze(s)
-        a1, a2 = report.ends.alpha
+        a1, a2 = s.structure.ends.alpha
         n = s.N
         for i in range(1, n + 1):
-            assert a1 * cofactor(report, i, n + 1) + a2 * cofactor(report, i + 1, 1) == 0
+            assert a1 * cofactor(s, i, n + 1) + a2 * cofactor(s, i + 1, 1) == 0
 
 
 def _as_tuple(t):
@@ -202,18 +213,16 @@ def test_index_table_formulas():
 
 
 def test_spectrum_matches_sympy_eigenvalues():
-    sm = build_shift_matrix(Stencil.from_coeffs((1, 0, 1)))
-    eigs = spectrum(sm)
+    eigs = spectrum(Stencil.from_coeffs((1, 0, 1)))
     assert eigs.shape == (2,)
     assert abs(eigs[0] - (-1)) < 1e-12 and abs(eigs[1] - 1) < 1e-12
 
     for s in named_stencils():
-        sm = build_shift_matrix(s)
         exact = []
-        for lam, mult in _sym(sm.r1_lists()).eigenvals().items():
+        for lam, mult in _sym(s.r1).eigenvals().items():
             exact.extend([complex(sp.N(lam))] * mult)
         expected = sorted((z.real, z.imag) for z in exact)
-        numeric = sorted((z.real, z.imag) for z in (complex(z) for z in spectrum(sm)))
+        numeric = sorted((z.real, z.imag) for z in (complex(z) for z in spectrum(s)))
         assert len(expected) == len(numeric)
         for (a, b), (c, d) in zip(expected, numeric):
             assert abs(a - c) < 1e-9 and abs(b - d) < 1e-9
@@ -226,5 +235,4 @@ def test_random_regime_generator_respects_its_contract():
     for s in pool:
         assert 1 <= s.N <= 3
         assert all(abs(c) <= 3 and c.denominator == 1 for c in s.coeffs)
-        report = classify_regime(build_shift_matrix(s))
-        assert report.regime is Regime.SINGULAR_MINOR
+        assert s.regime is Regime.SINGULAR_MINOR
