@@ -38,10 +38,6 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def identity(n: int) -> Mat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def transpose(a: Sequence[Sequence[Fraction]]) -> Mat:
     return [list(col) for col in zip(*a)] if a else []
 

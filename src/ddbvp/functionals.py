@@ -89,12 +89,6 @@ class NodeFunctional:
                 ))
         return _ratio_sum(products)
 
-    def scaled(self, s: Fraction) -> "NodeFunctional":
-        return NodeFunctional(
-            terms=tuple((node, mu, s * w) for node, mu, w in self.terms),
-            label=self.label,
-        )
-
 
 def _ratio_sum(pairs: Sequence[tuple[int, int]]) -> Fraction:
     """sum n / t over (n, t) integer pairs, t > 0, accumulated over the lcm of the t."""

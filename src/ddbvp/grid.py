@@ -76,7 +76,6 @@ class GridOperators:
     diag: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    a_samples: np.ndarray | None
 
     @property
     def operator(self) -> GridOperator:
@@ -157,13 +156,12 @@ def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOp
     centre, side = (np.lib.stride_tricks.sliding_window_view(x * inv_h2, big + 1)[::-1] for x in (2.0 * band, 0.0 - band))
     diag, lower, upper = (np.repeat(x[None, 1:big + 2], n, axis=0) for x in (centre, side, side))
     lower[0], upper[-1] = side[:big + 1], side[2:]
-    a_samples = None
     if a is not None:
-        a_samples = np.array(a.sample([Fraction(i, n) for i in range(1, size + 1)]))
-        diag.reshape(n, -1)[:, ::big + 2] += np.concatenate([[0.0], a_samples]).reshape(big + 1, n).T
+        samples = a.sample([Fraction(i, n) for i in range(1, size + 1)])
+        diag.reshape(n, -1)[:, ::big + 2] += np.concatenate([[0.0], samples]).reshape(big + 1, n).T
     diag[0, 0] = lower[0, 0] = upper[0, 0] = 0.0  # the row of t_0
     diag[0, :, 0] = lower[1, :, 0] = upper[-1, :, 0] = 0.0  # its column, seen from residues 0, 1 and n - 1
-    return GridOperators(stencil=stencil, n=n, size=size, diag=diag, lower=lower, upper=upper, a_samples=a_samples)
+    return GridOperators(stencil=stencil, n=n, size=size, diag=diag, lower=lower, upper=upper)
 
 
 @dataclass(frozen=True)

@@ -29,15 +29,15 @@ plumbing used everywhere else:
   [p(x), p'(x), ...]) at each end of each piece.  ``smoothness_defects`` and
   ``trace_defects`` read that table; their empty lists define the
   Sobolev-type memberships used by the solvers;
-* ``PiecewisePoly.sample``: floats of a function on many sorted points, for
-  the solution CSV and the grid samples (``iter_samples`` yields them one at
-  a time, so the CSV can stream).  It walks the pieces with a
-  cursor.  On each piece it writes the coefficients as integers n_j over one
-  common denominator D, and evaluates at x = X/Q as
-  sum n_j X^j Q^(d-j) / (D Q^d): integer Horner, then a single int / int
-  division.  Python's integer true division is correctly rounded, so every
-  float equals ``float`` of the exact Fraction value; nothing is rounded
-  before that last step.
+* ``horner_float``: the correctly rounded float of a piece at a rational
+  point.  The piece is written as integers n_j over one common denominator
+  D, and at x = X/Q it is sum n_j X^j Q^(d-j) / (D Q^d): integer Horner,
+  then a single int / int division.  Python's integer true division is
+  correctly rounded, so every float equals ``float`` of the exact Fraction
+  value; nothing is rounded before that last step.
+  ``PiecewisePoly.sample`` (floats on many sorted points, for the grid
+  samples) walks the pieces with a cursor and calls it once per point, and
+  the solution CSV calls it for every value it writes.
 
 The stored breakpoints and pieces are Fraction tuples, but the hot kernels
 compute in integers: a Fraction operation pays for a gcd, an integer one
@@ -60,7 +60,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import exactla
 from .structure import Stencil, StructureReport
@@ -161,6 +161,20 @@ def _taylor(nums: Sequence[int], den: int, x: Fraction, k: int) -> tuple[int, in
         power *= x_den
         acc = acc * x_num + math.comb(d, k) * nums[d] * power
     return acc, den * power
+
+
+def horner_float(nums: Sequence[int], den: int, x_num: int, x_den: int) -> float:
+    """p(x) as the correctly rounded float, for p = sum_d nums[d] x^d / den at x = x_num / x_den.
+
+    Integer Horner gives sum_d nums[d] X^d Q^(top-d), and one int / int
+    division by den * Q^top rounds it (module docstring).
+    """
+    top = len(nums) - 1
+    acc, power = nums[top], 1
+    for d in range(top - 1, -1, -1):
+        power *= x_den
+        acc = acc * x_num + nums[d] * power
+    return acc / (den * power)
 
 
 def two_point_hermite(left: Sequence[Fraction], right: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -400,16 +414,10 @@ class PiecewisePoly:
 
         Each float is the correctly rounded value of the exact right limit,
         bit-identical to ``float(self.trace(t, 0, +1))``.  Points may be
-        Fractions or ints.  See ``iter_samples``.
+        Fractions or ints.  A cursor walks the pieces, and each value is one
+        ``horner_float``.
         """
-        return list(self.iter_samples(points))
-
-    def iter_samples(self, points: Iterable) -> Iterator[float]:
-        """``sample`` one point at a time, for point streams too long to hold.
-
-        A cursor walks the pieces, and each piece is evaluated in integer
-        arithmetic: see the module docstring.
-        """
+        out = []
         last = len(self.pieces) - 1
         idx = -1
         lo_num, lo_den = hi_num, hi_den = self.start.as_integer_ratio()  # the first point enters piece 0
@@ -422,17 +430,12 @@ class PiecewisePoly:
                 lo_num, lo_den = hi_num, hi_den
                 hi_num, hi_den = self.breaks[idx + 1].as_integer_ratio()
                 numerators, scale = exactla.integer_numerators(self.pieces[idx])
-                numerators.reverse()
-            # local coordinate x = t - lo = X/Q, and p(x) = sum n_j X^j Q^(d-j) / (scale * Q^d)
+            # local coordinate x = t - lo
             x_num = p * lo_den - lo_num * q
             if x_num < 0:
                 raise ValueError("point %s outside [%s, %s) or out of order" % (t, self.start, self.end))
-            x_den = q * lo_den
-            acc, power = numerators[0], 1
-            for n in numerators[1:]:
-                power *= x_den
-                acc = acc * x_num + n * power
-            yield acc / (scale * power)
+            out.append(horner_float(numerators, scale, x_num, q * lo_den))
+        return out
 
     def jump(self, t, order: int = 0) -> Fraction:
         """Right minus left limit of the order-th derivative at an interior point."""

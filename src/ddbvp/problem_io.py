@@ -21,11 +21,12 @@ degree 2k+3 of the Hermite extension that every solve builds, so k <= 30.
 
 Reports embed the canonical re-serialization of their input between marker
 lines, so a solution can be reproduced byte-for-byte from the report alone.
+The solution CSV walks v, v', w and f0, aligned on one partition, piece by
+piece, and prints every value as the correctly rounded float of the exact one.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import sys
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from . import exactla
 from .grid import grid_resolution_error
-from .piecewise import DEGREE_CAP, DegreeCapError, PiecewisePoly
+from .piecewise import DEGREE_CAP, DegreeCapError, PiecewisePoly, align_many, horner_float
 from .solver import BVPProblem, SolutionFamily, SolveStatus
 from .structure import Stencil
 
@@ -277,13 +279,12 @@ def solution_csv_lines(family: SolutionFamily, f0: PiecewisePoly, step: Fraction
     existing one-sided limit (left first).  Infeasible problems produce just
     the header.
 
-    The table is written in one sweep over the merged breakpoints, so rows
-    come out in order and nothing but the breakpoints is held in memory.
-    Left limits at the breakpoints come from ``trace``, four calls per
-    breakpoint.  Every right limit, at a breakpoint or at a regular point
-    (where it is the value), comes from one ``PiecewisePoly.iter_samples``
-    stream per column, and t is divided out of integers.  Every printed float
-    is the correctly rounded exact value.
+    v, v', w and f0 are aligned on one partition, and its pieces are walked
+    once, in row order: the right-limit row at the piece's left end, the
+    regular rows inside it, the left-limit row at its right end.  Rows are
+    made as they are taken, and no row is held.  Every value is one
+    ``horner_float`` on the piece, and t is divided out of integers, so every
+    printed float is the correctly rounded exact value.
     """
     yield CSV_HEADER + "\n"
     if family.v is None:
@@ -291,33 +292,26 @@ def solution_csv_lines(family: SolutionFamily, f0: PiecewisePoly, step: Fraction
     if step <= 0:
         raise ValueError("sample step must be positive")
     v = family.v
-    funcs = (v, v.derivative(1), family.w, f0)
-    start, end = v.start, v.end
-    breaks = sorted(set().union(*(g.breaks for g in funcs)))
+    columns = align_many((v, v.derivative(1), family.w, f0))
+    start = v.start
+    breaks = columns[0].breaks
 
     # t_i = start + i*step = (first + i*stride) / den
     den = start.denominator * step.denominator
     first = start.numerator * step.denominator
     stride = step.numerator * start.denominator
-    # indices i of the regular rows strictly between consecutive breakpoints
-    gaps = [range(math.floor((lo - start) / step) + 1, math.ceil((hi - start) / step))
-            for lo, hi in zip(breaks, breaks[1:])]
-
-    def points():
-        for b, gap in zip(breaks, gaps):
-            yield b
-            for i in gap:
-                yield Fraction(first + i * stride, den)
-
-    # right limits, in row order
-    right = zip(*(g.iter_samples(p) for g, p in zip(funcs, itertools.tee(points(), len(funcs)))))
-    for b, gap in zip(breaks, gaps + [range(0)]):
-        if b > start:
-            yield _ROW % (float(b), *(float(g.trace(b, 0, -1)) for g in funcs))
-        if b < end:
-            yield _ROW % (float(b), *next(right))
-        for i in gap:
-            yield _ROW % ((first + i * stride) / den, *next(right))
+    for idx, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
+        forms = [exactla.integer_numerators(g.pieces[idx]) for g in columns]
+        yield _ROW % (float(lo), *[horner_float(*form, 0, 1) for form in forms])
+        # the regular rows strictly inside (lo, hi), at local x = t_i - lo
+        lo_num, lo_den = lo.as_integer_ratio()
+        x_den = den * lo_den
+        for i in range(math.floor((lo - start) / step) + 1, math.ceil((hi - start) / step)):
+            t_num = first + i * stride
+            x_num = t_num * lo_den - lo_num * den
+            yield _ROW % (t_num / den, *[horner_float(*form, x_num, x_den) for form in forms])
+        width_num, width_den = (hi - lo).as_integer_ratio()
+        yield _ROW % (float(hi), *[horner_float(*form, width_num, width_den) for form in forms])
 
 
 # ---------------------------------------------------------------------------

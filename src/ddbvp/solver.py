@@ -188,33 +188,34 @@ def hermite_extension(stencil: Stencil, k: int, f1: tuple[Fraction, ...], f2: tu
 
 
 def _smoothness(
-    structure: StructureReport,
+    n: int,
     k: int,
-    v: PiecewisePoly,
     data_defects: tuple[tuple[Fraction, int, Fraction], ...],
     y: PiecewisePoly,
     zero_trace_bad: tuple[tuple[str, Fraction], ...],
     minimal_bad: tuple[tuple[str, Fraction], ...],
 ) -> SmoothnessReport:
-    """The report from v's jump table; ``data_defects`` are the reduced data's.
+    """The report from the jump table of y; ``data_defects`` are the reduced data's.
 
-    ``zero_trace_bad`` and ``minimal_bad`` are the violated constraints of the
-    two solution classes; a class is solvable exactly when its list is empty.
+    y pastes one-piece pads to v at the seams 0 and N+1, so its other jumps
+    are v's.  ``zero_trace_bad`` and ``minimal_bad`` are the violated
+    constraints of the two solution classes; a class is solvable exactly when
+    its list is empty.
     """
-    n = structure.stencil.N
+    seams = (Fraction(0), Fraction(n + 1))
     integer_nodes = {Fraction(i) for i in range(1, n + 1)}
+    extension_jumps = []
     node_jumps = []
     offgrid = []
-    for t, mu, jump in v.jumps(k + 2):
-        if t in integer_nodes and mu >= 1:
+    for t, mu, jump in y.jumps(k + 2):
+        if t in seams:
+            extension_jumps.append((t, mu, jump))
+        elif t in integer_nodes and mu >= 1:
             node_jumps.append((t, mu, jump))
         elif jump != 0:
             offgrid.append((t, mu, jump))
     # every nonzero jump of v is either a node jump or an off-grid defect
     smooth_interior = not offgrid and all(jump == 0 for _, _, jump in node_jumps)
-
-    extension_jumps = [(t, mu, y.jump(t, mu)) for t in (Fraction(0), Fraction(n + 1)) for mu in range(k + 2)]
-    # y pastes one-piece pads to v at 0 and N+1, so its other jumps are v's
     smooth_extension = smooth_interior and all(jump == 0 for _, _, jump in extension_jumps)
 
     return SmoothnessReport(
@@ -331,7 +332,7 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
         kernel=kernel,
         residuals=(),
         extension=y,
-        smoothness=_smoothness(structure, k, v, data_defects, y, zero_trace_bad, minimal_bad),
+        smoothness=_smoothness(n, k, data_defects, y, zero_trace_bad, minimal_bad),
     )
 
 
@@ -362,10 +363,10 @@ def kernel_certificate(structure: StructureReport) -> KernelCertificate:
     labels.append("trace at 0")
     rows.append([v_one.trace(n + 1, 0, -1), v_lin.trace(n + 1, 0, -1)])
     labels.append("trace at %d" % (n + 1))
-    for node in range(1, n + 1):
-        for mu in (0, 1):
-            rows.append([v_one.jump(node, mu), v_lin.jump(node, mu)])
-            labels.append("jump at %d, order %d" % (node, mu))
+    # both preimages break exactly at the nodes 1..N, so their tables pair up
+    for (node, mu, one), (_, _, lin) in zip(v_one.jumps(2), v_lin.jumps(2)):
+        rows.append([one, lin])
+        labels.append("jump at %s, order %d" % (node, mu))
     rank = exactla.rank(rows)
     basis = []
     if rank < 2:

@@ -288,14 +288,17 @@ def spectrum(stencil: Stencil) -> np.ndarray:
 
     The spectrum of the difference operator on L2(0, N+1) is exactly the
     spectrum of R1, so this doubles as a diagnostic for the discrete operator
-    built in :mod:`ddbvp.grid`.  A coefficient outside the double range
-    raises OverflowError naming it.
+    built in :mod:`ddbvp.grid`.  A coefficient outside the double range,
+    too large or a nonzero one that rounds to 0.0, raises OverflowError
+    naming it.
     """
     for j, c in enumerate(stencil.coeffs, start=-stencil.N):
         try:
-            float(c)
+            outside = c != 0 and float(c) == 0.0
         except OverflowError:
-            raise OverflowError("stencil coefficient b_%d lies outside the double range" % j) from None
+            outside = True
+        if outside:
+            raise OverflowError("stencil coefficient b_%d lies outside the double range" % j)
     eigs = np.linalg.eigvals(np.array(stencil.r1, dtype=float))
     order = np.lexsort((eigs.imag, eigs.real))
     return eigs[order]

@@ -198,9 +198,9 @@ def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3)) -> Che
                        "%d stencils x %s, forward and inverse, exact" % (len(pool), list(orders)))
 
 
-def check_image_codimension() -> CheckResult:
+def check_image_codimension(named: tuple[Stencil, ...]) -> CheckResult:
     """Criterion 2: functional rank matches the image codimension table."""
-    for stencil in named_stencils():
+    for stencil in named:
         structure = stencil.structure
         dependent = structure.ends.dependent
         for k in CODIMENSION_ORDERS:
@@ -213,9 +213,9 @@ def check_image_codimension() -> CheckResult:
                        "named stencils, k in %s, exact integer match" % (list(CODIMENSION_ORDERS),))
 
 
-def check_constraint_counts() -> CheckResult:
+def check_constraint_counts(named: tuple[Stencil, ...]) -> CheckResult:
     """Criterion 3: post-elimination solvability constraint counts."""
-    for stencil in named_stencils():
+    for stencil in named:
         structure = stencil.structure
         dependent = structure.ends.dependent
         for k in CONSTRAINT_ORDERS:
@@ -390,9 +390,9 @@ def check_oracle_convergence() -> CheckResult:
     return CheckResult(8, "oracle convergence", True, detail)
 
 
-def check_index_estimates() -> CheckResult:
+def check_index_estimates(named: tuple[Stencil, ...]) -> CheckResult:
     """Criterion 9: numerical kernel and cokernel dimensions agree."""
-    stencils = named_stencils() + (Stencil.from_coeffs([1, 0, -1]),)
+    stencils = named + (Stencil.from_coeffs([1, 0, -1]),)
     cases = 0
     for stencil in stencils:
         domain = (0, stencil.N + 1)
@@ -438,8 +438,8 @@ def run_battery(level: str = "fast") -> list[CheckResult]:
     results = []
     if level == "fast":
         results.append(check_membership_theorem(named, orders=(1, 2)))
-        results.append(check_image_codimension())
-        results.append(check_constraint_counts())
+        results.append(check_image_codimension(named))
+        results.append(check_constraint_counts(named))
         results.append(check_kernel_certificates(named))
         results.append(check_worked_solution())
         results.append(check_structure_equivalence(named))
@@ -447,13 +447,13 @@ def run_battery(level: str = "fast") -> list[CheckResult]:
 
     pool = named + random_regime_stencils()
     results.append(check_membership_theorem(pool))
-    results.append(check_image_codimension())
-    results.append(check_constraint_counts())
+    results.append(check_image_codimension(named))
+    results.append(check_constraint_counts(named))
     results.append(check_kernel_certificates(pool))
     results.append(check_worked_solution())
     results.append(check_boundary_rank_cases())
     results.append(check_spectrum_containment(pool))
     results.append(check_oracle_convergence())
-    results.append(check_index_estimates())
+    results.append(check_index_estimates(named))
     results.append(check_structure_equivalence(pool))
     return results

@@ -75,12 +75,12 @@ def test_image_members_are_exact_and_mostly_outside_the_zero_trace_class(pool):
 
 def test_criterion_02_image_codimension(pool):
     # rank 2(k+2) independent / k+3 dependent, k in {0, 1, 2}, exact integers
-    _report(check_image_codimension())
+    _report(check_image_codimension(named_stencils()))
 
 
 def test_criterion_03_constraint_counts(pool):
     # post-elimination counts 2(k+1) or k+1 per variant, k in {0, 1}
-    _report(check_constraint_counts())
+    _report(check_constraint_counts(named_stencils()))
 
 
 def test_criterion_04_kernel_certificates(pool):
@@ -114,7 +114,7 @@ def test_criterion_08_oracle_convergence(pool):
 def test_criterion_09_index_estimates(pool):
     # numerical kernel and cokernel dimensions agree at n = 64 for
     # a(t) in {0, 1, t}
-    _report(check_index_estimates())
+    _report(check_index_estimates(named_stencils()))
 
 
 def test_criterion_10_structure_equivalence(pool):
@@ -140,7 +140,7 @@ def test_full_battery_analyzes_each_stencil_object_once(monkeypatch):
     assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
     ids = [id(s) for s in analyzed]  # ``analyzed`` keeps every object alive, so ids are not reused
     assert len(set(ids)) == len(ids)
-    # the 23 pool stencils (criteria 1, 4 and 10), the 3 named stencils of
-    # criteria 2 and 3 each, the box of criterion 6 and the model stencil of
-    # criteria 5 and 8 each; criteria 7 and 9 analyze nothing
-    assert len(ids) == 23 + 3 + 3 + 7 ** 3 + 1 + 1
+    # the 23 pool stencils (criteria 1-4 and 10 share the named ones), the box
+    # of criterion 6 and the model stencil of criteria 5 and 8 each; criteria
+    # 7 and 9 analyze nothing
+    assert len(ids) == 23 + 7 ** 3 + 1 + 1

@@ -8,8 +8,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddbvp import cli, exactla, structure
+from ddbvp import cli, exactla, problem_io, structure
 from ddbvp.cli import main
 from ddbvp.piecewise import PiecewisePoly
 from ddbvp.problem_io import (
@@ -22,7 +24,7 @@ from ddbvp.problem_io import (
     solution_csv_lines,
     solve_report,
 )
-from ddbvp.solver import solve_nonhomogeneous
+from ddbvp.solver import BVPProblem, solve_nonhomogeneous
 from ddbvp.structure import Stencil, StructureError, analyze
 
 WORKED = {
@@ -240,6 +242,41 @@ def test_solution_csv_matches_the_per_point_writer(name, step):
     assert solution_csv(family, parsed.problem.f0, step) == _reference_csv(family, parsed.problem.f0, step)
 
 
+small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def csv_cases(draw):
+    """A supported N <= 2 problem with f0 breaking off the nodes, and a sample step.
+
+    The step is a drawn rational (at most 3, so it may be longer than a piece
+    or the whole interval), or a break over a small integer, so that the
+    regular rows land on that break.
+    """
+    n = draw(st.integers(min_value=1, max_value=2))
+    far_left = draw(st.lists(small, min_size=n - 1, max_size=n - 1))
+    ends = small.filter(bool)
+    stencil = Stencil.from_coeffs(far_left + [draw(ends)] + [Fraction(0)] * n + [draw(ends)])
+    off_nodes = st.fractions(min_value=0, max_value=n + 1, max_denominator=7).filter(lambda t: t.denominator > 1)
+    breaks = sorted(draw(st.sets(off_nodes, min_size=1, max_size=3)) | {Fraction(0), Fraction(n + 1)})
+    f0 = PiecewisePoly.from_pieces(breaks, [draw(st.lists(small, min_size=1, max_size=3)) for _ in breaks[1:]])
+    extension = st.lists(small, min_size=1, max_size=2)
+    problem = BVPProblem(stencil=stencil, k=draw(st.integers(0, 1)), f0=f0, f1=draw(extension), f2=draw(extension))
+    step = draw(st.one_of(
+        st.fractions(min_value=Fraction(1, 24), max_value=3, max_denominator=24).filter(lambda x: x > 0),
+        st.tuples(st.sampled_from(breaks[1:-1]), st.integers(min_value=1, max_value=4)).map(lambda bm: bm[0] / bm[1]),
+    ))
+    return problem, step
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(csv_cases())
+def test_solution_csv_equals_the_per_point_writer_on_drawn_problems(case):
+    problem, step = case
+    family = solve_nonhomogeneous(problem)
+    assert solution_csv(family, problem.f0, step) == _reference_csv(family, problem.f0, step)
+
+
 def test_solution_csv_samples_without_value_and_few_traces(monkeypatch):
     parsed = parse_problem(json.dumps(CSV_PROBLEMS["N2"]))
     family = solve_nonhomogeneous(parsed.problem)
@@ -257,29 +294,28 @@ def test_solution_csv_samples_without_value_and_few_traces(monkeypatch):
     counting("value")
     counting("trace")
     text = solution_csv(family, parsed.problem.f0, Fraction(1, 64))
-    merged = set(family.v.breaks) | set(family.w.breaks) | set(parsed.problem.f0.breaks)
     assert text.count("\n") > 3 * 64
     assert calls["value"] == 0
-    assert 0 < calls["trace"] <= 8 * len(merged)
+    assert calls["trace"] == 0
 
 
 def test_solution_csv_lines_stream_the_samples(monkeypatch):
     parsed = parse_problem(json.dumps(CSV_PROBLEMS["N1"]))
     family = solve_nonhomogeneous(parsed.problem)
     step = Fraction(1, 10 ** 4)
-    produced = [0]
-    original = PiecewisePoly.iter_samples
+    expected = "".join(solution_csv(family, parsed.problem.f0, step).splitlines(True)[:5])
+    evaluated = [0]
+    original = problem_io.horner_float
 
-    def counting(self, points):
-        for value in original(self, points):
-            produced[0] += 1
-            yield value
+    def counting(*args):
+        evaluated[0] += 1
+        return original(*args)
 
-    monkeypatch.setattr(PiecewisePoly, "iter_samples", counting)
+    monkeypatch.setattr(problem_io, "horner_float", counting)
     head = list(itertools.islice(solution_csv_lines(family, parsed.problem.f0, step), 5))
-    # four columns, each sampled only as far as the rows taken
-    assert produced[0] <= 4 * 5
-    assert "".join(head) == "".join(solution_csv(family, parsed.problem.f0, step).splitlines(True)[:5])
+    # four values per row taken, none ahead of it
+    assert 0 < evaluated[0] <= 4 * 5
+    assert "".join(head) == expected
     assert all(line.endswith("\n") for line in head)
 
 
@@ -526,8 +562,23 @@ def test_a_coefficient_outside_the_double_range_exits_1_before_any_output(tmp_pa
     assert captured.err == "error: stencil coefficient b_-1 lies outside the double range\n"
 
 
+# (0, 1, 1, 1, 2) with b_2 = 1e-400, which rounds to 0.0 as a double: still in
+# the supported regime, and its solution stays inside the double range
+UNDERFLOW = {"N": 2, "b": [0, 1, 1, 1, "1e-400"], "k": 0, "f0": [{"interval": [0, 3], "coeffs": [1]}]}
+
+
+@pytest.mark.parametrize("args", [["analyze"], ["spectrum"], ["spectrum", "--grid", "8"]])
+def test_a_coefficient_that_underflows_exits_1_before_any_output(tmp_path, capsys, args):
+    code = main([args[0], _write(tmp_path, UNDERFLOW)] + args[1:])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: stencil coefficient b_2 lies outside the double range\n"
+
+
 def test_solve_needs_no_double_of_the_stencil(tmp_path, capsys):
     assert main(["solve", _write(tmp_path, dict(WORKED, b=["1e400", 0, 1])), "--out", str(tmp_path / "big")]) == 0
+    assert main(["solve", _write(tmp_path, UNDERFLOW), "--out", str(tmp_path / "tiny")]) == 0
 
 
 def test_a_csv_sample_outside_the_double_range_exits_1_and_writes_no_file(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_invert_roundtrip_and_singular_rejection():
             continue
         found += 1
         product = _mat_mul(a, exactla.invert(a))
-        assert product == exactla.identity(3)
+        assert product == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
     with pytest.raises(ValueError):
         exactla.invert([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
 

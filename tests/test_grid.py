@@ -39,7 +39,6 @@ def test_assemble_shapes_and_guard():
     assert ops.shift_extended.matrix.shape == (size + 2, size)
     assert ops.second_difference.matrix.shape == (size, size + 2)
     assert ops.points[0] == F(1, n) and ops.points[-1] == F(size, n)
-    assert ops.a_samples is None
     with pytest.raises(ValueError):
         assemble(s, 3)
 
@@ -99,8 +98,6 @@ def test_zeroth_order_coefficient_enters_as_a_diagonal():
     diff = with_a.operator.matrix - plain.operator.matrix
     expected = np.diag([float(t) for t in plain.points])
     assert np.abs(diff - expected).max() == 0.0
-    assert with_a.a_samples is not None
-    assert with_a.a_samples[0] == 0.25
 
 
 def test_solve_grid_flags_singular_systems_and_checks_shape():
@@ -162,7 +159,7 @@ def test_operator_is_the_second_difference_of_the_extended_shift(coeffs, a_kind)
         assert np.shares_memory(ops.shift.matrix, ext)
         expected = -(ops.second_difference.matrix @ ext)
         if a is not None:
-            expected += np.diag(ops.a_samples)
+            expected += np.diag(a.sample(ops.points))
         if exact:
             assert np.array_equal(ops.operator.matrix, expected), (coeffs, n, a_kind)
         else:
@@ -367,8 +364,8 @@ def test_operator_matches_the_composed_form_bit_for_bit():
 
 
 def test_assembly_and_block_solve_memory():
-    # assembly keeps the three residue-block stacks alone (a = 0, so no
-    # a_samples), and a well-conditioned solve allocates, in units of one
+    # assembly keeps the three residue-block stacks alone, and a
+    # well-conditioned solve allocates, in units of one
     # size x size float64 array, O(size) beside them
     s = Stencil.from_coeffs((1, 1, 2, 4, 4))
     n = 256
@@ -429,11 +426,12 @@ def test_residue_blocks_match_the_index_gather(coeffs, a_kind):
     # against the row-by-row composed form, so every entry and the sign of every zero is checked
     s = Stencil.from_coeffs(coeffs)
     for n in (4, 5, 7, 16):
-        ops = assemble(s, n, _a_of_kind(a_kind, s))
+        a = _a_of_kind(a_kind, s)
+        ops = assemble(s, n, a)
         ext = _shift_extended_by_rows(s, n)
         composed = (2.0 * ext[1:-1] - ext[:-2] - ext[2:]) * (1.0 / (1.0 / n) ** 2)
-        if ops.a_samples is not None:
-            composed += np.diag(ops.a_samples)
+        if a is not None:
+            composed += np.diag(a.sample(ops.points))
         expected = _residue_blocks_by_index(composed, n, s.N)
         for name, g, e in zip(("diagonal", "lower", "upper"), (ops.diag, ops.lower, ops.upper), expected):
             assert g.shape == e.shape == (n, s.N + 1, s.N + 1)

@@ -807,12 +807,17 @@ one_order_functionals = st.tuples(
 ).map(lambda drawn: NodeFunctional(tuple((x, drawn[0], w) for x, w in drawn[1]), "one order"))
 
 
+def _scaled(fn, s):
+    """fn with every weight multiplied by s."""
+    return NodeFunctional(tuple((node, mu, s * w) for node, mu, w in fn.terms), fn.label)
+
+
 @st.composite
 def functional_families(draw):
     """Families with shared nodes and orders, repeated atoms, zero weights and scaled duplicates."""
     fns = draw(st.lists(st.one_of(one_order_functionals, mixed_order_functionals), max_size=6))
     for _ in range(draw(st.integers(min_value=0, max_value=2)) if fns else 0):
-        fns.append(draw(st.sampled_from(fns)).scaled(draw(rationals)))
+        fns.append(_scaled(draw(st.sampled_from(fns)), draw(rationals)))
     return fns
 
 

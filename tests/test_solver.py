@@ -10,6 +10,7 @@ from ddbvp.functionals import NodeFunctional, solvability_constraints
 from ddbvp.piecewise import (
     PiecewisePoly,
     apply_difference,
+    apply_difference_inverse,
     apply_shifted_sum,
     double_antiderivative,
     smoothness_defects,
@@ -123,10 +124,10 @@ def test_one_solve_reads_each_jump_table_once(monkeypatch):
     family = solve_nonhomogeneous(problem)
     # the Hermite extension's self-check and the reduced data, once each
     assert [order for _, order in defects] == [k + 2, k]
-    assert [count for f, count in tables if f is family.v] == [k + 2]
+    # the smoothness report reads the one table of y, seams included
+    assert [count for f, count in tables if f is family.extension] == [k + 2]
     assert len(tables) == 3
-    # point jumps are left only for the 2 (k+2) extension jumps of y at 0 and N+1
-    assert len(points) == 2 * (k + 2) and all(f is family.extension for f in points)
+    assert points == []
 
 
 def test_one_solve_evaluates_each_constraint_stack_once(monkeypatch):
@@ -271,6 +272,25 @@ def test_kernel_certificate_ranks():
     cert = kernel_certificate(analyze(RANK_ONE))
     assert cert.rank == 2
     assert cert.dim_kernel == 0
+
+
+def test_kernel_certificate_reads_its_node_rows_off_two_jump_tables(monkeypatch):
+    jumps, jump = PiecewisePoly.jumps, PiecewisePoly.jump
+    for s in named_stencils() + (RANK_ONE,):
+        structure = analyze(s)
+        n = s.N
+        v_one = apply_difference_inverse(structure, PiecewisePoly.constant(1, 0, n + 1))
+        v_lin = apply_difference_inverse(structure, PiecewisePoly.from_global((0, 1), (0, n + 1)))
+        expected = [(v_one.trace(0, 0, 1), v_lin.trace(0, 0, 1)), (v_one.trace(n + 1, 0, -1), v_lin.trace(n + 1, 0, -1))]
+        expected += [(v_one.jump(node, mu), v_lin.jump(node, mu)) for node in range(1, n + 1) for mu in (0, 1)]
+        tables, points = [], []
+        monkeypatch.setattr(PiecewisePoly, "jumps", lambda f, count: tables.append(count) or jumps(f, count))
+        monkeypatch.setattr(PiecewisePoly, "jump", lambda f, t, order=0: points.append(t) or jump(f, t, order))
+        cert = kernel_certificate(structure)
+        monkeypatch.undo()
+        assert list(cert.matrix) == expected
+        assert cert.conditions[2:] == tuple("jump at %d, order %d" % (node, mu) for node in range(1, n + 1) for mu in (0, 1))
+        assert tables == [2, 2] and points == []
 
 
 def test_hermite_extension_matches_data_and_stays_smooth():
