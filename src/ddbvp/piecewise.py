@@ -25,10 +25,10 @@ plumbing used everywhere else:
   :func:`~ddbvp.structure.analyze` stored in its ``StructureReport`` (so it
   takes the report rather than the stencil);
 * one-sided traces and jumps at a point (``trace``, ``jump``), and the table of
-  every interior jump, ``PiecewisePoly.jumps``, from one ``pjet`` (the jet
-  [p(x), p'(x), ...]) at each end of each piece.  ``smoothness_defects`` and
-  ``trace_defects`` read that table; their empty lists define the
-  Sobolev-type memberships used by the solvers;
+  every interior jump, ``PiecewisePoly.jumps``, from the Taylor coefficients
+  at each end of each piece, one Fraction per jump.  ``smoothness_defects``
+  reads that table and ``trace_defects`` adds the end jets; their empty
+  lists define the Sobolev-type memberships used by the solvers;
 * ``horner_float``: the correctly rounded float of a piece at a rational
   point.  The piece is written as integers n_j over one common denominator
   D, and at x = X/Q it is sum n_j X^j Q^(d-j) / (D Q^d): integer Horner,
@@ -39,17 +39,23 @@ plumbing used everywhere else:
   samples) walks the pieces with a cursor and calls it once per point, and
   the solution CSV calls it for every value it writes.
 
-The stored breakpoints and pieces are Fraction tuples, but the hot kernels
-compute in integers: a Fraction operation pays for a gcd, an integer one
-does not.  Each kernel writes its inputs as integer numerators over one
-common denominator (an lcm), works in Python ints and builds one Fraction per
-output value.  ``_taylor`` gives the Taylor coefficient
-p^(k)(x)/k! = sum_{d>=k} C(d, k) c_d x^(d-k) at x = X/Q by integer Horner
-with powers of Q, and reads c_k directly at x = 0 (a right limit at a
-breakpoint); ``trace``, ``pjet`` and ``pshift`` are built on it.
-``_integer_sum``, under ``linear_combination`` and ``_unit_product``,
-accumulates each piece of a sum as c.numerator * P * (L // T), with P the
-integer numerators of a term's piece over their lcm D,
+A piece is stored only in integer form, as ``forms``: one
+``(numerators, den)`` per piece with p = sum_d numerators[d] x^d / den, kept
+canonical (trailing zeros trimmed, den > 0, gcd(den, *numerators) = 1, the
+zero polynomial ``((0,), 1)``), so ``same`` compares aligned forms directly.
+Every kernel reads and writes this form: a Fraction operation pays for a gcd,
+an integer one does not, and a kernel pays one gcd per output piece, in
+``_form``.  ``pieces``, the Fraction coefficient tuples, is built from the
+forms on each read, for the API only; breakpoints stay Fractions.
+``_taylor`` gives the Taylor coefficient p^(k)(x)/k! = sum_{d>=k} C(d, k)
+c_d x^(d-k) at x = X/Q by integer Horner with powers of Q, and reads c_k
+directly at x = 0 (a right limit at a breakpoint); ``trace``, ``value``,
+``jumps`` and ``pjet`` are built on it.  ``_shifted`` re-expands a piece at
+a new left end, for ``refined`` and ``from_global``: Q^top p(x + X/Q) is
+sum_d n_d Q^(top-d) (Qx + X)^d, an integer Taylor shift by X done by
+synthetic division.  ``_integer_sum``, under ``linear_combination`` and
+``_unit_product``, accumulates each piece of a sum as c.numerator * P *
+(L // T), with P the numerators of a term's piece over its denominator D,
 T = c.denominator * D, and L the lcm of all the T.
 """
 
@@ -95,10 +101,6 @@ def padd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     ])
 
 
-def pscale(a: Sequence[Fraction], s: Fraction) -> tuple[Fraction, ...]:
-    return ptrim([s * x for x in a])
-
-
 def pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     if (len(a) - 1) + (len(b) - 1) > DEGREE_CAP:
         raise DegreeCapError("product degree %d exceeds cap %d" % ((len(a) - 1) + (len(b) - 1), DEGREE_CAP))
@@ -110,37 +112,71 @@ def pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
     return ptrim(out)
 
 
-def pder(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return ptrim([c[d] * d for d in range(1, len(c))]) if len(c) > 1 else (Fraction(0),)
-
-
-def pint(c: Sequence[Fraction], const: Fraction) -> tuple[Fraction, ...]:
-    if len(c) > DEGREE_CAP:
-        raise DegreeCapError("antiderivative degree %d exceeds cap %d" % (len(c), DEGREE_CAP))
-    return ptrim([const] + [c[d] / (d + 1) for d in range(len(c))])
-
-
-def peval(c: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for coef in reversed(c):
-        out = out * x + coef
-    return out
-
-
 def pjet(c: Sequence[Fraction], x: Fraction, count: int) -> list[Fraction]:
     """[p(x), p'(x), ..., p^(count-1)(x)]."""
-    nums, den = exactla.integer_numerators(c)
+    return _jet(exactla.integer_numerators(c), x, count)
+
+
+# ---------------------------------------------------------------------------
+# the stored integer form of a piece: (numerators, den), see the module docstring
+
+Form = tuple[tuple[int, ...], int]
+
+
+def _form(nums: Sequence[int], den: int) -> Form:
+    """The canonical form of sum_d nums[d] x^d / den (module docstring)."""
+    top = len(nums)
+    while top and not nums[top - 1]:
+        top -= 1
+    if not top:
+        return (0,), 1
+    g = math.gcd(den, *nums[:top])
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums[:top]), den
+    return tuple(n // g for n in nums[:top]), den // g
+
+
+def _form_of(coeffs: Iterable) -> Form:
+    """The form of a coefficient sequence of ints, Fractions or 'p/q' strings."""
+    return _form(*exactla.integer_numerators([_frac(x) for x in coeffs]))
+
+
+def _shifted(form: Form, s: Fraction) -> Form:
+    """The form of p(x + s): p re-expanded around s.
+
+    With s = X/Q and top the degree, Q^top p(x + X/Q) = sum_d a_d (Qx + X)^d
+    for a_d = n_d Q^(top-d).  Synthetic division shifts the a_d by X in
+    integers, and the coefficient of u^j = (Qx)^j gives a_j Q^j over
+    den * Q^top.
+    """
+    nums, den = form
+    top = len(nums) - 1
+    if not s or not top:
+        return form
+    x_num, x_den = s.as_integer_ratio()
+    acc, power = list(nums), 1
+    for d in range(top - 1, -1, -1):
+        power *= x_den
+        acc[d] *= power
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            acc[j] += x_num * acc[j + 1]
+    scale = 1
+    for j in range(1, top + 1):
+        scale *= x_den
+        acc[j] *= scale
+    return _form(acc, den * power)
+
+
+def _jet(form: Form, x: Fraction, count: int) -> list[Fraction]:
+    """[p(x), p'(x), ..., p^(count-1)(x)] for p in form."""
     out = []
     for k in range(count):
-        num, den_k = _taylor(nums, den, x, k)
-        out.append(Fraction(math.factorial(k) * num, den_k))
+        num, den = _taylor(*form, x, k)
+        out.append(Fraction(math.factorial(k) * num, den))
     return out
-
-
-def pshift(c: Sequence[Fraction], s: Fraction) -> tuple[Fraction, ...]:
-    """Coefficients of p(x + s): the Taylor expansion of p around s."""
-    nums, den = exactla.integer_numerators(c)
-    return ptrim([Fraction(*_taylor(nums, den, s, k)) for k in range(len(nums))])
 
 
 def _taylor(nums: Sequence[int], den: int, x: Fraction, k: int) -> tuple[int, int]:
@@ -235,36 +271,44 @@ def _hermite_basis(count: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True, eq=False)
 class PiecewisePoly:
-    """Piecewise polynomial with rational breakpoints, local-coordinate pieces."""
+    """Piecewise polynomial with rational breakpoints, local-coordinate pieces.
+
+    ``forms`` holds one canonical integer form per piece (module docstring);
+    the constructor is internal, and callers build with ``from_pieces``,
+    ``from_global``, ``zero`` or ``constant``.
+    """
 
     breaks: tuple[Fraction, ...]
-    pieces: tuple[tuple[Fraction, ...], ...]
+    forms: tuple[Form, ...]
 
     def __post_init__(self):
-        if len(self.breaks) < 2 or len(self.pieces) != len(self.breaks) - 1:
+        if len(self.breaks) < 2 or len(self.forms) != len(self.breaks) - 1:
             raise ValueError("need n+1 breakpoints for n pieces")
         for a, b in zip(self.breaks, self.breaks[1:]):
             if not a < b:
                 raise ValueError("breakpoints must be strictly increasing")
-        for c in self.pieces:
-            if len(c) - 1 > DEGREE_CAP:
-                raise DegreeCapError("piece degree %d exceeds cap %d" % (len(c) - 1, DEGREE_CAP))
+        for nums, _ in self.forms:
+            if len(nums) - 1 > DEGREE_CAP:
+                raise DegreeCapError("piece degree %d exceeds cap %d" % (len(nums) - 1, DEGREE_CAP))
+
+    @property
+    def pieces(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Fraction coefficients of each piece, built from ``forms`` on every read."""
+        return tuple(tuple(Fraction(n, den) for n in nums) for nums, den in self.forms)
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def from_pieces(cls, breaks: Iterable, pieces: Iterable[Sequence]) -> "PiecewisePoly":
         bks = tuple(_frac(b) for b in breaks)
-        pcs = tuple(ptrim([_frac(x) for x in piece]) for piece in pieces)
-        return cls(breaks=bks, pieces=pcs)
+        return cls(breaks=bks, forms=tuple(_form_of(piece) for piece in pieces))
 
     @classmethod
     def from_global(cls, coeffs: Sequence, breaks: Iterable) -> "PiecewisePoly":
         """A single global-coordinate polynomial, rebased onto each piece."""
         bks = tuple(_frac(b) for b in breaks)
-        glob = ptrim([_frac(x) for x in coeffs])
-        pcs = tuple(pshift(glob, a) for a in bks[:-1])
-        return cls(breaks=bks, pieces=pcs)
+        glob = _form_of(coeffs)
+        return cls(breaks=bks, forms=tuple(_shifted(glob, a) for a in bks[:-1]))
 
     @classmethod
     def zero(cls, a, b) -> "PiecewisePoly":
@@ -286,11 +330,11 @@ class PiecewisePoly:
 
     @property
     def degree(self) -> int:
-        return max(len(c) - 1 for c in self.pieces)
+        return max(len(nums) - 1 for nums, _ in self.forms)
 
     def __repr__(self) -> str:
         rng = "(%s, %s)" % (self.start, self.end)
-        return "PiecewisePoly(%d pieces on %s, degree %d)" % (len(self.pieces), rng, self.degree)
+        return "PiecewisePoly(%d pieces on %s, degree %d)" % (len(self.forms), rng, self.degree)
 
     # -- refinement and alignment -------------------------------------------
 
@@ -307,15 +351,15 @@ class PiecewisePoly:
         if min(new) < self.start or max(new) > self.end:
             raise ValueError("refinement points outside the domain")
         pts = sorted(new.union(self.breaks))
-        pieces = []
+        forms = []
         idx = -1
         for lo in pts[:-1]:
             if lo == self.breaks[idx + 1]:
                 idx += 1
-                pieces.append(self.pieces[idx])
+                forms.append(self.forms[idx])
             else:
-                pieces.append(pshift(self.pieces[idx], lo - self.breaks[idx]))
-        return PiecewisePoly(breaks=tuple(pts), pieces=tuple(pieces))
+                forms.append(_shifted(self.forms[idx], lo - self.breaks[idx]))
+        return PiecewisePoly(breaks=tuple(pts), forms=tuple(forms))
 
     def _piece_index(self, t: Fraction) -> int:
         """Index of the piece whose half-open interval [b_i, b_{i+1}) contains t."""
@@ -335,40 +379,56 @@ class PiecewisePoly:
         return self.scaled(Fraction(-1))
 
     def scaled(self, s) -> "PiecewisePoly":
-        s = _frac(s)
-        return PiecewisePoly(self.breaks, tuple(pscale(c, s) for c in self.pieces))
+        s_num, s_den = _frac(s).as_integer_ratio()
+        forms = tuple(_form([s_num * n for n in nums], s_den * den) for nums, den in self.forms)
+        return PiecewisePoly(self.breaks, forms)
 
     def same(self, other: "PiecewisePoly") -> bool:
         """Exact equality as functions (up to breakpoint refinement)."""
         if (self.start, self.end) != (other.start, other.end):
             return False
         a, b = align_many((self, other))
-        return a.pieces == b.pieces
+        return a.forms == b.forms
 
     # -- calculus --------------------------------------------------------------
 
     def derivative(self, order: int = 1) -> "PiecewisePoly":
-        out = self
-        for _ in range(order):
-            out = PiecewisePoly(out.breaks, tuple(pder(c) for c in out.pieces))
-        return out
+        """p^(order) on each piece: coefficient d - order is d! / (d - order)! * c_d."""
+        if not order:
+            return self
+        return PiecewisePoly(self.breaks, tuple(
+            _form([math.perm(d, order) * nums[d] for d in range(order, len(nums))], den) for nums, den in self.forms
+        ))
 
     def antiderivative(self, value_at_start=0) -> "PiecewisePoly":
-        """The continuous antiderivative F with F(start) = value_at_start."""
-        acc = _frac(value_at_start)
-        pcs = []
-        for c, lo, hi in zip(self.pieces, self.breaks, self.breaks[1:]):
-            F = pint(c, acc)
-            pcs.append(F)
-            acc = peval(F, hi - lo)
-        return PiecewisePoly(self.breaks, tuple(pcs))
+        """The continuous antiderivative F with F(start) = value_at_start.
+
+        On a piece of degree top, F = A/B + sum_d n_d x^(d+1) / ((d+1) den),
+        with A/B the value carried from the previous piece's end (integer
+        Horner there), is written over lcm(den * lcm(1..top+1), B).
+        """
+        acc_num, acc_den = _frac(value_at_start).as_integer_ratio()
+        forms = []
+        for (nums, den), lo, hi in zip(self.forms, self.breaks, self.breaks[1:]):
+            if len(nums) > DEGREE_CAP:
+                raise DegreeCapError("antiderivative degree %d exceeds cap %d" % (len(nums), DEGREE_CAP))
+            scale = math.lcm(*range(1, len(nums) + 1))
+            common = math.lcm(den * scale, acc_den)
+            m = common // (den * scale)
+            integral = [n * m * (scale // (d + 1)) for d, n in enumerate(nums)]
+            form = _form([acc_num * (common // acc_den)] + integral, common)
+            forms.append(form)
+            acc_num, acc_den = _taylor(*form, hi - lo, 0)
+            g = math.gcd(acc_num, acc_den)
+            acc_num, acc_den = acc_num // g, acc_den // g
+        return PiecewisePoly(self.breaks, tuple(forms))
 
     # -- geometry ---------------------------------------------------------------
 
     def shifted(self, s) -> "PiecewisePoly":
         """The translate t -> f(t - s); local pieces are untouched."""
         s = _frac(s)
-        return PiecewisePoly(tuple(b + s for b in self.breaks), self.pieces)
+        return PiecewisePoly(tuple(b + s for b in self.breaks), self.forms)
 
     def restricted(self, a, b) -> "PiecewisePoly":
         a, b = _frac(a), _frac(b)
@@ -377,7 +437,7 @@ class PiecewisePoly:
         ref = self.refined({a, b})
         lo = ref.breaks.index(a)
         hi = ref.breaks.index(b)
-        return PiecewisePoly(ref.breaks[lo:hi + 1], ref.pieces[lo:hi])
+        return PiecewisePoly(ref.breaks[lo:hi + 1], ref.forms[lo:hi])
 
     # -- traces -------------------------------------------------------------------
 
@@ -393,7 +453,7 @@ class PiecewisePoly:
             if not self.start < t <= self.end:
                 raise ValueError("no left limit at %s" % t)
             idx = bisect.bisect_left(self.breaks, t) - 1  # the piece (b_i, b_{i+1}] holding t
-        num, den = _taylor(*exactla.integer_numerators(self.pieces[idx]), t - self.breaks[idx], order)
+        num, den = _taylor(*self.forms[idx], t - self.breaks[idx], order)
         return Fraction(math.factorial(order) * num, den)
 
     def value(self, t) -> Fraction:
@@ -402,7 +462,7 @@ class PiecewisePoly:
         if t == self.end:
             return self.trace(t, 0, -1)
         idx = self._piece_index(t)
-        right = peval(self.pieces[idx], t - self.breaks[idx])
+        right = Fraction(*_taylor(*self.forms[idx], t - self.breaks[idx], 0))
         if idx and t == self.breaks[idx]:
             left = self.trace(t, 0, -1)
             if left != right:
@@ -418,7 +478,7 @@ class PiecewisePoly:
         ``horner_float``.
         """
         out = []
-        last = len(self.pieces) - 1
+        last = len(self.forms) - 1
         idx = -1
         lo_num, lo_den = hi_num, hi_den = self.start.as_integer_ratio()  # the first point enters piece 0
         for t in points:
@@ -429,7 +489,7 @@ class PiecewisePoly:
                 idx += 1
                 lo_num, lo_den = hi_num, hi_den
                 hi_num, hi_den = self.breaks[idx + 1].as_integer_ratio()
-                numerators, scale = exactla.integer_numerators(self.pieces[idx])
+                numerators, scale = self.forms[idx]
             # local coordinate x = t - lo
             x_num = p * lo_den - lo_num * q
             if x_num < 0:
@@ -442,12 +502,19 @@ class PiecewisePoly:
         return self.trace(t, order, 1) - self.trace(t, order, -1)
 
     def jumps(self, count: int) -> list[tuple[Fraction, int, Fraction]]:
-        """(t, mu, jump(t, mu)) at every interior breakpoint t, for mu < count, by t then mu."""
+        """(t, mu, jump(t, mu)) at every interior breakpoint t, for mu < count, by t then mu.
+
+        Each jump is mu! (r / R - l / L) for the right-limit Taylor
+        coefficient r / R and the left-limit one l / L, one Fraction per entry.
+        """
         out = []
         for i, t in enumerate(self.breaks[1:-1]):
-            left = pjet(self.pieces[i], t - self.breaks[i], count)
-            right = pjet(self.pieces[i + 1], Fraction(0), count)
-            out.extend((t, mu, r - l) for mu, (l, r) in enumerate(zip(left, right)))
+            width = t - self.breaks[i]
+            left, right = self.forms[i], self.forms[i + 1]
+            for mu in range(count):
+                l_num, l_den = _taylor(*left, width, mu)
+                r_num, r_den = _taylor(*right, 0, mu)
+                out.append((t, mu, Fraction(math.factorial(mu) * (r_num * l_den - l_num * r_den), r_den * l_den)))
         return out
 
 
@@ -483,16 +550,13 @@ def linear_combination(terms: Iterable[tuple[object, PiecewisePoly]]) -> Piecewi
     if any(f.breaks != breaks for f in funcs):
         funcs = align_many(funcs)
         breaks = funcs[0].breaks
-    live = [(c, f) for c, f in zip(coefs, funcs) if c]
-    pieces = tuple(
-        _integer_sum((c, exactla.integer_numerators(f.pieces[i])) for c, f in live)
-        for i in range(len(breaks) - 1)
-    )
-    return PiecewisePoly(breaks, pieces)
+    live = [(c, f.forms) for c, f in zip(coefs, funcs) if c]
+    forms = tuple(_integer_sum((c, term_forms[i]) for c, term_forms in live) for i in range(len(breaks) - 1))
+    return PiecewisePoly(breaks, forms)
 
 
-def _integer_sum(terms: Iterable[tuple[Fraction, tuple[list[int], int]]]) -> tuple[Fraction, ...]:
-    """sum c * P / D over (c, (P, D)) terms, accumulated in integers over one lcm."""
+def _integer_sum(terms: Iterable[tuple[Fraction, Form]]) -> Form:
+    """The form of sum c * P / D over (c, (P, D)) terms, accumulated in integers over one lcm."""
     scaled = [(c.numerator, c.denominator * den, nums) for c, (nums, den) in terms if c]
     common = math.lcm(*(t for _, t, _ in scaled))
     acc = [0] * max((len(nums) for _, _, nums in scaled), default=0)
@@ -500,19 +564,19 @@ def _integer_sum(terms: Iterable[tuple[Fraction, tuple[list[int], int]]]) -> tup
         m = c_num * (common // t)
         for d, n in enumerate(nums):
             acc[d] += m * n
-    return ptrim([Fraction(a, common) for a in acc])
+    return _form(acc, common)
 
 
 def concat(parts: Sequence[PiecewisePoly]) -> PiecewisePoly:
     """Paste functions on adjacent intervals into one; local pieces carry over."""
     breaks: list[Fraction] = list(parts[0].breaks)
-    pieces: list[tuple[Fraction, ...]] = list(parts[0].pieces)
+    forms: list[Form] = list(parts[0].forms)
     for part in parts[1:]:
         if part.start != breaks[-1]:
             raise ValueError("parts are not adjacent: %s != %s" % (part.start, breaks[-1]))
         breaks.extend(part.breaks[1:])
-        pieces.extend(part.pieces)
-    return PiecewisePoly(tuple(breaks), tuple(pieces))
+        forms.extend(part.forms)
+    return PiecewisePoly(tuple(breaks), tuple(forms))
 
 
 def zero_extension(f: PiecewisePoly, a, b) -> PiecewisePoly:
@@ -532,21 +596,21 @@ def zero_extension(f: PiecewisePoly, a, b) -> PiecewisePoly:
 def _unit_product(matrix: Sequence[Sequence[Fraction]], f: PiecewisePoly, start: int) -> PiecewisePoly:
     """Unit i on (0, m) is sum_k M[i][k] * (unit k of f), for M m x c and f on (start, start + c).
 
-    Each piece of f's common refinement gives its integer numerators once.
+    Each piece of the sum is one ``_integer_sum`` over the stored forms of
+    f's common refinement.
     """
     cols = len(matrix[0])
     if (f.start, f.end) != (start, start + cols):
         raise ValueError("expected a function on (%d, %d)" % (start, start + cols))
     offsets = sorted({b - math.floor(b) for b in f.breaks})
     f = f.refined(start + k + o for k in range(cols) for o in offsets)
-    numerators = [exactla.integer_numerators(c) for c in f.pieces]
     per_unit = len(offsets)
-    breaks, pieces = [], []
+    breaks, forms = [], []
     for i, row in enumerate(matrix):
         breaks.extend(i + o for o in offsets)
-        pieces.extend(_integer_sum(zip(row, numerators[q::per_unit])) for q in range(per_unit))
+        forms.extend(_integer_sum(zip(row, f.forms[q::per_unit])) for q in range(per_unit))
     breaks.append(Fraction(len(matrix)))
-    return PiecewisePoly(tuple(breaks), tuple(pieces))
+    return PiecewisePoly(tuple(breaks), tuple(forms))
 
 
 def apply_difference(stencil: Stencil, f: PiecewisePoly) -> PiecewisePoly:
@@ -583,8 +647,8 @@ def trace_defects(f: PiecewisePoly, k: int) -> list[tuple[str, Fraction, int, Fr
     breakpoint (so the zero extension keeps the same smoothness order).
     Returns a list of (kind, node, order, value) with nonzero values only.
     """
-    start = pjet(f.pieces[0], Fraction(0), k)
-    end = pjet(f.pieces[-1], f.end - f.breaks[-2], k)
+    start = _jet(f.forms[0], Fraction(0), k)
+    end = _jet(f.forms[-1], f.end - f.breaks[-2], k)
     jumps = smoothness_defects(f, k)
     out = []
     for mu in range(k):

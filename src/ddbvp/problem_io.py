@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from . import exactla
 from .grid import grid_resolution_error
 from .piecewise import DEGREE_CAP, DegreeCapError, PiecewisePoly, align_many, horner_float
 from .solver import BVPProblem, SolutionFamily, SolveStatus
@@ -301,7 +300,7 @@ def solution_csv_lines(family: SolutionFamily, f0: PiecewisePoly, step: Fraction
     first = start.numerator * step.denominator
     stride = step.numerator * start.denominator
     for idx, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
-        forms = [exactla.integer_numerators(g.pieces[idx]) for g in columns]
+        forms = [g.forms[idx] for g in columns]
         yield _ROW % (float(lo), *[horner_float(*form, 0, 1) for form in forms])
         # the regular rows strictly inside (lo, hi), at local x = t_i - lo
         lo_num, lo_den = lo.as_integer_ratio()

@@ -24,7 +24,7 @@ from ddbvp.problem_io import (
     solution_csv_lines,
     solve_report,
 )
-from ddbvp.solver import BVPProblem, solve_nonhomogeneous
+from ddbvp.solver import BVPProblem, index_report, solve_nonhomogeneous
 from ddbvp.structure import Stencil, StructureError, analyze
 
 WORKED = {
@@ -317,6 +317,30 @@ def test_solution_csv_lines_stream_the_samples(monkeypatch):
     assert 0 < evaluated[0] <= 4 * 5
     assert "".join(head) == expected
     assert all(line.endswith("\n") for line in head)
+
+
+def test_solve_index_report_and_csv_read_no_fraction_pieces(monkeypatch):
+    # the solver, the functionals and the CSV writer work on the stored
+    # integer forms; only the API builds Fraction pieces
+    reads = [0]
+    pieces = PiecewisePoly.pieces
+
+    def counting(self):
+        reads[0] += 1
+        return pieces.fget(self)
+
+    monkeypatch.setattr(PiecewisePoly, "pieces", property(counting))
+    far_left = [(-1) ** j * (j % 3 + 1) for j in range(7)]
+    wide = Stencil.from_coeffs(far_left + [3] + [0] * 8 + [-2])
+    problem = BVPProblem(stencil=wide, k=2, f0=PiecewisePoly.from_global((1, -1, 2), (0, 9)), f1=(1, 2), f2=(3,))
+    assert solve_nonhomogeneous(problem).v is not None
+    assert reads[0] == 0
+    index_report(problem)
+    assert reads[0] == 0
+    parsed = parse_problem(json.dumps(CSV_PROBLEMS["N1"]))
+    family = solve_nonhomogeneous(parsed.problem)
+    assert sum(1 for _ in solution_csv_lines(family, parsed.problem.f0, Fraction(1, 64))) > 64
+    assert reads[0] == 0
 
 
 # -- the command line -----------------------------------------------------------

@@ -21,7 +21,11 @@ from hypothesis import strategies as st
 
 from ddbvp import cli, exactla, grid
 from ddbvp.piecewise import (
+    DEGREE_CAP,
+    DegreeCapError,
     PiecewisePoly,
+    _form_of,
+    _shifted,
     align_many,
     apply_difference,
     apply_difference_inverse,
@@ -29,13 +33,10 @@ from ddbvp.piecewise import (
     concat,
     linear_combination,
     padd,
-    pder,
-    peval,
     pjet,
     pmul,
-    pscale,
-    pshift,
     ptrim,
+    zero_extension,
     smoothness_defects,
     trace_defects,
     two_point_hermite,
@@ -156,6 +157,29 @@ def _all_fractions(*values):
         elif type(value) is not Fraction:
             return False
     return True
+
+
+def peval(c, x):
+    """Fraction Horner on a coefficient tuple."""
+    out = Fraction(0)
+    for coef in reversed(c):
+        out = out * x + coef
+    return out
+
+
+def pder(c):
+    """The derivative of a coefficient tuple, in Fractions."""
+    return ptrim([c[d] * d for d in range(1, len(c))]) if len(c) > 1 else (Fraction(0),)
+
+
+def pscale(a, s):
+    """A coefficient tuple times s, in Fractions."""
+    return ptrim([s * x for x in a])
+
+
+def pint(c, const):
+    """The antiderivative of a coefficient tuple with constant term const, in Fractions."""
+    return ptrim([const] + [c[d] / (d + 1) for d in range(len(c))])
 
 
 entries = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-9, max_value=9, max_denominator=12))
@@ -671,7 +695,7 @@ def test_smoothness_flags_equal_the_defect_lists(problem):
 
 # -- the integer kernels ----------------------------------------------------------
 #
-# trace, pjet, pshift, linear_combination and the functionals compute in
+# trace, pjet, the Taylor shift, linear_combination and the functionals compute in
 # integers over one common denominator; each is held to the plain Fraction
 # computation it replaced, kept here as the reference.
 
@@ -720,9 +744,11 @@ def test_trace_equals_the_fraction_derivative_chain(data):
 @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), min_size=1, max_size=10),
        st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=13)))
 def test_pshift_equals_the_fraction_taylor_loop(coeffs, s):
-    got = pshift(coeffs, s)
-    assert got == _reference_pshift(coeffs, s)
-    assert _all_fractions(got)
+    got = _shifted(_form_of(coeffs), s)
+    assert _is_canonical(got)
+    pieces = PiecewisePoly((Fraction(0), Fraction(1)), (got,)).pieces
+    assert pieces == (_reference_pshift(coeffs, s),)
+    assert _all_fractions(pieces)
 
 
 def _reference_linear_combination(terms):
@@ -760,6 +786,131 @@ def test_linear_combination_equals_the_fraction_piece_sums(terms):
     combo = linear_combination(terms)
     assert (combo.breaks, combo.pieces) == _reference_linear_combination(terms)
     assert _all_fractions(combo.breaks, combo.pieces)
+
+
+# -- the stored integer form ------------------------------------------------------
+#
+# Every kernel writes canonical forms, and ``pieces`` built from them equals
+# the plain Fraction computation.
+
+
+def _is_canonical(form):
+    """(numerators, den): ints, trailing zeros trimmed, den > 0, gcd 1, zero as ((0,), 1)."""
+    nums, den = form
+    return (
+        type(nums) is tuple and len(nums) >= 1 and all(type(n) is int for n in nums) and type(den) is int
+        and den > 0 and math.gcd(den, *nums) == 1 and (nums[-1] != 0 or form == ((0,), 1))
+    )
+
+
+def _assert_stored(f, expected_pieces):
+    assert all(_is_canonical(form) for form in f.forms)
+    assert f.pieces == tuple(expected_pieces)
+    assert _all_fractions(f.breaks, f.pieces)
+
+
+def _reference_piece(f, lo):
+    """The piece of f holding [lo, ...), re-expanded at lo in Fractions."""
+    i = max(j for j, b in enumerate(f.breaks[:-1]) if b <= lo)
+    return _reference_pshift(f.pieces[i], lo - f.breaks[i])
+
+
+def _reference_unit_pieces(matrix, f, start, breaks):
+    """The pieces on ``breaks`` of the function whose unit i is sum_k M[i][k] * (unit k of f), f on
+    (start, start + columns), by Fraction re-expansion and padd/pscale."""
+    out = []
+    for lo in breaks[:-1]:
+        i = math.floor(lo)
+        acc = (Fraction(0),)
+        for k, c in enumerate(matrix[i]):
+            acc = padd(acc, pscale(_reference_piece(f, start + k + lo - i), Fraction(c)))
+        out.append(acc)
+    return out
+
+
+DEGREE_64 = tuple(Fraction((-1) ** d * (d % 5 + 1), d % 7 + 1) for d in range(DEGREE_CAP + 1))
+coefficient_lists = st.one_of(
+    st.lists(st.one_of(st.just(0), st.fractions(min_value=-50, max_value=50, max_denominator=30)), max_size=9),
+    st.just(DEGREE_64),
+)
+
+
+@st.composite
+def stored_functions(draw):
+    """Breakpoints in [-3, 3], negative ones included, and coefficient lists
+    with zeros, trailing zeros, empty lists and the degree-64 piece."""
+    breaks = sorted(draw(st.sets(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=2, max_size=4)))
+    return breaks, [draw(coefficient_lists) for _ in breaks[1:]]
+
+
+@SETTINGS
+@given(stored_functions())
+@example(([Fraction(-2), Fraction(0), Fraction(1, 2)], [DEGREE_64, (0, 0, 3, 0)]))
+def test_constructors_store_canonical_forms(case):
+    breaks, pieces = case
+    _assert_stored(PiecewisePoly.from_pieces(breaks, pieces), [ptrim([Fraction(x) for x in p]) for p in pieces])
+    # from_global shifts by each left break: negative, zero and positive
+    glob = pieces[0]
+    _assert_stored(PiecewisePoly.from_global(glob, breaks), [_reference_pshift(glob, a) for a in breaks[:-1]])
+
+
+@SETTINGS
+@given(stored_functions(), st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12), max_size=3),
+       st.one_of(st.just(Fraction(0)), rationals), st.integers(min_value=0, max_value=4), rationals)
+@example(([Fraction(-2), Fraction(0), Fraction(1, 2)], [DEGREE_64, (0, 0, 3, 0)]),
+         [Fraction(-1), Fraction(1, 4)], Fraction(-3, 7), 2, Fraction(5, 3))
+def test_calculus_stores_canonical_forms(case, points, s, order, c0):
+    f = PiecewisePoly.from_pieces(*case)
+    refined = f.refined(p for p in points if f.start <= p <= f.end)
+    _assert_stored(refined, [_reference_piece(f, lo) for lo in refined.breaks[:-1]])
+    _assert_stored(f.scaled(s), [pscale(c, s) for c in f.pieces])
+    expected = list(f.pieces)
+    for _ in range(order):
+        expected = [pder(c) for c in expected]
+    _assert_stored(f.derivative(order), expected)
+    if f.degree == DEGREE_CAP:
+        with pytest.raises(DegreeCapError):
+            f.antiderivative(c0)
+    else:
+        expected, acc = [], c0
+        for c, lo, hi in zip(f.pieces, f.breaks, f.breaks[1:]):
+            expected.append(pint(c, acc))
+            acc = peval(expected[-1], hi - lo)
+        _assert_stored(f.antiderivative(c0), expected)
+
+
+@SETTINGS
+@given(st.data())
+def test_same_agrees_with_the_aligned_fraction_pieces(data):
+    f = data.draw(functions_on_domain())
+    cut = inside.filter(lambda t: 0 < t < 3)
+    g = data.draw(st.one_of(
+        functions_on_domain(),
+        st.lists(inside, max_size=3).map(f.refined),
+        functions_on_domain().map(lambda h: f + h.scaled(0)),
+        st.tuples(cut, nonzero).map(lambda p: f + PiecewisePoly.from_pieces((0, p[0], 3), [(0,), (p[1],)])),
+    ))
+    union = sorted(set(f.breaks) | set(g.breaks))
+    assert f.same(g) == all(_reference_piece(f, lo) == _reference_piece(g, lo) for lo in union[:-1])
+
+
+@SETTINGS
+@given(combination_terms())
+def test_linear_combination_stores_canonical_forms(terms):
+    _assert_stored(linear_combination(terms), _reference_linear_combination(terms)[1])
+
+
+@SETTINGS
+@given(supported_stencils(max_n=4), st.data())
+def test_difference_operators_store_canonical_forms(stencil, data):
+    n = stencil.N
+    structure = analyze(stencil)
+    f = data.draw(off_node_functions(0, n + 1))
+    got = apply_difference(stencil, f)
+    band = [[stencil.b(k - i - n) for k in range(3 * n + 1)] for i in range(n + 1)]
+    _assert_stored(got, _reference_unit_pieces(band, zero_extension(f, -n, 2 * n + 1), -n, got.breaks))
+    got = apply_difference_inverse(structure, f)
+    _assert_stored(got, _reference_unit_pieces(structure.r1_inverse, f, 0, got.breaks))
 
 
 def _reference_on_monomial(fn, d):
