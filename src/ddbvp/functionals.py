@@ -20,9 +20,9 @@ analysis needs:
 * ``solvability_constraints``: the data-side constraints for the second-order
   problem -(R v)'' = f, for the zero-trace and the minimal-domain solution
   classes.  Every solution of -w'' = f is w = d1*t + d2 - I (I the double
-  antiderivative of f); ``eliminate_constants`` takes the left null vectors
-  of the stack's (d1, d2) block as ``weights``, so each data constraint is
-  one weight vector dotted with the stack's values on I.
+  antiderivative of f); ``eliminate_constants`` keeps the stack's (d1, d2)
+  block and takes its left null vectors as ``weights``, so each data
+  constraint is one weight vector dotted with the stack's values on I.
 
 Ranks are read off the weights in atom coordinates.  A functional's value,
 on a function (``evaluate``) or on a monomial (``on_monomial``), is summed
@@ -213,10 +213,12 @@ class DataConstraints:
     antiderivative of f.  Stacking the node functionals that characterize the
     wanted solution class and eliminating the two constants leaves pure data
     constraints: each row u of ``weights`` is a left null vector of the
-    stack's (d1, d2) block, and sum_i u_i * stack[i](I) must vanish.
+    stack's (d1, d2) block ``block``, row i the values of stack[i] on t and
+    on 1, and sum_i u_i * stack[i](I) must vanish.
     """
 
     stack: tuple[NodeFunctional, ...]
+    block: tuple[tuple[Fraction, Fraction], ...]
     weights: tuple[tuple[Fraction, ...], ...]
 
     @property
@@ -235,10 +237,11 @@ class DataConstraints:
 
 def eliminate_constants(stack: Sequence[NodeFunctional]) -> DataConstraints:
     """Eliminate (d1, d2) from a functional stack applied to w = d1 t + d2 - I."""
-    d_block = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in stack]
+    block = tuple((fn.on_monomial(1), fn.on_monomial(0)) for fn in stack)
     return DataConstraints(
         stack=tuple(stack),
-        weights=tuple(tuple(u) for u in exactla.left_nullspace(d_block)),
+        block=block,
+        weights=tuple(tuple(u) for u in exactla.left_nullspace(block)),
     )
 
 

@@ -24,6 +24,10 @@ plumbing used everywhere else:
   ``apply_difference_inverse`` with the R1^-1 that
   :func:`~ddbvp.structure.analyze` stored in its ``StructureReport`` (so it
   takes the report rather than the stencil);
+* ``hermite_interpolant``: the one constructor that glues prescribed
+  derivative jets at the integer nodes 0..n, one ``two_point_hermite`` piece
+  per unit interval, each returned in the stored integer form.  The solver's
+  extension and the battery's random functions are built on it;
 * one-sided traces and jumps at a point (``trace``, ``jump``), and the table of
   every interior jump, ``PiecewisePoly.jumps``, from the Taylor coefficients
   at each end of each piece, one Fraction per jump.  ``smoothness_defects``
@@ -91,25 +95,6 @@ def ptrim(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c) if c else (Fraction(0),)
-
-
-def padd(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = max(len(a), len(b))
-    return ptrim([
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ])
-
-
-def pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if (len(a) - 1) + (len(b) - 1) > DEGREE_CAP:
-        raise DegreeCapError("product degree %d exceeds cap %d" % ((len(a) - 1) + (len(b) - 1), DEGREE_CAP))
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return ptrim(out)
 
 
 def pjet(c: Sequence[Fraction], x: Fraction, count: int) -> list[Fraction]:
@@ -213,8 +198,8 @@ def horner_float(nums: Sequence[int], den: int, x_num: int, x_den: int) -> float
     return acc / (den * power)
 
 
-def two_point_hermite(left: Sequence[Fraction], right: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Coefficients on local (0, 1) matching derivative jets at both ends.
+def two_point_hermite(left: Sequence[Fraction], right: Sequence[Fraction]) -> Form:
+    """The form on local (0, 1) matching derivative jets at both ends.
 
     ``left[mu]`` and ``right[mu]`` prescribe the mu-th derivative at x = 0
     and x = 1; both jets must have the same length r, and the interpolant,
@@ -225,7 +210,8 @@ def two_point_hermite(left: Sequence[Fraction], right: Sequence[Fraction]) -> tu
         B_mu(x) = (-1)^mu A_mu(1 - x),
 
     whose mu-th derivative is 1 at its own end and every other derivative of
-    order below r vanishes at both ends.  The basis is built once per r.
+    order below r vanishes at both ends.  The basis is built once per r, and
+    the sum is taken in integers over the jets' common denominator.
     """
     if len(left) != len(right):
         raise ValueError("end jets must have equal length")
@@ -237,7 +223,7 @@ def two_point_hermite(left: Sequence[Fraction], right: Sequence[Fraction]) -> tu
         if scale:
             for d, c in enumerate(poly):
                 acc[d] += scale * c
-    return ptrim([Fraction(x, den) for x in acc])
+    return _form(acc, den)
 
 
 @functools.cache
@@ -577,6 +563,16 @@ def concat(parts: Sequence[PiecewisePoly]) -> PiecewisePoly:
         breaks.extend(part.breaks[1:])
         forms.extend(part.forms)
     return PiecewisePoly(tuple(breaks), tuple(forms))
+
+
+def hermite_interpolant(jets: Sequence[Sequence[Fraction]]) -> PiecewisePoly:
+    """The function on (0, len(jets) - 1) whose derivative jet at node i is ``jets[i]``.
+
+    One ``two_point_hermite`` piece per unit interval, so with jets of
+    length r the function is C^(r-1) at every interior node.
+    """
+    forms = tuple(two_point_hermite(left, right) for left, right in zip(jets, jets[1:]))
+    return PiecewisePoly(tuple(Fraction(i) for i in range(len(jets))), forms)
 
 
 def zero_extension(f: PiecewisePoly, a, b) -> PiecewisePoly:

@@ -153,6 +153,8 @@ def parse_problem(text: str) -> ParsedProblem:
     except ValueError:
         # an integer literal beyond the interpreter's decimal conversion limit
         raise ProblemFileError("document", "integer literal of more than %d digits" % sys.get_int_max_str_digits()) from None
+    except RecursionError:
+        raise ProblemFileError("document", "arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise ProblemFileError("document", "expected a JSON object")
     unknown = set(doc) - {"N", "b", "k", "f0", "f1", "f2", "oracle"}

@@ -49,11 +49,11 @@ from .piecewise import (
     apply_shifted_sum,
     concat,
     double_antiderivative,
+    hermite_interpolant,
     linear_combination,
     pjet,
     ptrim,
     smoothness_defects,
-    two_point_hermite,
 )
 from .structure import IndexTable, Stencil, StructureReport
 
@@ -172,15 +172,14 @@ def hermite_extension(stencil: Stencil, k: int, f1: tuple[Fraction, ...], f2: tu
     n = stencil.N
     count = k + 2
     zero = [Fraction(0)] * count
-    left_pad = PiecewisePoly.from_global(f1, (-n, 0))
-    right_pad = PiecewisePoly.from_global(f2, (n + 1, 2 * n + 1))
-    h1 = two_point_hermite(pjet(f1, Fraction(0), count), zero)
-    h2 = two_point_hermite(zero, pjet(f2, Fraction(n + 1), count))
-    parts = [left_pad, PiecewisePoly.from_pieces((0, 1), [h1])]
+    parts = [
+        PiecewisePoly.from_global(f1, (-n, 0)),
+        hermite_interpolant([pjet(f1, Fraction(0), count), zero]),
+    ]
     if n > 1:
         parts.append(PiecewisePoly.zero(1, n))
-    parts.append(PiecewisePoly.from_pieces((n, n + 1), [h2]))
-    parts.append(right_pad)
+    parts.append(hermite_interpolant([zero, pjet(f2, Fraction(n + 1), count)]).shifted(n))
+    parts.append(PiecewisePoly.from_global(f2, (n + 1, 2 * n + 1)))
     psi = concat(parts)
     if smoothness_defects(psi, k + 2):
         raise RuntimeError("extension construction produced a non-smooth seam")
@@ -247,17 +246,19 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     Reduces to a zero-extension problem for w = y - psi with right-hand side
     f0 + (R psi)'', where psi is the Hermite extension of the data, then
     solves the 2 x 2 boundary system for (d1, d2).  The particular d
-    minimizes d1^2 + d2^2 over the solution set; when the data is smooth
-    enough for the zero-trace constraint stack of order k and that stack is
-    feasible, d is taken from the stack's solution set instead, so the
-    returned representative is as smooth as the data allows.
+    minimizes d1^2 + d2^2 over the solution set.  When the data is smooth
+    enough for the constraint stacks of order k, d minimizes it over the
+    solution set of the zero-trace stack if that stack is feasible, else of
+    the minimal-domain stack if that one is, so the returned representative
+    is as smooth as the data allows.
 
     The boundary right-hand side is the value of the order-zero node pair on
     the double antiderivative.  Only on smooth data are the constraint stacks
     built, once per problem (``BVPProblem.constraints``), and each distinct
     stack is evaluated once: the zero-trace stack opens with that same pair,
     so its values are the right-hand side followed by the values of its other
-    members, and they feed both the refined d and the zero-trace residuals.
+    members.  A stack's values feed both its residuals and, on the (d1, d2)
+    rows its elimination stored (``DataConstraints.block``), the refined d.
     """
     structure = problem.stencil.structure
     n = problem.stencil.N
@@ -299,22 +300,20 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
         # the zero-trace stack opens with the boundary pair, whose values are rhs
         zero_trace, minimal = problem.constraints
         values = rhs + [fn.evaluate(second) for fn in zero_trace.stack[2:]]
-        full_rows = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in zero_trace.stack]
-        refined = exactla.min_norm_solution(full_rows, values)
-        if refined is not None:
-            d = refined[0]
         zero_trace_bad = zero_trace.violations(values)
         if minimal is zero_trace:
-            minimal_bad = zero_trace_bad
+            minimal_values, minimal_bad = values, zero_trace_bad
         else:
-            minimal_bad = minimal.violations([fn.evaluate(second) for fn in minimal.stack])
+            minimal_values = [fn.evaluate(second) for fn in minimal.stack]
+            minimal_bad = minimal.violations(minimal_values)
+        # a stack with no violation is consistent, so its solution set is not empty
+        if not zero_trace_bad:
+            d = exactla.min_norm_solution(zero_trace.block, values)[0]
+        elif not minimal_bad:
+            d = exactla.min_norm_solution(minimal.block, minimal_values)[0]
     w = PiecewisePoly.from_global((d[1], d[0]), (0, n + 1)) - second
     v = apply_difference_inverse(structure, w) + psi.restricted(0, n + 1)
-    y = concat([
-        PiecewisePoly.from_global(problem.f1, (-n, 0)),
-        v,
-        PiecewisePoly.from_global(problem.f2, (n + 1, 2 * n + 1)),
-    ])
+    y = concat([psi.restricted(-n, 0), v, psi.restricted(n + 1, 2 * n + 1)])
     kernel = tuple(
         KernelDirection(
             c=(c[0], c[1]),

@@ -108,7 +108,7 @@ def test_criterion_07_spectrum_containment(pool):
 def test_criterion_08_oracle_convergence(pool):
     # grid solutions of the model problem reproduce the exact solution below
     # 1e-3 at n = 128; the quartic companion shows observed order >= 1.8
-    _report(check_oracle_convergence())
+    _report(check_oracle_convergence(named_stencils()))
 
 
 def test_criterion_09_index_estimates(pool):
@@ -140,7 +140,7 @@ def test_full_battery_analyzes_each_stencil_object_once(monkeypatch):
     assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
     ids = [id(s) for s in analyzed]  # ``analyzed`` keeps every object alive, so ids are not reused
     assert len(set(ids)) == len(ids)
-    # the 23 pool stencils (criteria 1-4 and 10 share the named ones), the box
-    # of criterion 6 and the model stencil of criteria 5 and 8 each; criteria
-    # 7 and 9 analyze nothing
-    assert len(ids) == 23 + 7 ** 3 + 1 + 1
+    # the 23 pool stencils (criteria 1-4, 8 and 10 share the named ones), the
+    # box of criterion 6 and the model stencil of criterion 5 each; criteria 7
+    # and 9 analyze nothing
+    assert len(ids) == 23 + 7 ** 3 + 1

@@ -417,6 +417,15 @@ def test_parse_failures_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds cap" in err and len(err.splitlines()) == 1
 
+    # json.loads raises RecursionError on nesting past the interpreter's limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="utf-8")
+    for argv in (["analyze", str(deep)], ["solve", str(deep), "--out", str(tmp_path / "deep")], ["spectrum", str(deep)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: document:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
 
 def test_an_over_long_integer_literal_exits_1(tmp_path, capsys):
     # json.loads refuses a bare integer past the interpreter's 4300-digit
@@ -519,6 +528,23 @@ def test_solve_command_writes_report_and_csv(tmp_path, capsys):
     parsed = parse_problem(embedded)
     family = solve_nonhomogeneous(parsed.problem)
     assert solution_csv(family, parsed.problem.f0, Fraction(1, 8)) == csv_text
+
+
+def test_an_affine_family_takes_the_smooth_representative(tmp_path, capsys):
+    # the zero-trace stack is infeasible but the minimal one is not: d comes
+    # from the minimal stack's solution set, so v has no node jump
+    doc = {
+        "N": 1, "b": [-3, 0, 3], "k": 0,
+        "f0": [{"interval": [0, 2], "coeffs": [3, -3], "basis": "local"}], "f1": [-2, 0], "f2": [-2],
+    }
+    assert main(["solve", _write(tmp_path, doc), "--out", str(tmp_path / "affine")]) == 0
+    report = (tmp_path / "affine-report").read_text(encoding="utf-8")
+    assert "status: affine family" in report
+    assert "integration constants: d1 = 0, d2 = -5" in report
+    assert "t = 1, derivative order 1: 0\n" in report
+    assert "solution in W^{k+2} inside the interval: yes" in report
+    assert "solvable in the zero-trace class: no" in report
+    assert "solvable in the minimal domain: yes" in report
 
 
 def test_solve_samples_validation(tmp_path, capsys):

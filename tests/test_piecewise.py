@@ -1,5 +1,6 @@
 """Piecewise polynomial calculus and the difference operator plumbing."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -15,8 +16,6 @@ from ddbvp.piecewise import (
     apply_shifted_sum,
     concat,
     double_antiderivative,
-    padd,
-    pmul,
     ptrim,
     smoothness_defects,
     trace_defects,
@@ -43,6 +42,27 @@ def peval(c, x):
 def pder(c):
     """The derivative of a coefficient tuple, in Fractions."""
     return ptrim([c[d] * d for d in range(1, len(c))]) if len(c) > 1 else (F(0),)
+
+
+def padd(a, b):
+    """The sum of two coefficient tuples, in Fractions."""
+    n = max(len(a), len(b))
+    return ptrim([(a[i] if i < len(a) else F(0)) + (b[i] if i < len(b) else F(0)) for i in range(n)])
+
+
+def pmul(a, b):
+    """The product of two coefficient tuples, in Fractions."""
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ptrim(out)
+
+
+def _coeffs(form):
+    """The Fraction coefficients of a stored form."""
+    nums, den = form
+    return tuple(F(n, den) for n in nums)
 
 
 def _rand_coeffs(rng, degree):
@@ -82,9 +102,6 @@ def test_derivative_and_antiderivative_are_inverse():
 
 
 def test_degree_cap_guards_runaway_growth():
-    big = tuple(F(1) for _ in range(40))
-    with pytest.raises(DegreeCapError):
-        pmul(big, big)
     with pytest.raises(DegreeCapError):
         PiecewisePoly.from_pieces((0, 1), [tuple(F(1) for _ in range(65))]).antiderivative(F(0))
 
@@ -94,7 +111,7 @@ def test_two_point_hermite_matches_both_jets():
     for r in (1, 2, 3):
         left = [F(rng.randint(-3, 3)) for _ in range(r)]
         right = [F(rng.randint(-3, 3)) for _ in range(r)]
-        h = two_point_hermite(left, right)
+        h = _coeffs(two_point_hermite(left, right))
         assert len(h) - 1 <= 2 * r - 1
         c = h
         for mu in range(r):
@@ -103,6 +120,18 @@ def test_two_point_hermite_matches_both_jets():
             c = pder(c)
     with pytest.raises(ValueError):
         two_point_hermite([F(1)], [F(1), F(0)])
+
+
+def test_two_point_hermite_returns_a_canonical_form():
+    # ints over a positive denominator in lowest terms, trailing zeros trimmed
+    for left, right in (([F(1, 2), F(-3, 4)], [F(5, 6), F(0)]), ([F(2)], [F(2)]), ([F(0)] * 3, [F(0)] * 3)):
+        nums, den = two_point_hermite(left, right)
+        assert all(type(n) is int for n in nums) and type(den) is int
+        assert den > 0 and math.gcd(den, *nums) == 1
+        assert nums[-1] != 0 or (nums, den) == ((0,), 1)
+    assert two_point_hermite([F(2)], [F(2)]) == ((2,), 1)
+    assert two_point_hermite([F(0)] * 3, [F(0)] * 3) == ((0,), 1)
+    assert two_point_hermite([F(1, 2)], [F(0)]) == ((1, -1), 2)
 
 
 # -- the piecewise class -----------------------------------------------------

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import random
 import tempfile
 from fractions import Fraction
 
@@ -31,10 +32,9 @@ from ddbvp.piecewise import (
     apply_difference_inverse,
     apply_shifted_sum,
     concat,
+    hermite_interpolant,
     linear_combination,
-    padd,
     pjet,
-    pmul,
     ptrim,
     zero_extension,
     smoothness_defects,
@@ -45,6 +45,7 @@ from ddbvp.functionals import NodeFunctional, membership_functionals, rank_of_fu
 from ddbvp.problem_io import MAX_STENCIL_N, canonical_problem_text, parse_problem
 from ddbvp.solver import BVPProblem, hermite_extension, solve_nonhomogeneous
 from ddbvp.structure import Stencil, analyze, cofactor
+from ddbvp.verification import _hermite_glued, named_stencils, random_regime_stencils
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -177,6 +178,27 @@ def pscale(a, s):
     return ptrim([s * x for x in a])
 
 
+def padd(a, b):
+    """The sum of two coefficient tuples, in Fractions."""
+    n = max(len(a), len(b))
+    return ptrim([(a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0)) for i in range(n)])
+
+
+def pmul(a, b):
+    """The product of two coefficient tuples, in Fractions."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ptrim(out)
+
+
+def _coeffs(form):
+    """The Fraction coefficients of a stored form."""
+    nums, den = form
+    return tuple(Fraction(n, den) for n in nums)
+
+
 def pint(c, const):
     """The antiderivative of a coefficient tuple with constant term const, in Fractions."""
     return ptrim([const] + [c[d] / (d + 1) for d in range(len(c))])
@@ -297,11 +319,27 @@ def _reference_hermite(left, right):
 def test_hermite_basis_equals_the_linear_system(count, data):
     jet = st.lists(entries, min_size=count, max_size=count)
     left, right = data.draw(jet), data.draw(jet)
-    h = two_point_hermite(left, right)
+    form = two_point_hermite(left, right)
+    h = _coeffs(form)
     assert h == _reference_hermite(left, right)
-    assert _all_fractions(h) and len(h) <= 2 * count
+    assert _is_canonical(form) and len(h) <= 2 * count
     assert pjet(h, Fraction(0), count) == left
     assert pjet(h, Fraction(1), count) == right
+
+
+@SETTINGS
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.data())
+def test_hermite_interpolant_matches_every_node_jet(r, length, data):
+    jets = data.draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=length + 1, max_size=length + 1))
+    f = hermite_interpolant(jets)
+    assert f.breaks == tuple(range(length + 1)) and _all_fractions(f.breaks)
+    assert all(_is_canonical(form) for form in f.forms)
+    assert [f.trace(0, mu, 1) for mu in range(r)] == jets[0]
+    assert [f.trace(length, mu, -1) for mu in range(r)] == jets[-1]
+    for node in range(1, length):
+        assert [f.trace(node, mu, -1) for mu in range(r)] == jets[node]
+        assert [f.trace(node, mu, 1) for mu in range(r)] == jets[node]
+    assert not smoothness_defects(f, r)
 
 
 @SETTINGS
@@ -693,6 +731,46 @@ def test_smoothness_flags_equal_the_defect_lists(problem):
     assert report.data_defects == tuple(_reference_smoothness_defects(reduced, k))
 
 
+small_ints = st.integers(min_value=-3, max_value=3)
+# rank-1 boundary matrices: a solution exists only when one data constraint holds
+RANK_DEFICIENT = tuple((c, 0, -c) for c in (1, -1, 2, -2, 3, -3))
+POOL = named_stencils() + random_regime_stencils() + tuple(Stencil.from_coeffs(c) for c in RANK_DEFICIENT)
+
+
+@st.composite
+def pool_problems(draw):
+    """A pool stencil, or a (c, 0, -c), with small integer data and k <= 1.
+
+    Small integers let the single data constraint of (c, 0, -c) hold often
+    enough to draw feasible problems there.  f0 is one polynomial, or one
+    per unit interval.
+    """
+    stencil = draw(st.sampled_from(POOL))
+    n = stencil.N
+    polys = st.lists(small_ints, min_size=1, max_size=2)
+    if draw(st.booleans()):
+        f0 = PiecewisePoly.from_global(draw(polys), (0, n + 1))
+    else:
+        f0 = PiecewisePoly.from_pieces(range(n + 2), [draw(polys) for _ in range(n + 1)])
+    k = draw(st.integers(min_value=0, max_value=1))
+    return BVPProblem(stencil=stencil, k=k, f0=f0, f1=tuple(draw(polys)), f2=tuple(draw(polys)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pool_problems())
+@example(BVPProblem(
+    stencil=Stencil.from_coeffs((-3, 0, 3)), k=0, f0=PiecewisePoly.from_global((3, -3), (0, 2)), f1=(-2,), f2=(-2,),
+))
+def test_the_solution_is_as_smooth_as_the_solvable_classes(problem):
+    # d comes from the smoothest class whose stack is feasible, so the jumps of
+    # the solution give the same answer as the constraint stacks
+    family = solve_nonhomogeneous(problem)
+    assume(family.v is not None)
+    report = family.smoothness
+    assert report.smooth_interior == report.minimal_solvable
+    assert report.smooth_extension == report.zero_trace_solvable
+
+
 # -- the integer kernels ----------------------------------------------------------
 #
 # trace, pjet, the Taylor shift, linear_combination and the functionals compute in
@@ -1013,12 +1091,46 @@ def zero_trace_images(draw):
         bump = pmul(bump, (0, 1))
         bump = pmul(bump, (1, -1))
     pieces = [
-        padd(two_point_hermite(left, right), pmul(bump, draw(st.lists(rationals, min_size=1, max_size=2))))
+        padd(_coeffs(two_point_hermite(left, right)), pmul(bump, draw(st.lists(rationals, min_size=1, max_size=2))))
         for left, right in zip(jets, jets[1:])
     ]
     f = PiecewisePoly.from_pieces(range(n + 2), pieces)
     assert not trace_defects(f, k)
     return stencil, k, apply_difference(stencil, f)
+
+
+def _reference_hermite_glued(length, k, rng, zero_end_jets):
+    """The Fraction construction ``_hermite_glued`` replaced, draw for draw: each
+    piece is the Hermite piece (a drawn quadratic when k = 0) plus x^k (1 - x)^k
+    times a drawn quadratic."""
+    jets = [
+        [Fraction(0)] * k if zero_end_jets and node in (0, length) else [Fraction(rng.randint(-4, 4)) for _ in range(k)]
+        for node in range(length + 1)
+    ]
+    bump_shape = (Fraction(1),)
+    for _ in range(k):
+        bump_shape = pmul(pmul(bump_shape, (0, 1)), (1, -1))
+    pieces = []
+    for i in range(length):
+        if k == 0:
+            piece = tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
+        else:
+            piece = _reference_hermite(jets[i], jets[i + 1])
+        bump = pmul(bump_shape, tuple(Fraction(rng.randint(-3, 3)) for _ in range(3)))
+        pieces.append(padd(piece, bump))
+    return PiecewisePoly.from_pieces(range(length + 1), pieces)
+
+
+@SETTINGS
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=2 ** 32), st.booleans())
+def test_hermite_glued_equals_the_fraction_construction(length, k, seed, zero_end_jets):
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    f = _hermite_glued(length, k, rng, zero_end_jets)
+    expected = _reference_hermite_glued(length, k, reference_rng, zero_end_jets)
+    assert f.breaks == expected.breaks
+    assert f.forms == expected.forms
+    assert rng.getstate() == reference_rng.getstate()
 
 
 @SETTINGS
