@@ -15,7 +15,8 @@ throughout, i = kn + r being slot k of residue r = i mod n.
 
 By residue the interior shift couples each residue to itself only, as n - 1
 copies of R1 and, without its t_0 slot, one of R2.  ``spectrum_check`` tests
-that decoupling exactly and takes the grid spectrum from those blocks.  The
+that decoupling exactly on the (offset, b_j) bands the shift is written from
+and takes the grid spectrum from one decomposition each of R1 and R2.  The
 operator couples residue r to r and r +- 1 (mod n), and ``assemble`` writes
 just these blocks, straight from the stencil: [r, k, l] of ``diag``,
 ``lower`` and ``upper`` couples t_{kn+r} to t_{ln+s}, s = r, r - 1, r + 1,
@@ -129,11 +130,17 @@ def _diagonals(out: np.ndarray, diagonals) -> np.ndarray:
     return out
 
 
-def _extended_shift(stencil: Stencil, n: int) -> np.ndarray:
-    """The shift from samples at t_0..t_{M-1} to all grid points 0..M: b_j at [i, i + jn], column 0 (t_0) zero."""
+def _shift_bands(stencil: Stencil, n: int) -> list[tuple[int, float]]:
+    """The (offset, b_j) bands of the grid shift: b_j maps the sample at t_{i + offset} to (Rv) at t_i."""
     _check_resolution(n)
+    return [(j * n, float(stencil.b(j))) for j in range(-stencil.N, stencil.N + 1)]
+
+
+def _extended_shift(stencil: Stencil, n: int) -> np.ndarray:
+    """The shift from samples at t_0..t_{M-1} to all grid points 0..M: b_j at [i, i + offset], column 0 (t_0) zero."""
+    bands = _shift_bands(stencil, n)
     out = np.zeros((n * (stencil.N + 1) + 1, n * (stencil.N + 1)))
-    _diagonals(out[:, 1:], ((j * n - 1, float(stencil.b(j))) for j in range(-stencil.N, stencil.N + 1)))
+    _diagonals(out[:, 1:], ((offset - 1, b) for offset, b in bands))
     return out
 
 
@@ -178,13 +185,6 @@ class GridSolution:
     values: np.ndarray
     condition: float
     ill_conditioned: bool
-
-
-def _residue_blocks(padded: np.ndarray, n: int, big: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blocks (r, s) = (r, r), (r, r - 1), (r, r + 1) mod n of M x M ``padded``: [r, k, l] is padded[kn + r, ln + s]."""
-    by_residue = padded.reshape(big + 1, n, big + 1, n).transpose(1, 3, 0, 2)
-    r = np.arange(n)
-    return by_residue[r, r], by_residue[r, r - 1], by_residue[r, (r + 1) % n]
 
 
 def _cyclic_reduction(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -283,8 +283,10 @@ class SpectrumCheck:
     ``containment_distance``: largest distance from an eigenvalue of R1 to the
     grid spectrum; ``block_distance``: largest distance from a grid eigenvalue
     to the union of the R1 and R2 spectra.  The grid spectrum is that of the
-    residue blocks, exactly so when no entry of the shift couples two residues
-    (tested ``== 0``); otherwise both distances are inf and ``ok`` fails.
+    residue blocks, n - 1 copies of R1 and one of R2, exactly so when no band
+    of the shift couples two residues: every nonzero b_j must sit at an
+    offset divisible by n (tested exactly, not to a tolerance); otherwise
+    both distances are inf and ``ok`` fails.
     """
 
     n: int
@@ -296,24 +298,14 @@ class SpectrumCheck:
         return self.containment_distance <= SPECTRUM_TOLERANCE
 
 
-def _padded_shift(stencil: Stencil, n: int) -> np.ndarray:
-    """The interior shift in the padded layout of ``GridOperators.operator``: M x M, row and column 0 (t_0) zero."""
-    shift = _extended_shift(stencil, n)[:-1]
-    shift[0] = 0.0
-    return shift
-
-
 def spectrum_check(stencil: Stencil, n: int) -> SpectrumCheck:
     exact_r1 = spectrum(stencil)
     exact_r2 = np.linalg.eigvals(np.array([row[:stencil.N] for row in stencil.r1[:stencil.N]], dtype=float))
-    shift = _padded_shift(stencil, n)
-    blocks = _residue_blocks(shift, n, stencil.N)[0]
-    if np.count_nonzero(blocks) != np.count_nonzero(shift):  # a nonzero entry couples two residues
+    if any(b != 0 and offset % n for offset, b in _shift_bands(stencil, n)):
         return SpectrumCheck(n=n, containment_distance=math.inf, block_distance=math.inf)
-    grid_eigs = np.concatenate([np.linalg.eigvals(blocks[1:]).ravel(), np.linalg.eigvals(blocks[0, 1:, 1:])])
+    grid_eigs = np.concatenate([exact_r1, exact_r2])  # the residue blocks: n - 1 copies of R1, one of R2
     containment = max(float(np.abs(grid_eigs - lam).min()) for lam in exact_r1)
-    union = np.concatenate([exact_r1, exact_r2])
-    block = max(float(np.abs(union - mu).min()) for mu in grid_eigs)
+    block = max(float(np.abs(grid_eigs - mu).min()) for mu in grid_eigs)
     return SpectrumCheck(n=n, containment_distance=containment, block_distance=block)
 
 

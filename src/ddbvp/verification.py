@@ -21,6 +21,7 @@ The random function constructors double as reusable test utilities:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -79,10 +80,17 @@ def random_regime_stencils(
 
     Draws integer stencils with N <= max_shift and |b_j| <= bound and keeps
     those with det R1 != 0, det R2 = 0.  Returns fewer than ``count`` only
-    when the box is too small (e.g. bound = 0).
+    when the box is too small (e.g. bound = 0).  The draw runs once per
+    process for each set of arguments; every call returns fresh stencil
+    objects, which analyze on first use as any new stencil does.
     """
+    return tuple(Stencil.from_coeffs(c) for c in _regime_coeffs(count, max_shift, bound, seed))
+
+
+@functools.cache
+def _regime_coeffs(count: int, max_shift: int, bound: int, seed: int) -> tuple[tuple[int, ...], ...]:
     rng = random.Random(seed)
-    found: list[Stencil] = []
+    found: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     tries = 0
     while len(found) < count and tries < MAX_TRIES:
@@ -92,9 +100,8 @@ def random_regime_stencils(
         if coeffs in seen:
             continue
         seen.add(coeffs)
-        stencil = Stencil.from_coeffs(coeffs)
-        if stencil.regime is Regime.SINGULAR_MINOR:
-            found.append(stencil)
+        if Stencil.from_coeffs(coeffs).regime is Regime.SINGULAR_MINOR:
+            found.append(coeffs)
     return tuple(found)
 
 

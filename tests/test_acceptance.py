@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from ddbvp import structure
+from ddbvp import exactla, structure
 from ddbvp.functionals import membership_functionals
 from ddbvp.piecewise import trace_defects
 from ddbvp.verification import (
@@ -144,3 +144,15 @@ def test_full_battery_analyzes_each_stencil_object_once(monkeypatch):
     # box of criterion 6 and the model stencil of criterion 5 each; criteria 7
     # and 9 analyze nothing
     assert len(ids) == 23 + 7 ** 3 + 1
+
+
+def test_the_random_pool_is_drawn_once_per_process(monkeypatch):
+    first = random_regime_stencils()
+
+    def refuse(*args):
+        raise AssertionError("the pool was drawn again")
+
+    monkeypatch.setattr(exactla, "det", refuse)
+    again = random_regime_stencils()
+    assert [s.coeffs for s in again] == [s.coeffs for s in first]
+    assert not any(a is b for a, b in zip(again, first))  # fresh objects, so each battery analyzes its own

@@ -458,11 +458,12 @@ def test_spectrum_check_agrees_with_the_dense_spectrum():
 
 
 def test_spectrum_check_solves_no_eigenproblem_larger_than_r1(monkeypatch):
+    # one decomposition of R1 and one of R2, whatever n is
     shapes = []
     eigvals = np.linalg.eigvals
 
     def recording(a):
-        shapes.append(np.shape(a)[-2:])
+        shapes.append(np.shape(a))
         return eigvals(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", recording)
@@ -471,7 +472,7 @@ def test_spectrum_check_solves_no_eigenproblem_larger_than_r1(monkeypatch):
         for n in (4, 64, 256):
             shapes.clear()
             assert spectrum_check(s, n).ok, (coeffs, n)
-            assert shapes and max(max(shape) for shape in shapes) <= s.N + 1, (coeffs, n, shapes)
+            assert sorted(shapes, reverse=True) == [(s.N + 1, s.N + 1), (s.N, s.N)], (coeffs, n, shapes)
 
 
 def test_spectrum_check_runs_no_exact_elimination(monkeypatch):
@@ -485,36 +486,50 @@ def test_spectrum_check_runs_no_exact_elimination(monkeypatch):
 
 
 def test_spectrum_check_memory():
-    # in units of one size x size float64 array: the padded shift, once
+    # a bound that does not grow with n: no array of the grid's size is built
     s = Stencil.from_coeffs((1, 1, 2, 4, 4))
-    n = 256
-    size = n * (s.N + 1) - 1
-    unit = size * size * 8
     spectrum_check(s, 8)
-    tracemalloc.start()
-    try:
-        check = spectrum_check(s, n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert check.ok
-    assert peak <= 1.05 * unit, peak / unit
+    for n in (8, 256, 4096):
+        tracemalloc.start()
+        try:
+            check = spectrum_check(s, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check.ok, n
+        assert peak <= 64 * 1024, (n, peak)
+
+
+def test_spectrum_check_refuses_fewer_than_4_subdivisions():
+    with pytest.raises(ValueError):
+        spectrum_check(Stencil.from_coeffs((1, 0, 1)), 3)
+
+
+def _couples_two_residues(shift, n, big):
+    # the interior shift behind a zero row and column for t_0, grouped by residue mod n
+    padded = np.zeros((shift.shape[0] + 1,) * 2)
+    padded[1:, 1:] = shift
+    by_residue = padded.reshape(big + 1, n, big + 1, n).transpose(1, 3, 0, 2)
+    return bool(np.any(by_residue[~np.eye(n, dtype=bool)] != 0.0))
 
 
 def test_spectrum_check_fails_on_any_coupling_between_residues(monkeypatch):
     # the decoupling test is exact: a coupling far below every distance
-    # tolerance still fails the check
-    padded_shift = grid._padded_shift
+    # tolerance still fails the check, and the shift, written from the same
+    # bands, carries that coupling
+    s, n = Stencil.from_coeffs((1, 0, 1)), 8
+    assert spectrum_check(s, n).ok
+    assert not _couples_two_residues(assemble(s, n).shift.matrix, n, s.N)
+    shift_bands = grid._shift_bands
 
     def coupled(stencil, n):
-        shift = padded_shift(stencil, n)
-        shift[1, 2] = 1e-300  # t_1 to t_2, residues 1 and 2
-        return shift
+        return shift_bands(stencil, n) + [(1, 1e-300)]  # t_i to t_{i+1}, residues r and r + 1
 
-    monkeypatch.setattr(grid, "_padded_shift", coupled)
-    check = spectrum_check(Stencil.from_coeffs((1, 0, 1)), 8)
+    monkeypatch.setattr(grid, "_shift_bands", coupled)
+    check = spectrum_check(s, n)
     assert not check.ok
     assert check.containment_distance == check.block_distance == np.inf
+    assert _couples_two_residues(assemble(s, n).shift.matrix, n, s.N)
 
 
 def test_index_estimate_decomposes_nothing_larger_than_n(monkeypatch):

@@ -1244,7 +1244,9 @@ def test_the_grid_shift_is_block_diagonal_by_residue(stencil, n):
     # indices by residue mod n is a permutation similarity, so the blocks'
     # spectra are the grid spectrum exactly when no entry couples two residues
     big = stencil.N
-    by_residue = grid._padded_shift(stencil, n).reshape(big + 1, n, big + 1, n).transpose(1, 3, 0, 2)
+    padded = np.zeros((n * (big + 1),) * 2)  # the interior shift behind a zero row and column for t_0
+    padded[1:, 1:] = grid.assemble(stencil, n).shift.matrix
+    by_residue = padded.reshape(big + 1, n, big + 1, n).transpose(1, 3, 0, 2)
     assert np.all(by_residue[~np.eye(n, dtype=bool)] == 0.0)
     r1 = np.array([[float(x) for x in row] for row in stencil.r1])
     for r in range(1, n):
