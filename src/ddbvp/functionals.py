@@ -27,7 +27,9 @@ analysis needs:
 Ranks are read off the weights in atom coordinates.  A functional's value,
 on a function (``evaluate``) or on a monomial (``on_monomial``), is summed
 term by term as integer ratios over their lcm, with one Fraction built at the
-end.
+end; ``evaluate`` reads each atom as an integer Taylor ratio
+(``PiecewisePoly.taylor_limit``) and compares the two limits at an interior
+node by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -58,23 +60,20 @@ class NodeFunctional:
         limit.
         """
         products = []
+        start, end = f.start, f.end
         for node, mu, weight in self.terms:
             if weight == 0:
                 continue
-            if node == f.start:
-                value = f.trace(node, mu, 1)
-            elif node == f.end:
-                value = f.trace(node, mu, -1)
-            else:
-                left = f.trace(node, mu, -1)
-                right = f.trace(node, mu, 1)
-                if left != right:
+            num, den = f.taylor_limit(node, mu, -1 if node == end else 1)
+            if node != start and node != end:
+                l_num, l_den = f.taylor_limit(node, mu, -1)
+                if l_num * den != num * l_den:
+                    left, right = f.trace(node, mu, -1), f.trace(node, mu, 1)
                     raise ValueError(
                         "derivative of order %d jumps at node %s (left %s, right %s); "
                         "functional %r is undefined there" % (mu, node, left, right, self.label)
                     )
-                value = right
-            products.append((weight.numerator * value.numerator, weight.denominator * value.denominator))
+            products.append((weight.numerator * math.factorial(mu) * num, weight.denominator * den))
         return _ratio_sum(products)
 
     def on_monomial(self, d: int) -> Fraction:

@@ -111,10 +111,11 @@ class GridOperators:
 def grid_samples(f: PiecewisePoly, ops: GridOperators) -> np.ndarray:
     """f at the interior grid points, averaging the one-sided limits across a jump."""
     samples = np.array(f.sample(ops.points), dtype=float)
-    for b in f.breaks[1:-1]:
-        i = b * ops.n - 1
-        if i.denominator == 1 and 0 <= i < ops.size:
-            samples[int(i)] = float((f.trace(b, 0, -1) + f.trace(b, 0, +1)) / 2)
+    for node in f.nodes[1:-1]:
+        i, r = divmod(node * ops.n, f.scale)  # the break is grid point t_i when r = 0
+        if not r and 0 < i <= ops.size:
+            b = Fraction(node, f.scale)
+            samples[i - 1] = float((f.trace(b, 0, -1) + f.trace(b, 0, +1)) / 2)
     return samples
 
 

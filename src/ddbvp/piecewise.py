@@ -43,21 +43,24 @@ plumbing used everywhere else:
   samples) walks the pieces with a cursor and calls it once per point, and
   the solution CSV calls it for every value it writes.
 
-A piece is stored only in integer form, as ``forms``: one
-``(numerators, den)`` per piece with p = sum_d numerators[d] x^d / den, kept
-canonical (trailing zeros trimmed, den > 0, gcd(den, *numerators) = 1, the
-zero polynomial ``((0,), 1)``), so ``same`` compares aligned forms directly.
-Every kernel reads and writes this form: a Fraction operation pays for a gcd,
-an integer one does not, and a kernel pays one gcd per output piece, in
-``_form``.  ``pieces``, the Fraction coefficient tuples, is built from the
-forms on each read, for the API only; breakpoints stay Fractions.
+A function is stored only in integers.  Breakpoint i is nodes[i] / scale,
+the ``nodes`` strictly increasing over one positive ``scale`` in lowest terms
+(gcd(scale, *nodes) = 1), and piece i is ``forms[i] = (numerators, den)``
+with p = sum_d numerators[d] x^d / den, kept canonical (trailing zeros
+trimmed, den > 0, gcd(den, *numerators) = 1, the zero polynomial
+``((0,), 1)``), so ``same`` compares aligned forms directly.  Every kernel
+reads and writes this form, and kernels that meet several partitions put
+them over the lcm of the scales: a Fraction operation pays for a gcd, an
+integer one does not.  ``breaks``, ``start``, ``end`` and ``pieces`` build
+Fractions on each read, for the API only.
 ``_taylor`` gives the Taylor coefficient p^(k)(x)/k! = sum_{d>=k} C(d, k)
 c_d x^(d-k) at x = X/Q by integer Horner with powers of Q, and reads c_k
-directly at x = 0 (a right limit at a breakpoint); ``trace``, ``value``,
-``jumps`` and ``pjet`` are built on it.  ``_shifted`` re-expands a piece at
-a new left end, for ``refined`` and ``from_global``: Q^top p(x + X/Q) is
-sum_d n_d Q^(top-d) (Qx + X)^d, an integer Taylor shift by X done by
-synthetic division.  ``_integer_sum``, under ``linear_combination`` and
+directly at x = 0 (a right limit at a breakpoint); ``taylor_limit`` (under
+``trace``, ``value`` and ``NodeFunctional.evaluate``), ``jumps`` and
+``pjet`` are built on it.  ``_shifted`` re-expands a piece at a new left
+end, for ``refined`` and ``from_global``: Q^top p(x + X/Q) is sum_d n_d
+Q^(top-d) (Qx + X)^d, an integer Taylor shift by X done by synthetic
+division.  ``_integer_sum``, under ``linear_combination`` and
 ``_unit_product``, accumulates each piece of a sum as c.numerator * P *
 (L // T), with P the numerators of a term's piece over its denominator D,
 T = c.denominator * D, and L the lcm of all the T.
@@ -68,6 +71,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -99,7 +103,7 @@ def ptrim(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def pjet(c: Sequence[Fraction], x: Fraction, count: int) -> list[Fraction]:
     """[p(x), p'(x), ..., p^(count-1)(x)]."""
-    return _jet(exactla.integer_numerators(c), x, count)
+    return _jet(exactla.integer_numerators(c), *_frac(x).as_integer_ratio(), count)
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +132,23 @@ def _form_of(coeffs: Iterable) -> Form:
     return _form(*exactla.integer_numerators([_frac(x) for x in coeffs]))
 
 
-def _shifted(form: Form, s: Fraction) -> Form:
-    """The form of p(x + s): p re-expanded around s.
+def _grid(points: Iterable) -> tuple[list[int], int]:
+    """Points (ints, Fractions or 'p/q' strings) as integers over their least common denominator."""
+    return exactla.integer_numerators([p if type(p) is int else _frac(p) for p in points])
 
-    With s = X/Q and top the degree, Q^top p(x + X/Q) = sum_d a_d (Qx + X)^d
-    for a_d = n_d Q^(top-d).  Synthetic division shifts the a_d by X in
+
+def _shifted(form: Form, x_num: int, x_den: int) -> Form:
+    """The form of p(x + X/Q): p re-expanded around X/Q, for Q > 0.
+
+    With top the degree, Q^top p(x + X/Q) = sum_d a_d (Qx + X)^d for
+    a_d = n_d Q^(top-d).  Synthetic division shifts the a_d by X in
     integers, and the coefficient of u^j = (Qx)^j gives a_j Q^j over
     den * Q^top.
     """
     nums, den = form
     top = len(nums) - 1
-    if not s or not top:
+    if not x_num or not top:
         return form
-    x_num, x_den = s.as_integer_ratio()
     acc, power = list(nums), 1
     for d in range(top - 1, -1, -1):
         power *= x_den
@@ -155,28 +163,27 @@ def _shifted(form: Form, s: Fraction) -> Form:
     return _form(acc, den * power)
 
 
-def _jet(form: Form, x: Fraction, count: int) -> list[Fraction]:
-    """[p(x), p'(x), ..., p^(count-1)(x)] for p in form."""
+def _jet(form: Form, x_num: int, x_den: int, count: int) -> list[Fraction]:
+    """[p(x), p'(x), ..., p^(count-1)(x)] for p in form, at x = X/Q."""
     out = []
     for k in range(count):
-        num, den = _taylor(*form, x, k)
+        num, den = _taylor(*form, x_num, x_den, k)
         out.append(Fraction(math.factorial(k) * num, den))
     return out
 
 
-def _taylor(nums: Sequence[int], den: int, x: Fraction, k: int) -> tuple[int, int]:
-    """p^(k)(x) / k! as an unreduced integer ratio, for p = sum_d nums[d] t^d / den.
+def _taylor(nums: Sequence[int], den: int, x_num: int, x_den: int, k: int) -> tuple[int, int]:
+    """p^(k)(x) / k! as an unreduced integer ratio, for p = sum_d nums[d] t^d / den at x = X/Q, Q > 0.
 
-    That is sum_{d >= k} C(d, k) c_d x^(d-k); at x = X/Q integer Horner gives
+    That is sum_{d >= k} C(d, k) c_d x^(d-k); integer Horner gives
     sum_d C(d, k) n_d X^(d-k) Q^(top-d) over den * Q^(top-k).  At x = 0 it is
     c_k, so the right limit at a breakpoint costs nothing.
     """
     top = len(nums) - 1
     if k > top:
         return 0, 1
-    if not x:
+    if not x_num:
         return nums[k], den
-    x_num, x_den = x.as_integer_ratio()
     acc, power = nums[top] * math.comb(top, k), 1
     for d in range(top - 1, k - 1, -1):
         power *= x_den
@@ -259,23 +266,32 @@ def _hermite_basis(count: int) -> tuple[tuple[int, ...], ...]:
 class PiecewisePoly:
     """Piecewise polynomial with rational breakpoints, local-coordinate pieces.
 
-    ``forms`` holds one canonical integer form per piece (module docstring);
-    the constructor is internal, and callers build with ``from_pieces``,
-    ``from_global``, ``zero`` or ``constant``.
+    Breakpoint i is ``nodes[i] / scale`` and ``forms`` holds one canonical
+    integer form per piece (module docstring); the constructor is internal,
+    and callers build with ``from_pieces``, ``from_global``, ``zero`` or
+    ``constant``.
     """
 
-    breaks: tuple[Fraction, ...]
+    nodes: tuple[int, ...]
+    scale: int
     forms: tuple[Form, ...]
 
     def __post_init__(self):
-        if len(self.breaks) < 2 or len(self.forms) != len(self.breaks) - 1:
+        nodes = self.nodes
+        if len(nodes) < 2 or len(self.forms) != len(nodes) - 1:
             raise ValueError("need n+1 breakpoints for n pieces")
-        for a, b in zip(self.breaks, self.breaks[1:]):
-            if not a < b:
-                raise ValueError("breakpoints must be strictly increasing")
+        if not all(map(operator.lt, nodes, nodes[1:])):
+            raise ValueError("breakpoints must be strictly increasing")
+        if self.scale < 1 or math.gcd(self.scale, *nodes) != 1:
+            raise ValueError("breakpoints must be integers over a positive scale, in lowest terms")
         for nums, _ in self.forms:
             if len(nums) - 1 > DEGREE_CAP:
                 raise DegreeCapError("piece degree %d exceeds cap %d" % (len(nums) - 1, DEGREE_CAP))
+
+    @property
+    def breaks(self) -> tuple[Fraction, ...]:
+        """The breakpoints as Fractions, built from ``nodes`` on every read."""
+        return tuple(Fraction(n, self.scale) for n in self.nodes)
 
     @property
     def pieces(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -286,15 +302,15 @@ class PiecewisePoly:
 
     @classmethod
     def from_pieces(cls, breaks: Iterable, pieces: Iterable[Sequence]) -> "PiecewisePoly":
-        bks = tuple(_frac(b) for b in breaks)
-        return cls(breaks=bks, forms=tuple(_form_of(piece) for piece in pieces))
+        nodes, scale = _grid(breaks)
+        return cls(tuple(nodes), scale, tuple(_form_of(piece) for piece in pieces))
 
     @classmethod
     def from_global(cls, coeffs: Sequence, breaks: Iterable) -> "PiecewisePoly":
         """A single global-coordinate polynomial, rebased onto each piece."""
-        bks = tuple(_frac(b) for b in breaks)
+        nodes, scale = _grid(breaks)
         glob = _form_of(coeffs)
-        return cls(breaks=bks, forms=tuple(_shifted(glob, a) for a in bks[:-1]))
+        return cls(tuple(nodes), scale, tuple(_shifted(glob, n, scale) for n in nodes[:-1]))
 
     @classmethod
     def zero(cls, a, b) -> "PiecewisePoly":
@@ -308,11 +324,11 @@ class PiecewisePoly:
 
     @property
     def start(self) -> Fraction:
-        return self.breaks[0]
+        return Fraction(self.nodes[0], self.scale)
 
     @property
     def end(self) -> Fraction:
-        return self.breaks[-1]
+        return Fraction(self.nodes[-1], self.scale)
 
     @property
     def degree(self) -> int:
@@ -331,27 +347,35 @@ class PiecewisePoly:
         whose left breakpoint stays is carried over unchanged; only pieces
         that start at an inserted point are re-expanded there.
         """
-        new = {_frac(x) for x in extra}.difference(self.breaks)
+        points, den = _grid(extra)
+        scale = math.lcm(den, self.scale)
+        own = self._nodes_over(scale)
+        new = {p * (scale // den) for p in points}.difference(own)
         if not new:
             return self
-        if min(new) < self.start or max(new) > self.end:
+        if min(new) < own[0] or max(new) > own[-1]:
             raise ValueError("refinement points outside the domain")
-        pts = sorted(new.union(self.breaks))
+        return self._onto(sorted(new.union(own)), scale)
+
+    def _nodes_over(self, scale: int) -> Sequence[int]:
+        """The nodes over ``scale``, a multiple of ``self.scale``."""
+        m = scale // self.scale
+        return self.nodes if m == 1 else [n * m for n in self.nodes]
+
+    def _onto(self, nodes: Sequence[int], scale: int) -> "PiecewisePoly":
+        """Same function on the partition nodes / scale, in lowest terms and holding every breakpoint of self."""
+        own = self._nodes_over(scale)
+        if len(nodes) == len(own):
+            return self
         forms = []
         idx = -1
-        for lo in pts[:-1]:
-            if lo == self.breaks[idx + 1]:
+        for lo in nodes[:-1]:
+            if lo == own[idx + 1]:
                 idx += 1
                 forms.append(self.forms[idx])
             else:
-                forms.append(_shifted(self.forms[idx], lo - self.breaks[idx]))
-        return PiecewisePoly(breaks=tuple(pts), forms=tuple(forms))
-
-    def _piece_index(self, t: Fraction) -> int:
-        """Index of the piece whose half-open interval [b_i, b_{i+1}) contains t."""
-        if not self.start <= t < self.end:
-            raise ValueError("point %s outside domain" % t)
-        return bisect.bisect_right(self.breaks, t) - 1
+                forms.append(_shifted(self.forms[idx], lo - own[idx], scale))
+        return PiecewisePoly(tuple(nodes), scale, tuple(forms))
 
     # -- algebra --------------------------------------------------------------
 
@@ -367,7 +391,7 @@ class PiecewisePoly:
     def scaled(self, s) -> "PiecewisePoly":
         s_num, s_den = _frac(s).as_integer_ratio()
         forms = tuple(_form([s_num * n for n in nums], s_den * den) for nums, den in self.forms)
-        return PiecewisePoly(self.breaks, forms)
+        return PiecewisePoly(self.nodes, self.scale, forms)
 
     def same(self, other: "PiecewisePoly") -> bool:
         """Exact equality as functions (up to breakpoint refinement)."""
@@ -382,7 +406,7 @@ class PiecewisePoly:
         """p^(order) on each piece: coefficient d - order is d! / (d - order)! * c_d."""
         if not order:
             return self
-        return PiecewisePoly(self.breaks, tuple(
+        return PiecewisePoly(self.nodes, self.scale, tuple(
             _form([math.perm(d, order) * nums[d] for d in range(order, len(nums))], den) for nums, den in self.forms
         ))
 
@@ -395,7 +419,7 @@ class PiecewisePoly:
         """
         acc_num, acc_den = _frac(value_at_start).as_integer_ratio()
         forms = []
-        for (nums, den), lo, hi in zip(self.forms, self.breaks, self.breaks[1:]):
+        for (nums, den), lo, hi in zip(self.forms, self.nodes, self.nodes[1:]):
             if len(nums) > DEGREE_CAP:
                 raise DegreeCapError("antiderivative degree %d exceeds cap %d" % (len(nums), DEGREE_CAP))
             scale = math.lcm(*range(1, len(nums) + 1))
@@ -404,52 +428,61 @@ class PiecewisePoly:
             integral = [n * m * (scale // (d + 1)) for d, n in enumerate(nums)]
             form = _form([acc_num * (common // acc_den)] + integral, common)
             forms.append(form)
-            acc_num, acc_den = _taylor(*form, hi - lo, 0)
+            acc_num, acc_den = _taylor(*form, hi - lo, self.scale, 0)
             g = math.gcd(acc_num, acc_den)
             acc_num, acc_den = acc_num // g, acc_den // g
-        return PiecewisePoly(self.breaks, tuple(forms))
+        return PiecewisePoly(self.nodes, self.scale, tuple(forms))
 
     # -- geometry ---------------------------------------------------------------
 
     def shifted(self, s) -> "PiecewisePoly":
         """The translate t -> f(t - s); local pieces are untouched."""
-        s = _frac(s)
-        return PiecewisePoly(tuple(b + s for b in self.breaks), self.forms)
+        s_num, s_den = _frac(s).as_integer_ratio()
+        scale = math.lcm(self.scale, s_den)
+        step = s_num * (scale // s_den)
+        return PiecewisePoly(*_lowest([n + step for n in self._nodes_over(scale)], scale), self.forms)
 
     def restricted(self, a, b) -> "PiecewisePoly":
         a, b = _frac(a), _frac(b)
         if not (self.start <= a < b <= self.end):
             raise ValueError("restriction (%s, %s) outside domain" % (a, b))
-        ref = self.refined({a, b})
-        lo = ref.breaks.index(a)
-        hi = ref.breaks.index(b)
-        return PiecewisePoly(ref.breaks[lo:hi + 1], ref.forms[lo:hi])
+        ref = self.refined((a, b))
+        lo, hi = (ref.nodes.index(x.numerator * (ref.scale // x.denominator)) for x in (a, b))
+        return PiecewisePoly(*_lowest(ref.nodes[lo:hi + 1], ref.scale), ref.forms[lo:hi])
 
     # -- traces -------------------------------------------------------------------
 
-    def trace(self, t, order: int, side: int) -> Fraction:
+    def taylor_limit(self, t, order: int, side: int) -> tuple[int, int]:
+        """The right (side +1) or left (side -1) limit of p^(order) / order! at t, as an unreduced integer ratio.
+
+        For t = P/Q, P * scale = u Q + r; t is a breakpoint, where the sides take different pieces, iff r = 0.
+        """
         t = _frac(t)
         if side not in (1, -1):
             raise ValueError("side must be +1 or -1")
-        if side == 1:
-            if not self.start <= t < self.end:
-                raise ValueError("no right limit at %s" % t)
-            idx = self._piece_index(t)
+        p, q = t.as_integer_ratio()
+        u, r = divmod(p * self.scale, q)
+        if side == 1 or r:
+            idx = bisect.bisect_right(self.nodes, u) - 1  # the piece [b_i, b_{i+1}) holding t
         else:
-            if not self.start < t <= self.end:
-                raise ValueError("no left limit at %s" % t)
-            idx = bisect.bisect_left(self.breaks, t) - 1  # the piece (b_i, b_{i+1}] holding t
-        num, den = _taylor(*self.forms[idx], t - self.breaks[idx], order)
+            idx = bisect.bisect_left(self.nodes, u) - 1  # the piece (b_i, b_{i+1}] ending at t
+        if not 0 <= idx < len(self.forms):
+            raise ValueError("no %s limit at %s" % ("right" if side == 1 else "left", t))
+        return _taylor(*self.forms[idx], p * self.scale - self.nodes[idx] * q, q * self.scale, order)
+
+    def trace(self, t, order: int, side: int) -> Fraction:
+        num, den = self.taylor_limit(t, order, side)
         return Fraction(math.factorial(order) * num, den)
 
     def value(self, t) -> Fraction:
         """Value at a point of continuity; raises if the two limits disagree."""
         t = _frac(t)
+        if not self.start <= t <= self.end:
+            raise ValueError("point %s outside domain" % t)
         if t == self.end:
             return self.trace(t, 0, -1)
-        idx = self._piece_index(t)
-        right = Fraction(*_taylor(*self.forms[idx], t - self.breaks[idx], 0))
-        if idx and t == self.breaks[idx]:
+        right = self.trace(t, 0, 1)
+        if t != self.start:
             left = self.trace(t, 0, -1)
             if left != right:
                 raise ValueError("function jumps at %s (left %s, right %s)" % (t, left, right))
@@ -460,27 +493,28 @@ class PiecewisePoly:
 
         Each float is the correctly rounded value of the exact right limit,
         bit-identical to ``float(self.trace(t, 0, +1))``.  Points may be
-        Fractions or ints.  A cursor walks the pieces, and each value is one
-        ``horner_float``.
+        Fractions or ints.  A cursor walks the pieces, comparing t * scale
+        with the nodes, and each value is one ``horner_float``.
         """
         out = []
+        scale, nodes = self.scale, self.nodes
         last = len(self.forms) - 1
         idx = -1
-        lo_num, lo_den = hi_num, hi_den = self.start.as_integer_ratio()  # the first point enters piece 0
+        lo = hi = nodes[0]  # the first point enters piece 0
         for t in points:
             p, q = t.as_integer_ratio()
-            while p * hi_den >= hi_num * q:
+            at = p * scale  # t = at / (q * scale)
+            while at >= hi * q:
                 if idx == last:
                     raise ValueError("point %s outside [%s, %s)" % (t, self.start, self.end))
                 idx += 1
-                lo_num, lo_den = hi_num, hi_den
-                hi_num, hi_den = self.breaks[idx + 1].as_integer_ratio()
-                numerators, scale = self.forms[idx]
-            # local coordinate x = t - lo
-            x_num = p * lo_den - lo_num * q
+                lo, hi = hi, nodes[idx + 1]
+                numerators, den = self.forms[idx]
+            # local coordinate x = t - lo / scale
+            x_num = at - lo * q
             if x_num < 0:
                 raise ValueError("point %s outside [%s, %s) or out of order" % (t, self.start, self.end))
-            out.append(horner_float(numerators, scale, x_num, q * lo_den))
+            out.append(horner_float(numerators, den, x_num, q * scale))
         return out
 
     def jump(self, t, order: int = 0) -> Fraction:
@@ -494,14 +528,22 @@ class PiecewisePoly:
         coefficient r / R and the left-limit one l / L, one Fraction per entry.
         """
         out = []
-        for i, t in enumerate(self.breaks[1:-1]):
-            width = t - self.breaks[i]
-            left, right = self.forms[i], self.forms[i + 1]
+        scale, nodes, forms = self.scale, self.nodes, self.forms
+        for i in range(1, len(forms)):
+            t = Fraction(nodes[i], scale)
+            width = nodes[i] - nodes[i - 1]
+            left, right = forms[i - 1], forms[i]
             for mu in range(count):
-                l_num, l_den = _taylor(*left, width, mu)
-                r_num, r_den = _taylor(*right, 0, mu)
+                l_num, l_den = _taylor(*left, width, scale, mu)
+                r_num, r_den = _taylor(*right, 0, 1, mu)
                 out.append((t, mu, Fraction(math.factorial(mu) * (r_num * l_den - l_num * r_den), r_den * l_den)))
         return out
+
+
+def _lowest(nodes: Sequence[int], scale: int) -> tuple[tuple[int, ...], int]:
+    """nodes / scale in lowest terms."""
+    g = math.gcd(scale, *nodes)
+    return tuple(n // g for n in nodes), scale // g
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +554,16 @@ def align_many(funcs: Sequence[PiecewisePoly]) -> list[PiecewisePoly]:
     """Refine functions on one domain to the union of their breakpoints."""
     if not funcs:
         return []
-    span = (funcs[0].start, funcs[0].end)
-    pts: set[Fraction] = set()
+    scale = math.lcm(*(f.scale for f in funcs))
+    first = funcs[0]._nodes_over(scale)
+    pts: set[int] = set()
     for f in funcs:
-        if (f.start, f.end) != span:
+        own = f._nodes_over(scale)
+        if (own[0], own[-1]) != (first[0], first[-1]):
             raise ValueError("cannot align functions on different domains")
-        pts |= set(f.breaks)
-    return [f.refined(pts) for f in funcs]
+        pts.update(own)
+    nodes = sorted(pts)
+    return [f._onto(nodes, scale) for f in funcs]
 
 
 def linear_combination(terms: Iterable[tuple[object, PiecewisePoly]]) -> PiecewisePoly:
@@ -532,13 +577,13 @@ def linear_combination(terms: Iterable[tuple[object, PiecewisePoly]]) -> Piecewi
     terms = list(terms)
     coefs = [_frac(c) for c, _ in terms]
     funcs = [f for _, f in terms]
-    breaks = funcs[0].breaks
-    if any(f.breaks != breaks for f in funcs):
+    nodes, scale = funcs[0].nodes, funcs[0].scale
+    if any(f.scale != scale or f.nodes != nodes for f in funcs):
         funcs = align_many(funcs)
-        breaks = funcs[0].breaks
+        nodes, scale = funcs[0].nodes, funcs[0].scale
     live = [(c, f.forms) for c, f in zip(coefs, funcs) if c]
-    forms = tuple(_integer_sum((c, term_forms[i]) for c, term_forms in live) for i in range(len(breaks) - 1))
-    return PiecewisePoly(breaks, forms)
+    forms = tuple(_integer_sum((c, term_forms[i]) for c, term_forms in live) for i in range(len(nodes) - 1))
+    return PiecewisePoly(nodes, scale, forms)
 
 
 def _integer_sum(terms: Iterable[tuple[Fraction, Form]]) -> Form:
@@ -555,14 +600,16 @@ def _integer_sum(terms: Iterable[tuple[Fraction, Form]]) -> Form:
 
 def concat(parts: Sequence[PiecewisePoly]) -> PiecewisePoly:
     """Paste functions on adjacent intervals into one; local pieces carry over."""
-    breaks: list[Fraction] = list(parts[0].breaks)
+    scale = math.lcm(*(part.scale for part in parts))
+    nodes: list[int] = list(parts[0]._nodes_over(scale))
     forms: list[Form] = list(parts[0].forms)
     for part in parts[1:]:
-        if part.start != breaks[-1]:
-            raise ValueError("parts are not adjacent: %s != %s" % (part.start, breaks[-1]))
-        breaks.extend(part.breaks[1:])
+        own = part._nodes_over(scale)
+        if own[0] != nodes[-1]:
+            raise ValueError("parts are not adjacent: %s != %s" % (part.start, Fraction(nodes[-1], scale)))
+        nodes.extend(own[1:])
         forms.extend(part.forms)
-    return PiecewisePoly(tuple(breaks), tuple(forms))
+    return PiecewisePoly(tuple(nodes), scale, tuple(forms))
 
 
 def hermite_interpolant(jets: Sequence[Sequence[Fraction]]) -> PiecewisePoly:
@@ -572,7 +619,7 @@ def hermite_interpolant(jets: Sequence[Sequence[Fraction]]) -> PiecewisePoly:
     length r the function is C^(r-1) at every interior node.
     """
     forms = tuple(two_point_hermite(left, right) for left, right in zip(jets, jets[1:]))
-    return PiecewisePoly(tuple(Fraction(i) for i in range(len(jets))), forms)
+    return PiecewisePoly(tuple(range(len(jets))), 1, forms)
 
 
 def zero_extension(f: PiecewisePoly, a, b) -> PiecewisePoly:
@@ -596,17 +643,19 @@ def _unit_product(matrix: Sequence[Sequence[Fraction]], f: PiecewisePoly, start:
     f's common refinement.
     """
     cols = len(matrix[0])
-    if (f.start, f.end) != (start, start + cols):
+    scale = f.scale
+    if (f.nodes[0], f.nodes[-1]) != (start * scale, (start + cols) * scale):
         raise ValueError("expected a function on (%d, %d)" % (start, start + cols))
-    offsets = sorted({b - math.floor(b) for b in f.breaks})
-    f = f.refined(start + k + o for k in range(cols) for o in offsets)
+    # the offsets over f's scale keep it in lowest terms: they are the fractional parts of f's breakpoints
+    offsets = sorted({n % scale for n in f.nodes})
+    f = f._onto([(start + k) * scale + o for k in range(cols) for o in offsets] + [(start + cols) * scale], scale)
     per_unit = len(offsets)
-    breaks, forms = [], []
+    nodes, forms = [], []
     for i, row in enumerate(matrix):
-        breaks.extend(i + o for o in offsets)
+        nodes.extend(i * scale + o for o in offsets)
         forms.extend(_integer_sum(zip(row, f.forms[q::per_unit])) for q in range(per_unit))
-    breaks.append(Fraction(len(matrix)))
-    return PiecewisePoly(tuple(breaks), tuple(forms))
+    nodes.append(len(matrix) * scale)
+    return PiecewisePoly(tuple(nodes), scale, tuple(forms))
 
 
 def apply_difference(stencil: Stencil, f: PiecewisePoly) -> PiecewisePoly:
@@ -643,12 +692,11 @@ def trace_defects(f: PiecewisePoly, k: int) -> list[tuple[str, Fraction, int, Fr
     breakpoint (so the zero extension keeps the same smoothness order).
     Returns a list of (kind, node, order, value) with nonzero values only.
     """
-    start = _jet(f.forms[0], Fraction(0), k)
-    end = _jet(f.forms[-1], f.end - f.breaks[-2], k)
+    ends = ((f.start, _jet(f.forms[0], 0, 1, k)), (f.end, _jet(f.forms[-1], f.nodes[-1] - f.nodes[-2], f.scale, k)))
     jumps = smoothness_defects(f, k)
     out = []
     for mu in range(k):
-        out.extend(("endpoint", t, mu, v) for t, v in ((f.start, start[mu]), (f.end, end[mu])) if v != 0)
+        out.extend(("endpoint", t, mu, jet[mu]) for t, jet in ends if jet[mu] != 0)
         out.extend(("jump", t, m, j) for t, m, j in jumps if m == mu)
     return out
 

@@ -28,7 +28,6 @@ piece, and prints every value as the correctly rounded float of the exact one.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,9 +226,10 @@ def load_problem(path: str) -> ParsedProblem:
 
 def _pieces_doc(f: PiecewisePoly) -> list:
     out = []
+    breaks = f.breaks
     for i, piece in enumerate(f.pieces):
         out.append({
-            "interval": [str(f.breaks[i]), str(f.breaks[i + 1])],
+            "interval": [str(breaks[i]), str(breaks[i + 1])],
             "coeffs": [str(c) for c in piece],
             "basis": "local",
         })
@@ -295,25 +295,21 @@ def solution_csv_lines(family: SolutionFamily, f0: PiecewisePoly, step: Fraction
         raise ValueError("sample step must be positive")
     v = family.v
     columns = align_many((v, v.derivative(1), family.w, f0))
-    start = v.start
-    breaks = columns[0].breaks
+    nodes, scale = columns[0].nodes, columns[0].scale
 
-    # t_i = start + i*step = (first + i*stride) / den
-    den = start.denominator * step.denominator
-    first = start.numerator * step.denominator
-    stride = step.numerator * start.denominator
-    for idx, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
+    # t_i = start + i*step = (first + i*stride) / den, and a node n is n * step.denominator / den
+    den = scale * step.denominator
+    first = nodes[0] * step.denominator
+    stride = step.numerator * scale
+    for idx, (lo, hi) in enumerate(zip(nodes, nodes[1:])):
         forms = [g.forms[idx] for g in columns]
-        yield _ROW % (float(lo), *[horner_float(*form, 0, 1) for form in forms])
+        yield _ROW % (lo / scale, *[horner_float(*form, 0, 1) for form in forms])
         # the regular rows strictly inside (lo, hi), at local x = t_i - lo
-        lo_num, lo_den = lo.as_integer_ratio()
-        x_den = den * lo_den
-        for i in range(math.floor((lo - start) / step) + 1, math.ceil((hi - start) / step)):
+        lo_t, hi_t = lo * step.denominator, hi * step.denominator
+        for i in range((lo_t - first) // stride + 1, -((first - hi_t) // stride)):
             t_num = first + i * stride
-            x_num = t_num * lo_den - lo_num * den
-            yield _ROW % (t_num / den, *[horner_float(*form, x_num, x_den) for form in forms])
-        width_num, width_den = (hi - lo).as_integer_ratio()
-        yield _ROW % (float(hi), *[horner_float(*form, width_num, width_den) for form in forms])
+            yield _ROW % (t_num / den, *[horner_float(*form, t_num - lo_t, den) for form in forms])
+        yield _ROW % (hi / scale, *[horner_float(*form, hi - lo, scale) for form in forms])
 
 
 # ---------------------------------------------------------------------------

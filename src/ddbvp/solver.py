@@ -201,15 +201,14 @@ def _smoothness(
     constraints of the two solution classes; a class is solvable exactly when
     its list is empty.
     """
-    seams = (Fraction(0), Fraction(n + 1))
-    integer_nodes = {Fraction(i) for i in range(1, n + 1)}
     extension_jumps = []
     node_jumps = []
     offgrid = []
     for t, mu, jump in y.jumps(k + 2):
-        if t in seams:
+        node = t.numerator if t.denominator == 1 else None  # an integer break of y is a seam or a node 1..N
+        if node == 0 or node == n + 1:
             extension_jumps.append((t, mu, jump))
-        elif t in integer_nodes and mu >= 1:
+        elif node is not None and mu >= 1:
             node_jumps.append((t, mu, jump))
         elif jump != 0:
             offgrid.append((t, mu, jump))

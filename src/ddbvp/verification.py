@@ -132,7 +132,7 @@ def _hermite_glued(length: int, k: int, rng: random.Random, zero_end_jets: bool)
             for j, c in enumerate(q):
                 bump[i + j] += a * c
         bumps.append(bump)
-    return glued + PiecewisePoly.from_pieces(glued.breaks, bumps)
+    return glued + PiecewisePoly.from_pieces(range(length + 1), bumps)
 
 
 def random_zero_trace_function(interval_count: int, k: int, rng: random.Random) -> PiecewisePoly:

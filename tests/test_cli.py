@@ -343,6 +343,32 @@ def test_solve_index_report_and_csv_read_no_fraction_pieces(monkeypatch):
     assert reads[0] == 0
 
 
+def test_solve_index_report_and_csv_read_no_fraction_breaks(monkeypatch):
+    # breakpoints are stored as ints over one scale; the solver, the
+    # functionals and the CSV writer walk them, and only the API builds
+    # Fraction breakpoints
+    reads = [0]
+    breaks = PiecewisePoly.breaks
+
+    def counting(self):
+        reads[0] += 1
+        return breaks.fget(self)
+
+    monkeypatch.setattr(PiecewisePoly, "breaks", property(counting))
+    far_left = [(-1) ** j * (j % 3 + 1) for j in range(7)]
+    wide = Stencil.from_coeffs(far_left + [3] + [0] * 8 + [-2])
+    f0 = PiecewisePoly.from_pieces((0, Fraction(1, 3), Fraction(5, 2), 9), [(1, -1), (2,), (0, 1, 2)])
+    problem = BVPProblem(stencil=wide, k=2, f0=f0, f1=(1, 2), f2=(3,))
+    assert solve_nonhomogeneous(problem).v is not None
+    assert reads[0] == 0
+    index_report(problem)
+    assert reads[0] == 0
+    parsed = parse_problem(json.dumps(CSV_PROBLEMS["N1"]))
+    family = solve_nonhomogeneous(parsed.problem)
+    assert sum(1 for _ in solution_csv_lines(family, parsed.problem.f0, Fraction(1, 64))) > 64
+    assert reads[0] == 0
+
+
 # -- the command line -----------------------------------------------------------
 
 

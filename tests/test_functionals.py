@@ -49,6 +49,19 @@ def test_evaluate_rejects_a_jump_at_a_touched_interior_node():
     assert pruned.evaluate(step) == 1
 
 
+def test_evaluate_names_both_limits_of_a_derivative_jump():
+    # x^3 / 3 on (0, 1/2), zero on (1/2, 2): second derivatives 1 and 0 at t = 1/2
+    f = PiecewisePoly.from_pieces((0, F(1, 2), 2), [(0, 0, 0, F(1, 3)), (0,)])
+    fn = NodeFunctional(terms=((F(1, 2), 2, F(1)),), label="curvature")
+    message = "derivative of order 2 jumps at node 1/2 (left 1, right 0); functional 'curvature' is undefined there"
+    with pytest.raises(ValueError) as caught:
+        fn.evaluate(f)
+    assert str(caught.value) == message
+    # off the breaks and at the ends each atom is one limit
+    probe = NodeFunctional(terms=((F(0), 0, F(1)), (F(1, 3), 1, F(3)), (F(2), 0, F(5))), label="probe")
+    assert probe.evaluate(f) == 3 * f.trace(F(1, 3), 1, 1)
+
+
 def test_on_monomial_agrees_with_evaluate_on_global_polynomials():
     rng = random.Random(23)
     fn = NodeFunctional(

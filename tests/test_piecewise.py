@@ -82,7 +82,7 @@ def test_poly_helpers_basic_identities():
         assert peval(pmul(a, b), x) == peval(a, x) * peval(b, x)
 
         s = F(rng.randint(-3, 3), rng.randint(1, 2))
-        nums, den = _shifted(_form_of(a), s)
+        nums, den = _shifted(_form_of(a), *s.as_integer_ratio())
         assert peval([F(n, den) for n in nums], x) == peval(a, x + s)
 
     assert ptrim((F(1), F(0), F(0))) == (F(1),)
@@ -209,6 +209,69 @@ def test_shift_restrict_traces_jumps():
     r = f.restricted(F(1, 2), F(3, 2))
     assert (r.start, r.end) == (F(1, 2), F(3, 2))
     assert r.trace(F(3, 2), 0, -1) == f.trace(F(3, 2), 0, -1)
+
+
+def test_point_queries_off_the_node_grid_and_at_a_break():
+    # 1 + 2x on [0, 1/2), 5 + 3x^2 on [1/2, 2): nodes 0, 1, 4 over scale 2
+    f = PiecewisePoly.from_pieces((0, F(1, 2), 2), [(1, 2), (5, 0, 3)])
+    assert (f.nodes, f.scale) == ((0, 1, 4), 2)
+    # thirds: the scale 2 does not divide the denominator 3
+    for side in (1, -1):
+        assert f.trace(F(1, 3), 0, side) == F(5, 3) and f.trace(F(1, 3), 1, side) == 2
+        assert f.trace(F(4, 3), 0, side) == F(85, 12) and f.trace(F(4, 3), 1, side) == 5
+    assert f.value(F(1, 3)) == F(5, 3) and f.value(F(4, 3)) == F(85, 12)
+    assert f.jump(F(1, 3)) == 0 and f.jump(F(4, 3), 2) == 0
+    # the break 1/2, from both sides
+    assert (f.trace(F(1, 2), 0, -1), f.trace(F(1, 2), 0, 1)) == (2, 5)
+    assert (f.trace(F(1, 2), 1, -1), f.trace(F(1, 2), 1, 1)) == (2, 0)
+    assert (f.trace(F(1, 2), 2, -1), f.trace(F(1, 2), 2, 1)) == (0, 6)
+    assert (f.jump(F(1, 2)), f.jump(F(1, 2), 1), f.jump(F(1, 2), 2)) == (3, -2, 6)
+    with pytest.raises(ValueError, match="jumps at 1/2 \\(left 2, right 5\\)"):
+        f.value(F(1, 2))
+    # the ends have one side each
+    assert (f.value(0), f.value(2)) == (1, F(47, 4))
+    for t, side, message in ((0, -1, "no left limit at 0"), (2, 1, "no right limit at 2"),
+                             (F(-1, 3), 1, "no right limit at -1/3"), (F(7, 3), -1, "no left limit at 7/3")):
+        with pytest.raises(ValueError, match=message):
+            f.trace(t, 0, side)
+    with pytest.raises(ValueError, match="point 7/3 outside domain"):
+        f.value(F(7, 3))
+
+
+def test_shifted_by_a_third_of_a_function_on_halves():
+    f = PiecewisePoly.from_pieces((0, F(1, 2), 1), [(1,), (2, 1)])
+    g = f.shifted(F(1, 3))
+    assert (g.nodes, g.scale) == ((2, 5, 8), 6)
+    assert g.breaks == (F(1, 3), F(5, 6), F(4, 3))
+    assert g.forms == f.forms
+    assert (g.trace(F(5, 6), 0, -1), g.trace(F(5, 6), 0, 1), g.value(F(4, 3))) == (1, 2, F(5, 2))
+    back = g.shifted(F(-1, 3))
+    assert (back.nodes, back.scale) == ((0, 1, 2), 2)
+    # a shift onto whole units comes back over scale 1
+    h = PiecewisePoly.constant(1, F(1, 2), F(3, 2)).shifted(F(1, 2))
+    assert (h.nodes, h.scale) == ((1, 2), 1)
+
+
+def test_concat_of_parts_over_halves_and_thirds():
+    left = PiecewisePoly.from_pieces((0, F(1, 2), 1), [(1,), (2,)])
+    right = PiecewisePoly.from_pieces((1, F(4, 3), 2), [(3,), (4, 1)])
+    f = concat([left, right])
+    assert (f.nodes, f.scale) == ((0, 3, 6, 8, 12), 6)
+    assert f.breaks == (0, F(1, 2), 1, F(4, 3), 2)
+    assert f.pieces == left.pieces + right.pieces
+    with pytest.raises(ValueError, match="parts are not adjacent: 0 != 2"):
+        concat([right, left])
+
+
+def test_restricted_to_a_third_and_a_half_of_a_function_with_integer_breaks():
+    f = PiecewisePoly.from_global((1, 2, 3), (0, 1, 2))
+    g = f.restricted(F(1, 3), F(1, 2))
+    assert (g.nodes, g.scale) == ((2, 3), 6)
+    assert g.breaks == (F(1, 3), F(1, 2))
+    assert g.same(PiecewisePoly.from_global((1, 2, 3), (F(1, 3), F(1, 2))))
+    # a restriction to whole units comes back over scale 1
+    h = f.refined([F(1, 2)]).restricted(1, 2)
+    assert (h.nodes, h.scale) == ((1, 2), 1)
 
 
 def test_value_at_continuous_break_is_allowed():

@@ -27,6 +27,7 @@ from ddbvp.piecewise import (
     PiecewisePoly,
     _form_of,
     _shifted,
+    _unit_product,
     align_many,
     apply_difference,
     apply_difference_inverse,
@@ -822,9 +823,9 @@ def test_trace_equals_the_fraction_derivative_chain(data):
 @given(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), min_size=1, max_size=10),
        st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=13)))
 def test_pshift_equals_the_fraction_taylor_loop(coeffs, s):
-    got = _shifted(_form_of(coeffs), s)
+    got = _shifted(_form_of(coeffs), *s.as_integer_ratio())
     assert _is_canonical(got)
-    pieces = PiecewisePoly((Fraction(0), Fraction(1)), (got,)).pieces
+    pieces = PiecewisePoly((0, 1), 1, (got,)).pieces
     assert pieces == (_reference_pshift(coeffs, s),)
     assert _all_fractions(pieces)
 
@@ -989,6 +990,59 @@ def test_difference_operators_store_canonical_forms(stencil, data):
     _assert_stored(got, _reference_unit_pieces(band, zero_extension(f, -n, 2 * n + 1), -n, got.breaks))
     got = apply_difference_inverse(structure, f)
     _assert_stored(got, _reference_unit_pieces(structure.r1_inverse, f, 0, got.breaks))
+
+
+# -- the stored breakpoints ----------------------------------------------------------
+#
+# Every constructor and kernel stores its breakpoints as strictly increasing
+# ints over one positive scale in lowest terms, and ``breaks`` built from them
+# equals the plain Fraction computation.
+
+
+def _assert_nodes(f, expected_breaks):
+    nodes, scale = f.nodes, f.scale
+    assert type(nodes) is tuple and all(type(n) is int for n in nodes)
+    assert type(scale) is int and scale > 0 and math.gcd(scale, *nodes) == 1
+    assert all(a < b for a, b in zip(nodes, nodes[1:]))
+    assert f.breaks == tuple(expected_breaks)
+    assert _all_fractions(f.breaks)
+
+
+@SETTINGS
+@given(stored_functions(), st.data())
+def test_kernels_store_canonical_nodes(case, data):
+    breaks, pieces = case
+    points = data.draw(st.lists(st.fractions(min_value=breaks[0], max_value=breaks[-1], max_denominator=12), max_size=3))
+    s = data.draw(rationals)
+    f = PiecewisePoly.from_pieces(breaks, pieces)
+    union = sorted(set(breaks) | set(points))
+    _assert_nodes(f, breaks)
+    _assert_nodes(PiecewisePoly.from_global(pieces[0], breaks), breaks)
+    _assert_nodes(f.refined(points), union)
+    _assert_nodes(f.shifted(s), [b + s for b in breaks])
+    a, b = sorted(data.draw(st.lists(st.sampled_from(union), min_size=2, max_size=2, unique=True)))
+    _assert_nodes(f.restricted(a, b), [a] + [t for t in breaks if a < t < b] + [b])
+    other = sorted({breaks[0], breaks[-1]} | set(points))
+    g = PiecewisePoly.from_pieces(other, [(1,)] * (len(other) - 1))
+    for aligned in align_many((f, g)):
+        _assert_nodes(aligned, union)
+    _assert_nodes(linear_combination(((1, f), (s, g))), union)
+    width = breaks[-1] - breaks[0]
+    _assert_nodes(concat([f, g.shifted(width)]), list(breaks) + [t + width for t in other[1:]])
+
+
+@SETTINGS
+@given(supported_stencils(max_n=3), st.data())
+def test_unit_product_and_hermite_store_canonical_nodes(stencil, data):
+    n = stencil.N
+    start = data.draw(st.integers(min_value=-2, max_value=2))
+    f = data.draw(off_node_functions(0, n + 1)).shifted(start)
+    matrix = data.draw(st.lists(st.lists(rationals, min_size=n + 1, max_size=n + 1), min_size=1, max_size=3))
+    offsets = sorted({b - math.floor(b) for b in f.breaks})
+    rows = len(matrix)
+    _assert_nodes(_unit_product(matrix, f, start), [i + o for i in range(rows) for o in offsets] + [Fraction(rows)])
+    jets = data.draw(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=4))
+    _assert_nodes(hermite_interpolant(jets), [Fraction(i) for i in range(len(jets))])
 
 
 def _reference_on_monomial(fn, d):
