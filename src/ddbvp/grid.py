@@ -87,10 +87,6 @@ class GridOperators:
         by_residue[r, r], by_residue[r, r - 1], by_residue[r, (r + 1) % self.n] = self.diag, self.lower, self.upper
         return GridOperator(padded[1:, 1:])
 
-    @property
-    def points(self) -> list[Fraction]:
-        return [Fraction(i, self.n) for i in range(1, self.size + 1)]
-
     @cached_property
     def shift_extended(self) -> GridOperator:
         """The difference operator from interior samples to all grid points."""
@@ -110,7 +106,7 @@ class GridOperators:
 
 def grid_samples(f: PiecewisePoly, ops: GridOperators) -> np.ndarray:
     """f at the interior grid points, averaging the one-sided limits across a jump."""
-    samples = np.array(f.sample(ops.points), dtype=float)
+    samples = np.array(f.sample(Fraction(1, ops.n), Fraction(1, ops.n), ops.size), dtype=float)
     for node in f.nodes[1:-1]:
         i, r = divmod(node * ops.n, f.scale)  # the break is grid point t_i when r = 0
         if not r and 0 < i <= ops.size:
@@ -165,7 +161,7 @@ def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOp
     diag, lower, upper = (np.repeat(x[None, 1:big + 2], n, axis=0) for x in (centre, side, side))
     lower[0], upper[-1] = side[:big + 1], side[2:]
     if a is not None:
-        samples = a.sample([Fraction(i, n) for i in range(1, size + 1)])
+        samples = a.sample(Fraction(1, n), Fraction(1, n), size)
         diag.reshape(n, -1)[:, ::big + 2] += np.concatenate([[0.0], samples]).reshape(big + 1, n).T
     diag[0, 0] = lower[0, 0] = upper[0, 0] = 0.0  # the row of t_0
     diag[0, :, 0] = lower[1, :, 0] = upper[-1, :, 0] = 0.0  # its column, seen from residues 0, 1 and n - 1
@@ -388,7 +384,7 @@ def convergence_study(
     for n in resolutions:
         ops = assemble(stencil, n)
         sol = solve_grid(ops, grid_samples(f0, ops))
-        exact = np.array(exact_v.sample(ops.points))
+        exact = np.array(exact_v.sample(Fraction(1, n), Fraction(1, n), ops.size))
         rows.append(ConvergenceRow(n=n, max_error=float(np.abs(sol.values - exact).max())))
 
     exact_reproduction = all(r.max_error < ROUNDING_FLOOR for r in rows)

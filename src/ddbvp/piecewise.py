@@ -38,10 +38,15 @@ plumbing used everywhere else:
   D, and at x = X/Q it is sum n_j X^j Q^(d-j) / (D Q^d): integer Horner,
   then a single int / int division.  Python's integer true division is
   correctly rounded, so every float equals ``float`` of the exact Fraction
-  value; nothing is rounded before that last step.
-  ``PiecewisePoly.sample`` (floats on many sorted points, for the grid
-  samples) walks the pieces with a cursor and calls it once per point, and
-  the solution CSV calls it for every value it writes.
+  value; nothing is rounded before that last step.  On an arithmetic
+  progression the numerator is an integer polynomial in the index, and
+  ``progression_floats`` gives a piece's floats there: top + 1 Horner
+  values, then their difference table (Knuth, TAOCP vol. 2, section
+  4.6.4), top integer additions per later value, each value still one
+  int / int division.  ``PiecewisePoly.sample(start, step, count)``, for
+  the grid samples, calls it once per piece, and so does the solution CSV
+  for its regular rows; the CSV's endpoint rows are one ``horner_float``
+  each.
 
 A function is stored only in integers.  Breakpoint i is nodes[i] / scale,
 the ``nodes`` strictly increasing over one positive ``scale`` in lowest terms
@@ -74,7 +79,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from . import exactla
 from .structure import Stencil, StructureReport
@@ -203,6 +209,45 @@ def horner_float(nums: Sequence[int], den: int, x_num: int, x_den: int) -> float
         power *= x_den
         acc = acc * x_num + nums[d] * power
     return acc / (den * power)
+
+
+def progression_floats(form: Form, x_num: int, stride: int, x_den: int, count: int) -> Iterator[float]:
+    """The correctly rounded floats of the piece at x_i = (x_num + i * stride) / x_den, i < count, x_den > 0.
+
+    The numerator N(i) = sum_d n_d X_i^d Q^(top-d) of ``horner_float`` is an
+    integer polynomial of degree top in i.  Its first top + 1 values come by
+    integer Horner on the call; each later one is top additions of backward
+    differences, run in C by nested ``accumulate`` as it is drawn, holding
+    O(top) ints.  Every float is one int / int division, made as it is
+    drawn, so it equals ``horner_float`` bit for bit and an overflow raises
+    only on its own draw.  A piece drawn at no more than top + 1 points
+    builds no difference table.
+    """
+    nums, den = form
+    top = len(nums) - 1
+    coeffs, power = [nums[top]], 1  # n_d Q^(top-d), highest degree first
+    for d in range(top - 1, -1, -1):
+        power *= x_den
+        coeffs.append(nums[d] * power)
+    head = []
+    for i in range(min(count, top + 1)):
+        x, acc = x_num + i * stride, 0
+        for c in coeffs:
+            acc = acc * x + c
+        head.append(acc)
+    numerators: Iterable[int] = head
+    if count > top + 1:
+        # the backward differences of N at i = top, order 0 first
+        edge, diffs = [], head
+        for _ in range(top + 1):
+            edge.append(diffs[-1])
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        later = repeat(edge.pop())
+        for start in reversed(edge):
+            later = accumulate(later, initial=start)
+            next(later)  # the initial value, at i = top; the next one is at i = top + 1
+        numerators = chain(head, islice(later, count - top - 1))
+    return map(operator.truediv, numerators, repeat(den * power))
 
 
 def two_point_hermite(left: Sequence[Fraction], right: Sequence[Fraction]) -> Form:
@@ -488,33 +533,32 @@ class PiecewisePoly:
                 raise ValueError("function jumps at %s (left %s, right %s)" % (t, left, right))
         return right
 
-    def sample(self, points: Iterable) -> list[float]:
-        """Right limits f(t+) as floats, at non-decreasing points of [start, end).
+    def sample(self, start, step, count: int) -> list[float]:
+        """Right limits f(t+) as floats at t_i = start + i * step, i < count, all in [start, end).
 
         Each float is the correctly rounded value of the exact right limit,
-        bit-identical to ``float(self.trace(t, 0, +1))``.  Points may be
-        Fractions or ints.  A cursor walks the pieces, comparing t * scale
-        with the nodes, and each value is one ``horner_float``.
+        bit-identical to ``float(self.trace(t_i, 0, +1))``.  Over the
+        denominator den = L * scale, L = lcm of the denominators of start and
+        step, t_i is (first + i * stride) / den; floor division gives each
+        piece's first index, and each piece is one ``progression_floats``.
         """
-        out = []
-        scale, nodes = self.scale, self.nodes
-        last = len(self.forms) - 1
-        idx = -1
-        lo = hi = nodes[0]  # the first point enters piece 0
-        for t in points:
-            p, q = t.as_integer_ratio()
-            at = p * scale  # t = at / (q * scale)
-            while at >= hi * q:
-                if idx == last:
-                    raise ValueError("point %s outside [%s, %s)" % (t, self.start, self.end))
-                idx += 1
-                lo, hi = hi, nodes[idx + 1]
-                numerators, den = self.forms[idx]
-            # local coordinate x = t - lo / scale
-            x_num = at - lo * q
-            if x_num < 0:
-                raise ValueError("point %s outside [%s, %s) or out of order" % (t, self.start, self.end))
-            out.append(horner_float(numerators, den, x_num, q * scale))
+        s_num, s_den = _frac(start).as_integer_ratio()
+        h_num, h_den = _frac(step).as_integer_ratio()
+        if h_num <= 0 or count < 0:
+            raise ValueError("need a positive step and a non-negative count")
+        m = math.lcm(s_den, h_den)
+        den = m * self.scale
+        first, stride = s_num * (den // s_den), h_num * (den // h_den)
+        last = first + (count - 1) * stride
+        if count and not self.nodes[0] * m <= first <= last < self.nodes[-1] * m:
+            raise ValueError("points %s..%s outside [%s, %s)" % (Fraction(first, den), Fraction(last, den), self.start, self.end))
+        out: list[float] = []
+        for form, lo, hi in zip(self.forms, self.nodes, self.nodes[1:]):
+            # the indices i with lo <= t_i < hi, over den
+            i_lo = max(0, -((first - lo * m) // stride))
+            i_hi = min(count, -((first - hi * m) // stride))
+            if i_lo < i_hi:
+                out.extend(progression_floats(form, first + i_lo * stride - lo * m, stride, den, i_hi - i_lo))
         return out
 
     def jump(self, t, order: int = 0) -> Fraction:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ddbvp import cli, exactla, problem_io, structure
 from ddbvp.cli import main
-from ddbvp.piecewise import PiecewisePoly
+from ddbvp.piecewise import PiecewisePoly, align_many, horner_float
 from ddbvp.problem_io import (
     MAX_STENCIL_N,
     ProblemFileError,
@@ -242,6 +242,50 @@ def test_solution_csv_matches_the_per_point_writer(name, step):
     assert solution_csv(family, parsed.problem.f0, step) == _reference_csv(family, parsed.problem.f0, step)
 
 
+def _horner_csv(family, f0, step):
+    """The writer with one ``horner_float`` per value: the piece walk of ``solution_csv_lines``, row by row."""
+    lines = ["t,v,dv,w,f0\n"]
+    if family.v is None:
+        return "".join(lines)
+    columns = align_many((family.v, family.v.derivative(1), family.w, f0))
+    nodes, scale = columns[0].nodes, columns[0].scale
+    row = ",".join(["%.17g"] * 5) + "\n"
+    den = scale * step.denominator
+    first = nodes[0] * step.denominator
+    stride = step.numerator * scale
+    for idx, (lo, hi) in enumerate(zip(nodes, nodes[1:])):
+        forms = [g.forms[idx] for g in columns]
+        lines.append(row % (lo / scale, *[horner_float(*form, 0, 1) for form in forms]))
+        lo_t, hi_t = lo * step.denominator, hi * step.denominator
+        for i in range((lo_t - first) // stride + 1, -((first - hi_t) // stride)):
+            t_num = first + i * stride
+            lines.append(row % (t_num / den, *[horner_float(*form, t_num - lo_t, den) for form in forms]))
+        lines.append(row % (hi / scale, *[horner_float(*form, hi - lo, scale) for form in forms]))
+    return "".join(lines)
+
+
+# k = 30, the largest k a solve accepts, with f0 of degree 40 and a break at
+# 1/3, so v, v' and w have degree 41-42: at 1/8 every piece is drawn at fewer
+# than degree + 1 points, at 1/1000 at more
+HIGH_DEGREE = dict(CSV_PROBLEMS["N1"], k=30, f0=[
+    {"interval": [0, "1/3"], "coeffs": [(-1) ** d * (d % 5 + 1) for d in range(41)]},
+    {"interval": ["1/3", 2], "coeffs": ["%d/%d" % (d % 7 - 3, d + 1) for d in range(41)]},
+])
+CSV_IDENTITY_CASES = [
+    pytest.param(CSV_PROBLEMS[name], step, id="%s-%s" % (name, step))
+    for name in sorted(CSV_PROBLEMS) for step in ("1/7", "1/64", "1/1000", "5/3", "3")
+] + [pytest.param(HIGH_DEGREE, step, id="k30-%s" % step) for step in ("1/8", "1/1000")]
+
+
+@pytest.mark.parametrize("doc, step", CSV_IDENTITY_CASES)
+def test_solution_csv_is_byte_identical_to_one_horner_per_value(doc, step):
+    parsed = parse_problem(json.dumps(doc))
+    family = solve_nonhomogeneous(parsed.problem)
+    assert family.v is not None
+    step = Fraction(step)
+    assert solution_csv(family, parsed.problem.f0, step) == _horner_csv(family, parsed.problem.f0, step)
+
+
 small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
 
 
@@ -304,17 +348,18 @@ def test_solution_csv_lines_stream_the_samples(monkeypatch):
     family = solve_nonhomogeneous(parsed.problem)
     step = Fraction(1, 10 ** 4)
     expected = "".join(solution_csv(family, parsed.problem.f0, step).splitlines(True)[:5])
-    evaluated = [0]
-    original = problem_io.horner_float
+    drawn = [0]
+    original = problem_io.progression_floats
 
     def counting(*args):
-        evaluated[0] += 1
-        return original(*args)
+        for value in original(*args):
+            drawn[0] += 1
+            yield value
 
-    monkeypatch.setattr(problem_io, "horner_float", counting)
+    monkeypatch.setattr(problem_io, "progression_floats", counting)
     head = list(itertools.islice(solution_csv_lines(family, parsed.problem.f0, step), 5))
     # four values per row taken, none ahead of it
-    assert 0 < evaluated[0] <= 4 * 5
+    assert 0 < drawn[0] <= 4 * 5
     assert "".join(head) == expected
     assert all(line.endswith("\n") for line in head)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ddbvp
-from ddbvp import exactla, grid
+from ddbvp import exactla, grid, piecewise
 from ddbvp.grid import (
     SPECTRUM_TOLERANCE,
     assemble,
@@ -28,6 +28,15 @@ from ddbvp.verification import named_stencils, random_regime_stencils
 F = Fraction
 
 
+def _points(ops):
+    # the interior grid points t_i = i/n, i = 1..size
+    return [F(i, ops.n) for i in range(1, ops.size + 1)]
+
+
+def _right_limits(a, ops):
+    return [float(a.trace(t, 0, +1)) for t in _points(ops)]
+
+
 def test_assemble_shapes_and_guard():
     s = Stencil.from_coeffs((0, 1, 1, 1, 2))
     n = 6
@@ -38,7 +47,9 @@ def test_assemble_shapes_and_guard():
     assert ops.shift.matrix.shape == (size, size)
     assert ops.shift_extended.matrix.shape == (size + 2, size)
     assert ops.second_difference.matrix.shape == (size, size + 2)
-    assert ops.points[0] == F(1, n) and ops.points[-1] == F(size, n)
+    # interior point i is t_i = i/n: the identity samples to 1/n .. size/n
+    samples = grid_samples(PiecewisePoly.from_global((0, 1), (0, s.N + 1)), ops)
+    assert samples[0] == 1 / n and samples[-1] == size / n
     with pytest.raises(ValueError):
         assemble(s, 3)
 
@@ -54,7 +65,7 @@ def test_identity_stencil_reduces_to_the_laplacian():
     f0 = PiecewisePoly.constant(2, 0, 2)
     sol = solve_grid(ops, grid_samples(f0, ops))
     assert not sol.ill_conditioned
-    exact = np.array([float(t * (2 - t)) for t in ops.points])
+    exact = np.array([float(t * (2 - t)) for t in _points(ops)])
     assert np.abs(sol.values - exact).max() < 1e-12
 
 
@@ -72,7 +83,7 @@ def test_extended_assembly_sees_nonzero_shift_values_at_the_boundary():
     assert family.w.trace(2, 0, -1) == F(-1, 2)
 
     ops = assemble(problem.stencil, 8)
-    u = np.array([float(family.v.value(t)) for t in ops.points])
+    u = np.array([float(family.v.value(t)) for t in _points(ops)])
     residual = ops.operator.matrix @ u - 1.0
     assert np.abs(residual).max() < 1e-10
 
@@ -90,13 +101,32 @@ def test_grid_samples_average_across_jumps():
     assert samples[0] == 0.0 and samples[-1] == 4.0
 
 
+def test_grid_samples_and_assemble_evaluate_each_piece_once(monkeypatch):
+    # on the grid progression every piece of f is one kernel call, and no
+    # grid point costs a Horner evaluation of its own
+    calls = {"progression_floats": 0, "horner_float": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(piecewise, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(piecewise, name, counting)
+    f = PiecewisePoly.from_pieces((0, F(1, 3), 1, F(5, 2), 3), [(1, 2), (0, 1, -1), (3,), (1, 0, 0, 2)])
+    ops = assemble(Stencil.from_coeffs((0, 1, 1, 1, 2)), 512, f)
+    assert 0 < calls["progression_floats"] <= len(f.forms)
+    calls["progression_floats"] = 0
+    assert grid_samples(f, ops).shape == (ops.size,)
+    assert 0 < calls["progression_floats"] <= len(f.forms)
+    assert calls["horner_float"] == 0
+
+
 def test_zeroth_order_coefficient_enters_as_a_diagonal():
     s = Stencil.from_coeffs((1, 0, 1))
     a = PiecewisePoly.from_global((0, 1), (0, 2))  # a(t) = t
     plain = assemble(s, 4)
     with_a = assemble(s, 4, a)
     diff = with_a.operator.matrix - plain.operator.matrix
-    expected = np.diag([float(t) for t in plain.points])
+    expected = np.diag([float(t) for t in _points(plain)])
     assert np.abs(diff - expected).max() == 0.0
 
 
@@ -159,7 +189,7 @@ def test_operator_is_the_second_difference_of_the_extended_shift(coeffs, a_kind)
         assert np.shares_memory(ops.shift.matrix, ext)
         expected = -(ops.second_difference.matrix @ ext)
         if a is not None:
-            expected += np.diag(a.sample(ops.points))
+            expected += np.diag(_right_limits(a, ops))
         if exact:
             assert np.array_equal(ops.operator.matrix, expected), (coeffs, n, a_kind)
         else:
@@ -431,7 +461,7 @@ def test_residue_blocks_match_the_index_gather(coeffs, a_kind):
         ext = _shift_extended_by_rows(s, n)
         composed = (2.0 * ext[1:-1] - ext[:-2] - ext[2:]) * (1.0 / (1.0 / n) ** 2)
         if a is not None:
-            composed += np.diag(a.sample(ops.points))
+            composed += np.diag(_right_limits(a, ops))
         expected = _residue_blocks_by_index(composed, n, s.N)
         for name, g, e in zip(("diagonal", "lower", "upper"), (ops.diag, ops.lower, ops.upper), expected):
             assert g.shape == e.shape == (n, s.N + 1, s.N + 1)

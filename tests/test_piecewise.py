@@ -281,11 +281,17 @@ def test_value_at_continuous_break_is_allowed():
 
 def test_sample_takes_right_limits_and_rejects_points_off_its_walk():
     f = PiecewisePoly.from_pieces((0, 1, 2), [(0, 1), (3, -1)])  # t then 3-x
-    assert f.sample([0, F(1, 2), 1, 1, F(3, 2)]) == [0.0, 0.5, 3.0, 3.0, 2.5]
-    assert f.sample([]) == []
-    for points in ([F(-1, 2)], [2], [F(3, 2), F(1, 2)]):
+    assert f.sample(0, F(1, 2), 4) == [0.0, 0.5, 3.0, 2.5]
+    assert f.sample(F(2, 3), F(1, 3), 3) == [2 / 3, 3.0, 3 - 1 / 3]
+    assert f.sample(F(3, 2), 5, 1) == [2.5]
+    assert f.sample(0, 1, 0) == []
+    # the first point before start, the last one at or past end
+    for start, step, count in ((F(-1, 2), 1, 1), (2, 1, 1), (0, F(1, 2), 5), (1, F(3, 7), 4)):
         with pytest.raises(ValueError, match="outside"):
-            f.sample(points)
+            f.sample(start, step, count)
+    for start, step, count in ((0, 0, 1), (0, F(-1, 2), 1), (0, 1, -1)):
+        with pytest.raises(ValueError, match="positive step"):
+            f.sample(start, step, count)
 
 
 def test_concat_and_zero_extension():

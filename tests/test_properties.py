@@ -25,6 +25,7 @@ from ddbvp.piecewise import (
     DEGREE_CAP,
     DegreeCapError,
     PiecewisePoly,
+    _form,
     _form_of,
     _shifted,
     _unit_product,
@@ -36,6 +37,7 @@ from ddbvp.piecewise import (
     hermite_interpolant,
     linear_combination,
     pjet,
+    progression_floats,
     ptrim,
     zero_extension,
     smoothness_defects,
@@ -613,12 +615,70 @@ def sampled_functions(draw):
     return f, sorted(t for t in points if t < 3)
 
 
+@st.composite
+def sampled_progressions(draw):
+    """A function of ``sampled_functions`` and a progression (start, step, count) inside [-1, 3).
+
+    The start is a breakpoint or a drawn point, and the step a drawn rational
+    or the distance to a later breakpoint over a small integer, so that the
+    progression lands on that breakpoint.
+    """
+    f, _ = draw(sampled_functions())
+    breaks = f.breaks
+    start = draw(st.one_of(st.sampled_from(breaks[:-1]), st.fractions(min_value=-1, max_value=3, max_denominator=60)))
+    assume(start < 3)
+    later = [b for b in breaks if b > start]
+    step = draw(st.one_of(
+        st.fractions(min_value=Fraction(1, 60), max_value=5, max_denominator=60),
+        st.tuples(st.sampled_from(later), st.integers(min_value=1, max_value=7)).map(lambda bm: (bm[0] - start) / bm[1]),
+    ))
+    inside = -((start - 3) // step)  # the points start + i * step < 3
+    return f, start, step, draw(st.integers(min_value=0, max_value=min(inside, 120)))
+
+
 @SETTINGS
-@given(sampled_functions())
+@given(sampled_progressions())
 def test_sample_is_the_correctly_rounded_right_limit(case):
-    f, points = case
-    expected = [float(f.trace(t, 0, +1)).hex() for t in points]
-    assert [x.hex() for x in f.sample(points)] == expected
+    f, start, step, count = case
+    expected = [float(f.trace(start + i * step, 0, +1)).hex() for i in range(count)]
+    assert [x.hex() for x in f.sample(start, step, count)] == expected
+
+
+@st.composite
+def progression_cases(draw):
+    """A canonical form of degree 0..12, or at DEGREE_CAP, and a progression (x_num, stride, x_den, count)."""
+    top = draw(st.one_of(st.integers(min_value=0, max_value=12), st.just(DEGREE_CAP)))
+    big = st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+    nums = draw(st.lists(big, min_size=top + 1, max_size=top + 1).filter(lambda c: c[-1]))
+    form = _form(nums, draw(st.integers(min_value=1, max_value=10 ** 12)))
+    x_num, stride = draw(st.integers(min_value=-10 ** 6, max_value=10 ** 6)), draw(st.integers(-500, 500))
+    x_den = draw(st.integers(min_value=1, max_value=10 ** 6))
+    return form, x_num, stride, x_den, draw(st.integers(min_value=0, max_value=3 * (top + 1)))
+
+
+@SETTINGS
+@given(progression_cases())
+def test_progression_floats_are_the_correctly_rounded_values(case):
+    (nums, den), x_num, stride, x_den, count = case
+    expected = []
+    for i in range(count):
+        x = Fraction(x_num + i * stride, x_den)
+        expected.append(float(sum(Fraction(n, den) * x ** d for d, n in enumerate(nums))).hex())
+    assert [v.hex() for v in progression_floats((nums, den), x_num, stride, x_den, count)] == expected
+
+
+@SETTINGS
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=12))
+def test_progression_floats_overflow_only_on_the_draw_of_that_value(top, at, head):
+    # p = c x^top with p(i) first past the double range at i = at (i = 0 too for top 0)
+    c = (2 ** 1024 // max(at, 1) ** top + 1) if top else 2 ** 1024
+    count = at + 1 + head
+    values = progression_floats(((0,) * top + (c,), 1), 0, 1, 1, count)
+    first = 0 if not top else at
+    for i in range(first):
+        assert next(values) == float(c * i ** top)
+    with pytest.raises(OverflowError):
+        next(values)
 
 
 @SETTINGS
