@@ -12,8 +12,12 @@ division is exact and entries grow only as fast as those minors.
 
 Fractions are built only at the boundary: an RREF entry is the integer entry
 over the last pivot, and the determinant is the signed last pivot over the
-product of the row scales.  ``det``, ``rank`` and ``invert`` read the kernel
-directly; ``rref`` and everything built on it (``nullspace``,
+product of the row scales.  ``det``, ``rank``, ``integer_rank`` and
+``integer_inverse`` read the kernel directly; ``integer_inverse`` returns
+the inverse as integer rows over one positive denominator (the right half
+of the eliminated [a | I] over its last pivot, gcd and sign divided out),
+for callers that keep working in integers, and ``invert`` builds its
+Fractions.  ``rref`` and everything built on it (``nullspace``,
 ``left_nullspace``, ``solve_affine``, ``solve_unique``, ``min_norm_solution``)
 read the RREF.  The RREF is canonical, so the results are those of any exact
 Gauss-Jordan elimination, entry for entry.
@@ -127,10 +131,13 @@ def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
 
 
 def rank(a: Sequence[Sequence[Fraction]]) -> int:
-    if not a or not a[0]:
-        return 0
-    m, _ = _integer_rows(a)
-    return len(_eliminate(m)[0])
+    return integer_rank(_integer_rows(a)[0])
+
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix, by the elimination kernel on a copy."""
+    m = [list(row) for row in rows]
+    return len(_eliminate(m)[0]) if m and m[0] else 0
 
 
 def nullspace(a: Sequence[Sequence[Fraction]]) -> list[Vec]:
@@ -187,16 +194,30 @@ def solve_unique(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
     return particular
 
 
-def invert(a: Sequence[Sequence[Fraction]]) -> Mat:
-    """Inverse by eliminating [a | I]: row i ends with the last pivot in column i,
-    and its right half over that pivot is row i of the inverse."""
+def integer_inverse(a: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """The inverse as integer rows over one positive denominator d: a * (rows / d) = I.
+
+    Eliminating [a | I] leaves row i with the last pivot in column i, so the
+    right half of each row, over that pivot, is the row of the inverse; the
+    sign and the common gcd are divided out.
+    """
     n = len(a)
     rows, scales = _integer_rows(a)
     m = [row + [scale * (i == j) for j in range(n)] for i, (row, scale) in enumerate(zip(rows, scales))]
     pivots, _ = _eliminate(m)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(m)]
+    d = m[0][0] if n else 1
+    g = math.gcd(d, *(x for row in m for x in row[n:]))
+    if d < 0:
+        g = -g
+    return [[x // g for x in row[n:]] for row in m], d // g
+
+
+def invert(a: Sequence[Sequence[Fraction]]) -> Mat:
+    """Inverse, as Fractions built from ``integer_inverse``."""
+    rows, d = integer_inverse(a)
+    return [[Fraction(x, d) for x in row] for row in rows]
 
 
 def min_norm_solution(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> tuple[Vec, list[Vec]] | None:

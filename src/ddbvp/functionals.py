@@ -24,12 +24,18 @@ analysis needs:
   block and takes its left null vectors as ``weights``, so each data
   constraint is one weight vector dotted with the stack's values on I.
 
-Ranks are read off the weights in atom coordinates.  A functional's value,
-on a function (``evaluate``) or on a monomial (``on_monomial``), is summed
-term by term as integer ratios over their lcm, with one Fraction built at the
-end; ``evaluate`` reads each atom as an integer Taylor ratio
-(``PiecewisePoly.taylor_limit``) and compares the two limits at an interior
-node by cross-multiplication.
+Ranks are read off the weights in atom coordinates, one integer row per
+functional with integer atom keys.  A stack of functionals is evaluated on a
+function in one pass (``evaluate_stack``): each touched node is located once
+per side and its Taylor jet read once, as integers over one denominator, up
+to the highest order the stack touches (``PiecewisePoly.taylor_jet``); the
+two jets at an interior node are compared by cross-multiplication, and each
+functional's value is summed as integer ratios over their lcm, with one
+Fraction built at the end.  ``NodeFunctional.evaluate`` is its one-member
+case, and ``on_monomial`` sums the same way.  ``DataConstraints`` keeps its
+weight vectors as integer rows over a per-row denominator, so
+``violations`` takes integer dot products and builds a Fraction only for a
+nonzero residual.
 """
 
 from __future__ import annotations
@@ -52,29 +58,14 @@ class NodeFunctional:
     label: str
 
     def evaluate(self, f: PiecewisePoly) -> Fraction:
-        """Apply to a piecewise polynomial, using one-sided limits.
+        """Apply to a piecewise polynomial, using one-sided limits: the one-member ``evaluate_stack``.
 
         Interior nodes require the two one-sided limits of the touched
         derivative order to agree (the functional is only defined on
         functions continuous there at that order); endpoints use the inner
         limit.
         """
-        products = []
-        start, end = f.start, f.end
-        for node, mu, weight in self.terms:
-            if weight == 0:
-                continue
-            num, den = f.taylor_limit(node, mu, -1 if node == end else 1)
-            if node != start and node != end:
-                l_num, l_den = f.taylor_limit(node, mu, -1)
-                if l_num * den != num * l_den:
-                    left, right = f.trace(node, mu, -1), f.trace(node, mu, 1)
-                    raise ValueError(
-                        "derivative of order %d jumps at node %s (left %s, right %s); "
-                        "functional %r is undefined there" % (mu, node, left, right, self.label)
-                    )
-            products.append((weight.numerator * math.factorial(mu) * num, weight.denominator * den))
-        return _ratio_sum(products)
+        return evaluate_stack((self,), f)[0]
 
     def on_monomial(self, d: int) -> Fraction:
         """Exact value on t^d (global coordinate): sum weight * d!/(d-mu)! * node^(d-mu)."""
@@ -95,6 +86,51 @@ def _ratio_sum(pairs: Sequence[tuple[int, int]]) -> Fraction:
     return Fraction(sum(n * (common // t) for n, t in pairs), common)
 
 
+def _node_jets(f: PiecewisePoly, node: Fraction, count: int) -> tuple:
+    """(the jet a functional reads, the other side's or None): the inner one at an endpoint, else (right, left)."""
+    p, q = node.numerator, node.denominator
+    if p * f.scale == f.nodes[-1] * q:
+        return f.taylor_jet(node, count, -1), None
+    right = f.taylor_jet(node, count, 1)
+    return right, None if p * f.scale == f.nodes[0] * q else f.taylor_jet(node, count, -1)
+
+
+def evaluate_stack(stack: Sequence[NodeFunctional], f: PiecewisePoly) -> list[Fraction]:
+    """The value of each functional of a stack on f, in stack order.
+
+    Each node a nonzero weight touches is located once per side, and its
+    Taylor jet read up to the highest order the stack touches
+    (``PiecewisePoly.taylor_jet``): the inner limit at an endpoint, both
+    limits at an interior node, whose two jets must agree at every touched
+    order (compared by cross-multiplication).  A node is read when the walk
+    in stack and term order first reaches it, so the first failure raised is
+    that of the first offending term, as if the functionals were applied one
+    by one.
+    """
+    count = 1 + max((mu for fn in stack for _, mu, weight in fn.terms if weight), default=-1)
+    jets: dict[tuple[int, int], tuple] = {}
+    values = []
+    for fn in stack:
+        products = []
+        for node, mu, weight in fn.terms:
+            if not weight:
+                continue
+            key = node.numerator, node.denominator
+            jet = jets.get(key)
+            if jet is None:
+                jet = jets[key] = _node_jets(f, node, count)
+            (nums, den), left = jet
+            if left is not None and left[0][mu] * den != nums[mu] * left[1]:
+                fact = math.factorial(mu)
+                raise ValueError(
+                    "derivative of order %d jumps at node %s (left %s, right %s); functional %r is undefined there"
+                    % (mu, node, Fraction(fact * left[0][mu], left[1]), Fraction(fact * nums[mu], den), fn.label)
+                )
+            products.append((weight.numerator * math.factorial(mu) * nums[mu], weight.denominator * den))
+        values.append(_ratio_sum(products))
+    return values
+
+
 def membership_functionals(gamma: GammaData, k: int) -> list[NodeFunctional]:
     """The 2k node conditions defining the image of the order-k zero-trace class.
 
@@ -109,22 +145,20 @@ def membership_functionals(gamma: GammaData, k: int) -> list[NodeFunctional]:
     """
     if k < 0:
         raise ValueError("order k must be >= 0")
-    n_plus_1 = gamma.N + 1
+    if gamma.variant == "right_edge":
+        name, edge = "edge", [(Fraction(gamma.N + 1), Fraction(1))]
+        edge += [(Fraction(i - 1), -w) for i, w in sorted(gamma.gamma1.items()) if w]
+    elif gamma.variant == "left_edge":
+        name, edge = "edge'", [(Fraction(0), Fraction(1))]
+        edge += [(Fraction(i), -w) for i, w in sorted(gamma.gamma1.items()) if w]
+    else:
+        raise ValueError("unknown variant %r" % gamma.variant)
+    interior = [(Fraction(gamma.m), Fraction(1))]
+    interior += [(Fraction(i), -w) for i, w in sorted(gamma.gamma2.items()) if w]
     out = []
     for mu in range(k):
-        if gamma.variant == "right_edge":
-            terms = [(Fraction(n_plus_1), mu, Fraction(1))]
-            terms += [(Fraction(i - 1), mu, -w) for i, w in sorted(gamma.gamma1.items()) if w]
-            out.append(NodeFunctional(tuple(terms), "edge[mu=%d]" % mu))
-        elif gamma.variant == "left_edge":
-            terms = [(Fraction(0), mu, Fraction(1))]
-            terms += [(Fraction(i), mu, -w) for i, w in sorted(gamma.gamma1.items()) if w]
-            out.append(NodeFunctional(tuple(terms), "edge'[mu=%d]" % mu))
-        else:
-            raise ValueError("unknown variant %r" % gamma.variant)
-        terms = [(Fraction(gamma.m), mu, Fraction(1))]
-        terms += [(Fraction(i), mu, -w) for i, w in sorted(gamma.gamma2.items()) if w]
-        out.append(NodeFunctional(tuple(terms), "interior[mu=%d]" % mu))
+        out.append(NodeFunctional(tuple((node, mu, w) for node, w in edge), "%s[mu=%d]" % (name, mu)))
+        out.append(NodeFunctional(tuple((node, mu, w) for node, w in interior), "interior[mu=%d]" % mu))
     return out
 
 
@@ -178,16 +212,22 @@ def rank_of_functionals(fns: Sequence[NodeFunctional]) -> int:
     Atoms w -> w^(mu)(x) at distinct (x, mu) are linearly independent on
     polynomials: they lie inside a full Hermite set, and Hermite interpolation
     is unisolvent.  So the rank is that of the weight matrix in atom
-    coordinates (repeated atoms summed, zero weights dropped).  Parts linked
-    by shared derivative orders touch disjoint columns, so their ranks add.
+    coordinates (repeated atoms summed, zero weights dropped), one integer
+    row per functional: its weights over their lcm, which does not change the
+    rank.  Atoms are keyed by integers and numbered in order of first use.
+    Parts linked by shared derivative orders touch disjoint columns, so their
+    ranks add.
     """
     parts: list[tuple[set[int], list[dict]]] = []
     for fn in fns:
-        weights: dict[tuple[Fraction, int], Fraction] = {}
-        for node, mu, weight in fn.terms:
-            weights[node, mu] = weights.get((node, mu), Fraction(0)) + weight
+        nums, _ = exactla.integer_numerators([weight for _, _, weight in fn.terms])
+        weights: dict[tuple[int, int, int], int] = {}
+        for (node, mu, _), w in zip(fn.terms, nums):
+            if w:
+                atom = node.numerator, node.denominator, mu
+                weights[atom] = weights.get(atom, 0) + w
         row = {atom: w for atom, w in weights.items() if w}
-        orders = {mu for _, mu in row}
+        orders = {mu for _, _, mu in row}
         rows = [row]
         rest = []
         for part_orders, part_rows in parts:
@@ -199,8 +239,8 @@ def rank_of_functionals(fns: Sequence[NodeFunctional]) -> int:
         parts = rest + [(orders, rows)]
     total = 0
     for _, rows in parts:
-        atoms = sorted(set().union(*rows))
-        total += exactla.rank([[row.get(atom, Fraction(0)) for atom in atoms] for row in rows])
+        atoms = list(dict.fromkeys(atom for row in rows for atom in row))
+        total += exactla.integer_rank([[row.get(atom, 0) for atom in atoms] for row in rows])
     return total
 
 
@@ -211,37 +251,49 @@ class DataConstraints:
     Every solution of -w'' = f is w = d1*t + d2 - I with I the double
     antiderivative of f.  Stacking the node functionals that characterize the
     wanted solution class and eliminating the two constants leaves pure data
-    constraints: each row u of ``weights`` is a left null vector of the
-    stack's (d1, d2) block ``block``, row i the values of stack[i] on t and
-    on 1, and sum_i u_i * stack[i](I) must vanish.
+    constraints: each weight row u is a left null vector of the stack's
+    (d1, d2) block ``block``, row i the values of stack[i] on t and on 1, and
+    sum_i u_i * stack[i](I) must vanish.  Row j is stored in integers,
+    ``rows[j] = (numerators, den)`` with u = numerators / den; ``weights``
+    builds its Fractions on each read.
     """
 
     stack: tuple[NodeFunctional, ...]
     block: tuple[tuple[Fraction, Fraction], ...]
-    weights: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[tuple[int, ...], int], ...]
 
     @property
     def count(self) -> int:
-        return len(self.weights)
+        return len(self.rows)
+
+    @property
+    def weights(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(n, den) for n in nums) for nums, den in self.rows)
 
     def violations(self, values: Sequence[Fraction]) -> tuple[tuple[str, Fraction], ...]:
-        """Labelled nonzero residuals, given the stack's values on I in stack order."""
+        """Labelled nonzero residuals, given the stack's values on I in stack order.
+
+        The values go over their lcm L once, so each residual is an integer
+        dot product over den * L, and only a nonzero one becomes a Fraction.
+        """
+        if len(values) != len(self.stack):
+            raise ValueError("expected %d stack values, got %d" % (len(self.stack), len(values)))
+        v_nums, v_den = exactla.integer_numerators(values)
         bad = []
-        for j, u in enumerate(self.weights):
-            value = sum((a * b for a, b in zip(u, values)), Fraction(0))
-            if value != 0:
-                bad.append(("data constraint %d" % j, value))
+        for j, (nums, den) in enumerate(self.rows):
+            total = sum(a * b for a, b in zip(nums, v_nums))
+            if total:
+                bad.append(("data constraint %d" % j, Fraction(total, den * v_den)))
         return tuple(bad)
 
 
 def eliminate_constants(stack: Sequence[NodeFunctional]) -> DataConstraints:
     """Eliminate (d1, d2) from a functional stack applied to w = d1 t + d2 - I."""
     block = tuple((fn.on_monomial(1), fn.on_monomial(0)) for fn in stack)
-    return DataConstraints(
-        stack=tuple(stack),
-        block=block,
-        weights=tuple(tuple(u) for u in exactla.left_nullspace(block)),
+    rows = tuple(
+        (tuple(nums), den) for nums, den in map(exactla.integer_numerators, exactla.left_nullspace(block))
     )
+    return DataConstraints(stack=tuple(stack), block=block, rows=rows)
 
 
 def solvability_constraints(structure: StructureReport, k: int) -> tuple[DataConstraints, DataConstraints]:

@@ -16,12 +16,14 @@ plumbing used everywhere else:
 * the shift operator sum_j b_j f(t + j) of a :class:`~ddbvp.structure.Stencil`
   on (0, N+1), which reduces to the Toeplitz matrix R1 acting on the
   restrictions of f to unit intervals.  One kernel, ``_unit_product``, takes
-  an m x c matrix M and f on c consecutive unit intervals, refines f once so
-  that every unit carries the same fractional offsets, and returns the
-  function on (0, m) whose unit i is sum_k M[i][k] * (unit k of f).
-  ``apply_shifted_sum`` runs it on y given on (-N, 2N+1) with the band matrix
-  [i][i + j + N] = b_j, ``apply_difference`` on the zero extension of f, and
-  ``apply_difference_inverse`` with the R1^-1 that
+  an m x c integer matrix M over one positive denominator D and f on c
+  consecutive unit intervals, refines f once so that every unit carries the
+  same fractional offsets, and returns the function on (0, m) whose unit i
+  is sum_k M[i][k] / D * (unit k of f), summing over the nonzero M[i][k]
+  only.  ``apply_shifted_sum`` runs it on y given on (-N, 2N+1) with the
+  band matrix [i][i + j + N] = b_j, the stencil's integer numerators over
+  their lcm, ``apply_difference`` on the zero extension of f, and
+  ``apply_difference_inverse`` with the integer R1^-1 that
   :func:`~ddbvp.structure.analyze` stored in its ``StructureReport`` (so it
   takes the report rather than the stencil);
 * ``hermite_interpolant``: the one constructor that glues prescribed
@@ -29,9 +31,11 @@ plumbing used everywhere else:
   per unit interval, each returned in the stored integer form.  The solver's
   extension and the battery's random functions are built on it;
 * one-sided traces and jumps at a point (``trace``, ``jump``), and the table of
-  every interior jump, ``PiecewisePoly.jumps``, from the Taylor coefficients
-  at each end of each piece, one Fraction per jump.  ``smoothness_defects``
-  reads that table and ``trace_defects`` adds the end jets; their empty
+  every interior jump from the Taylor jets at each end of each piece: the
+  private ``_jump_ratios`` yields each jump as an integer cross-difference
+  over a positive denominator, ``PiecewisePoly.jumps`` builds one Fraction
+  per entry, and ``smoothness_defects`` and ``trace_defects`` (which adds
+  the end jets) build one only for a nonzero jump or trace; their empty
   lists define the Sobolev-type memberships used by the solvers;
 * ``horner_float``: the correctly rounded float of a piece at a rational
   point.  The piece is written as integers n_j over one common denominator
@@ -61,14 +65,17 @@ Fractions on each read, for the API only.
 ``_taylor`` gives the Taylor coefficient p^(k)(x)/k! = sum_{d>=k} C(d, k)
 c_d x^(d-k) at x = X/Q by integer Horner with powers of Q, and reads c_k
 directly at x = 0 (a right limit at a breakpoint); ``taylor_limit`` (under
-``trace``, ``value`` and ``NodeFunctional.evaluate``), ``jumps`` and
-``pjet`` are built on it.  ``_shifted`` re-expands a piece at a new left
-end, for ``refined`` and ``from_global``: Q^top p(x + X/Q) is sum_d n_d
-Q^(top-d) (Qx + X)^d, an integer Taylor shift by X done by synthetic
-division.  ``_integer_sum``, under ``linear_combination`` and
-``_unit_product``, accumulates each piece of a sum as c.numerator * P *
-(L // T), with P the numerators of a term's piece over its denominator D,
-T = c.denominator * D, and L the lcm of all the T.
+``trace`` and ``value``) is built on it.  ``_shifted`` re-expands a piece at
+a new left end, for ``refined`` and ``from_global``: Q^top p(x + X/Q) is
+sum_d n_d Q^(top-d) (Qx + X)^d, an integer Taylor shift by X done by
+synthetic division.  Its coefficients are the whole Taylor jet at X/Q over
+one denominator, so ``_jet_at`` reads a jet as one ``_shifted`` (none at a
+piece's left end); ``taylor_jet`` (under ``evaluate_stack`` in
+:mod:`~ddbvp.functionals`), the jump table, the end jets of
+``trace_defects`` and ``pjet`` are built on it.  ``_integer_sum``, under
+``linear_combination`` and ``_unit_product``, accumulates each piece of a
+sum of (c / t) * P / D terms as c * P * (L // (t D)), with P the numerators
+of a term's piece over its denominator D and L the lcm of all the t D.
 """
 
 from __future__ import annotations
@@ -109,7 +116,8 @@ def ptrim(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def pjet(c: Sequence[Fraction], x: Fraction, count: int) -> list[Fraction]:
     """[p(x), p'(x), ..., p^(count-1)(x)]."""
-    return _jet(exactla.integer_numerators(c), *_frac(x).as_integer_ratio(), count)
+    nums, den = _jet_at(exactla.integer_numerators(c), *_frac(x).as_integer_ratio(), count)
+    return [Fraction(math.factorial(k) * n, den) for k, n in enumerate(nums)]
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +177,13 @@ def _shifted(form: Form, x_num: int, x_den: int) -> Form:
     return _form(acc, den * power)
 
 
-def _jet(form: Form, x_num: int, x_den: int, count: int) -> list[Fraction]:
-    """[p(x), p'(x), ..., p^(count-1)(x)] for p in form, at x = X/Q."""
-    out = []
-    for k in range(count):
-        num, den = _taylor(*form, x_num, x_den, k)
-        out.append(Fraction(math.factorial(k) * num, den))
-    return out
+def _jet_at(form: Form, x_num: int, x_den: int, count: int) -> Form:
+    """p^(k)(x) / k! for k < count, as count integers over one den, for p in form at x = X/Q, Q > 0.
+
+    They are the coefficients of p re-expanded at x, one ``_shifted`` (none at x = 0).
+    """
+    nums, den = _shifted(form, x_num, x_den)
+    return tuple(nums[:count]) + (0,) * (count - len(nums)), den
 
 
 def _taylor(nums: Sequence[int], den: int, x_num: int, x_den: int, k: int) -> tuple[int, int]:
@@ -497,8 +505,8 @@ class PiecewisePoly:
 
     # -- traces -------------------------------------------------------------------
 
-    def taylor_limit(self, t, order: int, side: int) -> tuple[int, int]:
-        """The right (side +1) or left (side -1) limit of p^(order) / order! at t, as an unreduced integer ratio.
+    def _locate(self, t, side: int) -> tuple[int, int, int]:
+        """The piece holding the right (side +1) or left (side -1) limit at t, and t's offset X/Q in it.
 
         For t = P/Q, P * scale = u Q + r; t is a breakpoint, where the sides take different pieces, iff r = 0.
         """
@@ -513,7 +521,20 @@ class PiecewisePoly:
             idx = bisect.bisect_left(self.nodes, u) - 1  # the piece (b_i, b_{i+1}] ending at t
         if not 0 <= idx < len(self.forms):
             raise ValueError("no %s limit at %s" % ("right" if side == 1 else "left", t))
-        return _taylor(*self.forms[idx], p * self.scale - self.nodes[idx] * q, q * self.scale, order)
+        return idx, p * self.scale - self.nodes[idx] * q, q * self.scale
+
+    def taylor_limit(self, t, order: int, side: int) -> tuple[int, int]:
+        """The right (side +1) or left (side -1) limit of p^(order) / order! at t, as an unreduced integer ratio."""
+        idx, x_num, x_den = self._locate(t, side)
+        return _taylor(*self.forms[idx], x_num, x_den, order)
+
+    def taylor_jet(self, t, count: int, side: int) -> Form:
+        """The right (side +1) or left (side -1) limits of p^(mu) / mu! at t, mu < count, as integers over one den.
+
+        One ``_shifted`` of the piece, none for a right limit at a breakpoint.
+        """
+        idx, x_num, x_den = self._locate(t, side)
+        return _jet_at(self.forms[idx], x_num, x_den, count)
 
     def trace(self, t, order: int, side: int) -> Fraction:
         num, den = self.taylor_limit(t, order, side)
@@ -566,22 +587,26 @@ class PiecewisePoly:
         return self.trace(t, order, 1) - self.trace(t, order, -1)
 
     def jumps(self, count: int) -> list[tuple[Fraction, int, Fraction]]:
-        """(t, mu, jump(t, mu)) at every interior breakpoint t, for mu < count, by t then mu.
+        """(t, mu, jump(t, mu)) at every interior breakpoint t, for mu < count, by t then mu, one Fraction per entry."""
+        scale = self.scale
+        return [
+            (Fraction(node, scale), mu, Fraction(math.factorial(mu) * num, den))
+            for node, mu, num, den in self._jump_ratios(count)
+        ]
 
-        Each jump is mu! (r / R - l / L) for the right-limit Taylor
-        coefficient r / R and the left-limit one l / L, one Fraction per entry.
+    def _jump_ratios(self, count: int) -> Iterator[tuple[int, int, int, int]]:
+        """(node, mu, num, den) at every interior breakpoint node / scale, for mu < count, by node then mu.
+
+        The jump of the mu-th derivative is mu! num / den, the cross-difference
+        num = r L - l R of the right-limit Taylor coefficient r / R and the
+        left-limit one l / L, over den = R L > 0; it vanishes iff num = 0.
         """
-        out = []
         scale, nodes, forms = self.scale, self.nodes, self.forms
         for i in range(1, len(forms)):
-            t = Fraction(nodes[i], scale)
-            width = nodes[i] - nodes[i - 1]
-            left, right = forms[i - 1], forms[i]
-            for mu in range(count):
-                l_num, l_den = _taylor(*left, width, scale, mu)
-                r_num, r_den = _taylor(*right, 0, 1, mu)
-                out.append((t, mu, Fraction(math.factorial(mu) * (r_num * l_den - l_num * r_den), r_den * l_den)))
-        return out
+            left, l_den = _jet_at(forms[i - 1], nodes[i] - nodes[i - 1], scale, count)
+            right, r_den = _jet_at(forms[i], 0, 1, count)
+            for mu, (l_num, r_num) in enumerate(zip(left, right)):
+                yield nodes[i], mu, r_num * l_den - l_num * r_den, r_den * l_den
 
 
 def _lowest(nodes: Sequence[int], scale: int) -> tuple[tuple[int, ...], int]:
@@ -625,18 +650,18 @@ def linear_combination(terms: Iterable[tuple[object, PiecewisePoly]]) -> Piecewi
     if any(f.scale != scale or f.nodes != nodes for f in funcs):
         funcs = align_many(funcs)
         nodes, scale = funcs[0].nodes, funcs[0].scale
-    live = [(c, f.forms) for c, f in zip(coefs, funcs) if c]
-    forms = tuple(_integer_sum((c, term_forms[i]) for c, term_forms in live) for i in range(len(nodes) - 1))
+    live = [(c.numerator, c.denominator, f.forms) for c, f in zip(coefs, funcs) if c]
+    forms = tuple(_integer_sum((c, t, term_forms[i]) for c, t, term_forms in live) for i in range(len(nodes) - 1))
     return PiecewisePoly(nodes, scale, forms)
 
 
-def _integer_sum(terms: Iterable[tuple[Fraction, Form]]) -> Form:
-    """The form of sum c * P / D over (c, (P, D)) terms, accumulated in integers over one lcm."""
-    scaled = [(c.numerator, c.denominator * den, nums) for c, (nums, den) in terms if c]
+def _integer_sum(terms: Iterable[tuple[int, int, Form]]) -> Form:
+    """The form of sum (c / t) * P / D over (c, t, (P, D)) terms, t > 0, in integers over the lcm of the t * D."""
+    scaled = [(c, t * den, nums) for c, t, (nums, den) in terms]
     common = math.lcm(*(t for _, t, _ in scaled))
     acc = [0] * max((len(nums) for _, _, nums in scaled), default=0)
-    for c_num, t, nums in scaled:
-        m = c_num * (common // t)
+    for c, t, nums in scaled:
+        m = c * (common // t)
         for d, n in enumerate(nums):
             acc[d] += m * n
     return _form(acc, common)
@@ -680,11 +705,12 @@ def zero_extension(f: PiecewisePoly, a, b) -> PiecewisePoly:
     return concat(parts)
 
 
-def _unit_product(matrix: Sequence[Sequence[Fraction]], f: PiecewisePoly, start: int) -> PiecewisePoly:
-    """Unit i on (0, m) is sum_k M[i][k] * (unit k of f), for M m x c and f on (start, start + c).
+def _unit_product(matrix: Sequence[Sequence[int]], den: int, f: PiecewisePoly, start: int) -> PiecewisePoly:
+    """Unit i on (0, m) is sum_k M[i][k] / den * (unit k of f), for f on (start, start + c).
 
-    Each piece of the sum is one ``_integer_sum`` over the stored forms of
-    f's common refinement.
+    M is an m x c integer matrix over one den > 0.  Each piece of the sum is
+    one ``_integer_sum`` over the stored forms of f's common refinement,
+    taken over the nonzero entries of its row only.
     """
     cols = len(matrix[0])
     scale = f.scale
@@ -696,8 +722,9 @@ def _unit_product(matrix: Sequence[Sequence[Fraction]], f: PiecewisePoly, start:
     per_unit = len(offsets)
     nodes, forms = [], []
     for i, row in enumerate(matrix):
+        live = [(c, k * per_unit) for k, c in enumerate(row) if c]
         nodes.extend(i * scale + o for o in offsets)
-        forms.extend(_integer_sum(zip(row, f.forms[q::per_unit])) for q in range(per_unit))
+        forms.extend(_integer_sum((c, den, f.forms[first + q]) for c, first in live) for q in range(per_unit))
     nodes.append(len(matrix) * scale)
     return PiecewisePoly(tuple(nodes), scale, tuple(forms))
 
@@ -711,17 +738,22 @@ def apply_difference(stencil: Stencil, f: PiecewisePoly) -> PiecewisePoly:
 def apply_difference_inverse(structure: StructureReport, w: PiecewisePoly) -> PiecewisePoly:
     """The unique zero-extended f on (0, N+1) with apply_difference(f) == w.
 
-    Multiplies the unit pieces of w by the report's R1^-1; the report exists
-    only for stencils with det R1 != 0, so the inverse always exists.
+    Multiplies the unit pieces of w by the report's integer R1^-1 over its
+    denominator; the report exists only for stencils with det R1 != 0, so
+    the inverse always exists.
     """
-    return _unit_product(structure.r1_inverse, w, 0)
+    return _unit_product(structure.inverse, structure.inverse_den, w, 0)
 
 
 def apply_shifted_sum(stencil: Stencil, y: PiecewisePoly) -> PiecewisePoly:
-    """sum_j b_j y(t + j) restricted to (0, N+1), for y given on (-N, 2N+1)."""
+    """sum_j b_j y(t + j) restricted to (0, N+1), for y given on (-N, 2N+1).
+
+    The band [i][i + j + N] = b_j holds the stencil's integer numerators over their lcm.
+    """
     n = stencil.N
-    band = [[stencil.b(k - i - n) for k in range(3 * n + 1)] for i in range(n + 1)]
-    return _unit_product(band, y, -n)
+    nums, den = exactla.integer_numerators(stencil.coeffs)
+    band = [[0] * i + nums + [0] * (n - i) for i in range(n + 1)]
+    return _unit_product(band, den, y, -n)
 
 
 # ---------------------------------------------------------------------------
@@ -734,20 +766,31 @@ def trace_defects(f: PiecewisePoly, k: int) -> list[tuple[str, Fraction, int, Fr
     Membership means: one-sided traces of orders 0..k-1 vanish at both
     endpoints and the jumps of orders 0..k-1 vanish at every interior
     breakpoint (so the zero extension keeps the same smoothness order).
-    Returns a list of (kind, node, order, value) with nonzero values only.
+    Returns a list of (kind, node, order, value) with nonzero values only;
+    each trace and jump is tested as an integer and only a nonzero one
+    becomes a Fraction.
     """
-    ends = ((f.start, _jet(f.forms[0], 0, 1, k)), (f.end, _jet(f.forms[-1], f.nodes[-1] - f.nodes[-2], f.scale, k)))
+    ends = (
+        (f.start, _jet_at(f.forms[0], 0, 1, k)),
+        (f.end, _jet_at(f.forms[-1], f.nodes[-1] - f.nodes[-2], f.scale, k)),
+    )
     jumps = smoothness_defects(f, k)
     out = []
     for mu in range(k):
-        out.extend(("endpoint", t, mu, jet[mu]) for t, jet in ends if jet[mu] != 0)
+        fact = math.factorial(mu)
+        out.extend(("endpoint", t, mu, Fraction(fact * nums[mu], den)) for t, (nums, den) in ends if nums[mu])
         out.extend(("jump", t, m, j) for t, m, j in jumps if m == mu)
     return out
 
 
 def smoothness_defects(f: PiecewisePoly, k: int) -> list[tuple[Fraction, int, Fraction]]:
     """Nonzero interior jumps of orders 0..k-1 by order, then node (order-k smoothness on the open interval)."""
-    return sorted((d for d in f.jumps(k) if d[2] != 0), key=lambda d: d[1])
+    scale = f.scale
+    defects = [
+        (Fraction(node, scale), mu, Fraction(math.factorial(mu) * num, den))
+        for node, mu, num, den in f._jump_ratios(k) if num
+    ]
+    return sorted(defects, key=lambda d: d[1])
 
 
 # ---------------------------------------------------------------------------

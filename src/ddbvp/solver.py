@@ -42,7 +42,13 @@ from fractions import Fraction
 
 from . import exactla
 from .exactla import to_fraction
-from .functionals import DataConstraints, membership_functionals, rank_of_functionals, solvability_constraints
+from .functionals import (
+    DataConstraints,
+    evaluate_stack,
+    membership_functionals,
+    rank_of_functionals,
+    solvability_constraints,
+)
 from .piecewise import (
     PiecewisePoly,
     apply_difference_inverse,
@@ -252,12 +258,15 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     is as smooth as the data allows.
 
     The boundary right-hand side is the value of the order-zero node pair on
-    the double antiderivative.  Only on smooth data are the constraint stacks
-    built, once per problem (``BVPProblem.constraints``), and each distinct
-    stack is evaluated once: the zero-trace stack opens with that same pair,
-    so its values are the right-hand side followed by the values of its other
-    members.  A stack's values feed both its residuals and, on the (d1, d2)
-    rows its elimination stored (``DataConstraints.block``), the refined d.
+    the double antiderivative.  On smooth data that pair is read as the head
+    of the zero-trace stack, which is evaluated whole (``evaluate_stack``, one
+    jet per node and side) before the boundary system is solved; the
+    constraint stacks themselves are built only for smooth feasible data,
+    once per problem (``BVPProblem.constraints``), and each distinct stack is
+    evaluated once: the minimal stack opens with the same pair, so only its
+    other members are read.  A stack's values feed both its residuals and,
+    on the (d1, d2) rows its elimination stored (``DataConstraints.block``),
+    the refined d.
     """
     structure = problem.stencil.structure
     n = problem.stencil.N
@@ -270,7 +279,10 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     matrix = boundary_matrix(structure)
     pair_rows = (tuple(matrix[0]), tuple(matrix[1]))
     rank = exactla.rank(matrix)
-    rhs = [fn.evaluate(second) for fn in membership_functionals(structure.gamma, 1)]
+    data_defects = tuple(smoothness_defects(reduced, k))
+    # on smooth data the boundary pair is read as the head of the zero-trace stack
+    values = evaluate_stack(membership_functionals(structure.gamma, 1 if data_defects else k + 2), second)
+    rhs = values[:2]
     solution = exactla.min_norm_solution(matrix, rhs)
     if solution is None:
         residuals = []
@@ -291,19 +303,17 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
         )
 
     d, null = solution
-    data_defects = tuple(smoothness_defects(reduced, k))
     if data_defects:
         zero_trace_bad = tuple(("data jump at %s, order %d" % (t, mu), val) for t, mu, val in data_defects)
         minimal_bad = zero_trace_bad
     else:
-        # the zero-trace stack opens with the boundary pair, whose values are rhs
+        # values are those of the zero-trace stack; the minimal one also opens with the boundary pair
         zero_trace, minimal = problem.constraints
-        values = rhs + [fn.evaluate(second) for fn in zero_trace.stack[2:]]
         zero_trace_bad = zero_trace.violations(values)
         if minimal is zero_trace:
             minimal_values, minimal_bad = values, zero_trace_bad
         else:
-            minimal_values = [fn.evaluate(second) for fn in minimal.stack]
+            minimal_values = rhs + evaluate_stack(minimal.stack[2:], second)
             minimal_bad = minimal.violations(minimal_values)
         # a stack with no violation is consistent, so its solution set is not empty
         if not zero_trace_bad:

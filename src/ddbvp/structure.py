@@ -32,12 +32,17 @@ conditions are built from:
 inverts R1 a single time and reads the R2 row dependency (its last row), the
 admissible column (its last column) and the gamma1 expansions (combinations
 of its rows) off R1^-1; only the end-column dependency takes its own N x 2
-elimination.  A ``Stencil`` carries R1, its two determinants, its regime and
-its ``structure`` (the ``StructureReport`` of ``analyze``, carrying R1^-1),
-each computed on first use, and every consumer reads them from the stencil
-instead of recomputing.  All of this is exact rational arithmetic.  Only
-``spectrum`` leaves the rationals, returning floating-point eigenvalues for
-diagnostics.
+elimination.  R1^-1 stays in integers from the elimination on: the report
+stores it as integer rows over one positive denominator
+(``exactla.integer_inverse``), the gamma1 expansions are integer dot
+products with one Fraction per coefficient, ``cofactor`` builds one Fraction
+per call, and ``StructureReport.r1_inverse`` builds the Fraction matrix only
+when it is read.  A ``Stencil`` carries R1, its two determinants, its regime
+and its ``structure`` (the ``StructureReport`` of ``analyze``, carrying
+R1^-1), each computed on first use, and every consumer reads them from the
+stencil instead of recomputing.  All of this is exact rational arithmetic.
+Only ``spectrum`` leaves the rationals, returning floating-point eigenvalues
+for diagnostics.
 """
 
 from __future__ import annotations
@@ -215,7 +220,9 @@ def _require_supported(stencil: Stencil) -> None:
     )
 
 
-def _gamma(stencil: Stencil, inverse: exactla.Mat, m: int, gamma2: dict[int, Fraction], variant: str) -> GammaData:
+def _gamma(
+    stencil: Stencil, inverse: Sequence[Sequence[int]], d: int, m: int, gamma2: dict[int, Fraction], variant: str
+) -> GammaData:
     """Node-relation coefficients of one variant, read off R1^-1.
 
     gamma2 is the R2 row dependency: row m of R2 equals
@@ -233,24 +240,31 @@ def _gamma(stencil: Stencil, inverse: exactla.Mat, m: int, gamma2: dict[int, Fra
     target t on the other columns.  With P = R1^-1, every y with
     (y R1)_k = t_k for k != q is y = sum_{k != q} t_k P[k] + tau P[q], and
     tau = -y_p / P[q][p] sets y_p = 0.  The rows are a basis exactly when their
-    minor, the cofactor B[p][q] = det R1 * P[q][p], is nonzero.
+    minor, the cofactor B[p][q] = det R1 * P[q][p], is nonzero.  In integers,
+    with P = M / d and t = T / D: y = Y / (D d) for Y = sum_k T_k M[k], and
+    gamma1[i] = (Y_i M[q][p] - Y_p M[q][i]) / (D d M[q][p]), one Fraction each.
     """
     n = stencil.N
+    # target[j] belongs to the 0-based row rows[j] of R1^-1
     if variant == "right_edge":
-        p, q, target = m + 1, 1, {k: stencil.b(k - n - 2) for k in range(2, n + 2)}
+        p, q, rows = m + 1, 1, range(1, n + 1)
+        target = [stencil.b(r - n - 1) for r in rows]
     else:
-        p, q, target = m, n + 1, {k: stencil.b(k) for k in range(1, n + 1)}
+        p, q, rows = m, n + 1, range(n)
+        target = [stencil.b(r + 1) for r in rows]
     pivot = inverse[q - 1][p - 1]
     if pivot == 0:
         raise StructureError("%s relation rows failed to form a basis" % variant)
-    terms = [(t, inverse[k - 1]) for k, t in target.items() if t]
-    y = [sum((t * row[i] for t, row in terms), Fraction(0)) for i in range(n + 1)]
-    tau = -y[p - 1] / pivot
-    gamma1 = {i: y[i - 1] + tau * inverse[q - 1][i - 1] for i in range(1, n + 2) if i != p}
+    nums, den = exactla.integer_numerators(target)
+    terms = [(t, inverse[r]) for r, t in zip(rows, nums) if t]
+    y = [sum(t * row[i] for t, row in terms) for i in range(n + 1)]
+    y_p, row_q = y[p - 1], inverse[q - 1]
+    scale = den * d * pivot
+    gamma1 = {i: Fraction(y[i - 1] * pivot - y_p * row_q[i - 1], scale) for i in range(1, n + 2) if i != p}
     return GammaData(N=n, m=m, gamma1=gamma1, gamma2=gamma2, variant=variant)
 
 
-def _end_columns(stencil: Stencil, inverse: exactla.Mat) -> EndColumnData:
+def _end_columns(stencil: Stencil, inverse: Sequence[Sequence[int]]) -> EndColumnData:
     """Clipped end columns of R1 and, if dependent, their normalized relation.
 
     l is read off the last column of R1^-1 without its last entry, the null
@@ -276,11 +290,14 @@ def _end_columns(stencil: Stencil, inverse: exactla.Mat) -> EndColumnData:
 def cofactor(stencil: Stencil, i: int, k: int) -> Fraction:
     """Signed cofactor B[i][k] of the 1-based (i, k) entry of R1.
 
-    Read off the adjugate: adj R1 = det R1 * R1^-1 and B[i][k] = adj R1[k][i].
+    Read off the adjugate: adj R1 = det R1 * R1^-1 and B[i][k] = adj R1[k][i],
+    one Fraction from the report's integer inverse.
     """
     if not (1 <= i <= stencil.N + 1 and 1 <= k <= stencil.N + 1):
         raise ValueError("cofactor indices out of range")
-    return stencil.det_r1 * stencil.structure.r1_inverse[k - 1][i - 1]
+    report = stencil.structure
+    det = stencil.det_r1
+    return Fraction(det.numerator * report.inverse[k - 1][i - 1], det.denominator * report.inverse_den)
 
 
 def spectrum(stencil: Stencil) -> np.ndarray:
@@ -330,15 +347,24 @@ def index_table(ends: EndColumnData, k: int) -> IndexTable:
 class StructureReport:
     """Bundled structural data for one stencil in the supported regime.
 
-    ``r1_inverse`` is R1^-1, exact; it drives the inverse difference operator
-    and, through the adjugate, every cofactor of R1.
+    R1^-1 is stored in integers, ``inverse`` over the one positive
+    denominator ``inverse_den`` (``exactla.integer_inverse``); it drives the
+    inverse difference operator and, through the adjugate, every cofactor of
+    R1.  ``r1_inverse`` builds its Fractions on each read.
     """
 
     stencil: Stencil
     gamma: GammaData
     alt_gamma: GammaData
     ends: EndColumnData
-    r1_inverse: tuple[tuple[Fraction, ...], ...]
+    inverse: tuple[tuple[int, ...], ...]
+    inverse_den: int
+
+    @property
+    def r1_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+        """R1^-1 as Fractions, built on every read."""
+        d = self.inverse_den
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.inverse)
 
     def index_table(self, k: int) -> IndexTable:
         return index_table(self.ends, k)
@@ -354,15 +380,17 @@ def analyze(stencil: Stencil) -> StructureReport:
     (R1^-1[N+1][N+1] = det R2 / det R1 = 0); m is its first nonzero index.
     """
     _require_supported(stencil)
-    inverse = exactla.invert([list(row) for row in stencil.r1])
+    rows, d = exactla.integer_inverse([list(row) for row in stencil.r1])
+    inverse = tuple(tuple(row) for row in rows)
     n = stencil.N
     c = inverse[n][:n]
     m = next(i for i, x in enumerate(c, start=1) if x != 0)
-    gamma2 = {i: -c[i - 1] / c[m - 1] for i in range(1, n + 1) if i != m}
+    gamma2 = {i: Fraction(-c[i - 1], c[m - 1]) for i in range(1, n + 1) if i != m}
     return StructureReport(
         stencil=stencil,
-        gamma=_gamma(stencil, inverse, m, gamma2, "right_edge"),
-        alt_gamma=_gamma(stencil, inverse, m, gamma2, "left_edge"),
+        gamma=_gamma(stencil, inverse, d, m, gamma2, "right_edge"),
+        alt_gamma=_gamma(stencil, inverse, d, m, gamma2, "left_edge"),
         ends=_end_columns(stencil, inverse),
-        r1_inverse=tuple(tuple(row) for row in inverse),
+        inverse=inverse,
+        inverse_den=d,
     )

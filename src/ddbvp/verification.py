@@ -30,6 +30,7 @@ from fractions import Fraction
 
 from . import exactla
 from .functionals import (
+    evaluate_stack,
     image_functionals,
     membership_functionals,
     rank_of_functionals,
@@ -158,10 +159,10 @@ def random_image_member(structure: StructureReport, k: int, rng: random.Random) 
     n = structure.stencil.N
     w0 = random_order_k_function(n + 1, k, rng)
     fns = membership_functionals(structure.gamma, k)  # edge[mu], interior[mu] for mu < k
+    values = evaluate_stack(fns, w0)
     jets = [[Fraction(0)] * k for _ in range(n + 2)]
-    for mu in range(k):
-        jets[n + 1][mu] = fns[2 * mu].evaluate(w0)
-        jets[structure.gamma.m][mu] = fns[2 * mu + 1].evaluate(w0)
+    jets[n + 1] = values[0::2]
+    jets[structure.gamma.m] = values[1::2]
     return w0 - hermite_interpolant(jets)
 
 
@@ -183,13 +184,13 @@ def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3)) -> Che
                 return CheckResult(1, "image membership", False,
                                    "constructor failed the zero-trace test (N=%d, k=%d)" % (stencil.N, k))
             w = apply_difference(stencil, v)
-            bad = [fn.label for fn in fns if fn.evaluate(w) != 0]
+            bad = [fn.label for fn, value in zip(fns, evaluate_stack(fns, w)) if value != 0]
             if bad:
                 return CheckResult(1, "image membership", False,
                                    "forward conditions violated: %s (b=%s, k=%d)" % (bad, stencil, k))
 
             w2 = random_image_member(structure, k, rng)
-            bad = [fn.label for fn in fns if fn.evaluate(w2) != 0]
+            bad = [fn.label for fn, value in zip(fns, evaluate_stack(fns, w2)) if value != 0]
             if bad:
                 return CheckResult(1, "image membership", False,
                                    "image constructor left nonzero conditions: %s" % bad)

@@ -200,6 +200,16 @@ def test_violations_equal_the_merged_residual_functionals():
                 assert dc.violations(values) == tuple(expected)
 
 
+def test_violations_refuse_a_value_vector_of_the_wrong_length():
+    # a short vector used to be zipped away: violations([]) returned (), which reads as "solvable"
+    zero_trace, _ = solvability_constraints(analyze(Stencil.from_coeffs((1, 1, 2, 4, 4))), 1)
+    assert len(zero_trace.stack) == 6
+    for values in ([], [F(1)] * 5, [F(1)] * 7):
+        with pytest.raises(ValueError, match="expected 6 stack values, got %d" % len(values)):
+            zero_trace.violations(values)
+    assert zero_trace.violations([F(0)] * 6) == ()
+
+
 def test_solvability_constraint_counts_match_the_index_table():
     for s in list(named_stencils()):
         structure = analyze(s)

@@ -44,7 +44,13 @@ from ddbvp.piecewise import (
     trace_defects,
     two_point_hermite,
 )
-from ddbvp.functionals import NodeFunctional, membership_functionals, rank_of_functionals
+from ddbvp.functionals import (
+    NodeFunctional,
+    evaluate_stack,
+    membership_functionals,
+    rank_of_functionals,
+    solvability_constraints,
+)
 from ddbvp.problem_io import MAX_STENCIL_N, canonical_problem_text, parse_problem
 from ddbvp.solver import BVPProblem, hermite_extension, solve_nonhomogeneous
 from ddbvp.structure import Stencil, analyze, cofactor
@@ -275,6 +281,39 @@ def test_det_and_invert_equal_the_fraction_reference(a):
         inverse = exactla.invert(a)
         assert inverse == [row[n:] for row in red]
         assert _all_fractions(inverse)
+
+
+def _assert_integer_inverse(a, rows, d):
+    """a * (rows / d) = I, read as a * rows = d * I in exact arithmetic, with d a positive int."""
+    n = len(a)
+    assert type(d) is int and d > 0
+    assert all(type(x) is int for row in rows for x in row)
+    product = [[sum((a[i][j] * rows[j][c] for j in range(n)), Fraction(0)) for c in range(n)] for i in range(n)]
+    assert product == [[d * (i == c) for c in range(n)] for i in range(n)]
+
+
+@SETTINGS
+@given(st.one_of(matrices(square=True), shuffled_triangular()))
+def test_integer_inverse_is_the_inverse_times_a_positive_denominator(a):
+    if exactla.det(a) == 0:
+        with pytest.raises(ValueError):
+            exactla.integer_inverse(a)
+    else:
+        _assert_integer_inverse(a, *exactla.integer_inverse(a))
+
+
+wide_regime_stencils = st.tuples(st.integers(min_value=1, max_value=8), st.booleans()).map(
+    lambda drawn: _wide_regime_stencil(*drawn)
+)
+
+
+@SETTINGS
+@given(st.one_of(wide_regime_stencils, supported_stencils()))
+def test_the_report_stores_r1_inverse_over_one_positive_denominator(stencil):
+    report = analyze(stencil)
+    _assert_integer_inverse([list(row) for row in stencil.r1], report.inverse, report.inverse_den)
+    assert report.r1_inverse == tuple(tuple(row) for row in exactla.invert([list(row) for row in stencil.r1]))
+    assert _all_fractions(report.r1_inverse)
 
 
 @SETTINGS
@@ -967,6 +1006,13 @@ def _reference_unit_pieces(matrix, f, start, breaks):
     return out
 
 
+def _over_one_den(matrix):
+    """A Fraction matrix as integer rows over one positive denominator, the arguments of ``_unit_product``."""
+    nums, den = exactla.integer_numerators([x for row in matrix for x in row])
+    width = len(matrix[0])
+    return [nums[i:i + width] for i in range(0, len(nums), width)], den
+
+
 DEGREE_64 = tuple(Fraction((-1) ** d * (d % 5 + 1), d % 7 + 1) for d in range(DEGREE_CAP + 1))
 coefficient_lists = st.one_of(
     st.lists(st.one_of(st.just(0), st.fractions(min_value=-50, max_value=50, max_denominator=30)), max_size=9),
@@ -1100,9 +1146,20 @@ def test_unit_product_and_hermite_store_canonical_nodes(stencil, data):
     matrix = data.draw(st.lists(st.lists(rationals, min_size=n + 1, max_size=n + 1), min_size=1, max_size=3))
     offsets = sorted({b - math.floor(b) for b in f.breaks})
     rows = len(matrix)
-    _assert_nodes(_unit_product(matrix, f, start), [i + o for i in range(rows) for o in offsets] + [Fraction(rows)])
+    _assert_nodes(_unit_product(*_over_one_den(matrix), f, start), [i + o for i in range(rows) for o in offsets] + [Fraction(rows)])
     jets = data.draw(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=4))
     _assert_nodes(hermite_interpolant(jets), [Fraction(i) for i in range(len(jets))])
+
+
+@SETTINGS
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=-2, max_value=2), st.data())
+def test_sparse_integer_unit_product_equals_the_fraction_unit_sums(cols, start, data):
+    f = data.draw(off_node_functions(0, cols)).shifted(start)
+    entries = st.one_of(st.just(0), st.integers(min_value=-30, max_value=30))
+    matrix = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=1, max_size=3))
+    den = data.draw(st.integers(min_value=1, max_value=12))
+    got = _unit_product(matrix, den, f, start)
+    _assert_stored(got, _reference_unit_pieces([[Fraction(c, den) for c in row] for row in matrix], f, start, got.breaks))
 
 
 def _reference_on_monomial(fn, d):
@@ -1257,6 +1314,87 @@ def test_membership_functionals_vanish_on_images(case):
         value = fn.evaluate(w)
         assert type(value) is Fraction
         assert value == 0
+
+
+# -- constraint stacks ---------------------------------------------------------------
+
+
+def _reference_evaluate(fn, f):
+    """Per-term evaluation in Fractions: the inner limit at an end, both limits, which must agree, inside."""
+    total = Fraction(0)
+    for node, mu, weight in fn.terms:
+        if weight == 0:
+            continue
+        value = _reference_trace(f, node, mu, -1 if node == f.end else 1)
+        if node != f.start and node != f.end:
+            left = _reference_trace(f, node, mu, -1)
+            if left != value:
+                raise ValueError(
+                    "derivative of order %d jumps at node %s (left %s, right %s); "
+                    "functional %r is undefined there" % (mu, node, left, value, fn.label)
+                )
+        total += weight * value
+    return total
+
+
+@st.composite
+def functional_stacks(draw):
+    """A function with zero and nonzero jumps and a stack on it: nodes at its breaks and off them,
+    atoms repeated inside and across functionals, zero weights."""
+    f = draw(functions_with_jumps())
+    nodes = st.one_of(st.sampled_from(f.breaks), st.fractions(min_value=-1, max_value=3, max_denominator=7))
+    terms = st.tuples(nodes, st.integers(min_value=0, max_value=4), st.one_of(st.just(Fraction(0)), rationals))
+    pool = draw(st.lists(terms, min_size=1, max_size=4))
+    size = draw(st.integers(min_value=0, max_value=5))
+    stack = [
+        NodeFunctional(tuple(draw(st.lists(st.one_of(st.sampled_from(pool), terms), max_size=5))), "f%d" % i)
+        for i in range(size)
+    ]
+    return f, stack
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(functional_stacks())
+def test_stack_evaluation_equals_the_per_term_fraction_reference(case):
+    f, stack = case
+    try:
+        expected = [_reference_evaluate(fn, f) for fn in stack]
+    except ValueError as exc:
+        for evaluate in (lambda: evaluate_stack(stack, f), lambda: [fn.evaluate(f) for fn in stack]):
+            with pytest.raises(ValueError) as caught:
+                evaluate()
+            assert str(caught.value) == str(exc)
+    else:
+        got = evaluate_stack(stack, f)
+        assert got == expected
+        assert _all_fractions(got)
+        assert [fn.evaluate(f) for fn in stack] == expected
+
+
+@SETTINGS
+@given(supported_stencils(max_n=4), st.integers(min_value=0, max_value=2), st.booleans(), st.data())
+def test_integer_violations_equal_the_fraction_dot_products(stencil, k, linear, data):
+    for dc in solvability_constraints(analyze(stencil), k):
+        assert all(type(den) is int and den > 0 and all(type(x) is int for x in nums) for nums, den in dc.rows)
+        assert dc.weights == tuple(tuple(u) for u in exactla.left_nullspace(dc.block))
+        if linear:
+            # the stack's values on d1 t + d2, which every data constraint annihilates
+            d1, d2 = data.draw(rationals), data.draw(rationals)
+            values = [d1 * a + d2 * b for a, b in dc.block]
+        else:
+            values = data.draw(st.lists(rationals, min_size=len(dc.stack), max_size=len(dc.stack)))
+        expected = []
+        for j, u in enumerate(dc.weights):
+            value = sum((a * b for a, b in zip(u, values)), Fraction(0))
+            if value != 0:
+                expected.append(("data constraint %d" % j, value))
+        got = dc.violations(values)
+        assert got == tuple(expected)
+        assert _all_fractions([value for _, value in got])
+        if linear:
+            assert got == ()
+        with pytest.raises(ValueError):
+            dc.violations(values[:-1])
 
 
 # -- problem files ---------------------------------------------------------------

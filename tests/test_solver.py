@@ -1,12 +1,13 @@
 """Boundary value solver: exactness invariants, kernels, extensions, reports."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ddbvp import solver, structure
-from ddbvp.functionals import NodeFunctional, solvability_constraints
+from ddbvp.functionals import solvability_constraints
 from ddbvp.piecewise import (
     PiecewisePoly,
     apply_difference,
@@ -112,9 +113,10 @@ def test_offgrid_data_breaks_stay_out_of_the_tracked_orders():
 
 
 def test_one_solve_reads_each_jump_table_once(monkeypatch):
+    # ``jumps`` and ``smoothness_defects`` both read the integer jump table ``_jump_ratios``
     tables, points, defects = [], [], []
-    jumps, jump, smoothness = PiecewisePoly.jumps, PiecewisePoly.jump, solver.smoothness_defects
-    monkeypatch.setattr(PiecewisePoly, "jumps", lambda f, count: tables.append((f, count)) or jumps(f, count))
+    ratios, jump, smoothness = PiecewisePoly._jump_ratios, PiecewisePoly.jump, solver.smoothness_defects
+    monkeypatch.setattr(PiecewisePoly, "_jump_ratios", lambda f, count: tables.append((f, count)) or ratios(f, count))
     monkeypatch.setattr(PiecewisePoly, "jump", lambda f, t, order=0: points.append(f) or jump(f, t, order))
     monkeypatch.setattr(solver, "smoothness_defects", lambda f, k: defects.append((f, k)) or smoothness(f, k))
     k = 1
@@ -130,25 +132,32 @@ def test_one_solve_reads_each_jump_table_once(monkeypatch):
     assert points == []
 
 
-def test_one_solve_evaluates_each_constraint_stack_once(monkeypatch):
-    # on smooth data the zero-trace stack (2(k+2) members, the boundary pair
-    # first) is evaluated once; the minimal stack adds its k+3 members only
-    # when the end columns are dependent and it is a different stack
-    calls = []
-    evaluate = NodeFunctional.evaluate
-    monkeypatch.setattr(NodeFunctional, "evaluate", lambda fn, f: calls.append(fn) or evaluate(fn, f))
+def test_one_solve_reads_each_node_jet_once_per_distinct_stack(monkeypatch):
+    # on smooth data a solve evaluates the zero-trace stack (2(k+2) members,
+    # the boundary pair first) in one pass and, when the end columns are
+    # dependent, the other k+1 members of the minimal stack in another, so a
+    # (function, node, side) jet is read at most once per distinct stack;
+    # reading functional by functional reads the jet at N+1 once per order
+    reads = []
+    taylor_jet = PiecewisePoly.taylor_jet
+    monkeypatch.setattr(
+        PiecewisePoly, "taylor_jet",
+        lambda f, t, count, side: reads.append((id(f), t, side)) or taylor_jet(f, t, count, side),
+    )
     for s in named_stencils():
         dependent = analyze(s).ends.dependent
         for k in (0, 1, 2):
             for f1, f2 in (((0,), (0,)), ((1, 2), (3,))):
                 f0 = PiecewisePoly.from_global((1, 1), (0, s.N + 1))
                 problem = BVPProblem(stencil=s, k=k, f0=f0, f1=f1, f2=f2)
-                calls.clear()
+                reads.clear()
                 family = solve_nonhomogeneous(problem)
                 assert family.status is not SolveStatus.INFEASIBLE
                 assert family.smoothness.data_smooth
-                expected = 2 * (k + 2) + ((k + 3) if dependent else 0)
-                assert len(calls) == expected
+                counts = Counter(reads)
+                assert len({f for f, _, _ in counts}) == 1  # all off the double antiderivative
+                assert (reads[0][0], F(s.N + 1), -1) in counts  # the edge relations' node
+                assert max(counts.values()) <= (2 if dependent else 1)
 
 
 def test_constraint_stacks_are_built_only_for_smooth_data(monkeypatch):
