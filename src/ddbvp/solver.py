@@ -30,7 +30,15 @@ relations, end columns and R1^-1 from the stencil's ``StructureReport``
 
 Beyond the solve itself the module certifies the structure theory on the
 instance: triviality of the kernel of the order-k operator, the codimension
-counts of the admissible-data subspaces, and the resulting index table.
+counts of the admissible-data subspaces, and the resulting index table.  The
+kernel certificate needs no preimage: R^-1 1 and R^-1 t are linear on each
+unit interval, with values and slopes read off the row sums rho_i and the
+weighted row sums a_i = sum_j R1^-1[i][j] * j of the integer R1^-1, so its
+traces and order-0/1 jumps are integer rows over the inverse's denominator.
+Its rank is 2 for every invertible R1: a kernel element with no order-0/1
+jumps is one linear function, and the zero traces make it vanish.
+``index_report`` reads the boundary rank off the first two rows of the
+zero-trace stack's (d1, d2) block, which are ``boundary_matrix``.
 """
 
 from __future__ import annotations
@@ -56,7 +64,6 @@ from .piecewise import (
     concat,
     double_antiderivative,
     hermite_interpolant,
-    linear_combination,
     pjet,
     ptrim,
     smoothness_defects,
@@ -348,10 +355,23 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
 class KernelCertificate:
     """Exact rank certificate for the kernel of the order-k operator.
 
-    A kernel element must be a preimage of a linear function c1 + c2*t; it is
-    admissible only if it has zero endpoint traces and no order-0/1 interior
-    jumps (a piecewise-linear function of order 2 cannot kink).  Rank 2 of
-    the listed conditions in (c1, c2) certifies that only c = 0 survives.
+    A kernel element must be a preimage v = R^-1(c1 + c2*t) of a linear
+    function; it is admissible only if it has zero endpoint traces and no
+    order-0/1 interior jumps (a piecewise-linear function of order 2 cannot
+    kink).  Row j of ``matrix`` holds condition j on R^-1 1 and on R^-1 t, so
+    rank 2 certifies that only c = 0 survives.
+
+    Both preimages are linear on each unit interval.  With P = R1^-1 = M / d,
+    rho_i = sum_j M[i][j] and a_i = sum_j M[i][j] * j (0-based), unit i of
+    R^-1 1 is rho_i / d and unit i of R^-1 t is (a_i + rho_i s) / d, s the
+    local coordinate.  So the rows are, over d: trace at 0 (rho_0, a_0); trace
+    at N+1 (rho_N, a_N + rho_N); at node i, the order-0 jump
+    (rho_i - rho_{i-1}, a_i - a_{i-1} - rho_{i-1}) and the order-1 jump
+    (0, rho_i - rho_{i-1}).
+
+    For invertible R1 the rank is always 2: with no order-0/1 jumps v is one
+    linear function on (0, N+1), the zero traces make it vanish at 0 and
+    N+1, so v = 0 and c1 + c2*t = R v = 0.
     """
 
     rank: int
@@ -362,31 +382,39 @@ class KernelCertificate:
 
 
 def kernel_certificate(structure: StructureReport) -> KernelCertificate:
+    """The certificate from R1^-1's integer row sums, with Fractions built only for ``matrix``.
+
+    No preimage is built unless the rank falls below 2, which the argument
+    in ``KernelCertificate`` rules out for invertible R1; the kernel basis
+    would then be R^-1(c1 + c2*t), as the solve's kernel directions are.
+    """
     n = structure.stencil.N
-    v_one = apply_difference_inverse(structure, PiecewisePoly.constant(1, 0, n + 1))
-    v_lin = apply_difference_inverse(structure, PiecewisePoly.from_global((0, 1), (0, n + 1)))
-    rows = []
-    labels = []
-    rows.append([v_one.trace(0, 0, 1), v_lin.trace(0, 0, 1)])
-    labels.append("trace at 0")
-    rows.append([v_one.trace(n + 1, 0, -1), v_lin.trace(n + 1, 0, -1)])
-    labels.append("trace at %d" % (n + 1))
-    # both preimages break exactly at the nodes 1..N, so their tables pair up
-    for (node, mu, one), (_, _, lin) in zip(v_one.jumps(2), v_lin.jumps(2)):
-        rows.append([one, lin])
-        labels.append("jump at %s, order %d" % (node, mu))
-    rank = exactla.rank(rows)
-    basis = []
+    d = structure.inverse_den
+    rho = [sum(row) for row in structure.inverse]
+    a = [sum(j * x for j, x in enumerate(row)) for row in structure.inverse]
+    rows = [[rho[0], a[0]], [rho[n], a[n] + rho[n]]]
+    labels = ["trace at 0", "trace at %d" % (n + 1)]
+    for i in range(1, n + 1):
+        step = rho[i] - rho[i - 1]
+        rows += [[step, a[i] - a[i - 1] - rho[i - 1]], [0, step]]
+        labels += ["jump at %d, order 0" % i, "jump at %d, order 1" % i]
+    rank = exactla.integer_rank(rows)
+    matrix = tuple((Fraction(x, d), Fraction(y, d)) for x, y in rows)
+    basis = ()
     if rank < 2:
-        for c in exactla.nullspace(rows):
-            combo = linear_combination(((c[0], v_one), (c[1], v_lin)))
-            basis.append(KernelDirection(c=(c[0], c[1]), v=combo))
+        basis = tuple(
+            KernelDirection(
+                c=(c[0], c[1]),
+                v=apply_difference_inverse(structure, PiecewisePoly.from_global((c[0], c[1]), (0, n + 1))),
+            )
+            for c in exactla.nullspace(matrix)
+        )
     return KernelCertificate(
         rank=rank,
         dim_kernel=2 - rank,
         conditions=tuple(labels),
-        matrix=tuple((r[0], r[1]) for r in rows),
-        kernel_basis=tuple(basis),
+        matrix=matrix,
+        kernel_basis=basis,
     )
 
 
@@ -422,7 +450,8 @@ def index_report(problem: BVPProblem) -> IndexReport:
     k = problem.k
     table = structure.index_table(k)
     zero_trace, minimal = problem.constraints
-    # the minimal-domain stack is image_functionals(structure, k)
+    # the minimal-domain stack is image_functionals(structure, k); the zero-trace
+    # stack opens with the mu = 0 node pair, so its first two block rows are boundary_matrix
     image_rank = rank_of_functionals(minimal.stack)
     cert = kernel_certificate(structure)
     rows = (
@@ -438,6 +467,6 @@ def index_report(problem: BVPProblem) -> IndexReport:
         k=k,
         dependent=structure.ends.dependent,
         table=table,
-        boundary_rank=exactla.rank(boundary_matrix(structure)),
+        boundary_rank=exactla.rank(zero_trace.block[:2]),
         rows=rows,
     )

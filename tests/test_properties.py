@@ -8,6 +8,7 @@ would almost never hit det R2 = 0 once N grows.
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -52,8 +53,15 @@ from ddbvp.functionals import (
     solvability_constraints,
 )
 from ddbvp.problem_io import MAX_STENCIL_N, canonical_problem_text, parse_problem
-from ddbvp.solver import BVPProblem, hermite_extension, solve_nonhomogeneous
-from ddbvp.structure import Stencil, analyze, cofactor
+from ddbvp.solver import (
+    BVPProblem,
+    boundary_matrix,
+    hermite_extension,
+    index_report,
+    kernel_certificate,
+    solve_nonhomogeneous,
+)
+from ddbvp.structure import Regime, Stencil, analyze, cofactor
 from ddbvp.verification import _hermite_glued, named_stencils, random_regime_stencils
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
@@ -85,8 +93,8 @@ def _off_break_points(draw, funcs):
 
 
 @st.composite
-def supported_stencils(draw, max_n=6):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def supported_stencils(draw, max_n=6, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     far_left = draw(st.lists(rationals, min_size=n - 1, max_size=n - 1))  # b_{-N}, ..., b_{-2}
     coeffs = far_left + [draw(nonzero)] + [Fraction(0)] * n + [draw(nonzero)]
     return Stencil.from_coeffs(coeffs)
@@ -397,7 +405,7 @@ def test_cofactor_from_adjugate_equals_signed_minor_determinant(stencil):
 
 
 @st.composite
-def dependent_stencils(draw, max_n=4):
+def dependent_stencils(draw, max_n=4, min_n=1):
     """Supported stencils whose clipped end columns are dependent, for N >= 1.
 
     A drawn z != 0 is put in the null space of R2 (R2 z = 0 is linear in the
@@ -406,7 +414,7 @@ def dependent_stencils(draw, max_n=4):
     solution space of those 2N linear equations in 2N+1 unknowns; leading
     zeros of z spread the admissible column l over 1..N.
     """
-    n = draw(st.integers(min_value=1, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     z = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=n, max_size=n).filter(any))
     lam = draw(nonzero)
     rows = []
@@ -528,6 +536,91 @@ def test_analyze_runs_four_eliminations(monkeypatch, dependent):
     report = analyze(_wide_regime_stencil(8, dependent))
     assert report.ends.dependent is dependent
     assert calls == [9, 8, 9, 8]
+
+
+# -- the kernel certificate and the boundary rank ------------------------------------
+
+
+def _reference_kernel_certificate(structure):
+    """(rank, conditions, matrix) from the preimages R^-1 1 and R^-1 t as piecewise
+    polynomials: their traces at both ends, then their jumps of orders 0 and 1 at
+    every node."""
+    n = structure.stencil.N
+    v_one = apply_difference_inverse(structure, PiecewisePoly.constant(1, 0, n + 1))
+    v_lin = apply_difference_inverse(structure, PiecewisePoly.from_global((0, 1), (0, n + 1)))
+    conditions = ["trace at 0", "trace at %d" % (n + 1)]
+    matrix = [(v_one.trace(0, 0, 1), v_lin.trace(0, 0, 1)), (v_one.trace(n + 1, 0, -1), v_lin.trace(n + 1, 0, -1))]
+    for node in range(1, n + 1):
+        for mu in (0, 1):
+            conditions.append("jump at %d, order %d" % (node, mu))
+            matrix.append((v_one.jump(node, mu), v_lin.jump(node, mu)))
+    return exactla.rank(matrix), tuple(conditions), tuple(matrix)
+
+
+def _assert_certificate_equals_the_reference(stencil):
+    structure = analyze(stencil)
+    cert = kernel_certificate(structure)
+    rank, conditions, matrix = _reference_kernel_certificate(structure)
+    assert cert.rank == rank == 2
+    assert cert.dim_kernel == 0
+    assert cert.conditions == conditions
+    assert cert.matrix == matrix
+    assert _all_fractions(cert.matrix)
+    assert cert.kernel_basis == ()
+
+
+@SETTINGS
+@given(st.one_of(dependent_stencils(max_n=6), supported_stencils()))
+@example(Stencil.from_coeffs((1, 0, -1)))
+@example(Stencil.from_coeffs((0, 1, 1, 1, 2)))
+def test_kernel_certificate_equals_the_preimage_construction(stencil):
+    _assert_certificate_equals_the_reference(stencil)
+
+
+@pytest.mark.parametrize("dependent", (False, True))
+@pytest.mark.parametrize("n", (8, 16, 24))
+def test_kernel_certificate_equals_the_preimage_construction_on_wide_stencils(n, dependent):
+    _assert_certificate_equals_the_reference(_wide_regime_stencil(n, dependent))
+
+
+def _boundary_rank_from_the_inverse_sum(stencil):
+    """The boundary matrix has rank 1 exactly when the entries of R1^-1 sum to 0, else rank 2."""
+    structure = stencil.structure
+    rank = exactla.rank(boundary_matrix(structure))
+    assert rank == (1 if sum(map(sum, structure.inverse)) == 0 else 2)
+    return rank
+
+
+@pytest.mark.parametrize("n, bound", ((1, 3), (2, 2)))
+def test_boundary_rank_is_one_exactly_when_the_inverse_sums_to_zero_on_a_box(n, bound):
+    ranks = set()
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=2 * n + 1):
+        stencil = Stencil.from_coeffs(coeffs)
+        if stencil.regime is Regime.SINGULAR_MINOR:
+            ranks.add(_boundary_rank_from_the_inverse_sum(stencil))
+    assert ranks == {1, 2}
+
+
+@SETTINGS
+@given(st.one_of(dependent_stencils(min_n=3, max_n=4), supported_stencils(min_n=3, max_n=4)))
+@example(Stencil.from_coeffs((-3, -3, -3, 0, 0, 0, 3)))
+@example(Stencil.from_coeffs((-2, -2, -2, -2, 0, 0, 0, 0, 2)))
+def test_boundary_rank_is_one_exactly_when_the_inverse_sums_to_zero(stencil):
+    _boundary_rank_from_the_inverse_sum(stencil)
+
+
+@pytest.mark.parametrize("k", (0, 2))
+def test_the_zero_trace_block_opens_with_the_boundary_matrix(monkeypatch, k):
+    wide = tuple(_wide_regime_stencil(n, dependent) for n in (8, 24) for dependent in (False, True))
+    for stencil in POOL + wide:
+        problem = BVPProblem(stencil=stencil, k=k, f0=PiecewisePoly.constant(1, 0, stencil.N + 1))
+        zero_trace, _ = problem.constraints
+        matrix = boundary_matrix(stencil.structure)
+        assert [list(row) for row in zero_trace.block[:2]] == matrix
+        # index_report reads the rank off the block, building no functional of its own
+        monkeypatch.setattr("ddbvp.solver.membership_functionals", None)
+        assert index_report(problem).boundary_rank == exactla.rank(matrix)
+        monkeypatch.undo()
 
 
 @SETTINGS
