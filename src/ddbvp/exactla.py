@@ -12,15 +12,17 @@ division is exact and entries grow only as fast as those minors.
 
 Fractions are built only at the boundary: an RREF entry is the integer entry
 over the last pivot, and the determinant is the signed last pivot over the
-product of the row scales.  ``det``, ``rank``, ``integer_rank`` and
-``integer_inverse`` read the kernel directly; ``integer_inverse`` returns
-the inverse as integer rows over one positive denominator (the right half
-of the eliminated [a | I] over its last pivot, gcd and sign divided out),
-for callers that keep working in integers, and ``invert`` builds its
-Fractions.  ``rref`` and everything built on it (``nullspace``,
-``left_nullspace``, ``solve_affine``, ``solve_unique``, ``min_norm_solution``)
-read the RREF.  The RREF is canonical, so the results are those of any exact
-Gauss-Jordan elimination, entry for entry.
+product of the row scales.  ``integer_det``, ``integer_rank`` and
+``integer_inverse`` take integer matrices and read the kernel directly, for
+callers that keep working in integers; ``integer_inverse`` returns the
+inverse as integer rows over one positive denominator (the right half of the
+eliminated [a | I] over its last pivot, gcd and sign divided out).  ``det``,
+``rank`` and ``invert`` scale the rows of a rational matrix to integers
+first and build their Fractions from those results.  ``rref`` and
+everything built on it (``nullspace``, ``left_nullspace``, ``solve_affine``,
+``solve_unique``, ``min_norm_solution``) read the RREF.  The RREF is
+canonical, so the results are those of any exact Gauss-Jordan elimination,
+entry for entry.
 """
 
 from __future__ import annotations
@@ -108,18 +110,22 @@ def _eliminate(m: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-free elimination. det([]) == 1 by convention."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in a):
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, the signed last pivot of the kernel on a copy; 1 for 0 x 0."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of a nonsquare matrix")
-    m, scales = _integer_rows(a)
+    if not n:
+        return 1
+    m = [list(row) for row in rows]
     pivots, sign = _eliminate(m)
-    if len(pivots) < n:
-        return Fraction(0)
-    return Fraction(sign * m[-1][-1], math.prod(scales))
+    return sign * m[-1][-1] if len(pivots) == n else 0
+
+
+def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant: ``integer_det`` of the rows scaled to integers, over the product of the row scales."""
+    rows, scales = _integer_rows(a)
+    return Fraction(integer_det(rows), math.prod(scales))
 
 
 def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
@@ -194,16 +200,15 @@ def solve_unique(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
     return particular
 
 
-def integer_inverse(a: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """The inverse as integer rows over one positive denominator d: a * (rows / d) = I.
+def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """The inverse of an integer matrix as integer rows over one positive denominator d: rows * (out / d) = I.
 
-    Eliminating [a | I] leaves row i with the last pivot in column i, so the
-    right half of each row, over that pivot, is the row of the inverse; the
-    sign and the common gcd are divided out.
+    Eliminating [rows | I] leaves row i with the last pivot in column i, so
+    the right half of each row, over that pivot, is the row of the inverse;
+    the sign and the common gcd are divided out.
     """
-    n = len(a)
-    rows, scales = _integer_rows(a)
-    m = [row + [scale * (i == j) for j in range(n)] for i, (row, scale) in enumerate(zip(rows, scales))]
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     pivots, _ = _eliminate(m)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
@@ -215,9 +220,10 @@ def integer_inverse(a: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], i
 
 
 def invert(a: Sequence[Sequence[Fraction]]) -> Mat:
-    """Inverse, as Fractions built from ``integer_inverse``."""
-    rows, d = integer_inverse(a)
-    return [[Fraction(x, d) for x in row] for row in rows]
+    """Inverse, as Fractions: a = S^-1 T for T its rows scaled to integers, so a^-1 = T^-1 S."""
+    rows, scales = _integer_rows(a)
+    inverse, d = integer_inverse(rows)
+    return [[Fraction(x * s, d) for x, s in zip(row, scales)] for row in inverse]
 
 
 def min_norm_solution(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> tuple[Vec, list[Vec]] | None:

@@ -27,8 +27,11 @@ plumbing used everywhere else:
   :func:`~ddbvp.structure.analyze` stored in its ``StructureReport`` (so it
   takes the report rather than the stencil);
 * ``hermite_interpolant``: the one constructor that glues prescribed
-  derivative jets at the integer nodes 0..n, one ``two_point_hermite`` piece
-  per unit interval, each returned in the stored integer form.  The solver's
+  Taylor jets at the integer nodes 0..n, one ``two_point_hermite`` piece per
+  unit interval.  A jet is taken in the integer form ``_jet_at`` returns
+  (p^(mu)(x) / mu! as integers over one denominator), and each piece is one
+  integer sum of the closed-form basis rows over the lcm of its two jets'
+  denominators, with no Fraction and no factorial division.  The solver's
   extension and the battery's random functions are built on it;
 * one-sided traces and jumps at a point (``trace``, ``jump``), and the table of
   every interior jump from the Taylor jets at each end of each piece: the
@@ -72,10 +75,11 @@ synthetic division.  Its coefficients are the whole Taylor jet at X/Q over
 one denominator, so ``_jet_at`` reads a jet as one ``_shifted`` (none at a
 piece's left end); ``taylor_jet`` (under ``evaluate_stack`` in
 :mod:`~ddbvp.functionals`), the jump table, the end jets of
-``trace_defects`` and ``pjet`` are built on it.  ``_integer_sum``, under
-``linear_combination`` and ``_unit_product``, accumulates each piece of a
-sum of (c / t) * P / D terms as c * P * (L // (t D)), with P the numerators
-of a term's piece over its denominator D and L the lcm of all the t D.
+``trace_defects`` and those of the solver's Hermite extension are built on
+it.  ``_integer_sum``, under ``linear_combination`` and ``_unit_product``,
+accumulates each piece of a sum of (c / t) * P / D terms as
+c * P * (L // (t D)), with P the numerators of a term's piece over its
+denominator D and L the lcm of all the t D.
 """
 
 from __future__ import annotations
@@ -112,12 +116,6 @@ def ptrim(c: Sequence[Fraction]) -> tuple[Fraction, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c) if c else (Fraction(0),)
-
-
-def pjet(c: Sequence[Fraction], x: Fraction, count: int) -> list[Fraction]:
-    """[p(x), p'(x), ..., p^(count-1)(x)]."""
-    nums, den = _jet_at(exactla.integer_numerators(c), *_frac(x).as_integer_ratio(), count)
-    return [Fraction(math.factorial(k) * n, den) for k, n in enumerate(nums)]
 
 
 # ---------------------------------------------------------------------------
@@ -258,28 +256,33 @@ def progression_floats(form: Form, x_num: int, stride: int, x_den: int, count: i
     return map(operator.truediv, numerators, repeat(den * power))
 
 
-def two_point_hermite(left: Sequence[Fraction], right: Sequence[Fraction]) -> Form:
-    """The form on local (0, 1) matching derivative jets at both ends.
+def two_point_hermite(left: Form, right: Form) -> Form:
+    """The form on local (0, 1) matching Taylor jets at both ends.
 
-    ``left[mu]`` and ``right[mu]`` prescribe the mu-th derivative at x = 0
-    and x = 1; both jets must have the same length r, and the interpolant,
-    of degree at most 2r - 1, is unique.  It is sum_mu left[mu] A_mu(x) +
-    right[mu] B_mu(x) in the closed-form basis
+    ``left`` and ``right`` are jets in the integer form of ``_jet_at``: the
+    Taylor coefficients p^(mu)(x) / mu! at x = 0 and x = 1, as integers over
+    one positive denominator.  Both must have the same length r, and the
+    interpolant, of degree at most 2r - 1, is unique.  It is sum_mu
+    left[mu] mu! A_mu(x) + right[mu] mu! B_mu(x) in the closed-form basis
 
         A_mu(x) = x^mu / mu! * (1 - x)^r * sum_{j < r - mu} C(r - 1 + j, j) x^j,
         B_mu(x) = (-1)^mu A_mu(1 - x),
 
     whose mu-th derivative is 1 at its own end and every other derivative of
-    order below r vanishes at both ends.  The basis is built once per r, and
-    the sum is taken in integers over the jets' common denominator.
+    order below r vanishes at both ends, so mu! A_mu has Taylor coefficient
+    1 there and the Taylor numerators are the weights.  The basis is built
+    once per r, and the sum is taken in integers over the lcm of the two
+    denominators.
     """
-    if len(left) != len(right):
+    (left_nums, left_den), (right_nums, right_den) = left, right
+    count = len(left_nums)
+    if len(right_nums) != count:
         raise ValueError("end jets must have equal length")
-    count = len(left)
-    weights = [_frac(x) / math.factorial(mu) for jet in (left, right) for mu, x in enumerate(jet)]
-    scales, den = exactla.integer_numerators(weights)
+    den = math.lcm(left_den, right_den)
+    lm, rm = den // left_den, den // right_den
+    weights = [n * lm for n in left_nums] + [n * rm for n in right_nums]
     acc = [0] * (2 * count)
-    for scale, poly in zip(scales, _hermite_basis(count)):
+    for scale, poly in zip(weights, _hermite_basis(count)):
         if scale:
             for d, c in enumerate(poly):
                 acc[d] += scale * c
@@ -681,8 +684,8 @@ def concat(parts: Sequence[PiecewisePoly]) -> PiecewisePoly:
     return PiecewisePoly(tuple(nodes), scale, tuple(forms))
 
 
-def hermite_interpolant(jets: Sequence[Sequence[Fraction]]) -> PiecewisePoly:
-    """The function on (0, len(jets) - 1) whose derivative jet at node i is ``jets[i]``.
+def hermite_interpolant(jets: Sequence[Form]) -> PiecewisePoly:
+    """The function on (0, len(jets) - 1) whose Taylor jet at node i is ``jets[i]``, in ``_jet_at``'s integer form.
 
     One ``two_point_hermite`` piece per unit interval, so with jets of
     length r the function is C^(r-1) at every interior node.

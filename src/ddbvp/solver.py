@@ -59,12 +59,13 @@ from .functionals import (
 )
 from .piecewise import (
     PiecewisePoly,
+    _form_of,
+    _jet_at,
     apply_difference_inverse,
     apply_shifted_sum,
     concat,
     double_antiderivative,
     hermite_interpolant,
-    pjet,
     ptrim,
     smoothness_defects,
 )
@@ -181,17 +182,19 @@ def hermite_extension(stencil: Stencil, k: int, f1: tuple[Fraction, ...], f2: tu
     from the f1-matching derivative data at 0 to zero across (0, 1), stays
     zero in the middle, and grows into the f2-matching data across (N, N+1).
     Matching covers orders 0..k+1, so psi has order k+2 across every seam.
+    The end jets are the integer Taylor jets of f1 at 0 and f2 at N+1
+    (``_jet_at``), the form ``hermite_interpolant`` takes.
     """
     n = stencil.N
     count = k + 2
-    zero = [Fraction(0)] * count
+    zero = ((0,) * count, 1)
     parts = [
         PiecewisePoly.from_global(f1, (-n, 0)),
-        hermite_interpolant([pjet(f1, Fraction(0), count), zero]),
+        hermite_interpolant([_jet_at(_form_of(f1), 0, 1, count), zero]),
     ]
     if n > 1:
         parts.append(PiecewisePoly.zero(1, n))
-    parts.append(hermite_interpolant([zero, pjet(f2, Fraction(n + 1), count)]).shifted(n))
+    parts.append(hermite_interpolant([zero, _jet_at(_form_of(f2), n + 1, 1, count)]).shifted(n))
     parts.append(PiecewisePoly.from_global(f2, (n + 1, 2 * n + 1)))
     psi = concat(parts)
     if smoothness_defects(psi, k + 2):
@@ -265,9 +268,11 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     is as smooth as the data allows.
 
     The boundary right-hand side is the value of the order-zero node pair on
-    the double antiderivative.  On smooth data that pair is read as the head
-    of the zero-trace stack, which is evaluated whole (``evaluate_stack``, one
-    jet per node and side) before the boundary system is solved; the
+    the double antiderivative, and the boundary matrix (``boundary_matrix``)
+    is that pair's values on t and 1, read off the first two members of the
+    stack the solve evaluates.  On smooth data the pair is read as the head
+    of the zero-trace stack, which is evaluated whole (``evaluate_stack``,
+    one jet per node and side) before the boundary system is solved; the
     constraint stacks themselves are built only for smooth feasible data,
     once per problem (``BVPProblem.constraints``), and each distinct stack is
     evaluated once: the minimal stack opens with the same pair, so only its
@@ -283,12 +288,13 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     reduced = problem.f0 + shifted.derivative(2)
     second = double_antiderivative(reduced)
 
-    matrix = boundary_matrix(structure)
-    pair_rows = (tuple(matrix[0]), tuple(matrix[1]))
-    rank = exactla.rank(matrix)
     data_defects = tuple(smoothness_defects(reduced, k))
     # on smooth data the boundary pair is read as the head of the zero-trace stack
-    values = evaluate_stack(membership_functionals(structure.gamma, 1 if data_defects else k + 2), second)
+    stack = membership_functionals(structure.gamma, 1 if data_defects else k + 2)
+    matrix = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in stack[:2]]
+    pair_rows = (tuple(matrix[0]), tuple(matrix[1]))
+    rank = exactla.rank(matrix)
+    values = evaluate_stack(stack, second)
     rhs = values[:2]
     solution = exactla.min_norm_solution(matrix, rhs)
     if solution is None:

@@ -32,21 +32,25 @@ conditions are built from:
 inverts R1 a single time and reads the R2 row dependency (its last row), the
 admissible column (its last column) and the gamma1 expansions (combinations
 of its rows) off R1^-1; only the end-column dependency takes its own N x 2
-elimination.  R1^-1 stays in integers from the elimination on: the report
-stores it as integer rows over one positive denominator
-(``exactla.integer_inverse``), the gamma1 expansions are integer dot
+elimination.  R1 is held as integer Toeplitz rows T over one denominator D,
+the lcm of the stencil's (``Stencil.r1_numerators``): det R1 and det R2 are
+``exactla.integer_det`` of T and of its leading N x N block over powers of
+D, and R1^-1 = D T^-1 comes from one ``exactla.integer_inverse`` of T.  It
+stays in integers from the elimination on: the report stores it as integer
+rows over one positive denominator, the gamma1 expansions are integer dot
 products with one Fraction per coefficient, ``cofactor`` builds one Fraction
 per call, and ``StructureReport.r1_inverse`` builds the Fraction matrix only
-when it is read.  A ``Stencil`` carries R1, its two determinants, its regime
-and its ``structure`` (the ``StructureReport`` of ``analyze``, carrying
-R1^-1), each computed on first use, and every consumer reads them from the
-stencil instead of recomputing.  All of this is exact rational arithmetic.
-Only ``spectrum`` leaves the rationals, returning floating-point eigenvalues
-for diagnostics.
+when it is read.  A ``Stencil`` carries R1, its integer rows, its two
+determinants, its regime and its ``structure`` (the ``StructureReport`` of
+``analyze``, carrying R1^-1), each computed on first use, and every consumer
+reads them from the stencil instead of recomputing.  All of this is exact
+rational arithmetic.  Only ``spectrum`` leaves the rationals, returning
+floating-point eigenvalues for diagnostics.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -77,9 +81,9 @@ class StructureError(RuntimeError):
 class Stencil:
     """Integer-shift stencil b_{-N}, ..., b_N with rational entries.
 
-    A stencil carries what is derived from it: R1, its two determinants and
-    its ``structure``, each computed on first use and kept as long as the
-    stencil object lives.
+    A stencil carries what is derived from it: R1, its integer rows, its two
+    determinants and its ``structure``, each computed on first use and kept
+    as long as the stencil object lives.
     """
 
     N: int
@@ -108,14 +112,23 @@ class Stencil:
         return tuple(tuple(self.b(k - i) for k in range(1, n + 2)) for i in range(1, n + 2))
 
     @cached_property
+    def r1_numerators(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """R1 = T / D: the integer Toeplitz rows T[i][k] = D b_{k-i} over D, the lcm of the coefficients' denominators."""
+        n = self.N
+        nums, den = exactla.integer_numerators(self.coeffs)
+        return tuple(tuple(nums[n - i:2 * n + 1 - i]) for i in range(n + 1)), den
+
+    @cached_property
     def det_r1(self) -> Fraction:
-        return exactla.det([list(row) for row in self.r1])
+        rows, den = self.r1_numerators
+        return Fraction(exactla.integer_det(rows), den ** (self.N + 1))
 
     @cached_property
     def det_r2(self) -> Fraction:
         """det of R2, the leading principal N x N minor of R1."""
         n = self.N
-        return exactla.det([list(row[:n]) for row in self.r1[:n]])
+        rows, den = self.r1_numerators
+        return Fraction(exactla.integer_det([row[:n] for row in rows[:n]]), den ** n)
 
     @property
     def regime(self) -> Regime:
@@ -348,7 +361,7 @@ class StructureReport:
     """Bundled structural data for one stencil in the supported regime.
 
     R1^-1 is stored in integers, ``inverse`` over the one positive
-    denominator ``inverse_den`` (``exactla.integer_inverse``); it drives the
+    denominator ``inverse_den``, in lowest terms; it drives the
     inverse difference operator and, through the adjugate, every cofactor of
     R1.  ``r1_inverse`` builds its Fractions on each read.
     """
@@ -380,8 +393,12 @@ def analyze(stencil: Stencil) -> StructureReport:
     (R1^-1[N+1][N+1] = det R2 / det R1 = 0); m is its first nonzero index.
     """
     _require_supported(stencil)
-    rows, d = exactla.integer_inverse([list(row) for row in stencil.r1])
-    inverse = tuple(tuple(row) for row in rows)
+    # R1^-1 = D T^-1 for R1 = T / D; T^-1 is in lowest terms, so gcd(d, D) is all that cancels
+    rows, den = stencil.r1_numerators
+    t_inverse, t_den = exactla.integer_inverse(rows)
+    g = math.gcd(t_den, den)
+    inverse = tuple(tuple(x * (den // g) for x in row) for row in t_inverse)
+    d = t_den // g
     n = stencil.N
     c = inverse[n][:n]
     m = next(i for i, x in enumerate(c, start=1) if x != 0)

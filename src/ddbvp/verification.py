@@ -9,14 +9,17 @@ The random function constructors double as reusable test utilities:
 
 * ``random_zero_trace_function``: a piecewise polynomial in the zero-trace
   class of order k (C^{k-1} across interior nodes, derivatives 0..k-1
-  vanishing at both endpoints): the ``hermite_interpolant`` of random node
-  jets plus, on each piece, x^k(1-x)^k times a random quadratic, a bump
-  computed in integers;
+  vanishing at both endpoints): on each unit interval the
+  ``two_point_hermite`` piece between random node jets, drawn as integer
+  derivatives and passed as integer Taylor jets over (k-1)!, plus
+  x^k(1-x)^k times a random quadratic, added in the same integer
+  accumulator; the function is built from those forms directly;
 * ``random_order_k_function``: same gluing with free endpoint jets (order-k
   smoothness only);
 * ``random_image_member``: a random order-k function minus the
   ``hermite_interpolant`` of two node jets, so that all image membership
-  conditions vanish exactly.
+  conditions vanish exactly; the two jets are the stack's values, turned
+  into integer Taylor jets once.
 """
 
 from __future__ import annotations
@@ -39,10 +42,12 @@ from .functionals import (
 from .grid import assemble, convergence_study, index_estimate, spectrum_check
 from .piecewise import (
     PiecewisePoly,
+    _form,
     apply_difference,
     apply_difference_inverse,
     hermite_interpolant,
     trace_defects,
+    two_point_hermite,
 )
 from .solver import BVPProblem, SolveStatus, boundary_matrix, kernel_certificate, solve_homogeneous
 from .structure import Regime, Stencil, StructureReport, UnsupportedRegimeError
@@ -113,27 +118,31 @@ def _regime_coeffs(count: int, max_shift: int, bound: int, seed: int) -> tuple[t
 def _hermite_glued(length: int, k: int, rng: random.Random, zero_end_jets: bool) -> PiecewisePoly:
     """The ``hermite_interpolant`` of drawn node jets plus x^k (1 - x)^k q on each piece.
 
-    q is a drawn quadratic, and the bump leaves every jet of order below k
-    unchanged.  With k = 0 there are no jets, and q is the sum of two drawn
-    quadratics.
+    The drawn derivatives v_mu, mu < k, become Taylor numerators
+    v_mu (k-1)! / mu! over (k-1)!.  q is a drawn quadratic, and the bump
+    leaves every jet of order below k unchanged; it is added to each
+    ``two_point_hermite`` piece P / D as D times its integer coefficients.
+    With k = 0 there are no jets, and q is the sum of two drawn quadratics.
     """
+    fact = math.factorial(max(k - 1, 0))
+    scales = [fact // math.factorial(mu) for mu in range(k)]
     jets = [
-        [0] * k if zero_end_jets and node in (0, length) else [rng.randint(-4, 4) for _ in range(k)]
+        ((0,) * k if zero_end_jets and node in (0, length) else tuple(rng.randint(-4, 4) * m for m in scales), fact)
         for node in range(length + 1)
     ]
     shape = [0] * k + [(-1) ** j * math.comb(k, j) for j in range(k + 1)]  # x^k (1 - x)^k
-    glued = hermite_interpolant(jets)
-    bumps = []
-    for _ in range(length):
+    forms = []
+    for left, right in zip(jets, jets[1:]):
         q = [rng.randint(-3, 3) for _ in range(3)]
         if not k:
             q = [c + rng.randint(-3, 3) for c in q]
-        bump = [0] * (len(shape) + 2)
+        nums, den = two_point_hermite(left, right)
+        acc = list(nums) + [0] * (len(shape) + 2 - len(nums))
         for i, a in enumerate(shape):
             for j, c in enumerate(q):
-                bump[i + j] += a * c
-        bumps.append(bump)
-    return glued + PiecewisePoly.from_pieces(range(length + 1), bumps)
+                acc[i + j] += den * a * c
+        forms.append(_form(acc, den))
+    return PiecewisePoly(tuple(range(length + 1)), 1, tuple(forms))
 
 
 def random_zero_trace_function(interval_count: int, k: int, rng: random.Random) -> PiecewisePoly:
@@ -160,9 +169,9 @@ def random_image_member(structure: StructureReport, k: int, rng: random.Random) 
     w0 = random_order_k_function(n + 1, k, rng)
     fns = membership_functionals(structure.gamma, k)  # edge[mu], interior[mu] for mu < k
     values = evaluate_stack(fns, w0)
-    jets = [[Fraction(0)] * k for _ in range(n + 2)]
-    jets[n + 1] = values[0::2]
-    jets[structure.gamma.m] = values[1::2]
+    jets = [((0,) * k, 1)] * (n + 2)
+    for node, derivatives in ((n + 1, values[0::2]), (structure.gamma.m, values[1::2])):
+        jets[node] = exactla.integer_numerators([x / math.factorial(mu) for mu, x in enumerate(derivatives)])
     return w0 - hermite_interpolant(jets)
 
 

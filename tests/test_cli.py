@@ -455,8 +455,8 @@ def test_analyze_rejects_unsupported_regimes(tmp_path, capsys):
 @pytest.mark.parametrize("b", [[1, 0, 1], [0, 1, 0], [1, 1, 1]])
 def test_analyze_command_analyzes_once(tmp_path, capsys, monkeypatch, b):
     calls, analyses = [], []
-    det = exactla.det
-    monkeypatch.setattr(exactla, "det", lambda m: calls.append(len(m)) or det(m))
+    integer_det = exactla.integer_det
+    monkeypatch.setattr(exactla, "integer_det", lambda m: calls.append(len(m)) or integer_det(m))
     monkeypatch.setattr(structure, "analyze", lambda s: analyses.append(s) or analyze(s))
     main(["analyze", _write(tmp_path, dict(WORKED, b=b))])
     assert sorted(calls) == [1, 2]  # det R2 and det R1, each once

@@ -10,9 +10,10 @@ import dataclasses
 import enum
 import hashlib
 import json
+import random
 from fractions import Fraction
 
-from ddbvp import cli
+from ddbvp import cli, verification
 from ddbvp.piecewise import PiecewisePoly
 from ddbvp.solver import BVPProblem, solve_nonhomogeneous
 from ddbvp.structure import Stencil
@@ -119,3 +120,39 @@ def test_analyze_and_spectrum_match_the_pinned_digest(tmp_path, capsys):
             for part in (str(code), captured.out, captured.err):
                 digest.update(part.replace(str(tmp_path), "<dir>").encode() + b"\0")
     assert digest.hexdigest() == STRUCTURE_EXPECTED
+
+
+# The digest below was taken before the Hermite constructors took integer
+# Taylor jets, so every random function of the battery (form by form) and the
+# detail lines of the exact criteria are pinned across that change.
+BATTERY_EXPECTED = "b51895e829931a5bca2038b65ca1dc3e2ac8bec6057612a01e4efa4943cf89d2"
+
+
+def test_random_constructors_and_exact_criteria_match_the_pinned_digest():
+    named = verification.named_stencils()
+    pool = named + verification.random_regime_stencils()
+    digest = hashlib.sha256()
+    for i, stencil in enumerate(pool):
+        for k in range(4):
+            rng = random.Random(1000 * i + k)
+            n = stencil.N
+            for f in (
+                verification.random_zero_trace_function(n + 1, k, rng),
+                verification.random_order_k_function(n + 2, k, rng),
+                verification.random_image_member(stencil.structure, k, rng),
+            ):
+                digest.update(repr((f.nodes, f.scale, f.forms)).encode() + b"\0")
+    results = (
+        verification.check_membership_theorem(pool),
+        verification.check_membership_theorem(named, orders=(0, 1, 2)),
+        verification.check_image_codimension(named),
+        verification.check_constraint_counts(named),
+        verification.check_kernel_certificates(pool),
+        verification.check_worked_solution(),
+        verification.check_boundary_rank_cases(),
+        verification.check_structure_equivalence(pool),
+    )
+    for r in results:
+        assert r.passed, r
+        digest.update(("%d|%s|%s" % (r.number, r.name, r.detail)).encode() + b"\0")
+    assert digest.hexdigest() == BATTERY_EXPECTED

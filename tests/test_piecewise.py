@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ddbvp import exactla
 from ddbvp.piecewise import (
     DegreeCapError,
     PiecewisePoly,
@@ -106,12 +107,18 @@ def test_degree_cap_guards_runaway_growth():
         PiecewisePoly.from_pieces((0, 1), [tuple(F(1) for _ in range(65))]).antiderivative(F(0))
 
 
+def _taylor(derivatives):
+    """The integer Taylor jet of derivative values: x / mu! as integers over their lcm."""
+    nums, den = exactla.integer_numerators([F(x) / math.factorial(mu) for mu, x in enumerate(derivatives)])
+    return tuple(nums), den
+
+
 def test_two_point_hermite_matches_both_jets():
     rng = random.Random(9)
     for r in (1, 2, 3):
         left = [F(rng.randint(-3, 3)) for _ in range(r)]
         right = [F(rng.randint(-3, 3)) for _ in range(r)]
-        h = _coeffs(two_point_hermite(left, right))
+        h = _coeffs(two_point_hermite(_taylor(left), _taylor(right)))
         assert len(h) - 1 <= 2 * r - 1
         c = h
         for mu in range(r):
@@ -119,19 +126,19 @@ def test_two_point_hermite_matches_both_jets():
             assert peval(c, F(1)) == right[mu]
             c = pder(c)
     with pytest.raises(ValueError):
-        two_point_hermite([F(1)], [F(1), F(0)])
+        two_point_hermite(_taylor([F(1)]), _taylor([F(1), F(0)]))
 
 
 def test_two_point_hermite_returns_a_canonical_form():
     # ints over a positive denominator in lowest terms, trailing zeros trimmed
     for left, right in (([F(1, 2), F(-3, 4)], [F(5, 6), F(0)]), ([F(2)], [F(2)]), ([F(0)] * 3, [F(0)] * 3)):
-        nums, den = two_point_hermite(left, right)
+        nums, den = two_point_hermite(_taylor(left), _taylor(right))
         assert all(type(n) is int for n in nums) and type(den) is int
         assert den > 0 and math.gcd(den, *nums) == 1
         assert nums[-1] != 0 or (nums, den) == ((0,), 1)
-    assert two_point_hermite([F(2)], [F(2)]) == ((2,), 1)
-    assert two_point_hermite([F(0)] * 3, [F(0)] * 3) == ((0,), 1)
-    assert two_point_hermite([F(1, 2)], [F(0)]) == ((1, -1), 2)
+    assert two_point_hermite(_taylor([F(2)]), _taylor([F(2)])) == ((2,), 1)
+    assert two_point_hermite(_taylor([F(0)] * 3), _taylor([F(0)] * 3)) == ((0,), 1)
+    assert two_point_hermite(_taylor([F(1, 2)]), _taylor([F(0)])) == ((1, -1), 2)
 
 
 # -- the piecewise class -----------------------------------------------------

@@ -28,6 +28,8 @@ from ddbvp.piecewise import (
     PiecewisePoly,
     _form,
     _form_of,
+    _hermite_basis,
+    _jet_at,
     _shifted,
     _unit_product,
     align_many,
@@ -37,7 +39,6 @@ from ddbvp.piecewise import (
     concat,
     hermite_interpolant,
     linear_combination,
-    pjet,
     progression_floats,
     ptrim,
     zero_extension,
@@ -303,16 +304,29 @@ def _assert_integer_inverse(a, rows, d):
 @SETTINGS
 @given(st.one_of(matrices(square=True), shuffled_triangular()))
 def test_integer_inverse_is_the_inverse_times_a_positive_denominator(a):
-    if exactla.det(a) == 0:
+    rows = [exactla.integer_numerators(row)[0] for row in a]  # a with each row scaled to integers
+    if exactla.integer_det(rows) == 0:
         with pytest.raises(ValueError):
-            exactla.integer_inverse(a)
+            exactla.integer_inverse(rows)
     else:
-        _assert_integer_inverse(a, *exactla.integer_inverse(a))
+        _assert_integer_inverse(rows, *exactla.integer_inverse(rows))
 
 
 wide_regime_stencils = st.tuples(st.integers(min_value=1, max_value=8), st.booleans()).map(
     lambda drawn: _wide_regime_stencil(*drawn)
 )
+
+
+@SETTINGS
+@given(st.one_of(wide_regime_stencils, supported_stencils()))
+def test_r1_numerators_and_the_determinants_equal_the_fraction_reference(stencil):
+    rows, den = stencil.r1_numerators
+    assert type(den) is int and den > 0 and all(type(x) is int for row in rows for x in row)
+    assert tuple(tuple(Fraction(x, den) for x in row) for row in rows) == stencil.r1
+    n = stencil.N
+    assert stencil.det_r1 == _reference_det(stencil.r1)
+    assert stencil.det_r2 == _reference_det([row[:n] for row in stencil.r1[:n]])
+    assert _all_fractions(stencil.det_r1, stencil.det_r2)
 
 
 @SETTINGS
@@ -364,12 +378,70 @@ def _reference_hermite(left, right):
     return ptrim(exactla.solve_unique(rows, list(left) + list(right)))
 
 
+def pjet(c, x, count):
+    """[p(x), p'(x), ..., p^(count-1)(x)]: the integer Taylor jet of ``_jet_at`` times mu!, as Fractions."""
+    nums, den = _jet_at(exactla.integer_numerators(c), *Fraction(x).as_integer_ratio(), count)
+    return [Fraction(math.factorial(k) * n, den) for k, n in enumerate(nums)]
+
+
+def _taylor(derivatives):
+    """The integer Taylor jet of derivative values: x / mu! as integers over their lcm."""
+    nums, den = exactla.integer_numerators([Fraction(x) / math.factorial(mu) for mu, x in enumerate(derivatives)])
+    return tuple(nums), den
+
+
+def _reference_two_point_hermite(left, right):
+    """The Fraction-jet construction the integer one replaced: derivative jets,
+    each entry divided by mu! into a Fraction, then put over the lcm."""
+    if len(left) != len(right):
+        raise ValueError("end jets must have equal length")
+    count = len(left)
+    weights = [Fraction(x) / math.factorial(mu) for jet in (left, right) for mu, x in enumerate(jet)]
+    scales, den = exactla.integer_numerators(weights)
+    acc = [0] * (2 * count)
+    for scale, poly in zip(scales, _hermite_basis(count)):
+        if scale:
+            for d, c in enumerate(poly):
+                acc[d] += scale * c
+    return _form(acc, den)
+
+
+@st.composite
+def taylor_jet_pairs(draw):
+    """Two derivative jets of one length 0..8 (zero, or mixed-sign rationals) and their
+    integer Taylor forms, each over its own multiple of its lcm, so the dens differ and
+    share factors."""
+    count = draw(st.integers(min_value=0, max_value=8))
+    jet = st.one_of(st.just([Fraction(0)] * count), st.lists(entries, min_size=count, max_size=count))
+    out = []
+    for _ in range(2):
+        derivatives = draw(jet)
+        nums, den = _taylor(derivatives)
+        m = draw(st.sampled_from((1, 2, 3, 4, 6, 12, 35)))
+        out += [derivatives, (tuple(n * m for n in nums), den * m)]
+    return out
+
+
+@SETTINGS
+@given(taylor_jet_pairs())
+def test_integer_two_point_hermite_equals_the_fraction_jet_construction(pair):
+    left, left_form, right, right_form = pair
+    form = two_point_hermite(left_form, right_form)
+    assert form == _reference_two_point_hermite(left, right)
+    assert _is_canonical(form)
+    longer = (left_form[0] + (1,), left_form[1])
+    with pytest.raises(ValueError):
+        two_point_hermite(longer, right_form)
+    with pytest.raises(ValueError):
+        _reference_two_point_hermite(left + [Fraction(1)], right)
+
+
 @SETTINGS
 @given(st.integers(min_value=1, max_value=12), st.data())
 def test_hermite_basis_equals_the_linear_system(count, data):
     jet = st.lists(entries, min_size=count, max_size=count)
     left, right = data.draw(jet), data.draw(jet)
-    form = two_point_hermite(left, right)
+    form = two_point_hermite(_taylor(left), _taylor(right))
     h = _coeffs(form)
     assert h == _reference_hermite(left, right)
     assert _is_canonical(form) and len(h) <= 2 * count
@@ -381,7 +453,7 @@ def test_hermite_basis_equals_the_linear_system(count, data):
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.data())
 def test_hermite_interpolant_matches_every_node_jet(r, length, data):
     jets = data.draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=length + 1, max_size=length + 1))
-    f = hermite_interpolant(jets)
+    f = hermite_interpolant([_taylor(jet) for jet in jets])
     assert f.breaks == tuple(range(length + 1)) and _all_fractions(f.breaks)
     assert all(_is_canonical(form) for form in f.forms)
     assert [f.trace(0, mu, 1) for mu in range(r)] == jets[0]
@@ -966,7 +1038,7 @@ def test_the_solution_is_as_smooth_as_the_solvable_classes(problem):
 
 # -- the integer kernels ----------------------------------------------------------
 #
-# trace, pjet, the Taylor shift, linear_combination and the functionals compute in
+# trace, the Taylor jet, the Taylor shift, linear_combination and the functionals compute in
 # integers over one common denominator; each is held to the plain Fraction
 # computation it replaced, kept here as the reference.
 
@@ -1241,7 +1313,7 @@ def test_unit_product_and_hermite_store_canonical_nodes(stencil, data):
     rows = len(matrix)
     _assert_nodes(_unit_product(*_over_one_den(matrix), f, start), [i + o for i in range(rows) for o in offsets] + [Fraction(rows)])
     jets = data.draw(st.lists(st.lists(rationals, min_size=2, max_size=2), min_size=2, max_size=4))
-    _assert_nodes(hermite_interpolant(jets), [Fraction(i) for i in range(len(jets))])
+    _assert_nodes(hermite_interpolant([_taylor(jet) for jet in jets]), [Fraction(i) for i in range(len(jets))])
 
 
 @SETTINGS
@@ -1355,7 +1427,7 @@ def zero_trace_images(draw):
         bump = pmul(bump, (0, 1))
         bump = pmul(bump, (1, -1))
     pieces = [
-        padd(_coeffs(two_point_hermite(left, right)), pmul(bump, draw(st.lists(rationals, min_size=1, max_size=2))))
+        padd(_coeffs(two_point_hermite(_taylor(left), _taylor(right))), pmul(bump, draw(st.lists(rationals, min_size=1, max_size=2))))
         for left, right in zip(jets, jets[1:])
     ]
     f = PiecewisePoly.from_pieces(range(n + 2), pieces)
