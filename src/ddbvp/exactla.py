@@ -12,17 +12,18 @@ division is exact and entries grow only as fast as those minors.
 
 Fractions are built only at the boundary: an RREF entry is the integer entry
 over the last pivot, and the determinant is the signed last pivot over the
-product of the row scales.  ``integer_det``, ``integer_rank`` and
-``integer_inverse`` take integer matrices and read the kernel directly, for
-callers that keep working in integers; ``integer_inverse`` returns the
-inverse as integer rows over one positive denominator (the right half of the
-eliminated [a | I] over its last pivot, gcd and sign divided out).  ``det``,
-``rank`` and ``invert`` scale the rows of a rational matrix to integers
-first and build their Fractions from those results.  ``rref`` and
-everything built on it (``nullspace``, ``left_nullspace``, ``solve_affine``,
-``solve_unique``, ``min_norm_solution``) read the RREF.  The RREF is
-canonical, so the results are those of any exact Gauss-Jordan elimination,
-entry for entry.
+product of the row scales.  ``integer_rank`` and ``integer_inverse`` take
+integer matrices and read the kernel directly, for callers that keep working
+in integers.  ``integer_inverse`` eliminates [a | I] once and returns both
+the determinant (the signed last pivot) and the inverse as integer rows over
+one positive denominator (the right half over the last pivot, gcd and sign
+divided out), or det 0 and no rows for a singular a.  ``det``, ``rank`` and
+``invert`` scale the rows of a rational matrix to integers first and build
+their Fractions from those results; ``det`` and ``invert`` are thin wrappers
+over ``integer_inverse``.  ``rref`` and everything built on it
+(``nullspace``, ``left_nullspace``, ``solve_affine``, ``solve_unique``,
+``min_norm_solution``) read the RREF.  The RREF is canonical, so the results
+are those of any exact Gauss-Jordan elimination, entry for entry.
 """
 
 from __future__ import annotations
@@ -110,22 +111,12 @@ def _eliminate(m: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, the signed last pivot of the kernel on a copy; 1 for 0 x 0."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant of a nonsquare matrix")
-    if not n:
-        return 1
-    m = [list(row) for row in rows]
-    pivots, sign = _eliminate(m)
-    return sign * m[-1][-1] if len(pivots) == n else 0
-
-
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant: ``integer_det`` of the rows scaled to integers, over the product of the row scales."""
+    """Determinant: that of ``integer_inverse`` on the rows scaled to integers, over the product of the row scales."""
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("determinant of a nonsquare matrix")
     rows, scales = _integer_rows(a)
-    return Fraction(integer_det(rows), math.prod(scales))
+    return Fraction(integer_inverse(rows)[0], math.prod(scales))
 
 
 def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
@@ -200,29 +191,34 @@ def solve_unique(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
     return particular
 
 
-def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """The inverse of an integer matrix as integer rows over one positive denominator d: rows * (out / d) = I.
+def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]], int]:
+    """The determinant of a square integer matrix and its inverse as integer rows over one positive denominator d.
 
-    Eliminating [rows | I] leaves row i with the last pivot in column i, so
-    the right half of each row, over that pivot, is the row of the inverse;
-    the sign and the common gcd are divided out.
+    Eliminating [rows | I] takes the pivots of rows alone in the left half,
+    so the determinant is the signed last pivot (1 for 0 x 0).  When it is
+    nonzero, row i ends with that pivot in column i, the right half of each
+    row over it is the row of the inverse, rows * (out / d) = I, and the
+    sign and the common gcd are divided out.  A singular matrix gives
+    (0, [], 1).
     """
     n = len(rows)
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    pivots, _ = _eliminate(m)
+    pivots, sign = _eliminate(m)
     if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
+        return 0, [], 1
     d = m[0][0] if n else 1
     g = math.gcd(d, *(x for row in m for x in row[n:]))
     if d < 0:
         g = -g
-    return [[x // g for x in row[n:]] for row in m], d // g
+    return sign * d, [[x // g for x in row[n:]] for row in m], d // g
 
 
 def invert(a: Sequence[Sequence[Fraction]]) -> Mat:
     """Inverse, as Fractions: a = S^-1 T for T its rows scaled to integers, so a^-1 = T^-1 S."""
     rows, scales = _integer_rows(a)
-    inverse, d = integer_inverse(rows)
+    det, inverse, d = integer_inverse(rows)
+    if not det:
+        raise ValueError("matrix is singular")
     return [[Fraction(x * s, d) for x, s in zip(row, scales)] for row in inverse]
 
 

@@ -22,7 +22,8 @@ plumbing used everywhere else:
   is sum_k M[i][k] / D * (unit k of f), summing over the nonzero M[i][k]
   only.  ``apply_shifted_sum`` runs it on y given on (-N, 2N+1) with the
   band matrix [i][i + j + N] = b_j, the stencil's integer numerators over
-  their lcm, ``apply_difference`` on the zero extension of f, and
+  their lcm, ``apply_difference`` on f on (0, N+1) with R1's integer rows
+  ``Stencil.r1_numerators`` (R1 is R on the zero extension), and
   ``apply_difference_inverse`` with the integer R1^-1 that
   :func:`~ddbvp.structure.analyze` stored in its ``StructureReport`` (so it
   takes the report rather than the stencil);
@@ -733,9 +734,13 @@ def _unit_product(matrix: Sequence[Sequence[int]], den: int, f: PiecewisePoly, s
 
 
 def apply_difference(stencil: Stencil, f: PiecewisePoly) -> PiecewisePoly:
-    """sum_j b_j f(t + j) on (0, N+1), f extended by zero outside (concat refuses f off (0, N+1))."""
-    n = stencil.N
-    return apply_shifted_sum(stencil, concat([PiecewisePoly.zero(-n, 0), f, PiecewisePoly.zero(n + 1, 2 * n + 1)]))
+    """sum_j b_j f(t + j) on (0, N+1), f extended by zero outside: R1 = T / D on the unit pieces of f.
+
+    Unit k of the zero extension reaches unit i of the sum with weight
+    b_{k-i} = R1[i][k], so R1 on the units of f is the whole operator and
+    no zero pieces are built.  ``_unit_product`` refuses f off (0, N+1).
+    """
+    return _unit_product(*stencil.r1_numerators, f, 0)
 
 
 def apply_difference_inverse(structure: StructureReport, w: PiecewisePoly) -> PiecewisePoly:

@@ -135,10 +135,10 @@ def _pieces(value, where: str) -> PiecewisePoly:
         raise ProblemFileError(where, str(exc)) from None
 
 
-# Largest N of a problem file.  analyze on a fresh stencil, mostly its exact eliminations, takes
-# about 0.09-0.16 s at N = 64 and 0.43-0.54 s at N = 96 with independent end columns, 0.07-0.09
-# and 0.22-0.26 s with dependent ones (medians of 9 runs, one core of a 2-core Xeon); the cap is
-# not yet re-set from these figures.
+# Largest N of a problem file.  analyze on a fresh stencil, mostly its one exact elimination of
+# [R1 | I], takes about 0.06-0.07 s at N = 64 and 0.20-0.24 s at N = 96 with independent end
+# columns, 0.026-0.036 and 0.076-0.084 s with dependent ones (three medians of 9 runs each, one
+# core of a 2-core Xeon); the cap is not yet re-set from these figures.
 MAX_STENCIL_N = 64
 
 

@@ -377,23 +377,18 @@ class KernelCertificate:
 
     For invertible R1 the rank is always 2: with no order-0/1 jumps v is one
     linear function on (0, N+1), the zero traces make it vanish at 0 and
-    N+1, so v = 0 and c1 + c2*t = R v = 0.
+    N+1, so v = 0 and c1 + c2*t = R v = 0.  So no kernel basis is built:
+    criterion 4 and ``index_report`` check that rank is 2 and dim_kernel 0.
     """
 
     rank: int
     dim_kernel: int
     conditions: tuple[str, ...]
     matrix: tuple[tuple[Fraction, Fraction], ...]
-    kernel_basis: tuple[KernelDirection, ...]
 
 
 def kernel_certificate(structure: StructureReport) -> KernelCertificate:
-    """The certificate from R1^-1's integer row sums, with Fractions built only for ``matrix``.
-
-    No preimage is built unless the rank falls below 2, which the argument
-    in ``KernelCertificate`` rules out for invertible R1; the kernel basis
-    would then be R^-1(c1 + c2*t), as the solve's kernel directions are.
-    """
+    """The certificate from R1^-1's integer row sums, with Fractions built only for ``matrix``; no preimage is built."""
     n = structure.stencil.N
     d = structure.inverse_den
     rho = [sum(row) for row in structure.inverse]
@@ -405,22 +400,11 @@ def kernel_certificate(structure: StructureReport) -> KernelCertificate:
         rows += [[step, a[i] - a[i - 1] - rho[i - 1]], [0, step]]
         labels += ["jump at %d, order 0" % i, "jump at %d, order 1" % i]
     rank = exactla.integer_rank(rows)
-    matrix = tuple((Fraction(x, d), Fraction(y, d)) for x, y in rows)
-    basis = ()
-    if rank < 2:
-        basis = tuple(
-            KernelDirection(
-                c=(c[0], c[1]),
-                v=apply_difference_inverse(structure, PiecewisePoly.from_global((c[0], c[1]), (0, n + 1))),
-            )
-            for c in exactla.nullspace(matrix)
-        )
     return KernelCertificate(
         rank=rank,
         dim_kernel=2 - rank,
         conditions=tuple(labels),
-        matrix=matrix,
-        kernel_basis=basis,
+        matrix=tuple((Fraction(x, d), Fraction(y, d)) for x, y in rows),
     )
 
 

@@ -28,22 +28,25 @@ conditions are built from:
 * R1^-1, whose adjugate det R1 * R1^-1 gives every cofactor of R1;
 * the resulting codimension/index table.
 
-``analyze`` derives all of this once per stencil: it checks the regime,
-inverts R1 a single time and reads the R2 row dependency (its last row), the
-admissible column (its last column) and the gamma1 expansions (combinations
-of its rows) off R1^-1; only the end-column dependency takes its own N x 2
-elimination.  R1 is held as integer Toeplitz rows T over one denominator D,
-the lcm of the stencil's (``Stencil.r1_numerators``): det R1 and det R2 are
-``exactla.integer_det`` of T and of its leading N x N block over powers of
-D, and R1^-1 = D T^-1 comes from one ``exactla.integer_inverse`` of T.  It
-stays in integers from the elimination on: the report stores it as integer
-rows over one positive denominator, the gamma1 expansions are integer dot
-products with one Fraction per coefficient, ``cofactor`` builds one Fraction
-per call, and ``StructureReport.r1_inverse`` builds the Fraction matrix only
-when it is read.  A ``Stencil`` carries R1, its integer rows, its two
-determinants, its regime and its ``structure`` (the ``StructureReport`` of
-``analyze``, carrying R1^-1), each computed on first use, and every consumer
-reads them from the stencil instead of recomputing.  All of this is exact
+R1 is held as integer Toeplitz rows T over one denominator D, the lcm of
+the stencil's (``Stencil.r1_numerators``), and a stencil eliminates R1 once:
+``Stencil.r1_elimination`` is one ``exactla.integer_inverse`` of T, which
+eliminates [T | I] and gives det T (so det R1 = det T / D^(N+1)) together
+with R1^-1 = D T^-1 as integer rows over one positive denominator.  det R2 is
+det R1 * R1^-1[N+1][N+1] by Cramer's rule; only a singular R1 eliminates
+R2's block of T, and only when det R2 is read.  ``analyze`` eliminates
+nothing of R1 itself: it checks the regime and reads the R2 row dependency
+(the last row of R1^-1), the admissible column (its last column) and the
+gamma1 expansions (combinations of its rows) off that one inverse; only the
+end-column dependency takes its own N x 2 elimination.  R1^-1 stays in
+integers: the report holds the stencil's integer rows, the gamma1
+expansions are integer dot products with one Fraction per coefficient,
+``cofactor`` builds one Fraction per call, and
+``StructureReport.r1_inverse`` builds the Fraction matrix only when it is
+read.  A ``Stencil`` carries R1, its integer rows, their elimination, its
+two determinants, its regime and its ``structure`` (the ``StructureReport``
+of ``analyze``), each computed on first use, and every consumer reads them
+from the stencil instead of recomputing.  All of this is exact
 rational arithmetic.  Only ``spectrum`` leaves the rationals, returning
 floating-point eigenvalues for diagnostics.
 """
@@ -81,7 +84,8 @@ class StructureError(RuntimeError):
 class Stencil:
     """Integer-shift stencil b_{-N}, ..., b_N with rational entries.
 
-    A stencil carries what is derived from it: R1, its integer rows, its two
+    A stencil carries what is derived from it: R1, its integer rows, their
+    one elimination (``r1_elimination``: det R1 and R1^-1), its two
     determinants and its ``structure``, each computed on first use and kept
     as long as the stencil object lives.
     """
@@ -119,16 +123,31 @@ class Stencil:
         return tuple(tuple(nums[n - i:2 * n + 1 - i]) for i in range(n + 1)), den
 
     @cached_property
-    def det_r1(self) -> Fraction:
+    def r1_elimination(self) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+        """(det T, M, d) from one elimination of [T | I]: R1^-1 = D T^-1 = M / d, d > 0; (0, (), 1) for a singular T."""
         rows, den = self.r1_numerators
-        return Fraction(exactla.integer_det(rows), den ** (self.N + 1))
+        det, t_inverse, t_den = exactla.integer_inverse(rows)
+        # T^-1 is in lowest terms, so gcd(t_den, D) is all that cancels
+        g = math.gcd(t_den, den)
+        return det, tuple(tuple(x * (den // g) for x in row) for row in t_inverse), t_den // g
+
+    @cached_property
+    def det_r1(self) -> Fraction:
+        return Fraction(self.r1_elimination[0], self.r1_numerators[1] ** (self.N + 1))
 
     @cached_property
     def det_r2(self) -> Fraction:
-        """det of R2, the leading principal N x N minor of R1."""
+        """det of R2, the leading principal N x N minor of R1.
+
+        By Cramer's rule det R2 = det R1 * R1^-1[N+1][N+1]; only a singular R1
+        eliminates R2 itself.
+        """
         n = self.N
         rows, den = self.r1_numerators
-        return Fraction(exactla.integer_det([row[:n] for row in rows[:n]]), den ** n)
+        det, inverse, d = self.r1_elimination
+        if det:
+            return Fraction(det * inverse[n][n], den ** (n + 1) * d)
+        return Fraction(exactla.integer_inverse([row[:n] for row in rows[:n]])[0], den ** n)
 
     @property
     def regime(self) -> Regime:
@@ -361,7 +380,8 @@ class StructureReport:
     """Bundled structural data for one stencil in the supported regime.
 
     R1^-1 is stored in integers, ``inverse`` over the one positive
-    denominator ``inverse_den``, in lowest terms; it drives the
+    denominator ``inverse_den``, in lowest terms (the rows of the stencil's
+    ``r1_elimination``, not a copy); it drives the
     inverse difference operator and, through the adjugate, every cofactor of
     R1.  ``r1_inverse`` builds its Fractions on each read.
     """
@@ -387,18 +407,14 @@ def analyze(stencil: Stencil) -> StructureReport:
     """Full structural analysis; raises UnsupportedRegimeError outside the regime.
 
     This is the one place a stencil's structure is derived, and
-    ``Stencil.structure`` keeps its result: the inversion of R1 happens once
-    here, and every consumer reads the stencil's report.  The last row of
-    R1^-1 without its last entry is the left null vector c of R2
+    ``Stencil.structure`` keeps its result.  It eliminates nothing of R1:
+    R1^-1 is the stencil's ``r1_elimination``, which the regime check has
+    already computed, and the report holds that tuple itself.  The last row
+    of R1^-1 without its last entry is the left null vector c of R2
     (R1^-1[N+1][N+1] = det R2 / det R1 = 0); m is its first nonzero index.
     """
     _require_supported(stencil)
-    # R1^-1 = D T^-1 for R1 = T / D; T^-1 is in lowest terms, so gcd(d, D) is all that cancels
-    rows, den = stencil.r1_numerators
-    t_inverse, t_den = exactla.integer_inverse(rows)
-    g = math.gcd(t_den, den)
-    inverse = tuple(tuple(x * (den // g) for x in row) for row in t_inverse)
-    d = t_den // g
+    _, inverse, d = stencil.r1_elimination
     n = stencil.N
     c = inverse[n][:n]
     m = next(i for i, x in enumerate(c, start=1) if x != 0)

@@ -156,3 +156,37 @@ def test_random_constructors_and_exact_criteria_match_the_pinned_digest():
         assert r.passed, r
         digest.update(("%d|%s|%s" % (r.number, r.name, r.detail)).encode() + b"\0")
     assert digest.hexdigest() == BATTERY_EXPECTED
+
+
+# The digest below was taken before the regime, both determinants and R1^-1
+# came from one elimination of [T | I], so the text and exit code of
+# ``analyze`` on stencils outside the supported regime are pinned at N = 2
+# and 3 (``STRUCTURE_EXPECTED`` reaches them only at N = 1): singular R1 with
+# det R2 = 0 and with det R2 != 0, and both minors nonsingular.
+OUT_OF_REGIME_EXPECTED = "f4e3a0d71f12d5ac13b2855b17a2d6468fb608a6c85af215189315b594a59e23"
+
+OUT_OF_REGIME_STENCILS = (
+    [1, 2, 3, 4, 5],
+    [1, 1, 1, 1, 1],
+    [0, 0, 1, 0, 0],
+    [2, 0, 1, 0, 3],
+    ["1/2", "-1/3", 2, "5/7", -1],
+    [-1, -1, -1, 1, -1, 0, 1],
+    [1, 2, 3, 4, 5, 6, 7],
+    [1, 0, 0, 2, 0, 0, 1],
+    ["1/3", 0, -2, 1, "3/4", 0, 5],
+)
+
+
+def test_analyze_outside_the_regime_matches_the_pinned_digest(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for i, b in enumerate(OUT_OF_REGIME_STENCILS):
+        n = (len(b) - 1) // 2
+        path = tmp_path / ("r%d.json" % i)
+        doc = {"N": n, "b": b, "k": 1, "f0": [{"interval": [0, n + 1], "coeffs": [1]}]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main(["analyze", str(path)])
+        out = capsys.readouterr().out
+        assert code == 2
+        digest.update(("%d\0%s\0" % (code, out.replace(str(tmp_path), "<dir>"))).encode())
+    assert digest.hexdigest() == OUT_OF_REGIME_EXPECTED

@@ -67,12 +67,28 @@ def test_regime_classification_three_cases():
 
 def test_regime_of_a_singular_r1_runs_one_determinant(monkeypatch):
     calls = []
-    integer_det = exactla.integer_det
-    monkeypatch.setattr(exactla, "integer_det", lambda a: calls.append(len(a)) or integer_det(a))
+    kernel = exactla._eliminate
+    monkeypatch.setattr(exactla, "_eliminate", lambda m: calls.append(len(m)) or kernel(m))
     s = Stencil.from_coeffs((1, 1, 1))
     assert s.regime is Regime.SINGULAR_FULL
     assert s.regime is Regime.SINGULAR_FULL
     assert calls == [2]
+    # det R2 of a singular R1 eliminates R2 itself, once, and only when read
+    assert s.det_r2 == 1 and s.det_r2 == 1
+    assert calls == [2, 1]
+
+
+def test_a_supported_stencil_eliminates_r1_once(monkeypatch):
+    calls = []
+    kernel = exactla._eliminate
+    monkeypatch.setattr(exactla, "_eliminate", lambda m: calls.append([len(m), len(m[0])]) or kernel(m))
+    s = Stencil.from_coeffs((1, 1, 2, 4, 4))
+    assert s.regime is Regime.SINGULAR_MINOR
+    assert (s.det_r1, s.det_r2) == (4, 0)
+    assert s.structure.inverse is s.r1_elimination[1]
+    assert cofactor(s, 1, 2) == s.det_r1 * s.structure.r1_inverse[1][0]
+    # [T | I] once; the only other elimination is the N x 2 end-column pair
+    assert calls == [[3, 6], [2, 2]]
 
 
 def test_a_stencil_is_analyzed_once_and_keeps_its_report(monkeypatch):
