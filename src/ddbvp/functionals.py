@@ -22,7 +22,11 @@ analysis needs:
   classes.  Every solution of -w'' = f is w = d1*t + d2 - I (I the double
   antiderivative of f); ``eliminate_constants`` keeps the stack's (d1, d2)
   block and takes its left null vectors as ``weights``, so each data
-  constraint is one weight vector dotted with the stack's values on I.
+  constraint is one weight vector dotted with the stack's values on I.  The
+  block's rank is its row count less the number of weights, and
+  ``violations`` names each nonzero residual "<label> j".  The solver
+  eliminates its order-zero boundary pair the same way, as a two-member
+  stack whose residuals it labels "boundary constraint j".
 
 Ranks are read off the weights in atom coordinates, one integer row per
 functional with integer atom keys.  A stack of functionals is evaluated on a
@@ -255,7 +259,9 @@ class DataConstraints:
     (d1, d2) block ``block``, row i the values of stack[i] on t and on 1, and
     sum_i u_i * stack[i](I) must vanish.  Row j is stored in integers,
     ``rows[j] = (numerators, den)`` with u = numerators / den; ``weights``
-    builds its Fractions on each read.
+    builds its Fractions on each read.  ``rank`` is the rank of ``block``,
+    read off the weights by rank-nullity, and ``violations`` names the
+    residual of row j "<label> j", with "data constraint" the default label.
     """
 
     stack: tuple[NodeFunctional, ...]
@@ -267,11 +273,16 @@ class DataConstraints:
         return len(self.rows)
 
     @property
+    def rank(self) -> int:
+        """The rank of ``block``: each weight row is one left null vector of it."""
+        return len(self.block) - self.count
+
+    @property
     def weights(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(n, den) for n in nums) for nums, den in self.rows)
 
-    def violations(self, values: Sequence[Fraction]) -> tuple[tuple[str, Fraction], ...]:
-        """Labelled nonzero residuals, given the stack's values on I in stack order.
+    def violations(self, values: Sequence[Fraction], label: str = "data constraint") -> tuple[tuple[str, Fraction], ...]:
+        """Nonzero residuals named "<label> j", given the stack's values on I in stack order.
 
         The values go over their lcm L once, so each residual is an integer
         dot product over den * L, and only a nonzero one becomes a Fraction.
@@ -283,7 +294,7 @@ class DataConstraints:
         for j, (nums, den) in enumerate(self.rows):
             total = sum(a * b for a, b in zip(nums, v_nums))
             if total:
-                bad.append(("data constraint %d" % j, Fraction(total, den * v_den)))
+                bad.append(("%s %d" % (label, j), Fraction(total, den * v_den)))
         return tuple(bad)
 
 

@@ -15,7 +15,9 @@ so the boundary value problem collapses to a 2 x 2 rational linear system for
 w.  Depending on the rank of that boundary matrix the solution is unique, an
 affine family (the kernel directions are preimages of linear functions), or
 nonexistent; all three cases are decided exactly and reported with exact
-residuals.
+residuals.  The pair's (d1, d2) elimination is the one the constraint stacks
+use (``functionals.eliminate_constants``): it gives the boundary matrix, its
+rank and the residuals, named "boundary constraint j".
 
 Inhomogeneous extension data is folded in by subtracting a smooth extension
 psi that matches f1 / f2 to the required derivative order and is supported in
@@ -52,6 +54,7 @@ from . import exactla
 from .exactla import to_fraction
 from .functionals import (
     DataConstraints,
+    eliminate_constants,
     evaluate_stack,
     membership_functionals,
     rank_of_functionals,
@@ -268,17 +271,17 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     is as smooth as the data allows.
 
     The boundary right-hand side is the value of the order-zero node pair on
-    the double antiderivative, and the boundary matrix (``boundary_matrix``)
-    is that pair's values on t and 1, read off the first two members of the
-    stack the solve evaluates.  On smooth data the pair is read as the head
-    of the zero-trace stack, which is evaluated whole (``evaluate_stack``,
-    one jet per node and side) before the boundary system is solved; the
-    constraint stacks themselves are built only for smooth feasible data,
-    once per problem (``BVPProblem.constraints``), and each distinct stack is
-    evaluated once: the minimal stack opens with the same pair, so only its
-    other members are read.  A stack's values feed both its residuals and,
-    on the (d1, d2) rows its elimination stored (``DataConstraints.block``),
-    the refined d.
+    the double antiderivative.  The pair opens the stack the solve evaluates:
+    the zero-trace stack on smooth data, built once per problem, feasible or
+    not (``BVPProblem.constraints``), and the pair alone on rough data.  Its
+    elimination (``eliminate_constants``) gives ``boundary_matrix`` (the
+    pair's values on t and 1), ``boundary_rank`` and, through ``violations``,
+    the residuals: the status is INFEASIBLE exactly when one of them is
+    nonzero.  The stack is evaluated whole, once (``evaluate_stack``, one jet
+    per node and side); the minimal stack opens with the same pair, so only
+    its other members are read.  A stack's values feed both its residuals
+    and, on the (d1, d2) rows its elimination stored
+    (``DataConstraints.block``), the refined d.
     """
     structure = problem.stencil.structure
     n = problem.stencil.N
@@ -290,32 +293,25 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
 
     data_defects = tuple(smoothness_defects(reduced, k))
     # on smooth data the boundary pair is read as the head of the zero-trace stack
-    stack = membership_functionals(structure.gamma, 1 if data_defects else k + 2)
-    matrix = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in stack[:2]]
-    pair_rows = (tuple(matrix[0]), tuple(matrix[1]))
-    rank = exactla.rank(matrix)
+    stack = membership_functionals(structure.gamma, 1) if data_defects else problem.constraints[0].stack
+    boundary = eliminate_constants(stack[:2])
     values = evaluate_stack(stack, second)
     rhs = values[:2]
-    solution = exactla.min_norm_solution(matrix, rhs)
-    if solution is None:
-        residuals = []
-        for j, u in enumerate(exactla.left_nullspace(matrix)):
-            value = u[0] * rhs[0] + u[1] * rhs[1]
-            if value != 0:
-                residuals.append(("boundary constraint %d" % j, value))
+    residuals = boundary.violations(rhs, "boundary constraint")
+    if residuals:
         return SolutionFamily(
             status=SolveStatus.INFEASIBLE,
-            boundary_matrix=pair_rows,
-            boundary_rank=rank,
+            boundary_matrix=boundary.block,
+            boundary_rank=boundary.rank,
             rhs=tuple(rhs),
             d=None, v=None, w=None,
             kernel=(),
-            residuals=tuple(residuals),
+            residuals=residuals,
             extension=None,
             smoothness=None,
         )
 
-    d, null = solution
+    d, null = exactla.min_norm_solution(boundary.block, rhs)
     if data_defects:
         zero_trace_bad = tuple(("data jump at %s, order %d" % (t, mu), val) for t, mu, val in data_defects)
         minimal_bad = zero_trace_bad
@@ -345,8 +341,8 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     )
     return SolutionFamily(
         status=SolveStatus.AFFINE if null else SolveStatus.UNIQUE,
-        boundary_matrix=pair_rows,
-        boundary_rank=rank,
+        boundary_matrix=boundary.block,
+        boundary_rank=boundary.rank,
         rhs=tuple(rhs),
         d=(d[0], d[1]),
         v=v, w=w + shifted,

@@ -279,28 +279,25 @@ def check_worked_solution() -> CheckResult:
                        "v = (-t^2/2; (t-1) - 1/2 - (t-1)^2/2), jump 2 at t = 1, exact")
 
 
-def _violating_data(stencil: Stencil, count_expected: int):
-    """Monomial data violating each residual constraint of the boundary system."""
-    matrix = boundary_matrix(stencil.structure)
-    null_left = exactla.left_nullspace(matrix)
-    if len(null_left) != count_expected:
-        return None
-    witnesses = []
-    domain = (0, stencil.N + 1)
-    for u in null_left:
-        witness = None
-        for degree in range(0, 6):
-            coeffs = tuple(Fraction(0) for _ in range(degree)) + (Fraction(1),)
-            f0 = PiecewisePoly.from_global(coeffs, domain)
-            family = solve_homogeneous(BVPProblem(stencil=stencil, k=0, f0=f0))
-            value = u[0] * family.rhs[0] + u[1] * family.rhs[1]
-            if value != 0:
-                witness = (degree, value, family.status)
-                break
-        if witness is None:
-            return None
-        witnesses.append(witness)
-    return witnesses
+def _violating_data(stencil: Stencil, count: int) -> list[int] | None:
+    """The lowest degree d with data f0 = t^d violating boundary constraint j, for each j < count.
+
+    Solves with f0 = t^d for d = 0..5 in order, one solve per degree for all
+    the constraints, and stops once every "boundary constraint j" with
+    j < count has appeared among some solve's residuals.  None when some
+    constraint is never violated, or a residual names a constraint j >= count.
+    """
+    wanted = {"boundary constraint %d" % j: j for j in range(count)}
+    witnesses: dict[int, int] = {}
+    for degree in range(6):
+        f0 = PiecewisePoly.from_global((0,) * degree + (1,), (0, stencil.N + 1))
+        for label, _ in solve_homogeneous(BVPProblem(stencil=stencil, k=0, f0=f0)).residuals:
+            if label not in wanted:
+                return None
+            witnesses.setdefault(wanted[label], degree)
+        if len(witnesses) == count:
+            return [witnesses[j] for j in range(count)]
+    return None
 
 
 def check_boundary_rank_cases() -> CheckResult:
@@ -309,9 +306,10 @@ def check_boundary_rank_cases() -> CheckResult:
     Scans the full N = 1 integer box |b_j| <= ``BOX_BOUND`` for supported-regime
     stencils, classifies them by boundary matrix rank, and for one
     representative of each observed rank verifies dim ker = 2 - rank (by
-    solving with f0 = 0) and #constraints = 2 - rank (by exhibiting monomial
-    data that violates each constraint).  Ranks absent from the box are
-    reported as absent, which is not a failure.
+    solving with f0 = 0) and #constraints = 2 - rank (by monomial data
+    violating each "boundary constraint j" of the solve's residuals,
+    ``_violating_data``).  Ranks absent from the box are reported as absent,
+    which is not a failure.
     """
     representatives: dict[int, Stencil] = {}
     counts = {0: 0, 1: 0, 2: 0}
@@ -347,8 +345,7 @@ def check_boundary_rank_cases() -> CheckResult:
                 return CheckResult(6, "boundary rank cases", False,
                                    "b=%s: could not exhibit violating data for all %d constraints"
                                    % (stencil, expected_dim))
-            notes.append("rank %d witness b=%s, violating monomial degrees %s"
-                         % (rank, stencil, [w[0] for w in witnesses]))
+            notes.append("rank %d witness b=%s, violating monomial degrees %s" % (rank, stencil, witnesses))
         else:
             notes.append("rank 2 witness b=%s, kernel trivial, no constraints" % (stencil,))
     for rank in (1, 0):

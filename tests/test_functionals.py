@@ -156,18 +156,13 @@ def test_rank_is_read_off_the_atom_weights():
     assert rank_of_functionals([d1, mixed, value]) == 3
 
 
-def _d_rank(dc):
-    """Rank of the stack's (d1, d2) block, by rank-nullity."""
-    return len(dc.stack) - dc.count
-
-
 def test_eliminate_constants_residuals_kill_linear_functions():
     structure = analyze(Stencil.from_coeffs((0, 1, 1, 1, 2)))
     stack = membership_functionals(structure.gamma, 2)
     dc = eliminate_constants(stack)
     d_block = [[fn.on_monomial(1), fn.on_monomial(0)] for fn in stack]
     assert dc.count == len(dc.weights) == len(stack) - exactla.rank(d_block)
-    assert _d_rank(dc) == exactla.rank(d_block) == 2
+    assert dc.rank == exactla.rank(d_block) == 2
     for u in dc.weights:
         assert len(u) == len(stack)
         assert any(u)
@@ -219,7 +214,7 @@ def test_solvability_constraint_counts_match_the_index_table():
             assert zt.count == table.codim_zero_trace_domain == 2 * (k + 1)
             expected_min = (k + 1) if structure.ends.dependent else 2 * (k + 1)
             assert mn.count == table.codim_minimal_domain == expected_min
-            assert _d_rank(zt) == _d_rank(mn) == 2
+            assert zt.rank == mn.rank == 2
 
 
 def test_independent_case_minimal_and_zero_trace_stacks_coincide():

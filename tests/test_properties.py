@@ -37,6 +37,7 @@ from ddbvp.piecewise import (
     apply_difference_inverse,
     apply_shifted_sum,
     concat,
+    double_antiderivative,
     hermite_interpolant,
     linear_combination,
     progression_floats,
@@ -56,14 +57,16 @@ from ddbvp.functionals import (
 from ddbvp.problem_io import MAX_STENCIL_N, canonical_problem_text, parse_problem
 from ddbvp.solver import (
     BVPProblem,
+    SolveStatus,
     boundary_matrix,
     hermite_extension,
     index_report,
     kernel_certificate,
+    solve_homogeneous,
     solve_nonhomogeneous,
 )
 from ddbvp.structure import Regime, Stencil, analyze, cofactor
-from ddbvp.verification import _hermite_glued, named_stencils, random_regime_stencils
+from ddbvp.verification import _hermite_glued, _violating_data, named_stencils, random_regime_stencils
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -1085,6 +1088,89 @@ def test_the_solution_is_as_smooth_as_the_solvable_classes(problem):
     assert report.smooth_extension == report.zero_trace_solvable
 
 
+def _reference_boundary_system(problem):
+    """The boundary system as the solver first built it, by hand.
+
+    ``boundary_matrix``, its rank by ``exactla.rank``, the order-zero pair on
+    the double antiderivative as the right-hand side, and, when
+    ``min_norm_solution`` finds no solution, one residual per left null
+    vector of the matrix that the right-hand side violates.
+    """
+    stencil = problem.stencil
+    psi = hermite_extension(stencil, problem.k, problem.f1, problem.f2)
+    second = double_antiderivative(problem.f0 + apply_shifted_sum(stencil, psi).derivative(2))
+    rhs = evaluate_stack(membership_functionals(stencil.structure.gamma, 1), second)
+    matrix = boundary_matrix(stencil.structure)
+    residuals = []
+    if exactla.min_norm_solution(matrix, rhs) is None:
+        for j, u in enumerate(exactla.left_nullspace(matrix)):
+            value = u[0] * rhs[0] + u[1] * rhs[1]
+            if value != 0:
+                residuals.append(("boundary constraint %d" % j, value))
+    return tuple(map(tuple, matrix)), exactla.rank(matrix), tuple(rhs), tuple(residuals)
+
+
+@st.composite
+def boundary_problems(draw):
+    """A POOL stencil with k <= 2, data smooth or broken at the nodes, with or without extension data."""
+    stencil = draw(st.sampled_from(POOL))
+    n = stencil.N
+    polys = st.lists(small_ints, min_size=1, max_size=3)
+    if draw(st.booleans()):
+        f0 = PiecewisePoly.from_global(draw(polys), (0, n + 1))
+    else:
+        f0 = PiecewisePoly.from_pieces(range(n + 2), [draw(polys) for _ in range(n + 1)])
+    f1, f2 = (draw(polys), draw(polys)) if draw(st.booleans()) else ((0,), (0,))
+    return BVPProblem(stencil=stencil, k=draw(st.integers(min_value=0, max_value=2)), f0=f0, f1=f1, f2=f2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(boundary_problems())
+@example(BVPProblem(stencil=Stencil.from_coeffs((2, 0, -2)), k=0, f0=PiecewisePoly.constant(1, 0, 2)))
+@example(BVPProblem(stencil=Stencil.from_coeffs((-3, 0, 3)), k=2, f0=PiecewisePoly.from_pieces((0, 1, 2), ((1,), (2,)))))
+@example(BVPProblem(stencil=Stencil.from_coeffs((1, 0, -1)), k=1, f0=PiecewisePoly.constant(1, 0, 2), f1=(1, 2), f2=(3,)))
+def test_the_boundary_system_equals_the_boundary_matrix_reference(problem):
+    # the pair's elimination gives the matrix, the rank and the labelled residuals the hand-built system gave
+    family = solve_nonhomogeneous(problem)
+    matrix, rank, rhs, residuals = _reference_boundary_system(problem)
+    assert (family.boundary_matrix, family.boundary_rank, family.rhs) == (matrix, rank, rhs)
+    assert family.residuals == residuals
+    assert (family.status is SolveStatus.INFEASIBLE) == bool(residuals)
+
+
+def _reference_violating_data(stencil, count_expected):
+    """Criterion 6's witnesses as first built: one left null vector of
+    ``boundary_matrix`` at a time, and one solve per vector and degree."""
+    null_left = exactla.left_nullspace(boundary_matrix(stencil.structure))
+    if len(null_left) != count_expected:
+        return None
+    witnesses = []
+    for u in null_left:
+        for degree in range(6):
+            f0 = PiecewisePoly.from_global((0,) * degree + (1,), (0, stencil.N + 1))
+            family = solve_homogeneous(BVPProblem(stencil=stencil, k=0, f0=f0))
+            if u[0] * family.rhs[0] + u[1] * family.rhs[1] != 0:
+                witnesses.append(degree)
+                break
+        else:
+            return None
+    return witnesses
+
+
+def test_violating_data_equals_the_per_vector_reference():
+    # every rank-1 stencil of criterion 6's box, RANK_DEFICIENT and the named
+    # (rank-2) stencils, at the right constraint count and at wrong ones
+    stencils = {s.coeffs: s for s in named_stencils()}
+    for coeffs in itertools.chain(itertools.product(range(-3, 4), repeat=3), RANK_DEFICIENT):
+        stencil = Stencil.from_coeffs(coeffs)
+        if stencil.regime is Regime.SINGULAR_MINOR and exactla.rank(boundary_matrix(stencil.structure)) == 1:
+            stencils[stencil.coeffs] = stencil
+    assert len(stencils) == 3 + len(RANK_DEFICIENT)
+    for stencil in stencils.values():
+        for count in (0, 1, 2):
+            assert _violating_data(stencil, count) == _reference_violating_data(stencil, count)
+
+
 # -- the integer kernels ----------------------------------------------------------
 #
 # trace, the Taylor jet, the Taylor shift, linear_combination and the functionals compute in
@@ -1594,6 +1680,7 @@ def test_integer_violations_equal_the_fraction_dot_products(stencil, k, linear, 
     for dc in solvability_constraints(analyze(stencil), k):
         assert all(type(den) is int and den > 0 and all(type(x) is int for x in nums) for nums, den in dc.rows)
         assert dc.weights == tuple(tuple(u) for u in exactla.left_nullspace(dc.block))
+        assert dc.rank == exactla.rank(dc.block)
         if linear:
             # the stack's values on d1 t + d2, which every data constraint annihilates
             d1, d2 = data.draw(rationals), data.draw(rationals)
@@ -1607,6 +1694,9 @@ def test_integer_violations_equal_the_fraction_dot_products(stencil, k, linear, 
                 expected.append(("data constraint %d" % j, value))
         got = dc.violations(values)
         assert got == tuple(expected)
+        assert dc.violations(values, "boundary constraint") == tuple(
+            (label.replace("data", "boundary"), value) for label, value in expected
+        )
         assert _all_fractions([value for _, value in got])
         if linear:
             assert got == ()

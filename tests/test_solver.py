@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ddbvp import solver, structure
+from ddbvp import functionals, solver, structure
 from ddbvp.functionals import solvability_constraints
 from ddbvp.piecewise import (
     PiecewisePoly,
@@ -161,22 +161,31 @@ def test_one_solve_reads_each_node_jet_once_per_distinct_stack(monkeypatch):
 
 
 def test_constraint_stacks_are_built_only_for_smooth_data(monkeypatch):
-    # the boundary pair gives the right-hand side; the stacks serve only the
-    # smooth branch, so rough or infeasible data never builds them
-    calls = []
+    # rough data reads the boundary pair alone; smooth data reads it as the head
+    # of the zero-trace stack, so the stacks are built once per problem, whether
+    # the boundary system is feasible or not, and no membership stack twice
+    calls, builds = [], []
     monkeypatch.setattr(solver, "solvability_constraints", lambda *a: calls.append(a) or solvability_constraints(*a))
+    build = functionals.membership_functionals
+    for module in (solver, functionals):
+        monkeypatch.setattr(module, "membership_functionals", lambda gamma, k: builds.append(k) or build(gamma, k))
     rough = PiecewisePoly.from_pieces((0, F(1, 3), 2), ((1,), (2,)))
     smooth = PiecewisePoly.from_global((1, 1), (0, 2))
-    for f0, smooth_data in ((rough, False), (smooth, True)):
-        for f1, f2 in (((0,), (0,)), ((1, 2), (3,))):
-            calls.clear()
-            family = solve_nonhomogeneous(BVPProblem(stencil=Stencil.from_coeffs((1, 0, 1)), k=1, f0=f0, f1=f1, f2=f2))
+    cases = [(Stencil.from_coeffs((1, 0, 1)), f0, f1, f2) for f0 in (rough, smooth) for f1, f2 in (((0,), (0,)), ((1, 2), (3,)))]
+    cases.append((RANK_ONE, smooth, (0,), (0,)))
+    for stencil, f0, f1, f2 in cases:
+        calls.clear()
+        builds.clear()
+        problem = BVPProblem(stencil=stencil, k=1, f0=f0, f1=f1, f2=f2)
+        family = solve_nonhomogeneous(problem)
+        smooth_data = f0 is smooth
+        assert family.status is (SolveStatus.INFEASIBLE if stencil is RANK_ONE else SolveStatus.UNIQUE)
+        if family.smoothness is not None:
             assert family.smoothness.data_smooth is smooth_data
-            assert len(calls) == (1 if smooth_data else 0)
-    calls.clear()
-    family = solve_nonhomogeneous(BVPProblem(stencil=RANK_ONE, k=1, f0=smooth))
-    assert family.status is SolveStatus.INFEASIBLE
-    assert calls == []
+        # N = 1 has dependent end columns: the minimal stack opens with the mu = 0 pair
+        assert (len(calls), builds) == ((1, [3, 1]) if smooth_data else (0, [1]))
+        solve_nonhomogeneous(problem)  # a second solve of the same problem builds no stack
+        assert (len(calls), builds) == ((1, [3, 1]) if smooth_data else (0, [1, 1]))
 
 
 def test_each_class_reads_its_residuals_off_its_own_stack():
