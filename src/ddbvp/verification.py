@@ -18,8 +18,8 @@ The random function constructors double as reusable test utilities:
   smoothness only);
 * ``random_image_member``: a random order-k function minus the
   ``hermite_interpolant`` of two node jets, so that all image membership
-  conditions vanish exactly; the two jets are the stack's values, turned
-  into integer Taylor jets once.
+  conditions vanish exactly; the two jets are the values of the membership
+  stack the caller passes in, turned into integer Taylor jets once.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from fractions import Fraction
 
 from . import exactla
 from .functionals import (
+    NodeFunctional,
     evaluate_stack,
     image_functionals,
     membership_functionals,
@@ -155,19 +156,20 @@ def random_order_k_function(interval_count: int, k: int, rng: random.Random) -> 
     return _hermite_glued(interval_count, k, rng, zero_end_jets=False)
 
 
-def random_image_member(structure: StructureReport, k: int, rng: random.Random) -> PiecewisePoly:
+def random_image_member(structure: StructureReport, fns: list[NodeFunctional], rng: random.Random) -> PiecewisePoly:
     """Random order-k function satisfying all image membership conditions.
 
-    Takes a random order-k function w0 and subtracts a Hermite-glued
-    correction.  In the right-edge relations the atoms w^(mu)(N+1) and
+    ``fns`` is ``membership_functionals(structure.gamma, k)``, the stack the
+    caller checks the result against; k is half its length.  Takes a random
+    order-k function w0 and subtracts a Hermite-glued correction.  In the right-edge relations the atoms w^(mu)(N+1) and
     w^(mu)(m) each appear in exactly one functional, with weight 1, so the
     correction's node jets are zero except there, where they equal the edge
     and interior relation values on w0.  Every other node jet of w0 survives,
     so the result is in general not in the zero-trace class.
     """
     n = structure.stencil.N
+    k = len(fns) // 2  # edge[mu], interior[mu] for mu < k
     w0 = random_order_k_function(n + 1, k, rng)
-    fns = membership_functionals(structure.gamma, k)  # edge[mu], interior[mu] for mu < k
     values = evaluate_stack(fns, w0)
     jets = [((0,) * k, 1)] * (n + 2)
     for node, derivatives in ((n + 1, values[0::2]), (structure.gamma.m, values[1::2])):
@@ -198,7 +200,7 @@ def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3)) -> Che
                 return CheckResult(1, "image membership", False,
                                    "forward conditions violated: %s (b=%s, k=%d)" % (bad, stencil, k))
 
-            w2 = random_image_member(structure, k, rng)
+            w2 = random_image_member(structure, fns, rng)
             bad = [fn.label for fn, value in zip(fns, evaluate_stack(fns, w2)) if value != 0]
             if bad:
                 return CheckResult(1, "image membership", False,

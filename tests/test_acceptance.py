@@ -66,8 +66,9 @@ def test_image_members_are_exact_and_mostly_outside_the_zero_trace_class(pool):
     for stencil in pool:
         for k in (1, 2, 3):
             random_zero_trace_function(stencil.N + 1, k, rng)
-            w = random_image_member(stencil.structure, k, rng)
-            assert [fn.evaluate(w) for fn in membership_functionals(stencil.structure.gamma, k)] == [0] * (2 * k)
+            fns = membership_functionals(stencil.structure.gamma, k)
+            w = random_image_member(stencil.structure, fns, rng)
+            assert [fn.evaluate(w) for fn in fns] == [0] * (2 * k)
             outside += bool(trace_defects(w, k))
     assert len(pool) * 3 == 69
     assert outside == 68

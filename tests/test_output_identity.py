@@ -13,7 +13,7 @@ import json
 import random
 from fractions import Fraction
 
-from ddbvp import cli, verification
+from ddbvp import cli, functionals, verification
 from ddbvp.piecewise import PiecewisePoly
 from ddbvp.solver import BVPProblem, solve_nonhomogeneous
 from ddbvp.structure import Stencil
@@ -139,7 +139,9 @@ def test_random_constructors_and_exact_criteria_match_the_pinned_digest():
             for f in (
                 verification.random_zero_trace_function(n + 1, k, rng),
                 verification.random_order_k_function(n + 2, k, rng),
-                verification.random_image_member(stencil.structure, k, rng),
+                verification.random_image_member(
+                    stencil.structure, functionals.membership_functionals(stencil.structure.gamma, k), rng
+                ),
             ):
                 digest.update(repr((f.nodes, f.scale, f.forms)).encode() + b"\0")
     results = (
