@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from ddbvp import exactla, structure
+from ddbvp import exactla, structure, verification
 from ddbvp.functionals import membership_functionals
 from ddbvp.piecewise import trace_defects
 from ddbvp.verification import (
@@ -98,6 +98,18 @@ def test_criterion_06_boundary_rank_cases(pool):
     # kernel dimension and constraint count both equal 2 - rank of the
     # boundary matrix, shown by explicit kernel bases and violating data
     _report(check_boundary_rank_cases())
+
+
+def test_criterion_06_fails_on_a_boundary_rank_of_zero(monkeypatch):
+    # the regime rules rank 0 out, so a box stencil showing it fails the criterion
+    real = verification.boundary_matrix
+    monkeypatch.setattr(
+        verification, "boundary_matrix",
+        lambda report: [[0, 0], [0, 0]] if report.stencil.coeffs == (1, 0, 1) else real(report),
+    )
+    result = check_boundary_rank_cases()
+    assert not result.passed
+    assert result.detail == "b=(1, 0, 1): boundary rank 0, which the regime rules out"
 
 
 def test_criterion_07_spectrum_containment(pool):
