@@ -161,11 +161,12 @@ def random_image_member(structure: StructureReport, fns: list[NodeFunctional], r
 
     ``fns`` is ``membership_functionals(structure.gamma, k)``, the stack the
     caller checks the result against; k is half its length.  Takes a random
-    order-k function w0 and subtracts a Hermite-glued correction.  In the right-edge relations the atoms w^(mu)(N+1) and
-    w^(mu)(m) each appear in exactly one functional, with weight 1, so the
-    correction's node jets are zero except there, where they equal the edge
-    and interior relation values on w0.  Every other node jet of w0 survives,
-    so the result is in general not in the zero-trace class.
+    order-k function w0 and subtracts a Hermite-glued correction.  In the
+    right-edge relations the atoms w^(mu)(N+1) and w^(mu)(m) each appear in
+    exactly one functional, with weight 1, so the correction's node jets are
+    zero except there, where they equal the edge and interior relation values
+    on w0.  Every other node jet of w0 survives, so the result is in general
+    not in the zero-trace class.
     """
     n = structure.stencil.N
     k = len(fns) // 2  # edge[mu], interior[mu] for mu < k

@@ -1127,8 +1127,12 @@ def boundary_problems(draw):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(boundary_problems())
 @example(BVPProblem(stencil=Stencil.from_coeffs((2, 0, -2)), k=0, f0=PiecewisePoly.constant(1, 0, 2)))
-@example(BVPProblem(stencil=Stencil.from_coeffs((-3, 0, 3)), k=2, f0=PiecewisePoly.from_pieces((0, 1, 2), ((1,), (2,)))))
-@example(BVPProblem(stencil=Stencil.from_coeffs((1, 0, -1)), k=1, f0=PiecewisePoly.constant(1, 0, 2), f1=(1, 2), f2=(3,)))
+@example(BVPProblem(
+    stencil=Stencil.from_coeffs((-3, 0, 3)), k=2, f0=PiecewisePoly.from_pieces((0, 1, 2), ((1,), (2,))),
+))
+@example(BVPProblem(
+    stencil=Stencil.from_coeffs((1, 0, -1)), k=1, f0=PiecewisePoly.constant(1, 0, 2), f1=(1, 2), f2=(3,),
+))
 def test_the_boundary_system_equals_the_boundary_matrix_reference(problem):
     # the pair's elimination gives the matrix, the rank and the labelled residuals the hand-built system gave
     family = solve_nonhomogeneous(problem)

@@ -171,7 +171,8 @@ def test_constraint_stacks_are_built_only_for_smooth_data(monkeypatch):
         monkeypatch.setattr(module, "membership_functionals", lambda gamma, k: builds.append(k) or build(gamma, k))
     rough = PiecewisePoly.from_pieces((0, F(1, 3), 2), ((1,), (2,)))
     smooth = PiecewisePoly.from_global((1, 1), (0, 2))
-    cases = [(Stencil.from_coeffs((1, 0, 1)), f0, f1, f2) for f0 in (rough, smooth) for f1, f2 in (((0,), (0,)), ((1, 2), (3,)))]
+    extensions = (((0,), (0,)), ((1, 2), (3,)))
+    cases = [(Stencil.from_coeffs((1, 0, 1)), f0, f1, f2) for f0 in (rough, smooth) for f1, f2 in extensions]
     cases.append((RANK_ONE, smooth, (0,), (0,)))
     for stencil, f0, f1, f2 in cases:
         calls.clear()
