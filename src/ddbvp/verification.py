@@ -2,8 +2,11 @@
 
 Each check returns a :class:`CheckResult` instead of raising, so the CLI can
 print one line per criterion and the test suite can assert on them
-individually.  Random instances are drawn from a fixed-seed generator: the
-battery is deterministic from run to run.
+individually.  A check's body returns only ``(passed, detail)``; its
+``_criterion(number, name)`` decorator states the criterion's number and
+name once and builds the result.  ``run_battery`` holds the one list of
+criteria for both levels.  Random instances are drawn from a fixed-seed
+generator: the battery is deterministic from run to run.
 
 The random function constructors double as reusable test utilities:
 
@@ -51,7 +54,7 @@ from .piecewise import (
     two_point_hermite,
 )
 from .solver import BVPProblem, SolveStatus, boundary_matrix, kernel_certificate, solve_homogeneous
-from .structure import Regime, Stencil, StructureReport, UnsupportedRegimeError
+from .structure import Regime, Stencil, StructureReport
 
 DEFAULT_SEED = 20260816
 MAX_TRIES = 50000  # draws ``random_regime_stencils`` makes before it gives up
@@ -67,6 +70,8 @@ NAMED_COEFFS = ((1, 0, 1), (0, 1, 1, 1, 2), (1, 1, 2, 4, 4))
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One criterion's verdict; ``number`` and ``name`` come from its ``_criterion`` decorator."""
+
     number: int
     name: str
     passed: bool
@@ -182,7 +187,21 @@ def random_image_member(structure: StructureReport, fns: list[NodeFunctional], r
 # the numbered checks
 
 
-def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3)) -> CheckResult:
+def _criterion(number: int, name: str):
+    """Number and name a check: its ``(passed, detail)`` becomes a :class:`CheckResult`."""
+
+    def decorate(check):
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> CheckResult:
+            return CheckResult(number, name, *check(*args, **kwargs))
+
+        return run
+
+    return decorate
+
+
+@_criterion(1, "image membership")
+def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3)) -> tuple[bool, str]:
     """Criterion 1: the difference operator maps the zero-trace class onto
     the functional-characterized image, in both directions, exactly."""
     rng = random.Random(DEFAULT_SEED + 1)
@@ -193,71 +212,63 @@ def check_membership_theorem(pool: tuple[Stencil, ...], orders=(1, 2, 3)) -> Che
 
             v = random_zero_trace_function(stencil.N + 1, k, rng)
             if trace_defects(v, k):
-                return CheckResult(1, "image membership", False,
-                                   "constructor failed the zero-trace test (N=%d, k=%d)" % (stencil.N, k))
+                return False, "constructor failed the zero-trace test (N=%d, k=%d)" % (stencil.N, k)
             w = apply_difference(stencil, v)
             bad = [fn.label for fn, value in zip(fns, evaluate_stack(fns, w)) if value != 0]
             if bad:
-                return CheckResult(1, "image membership", False,
-                                   "forward conditions violated: %s (b=%s, k=%d)" % (bad, stencil, k))
+                return False, "forward conditions violated: %s (b=%s, k=%d)" % (bad, stencil, k)
 
             w2 = random_image_member(structure, fns, rng)
             bad = [fn.label for fn, value in zip(fns, evaluate_stack(fns, w2)) if value != 0]
             if bad:
-                return CheckResult(1, "image membership", False,
-                                   "image constructor left nonzero conditions: %s" % bad)
+                return False, "image constructor left nonzero conditions: %s" % bad
             v2 = apply_difference_inverse(structure, w2)
             if trace_defects(v2, k):
-                return CheckResult(1, "image membership", False,
-                                   "preimage left the zero-trace class (b=%s, k=%d)" % (stencil, k))
-    return CheckResult(1, "image membership", True,
-                       "%d stencils x %s, forward and inverse, exact" % (len(pool), list(orders)))
+                return False, "preimage left the zero-trace class (b=%s, k=%d)" % (stencil, k)
+    return True, "%d stencils x %s, forward and inverse, exact" % (len(pool), list(orders))
 
 
-def check_image_codimension(named: tuple[Stencil, ...]) -> CheckResult:
-    """Criterion 2: functional rank matches the image codimension table."""
+@_criterion(2, "image codimension counts")
+def check_image_codimension(named: tuple[Stencil, ...]) -> tuple[bool, str]:
+    """Criterion 2: functional rank matches the image codimension of the index table."""
     for stencil in named:
         structure = stencil.structure
-        dependent = structure.ends.dependent
         for k in CODIMENSION_ORDERS:
             got = rank_of_functionals(image_functionals(structure, k))
-            expected = (k + 3) if dependent else 2 * (k + 2)
+            expected = structure.index_table(k).codim_difference_image
             if got != expected:
-                return CheckResult(2, "image codimension counts", False,
-                                   "b=%s k=%d: rank %d, expected %d" % (stencil, k, got, expected))
-    return CheckResult(2, "image codimension counts", True,
-                       "named stencils, k in %s, exact integer match" % (list(CODIMENSION_ORDERS),))
+                return False, "b=%s k=%d: rank %d, expected %d" % (stencil, k, got, expected)
+    return True, "named stencils, k in %s, exact integer match" % (list(CODIMENSION_ORDERS),)
 
 
-def check_constraint_counts(named: tuple[Stencil, ...]) -> CheckResult:
-    """Criterion 3: post-elimination solvability constraint counts."""
+@_criterion(3, "solvability constraint counts")
+def check_constraint_counts(named: tuple[Stencil, ...]) -> tuple[bool, str]:
+    """Criterion 3: post-elimination solvability constraint counts match the
+    domain codimensions of the index table."""
     for stencil in named:
         structure = stencil.structure
-        dependent = structure.ends.dependent
         for k in CONSTRAINT_ORDERS:
             zero_trace, minimal = (dc.count for dc in solvability_constraints(structure, k))
-            expect_min = (k + 1) if dependent else 2 * (k + 1)
-            expect_zt = 2 * (k + 1)
+            table = structure.index_table(k)
+            expect_min, expect_zt = table.codim_minimal_domain, table.codim_zero_trace_domain
             if (minimal, zero_trace) != (expect_min, expect_zt):
-                return CheckResult(3, "solvability constraint counts", False,
-                                   "b=%s k=%d: got (%d, %d), expected (%d, %d)"
-                                   % (stencil, k, minimal, zero_trace, expect_min, expect_zt))
-    return CheckResult(3, "solvability constraint counts", True,
-                       "named stencils, k in %s, both domain variants" % (list(CONSTRAINT_ORDERS),))
+                return False, ("b=%s k=%d: got (%d, %d), expected (%d, %d)"
+                               % (stencil, k, minimal, zero_trace, expect_min, expect_zt))
+    return True, "named stencils, k in %s, both domain variants" % (list(CONSTRAINT_ORDERS),)
 
 
-def check_kernel_certificates(pool: tuple[Stencil, ...]) -> CheckResult:
+@_criterion(4, "trivial kernel certificates")
+def check_kernel_certificates(pool: tuple[Stencil, ...]) -> tuple[bool, str]:
     """Criterion 4: the order-k operator kernel is trivial on every stencil."""
     for stencil in pool:
         cert = kernel_certificate(stencil.structure)
         if cert.rank != 2 or cert.dim_kernel != 0:
-            return CheckResult(4, "trivial kernel certificates", False,
-                               "b=%s: rank %d" % (stencil, cert.rank))
-    return CheckResult(4, "trivial kernel certificates", True,
-                       "rank 2 on all %d stencils, exact" % len(pool))
+            return False, "b=%s: rank %d" % (stencil, cert.rank)
+    return True, "rank 2 on all %d stencils, exact" % len(pool)
 
 
-def check_worked_solution() -> CheckResult:
+@_criterion(5, "worked solution")
+def check_worked_solution() -> tuple[bool, str]:
     """Criterion 5: the model problem reproduces its closed-form solution."""
     stencil = Stencil.from_coeffs([1, 0, 1])
     family = solve_homogeneous(BVPProblem(stencil=stencil, k=0, f0=PiecewisePoly.constant(1, 0, 2)))
@@ -277,9 +288,8 @@ def check_worked_solution() -> CheckResult:
     if family.v is not None and family.v.jump(1, 1) != 2:
         problems.append("derivative jump %s" % family.v.jump(1, 1))
     if problems:
-        return CheckResult(5, "worked solution", False, "; ".join(problems))
-    return CheckResult(5, "worked solution", True,
-                       "v = (-t^2/2; (t-1) - 1/2 - (t-1)^2/2), jump 2 at t = 1, exact")
+        return False, "; ".join(problems)
+    return True, "v = (-t^2/2; (t-1) - 1/2 - (t-1)^2/2), jump 2 at t = 1, exact"
 
 
 def _violating_data(stencil: Stencil, count: int) -> list[int] | None:
@@ -303,37 +313,35 @@ def _violating_data(stencil: Stencil, count: int) -> list[int] | None:
     return None
 
 
-def check_boundary_rank_cases() -> CheckResult:
+@_criterion(6, "boundary rank cases")
+def check_boundary_rank_cases() -> tuple[bool, str]:
     """Criterion 6: boundary matrix rank cases with explicit witnesses.
 
-    Scans the full N = 1 integer box |b_j| <= ``BOX_BOUND`` for supported-regime
-    stencils and classifies them by boundary matrix rank.  A rank of 0 fails
-    the criterion: the slopes of a kernel element of the order-zero problem
-    solve R1 b = c * 1 for one constant c, so the kernel has dimension at most
-    1 and the rank is at least 1.  For one representative of each observed
-    rank it verifies dim ker = 2 - rank (by solving with f0 = 0) and
-    #constraints = 2 - rank (by monomial data violating each "boundary
-    constraint j" of the solve's residuals, ``_violating_data``).  A box with
-    no rank-1 instance is reported as such, which is not a failure.
+    Scans the full N = 1 integer box |b_j| <= ``BOX_BOUND`` and classifies
+    its supported-regime stencils, the only ones it analyzes, by boundary
+    matrix rank.  A rank of 0 fails the criterion: the slopes of a kernel
+    element of the order-zero problem solve R1 b = c * 1 for one constant c,
+    so the kernel has dimension at most 1 and the rank is at least 1.  For
+    one representative of each observed rank it verifies dim ker = 2 - rank
+    (by solving with f0 = 0) and #constraints = 2 - rank (by monomial data
+    violating each "boundary constraint j" of the solve's residuals,
+    ``_violating_data``).  A box with no rank-1 instance is reported as such,
+    which is not a failure.
     """
     representatives: dict[int, Stencil] = {}
     counts = {2: 0, 1: 0}
     for coeffs in itertools.product(range(-BOX_BOUND, BOX_BOUND + 1), repeat=3):
         stencil = Stencil.from_coeffs(coeffs)
-        try:
-            structure = stencil.structure
-        except UnsupportedRegimeError:
+        if stencil.regime is not Regime.SINGULAR_MINOR:
             continue
-        rank = exactla.rank(boundary_matrix(structure))
+        rank = exactla.rank(boundary_matrix(stencil.structure))
         if rank not in counts:
-            return CheckResult(6, "boundary rank cases", False,
-                               "b=%s: boundary rank %d, which the regime rules out" % (stencil, rank))
+            return False, "b=%s: boundary rank %d, which the regime rules out" % (stencil, rank)
         counts[rank] += 1
         representatives.setdefault(rank, stencil)
 
     if 2 not in representatives:
-        return CheckResult(6, "boundary rank cases", False,
-                           "no full-rank instance found in the box, which contradicts the named examples")
+        return False, "no full-rank instance found in the box, which contradicts the named examples"
 
     notes = ["box scan |b_j| <= %d, N = 1: rank counts %s" % (BOX_BOUND, counts)]
     for rank, stencil in sorted(representatives.items(), reverse=True):
@@ -341,27 +349,25 @@ def check_boundary_rank_cases() -> CheckResult:
         zero = PiecewisePoly.zero(0, stencil.N + 1)
         family = solve_homogeneous(BVPProblem(stencil=stencil, k=0, f0=zero))
         if len(family.kernel) != expected_dim:
-            return CheckResult(6, "boundary rank cases", False,
-                               "b=%s: kernel dim %d, expected %d" % (stencil, len(family.kernel), expected_dim))
+            return False, "b=%s: kernel dim %d, expected %d" % (stencil, len(family.kernel), expected_dim)
         for direction in family.kernel:
             if trace_defects(direction.v, 1):
-                return CheckResult(6, "boundary rank cases", False,
-                                   "b=%s: kernel direction fails the trace test" % (stencil,))
+                return False, "b=%s: kernel direction fails the trace test" % (stencil,)
         if expected_dim > 0:
             witnesses = _violating_data(stencil, expected_dim)
             if witnesses is None:
-                return CheckResult(6, "boundary rank cases", False,
-                                   "b=%s: could not exhibit violating data for all %d constraints"
-                                   % (stencil, expected_dim))
+                return False, ("b=%s: could not exhibit violating data for all %d constraints"
+                               % (stencil, expected_dim))
             notes.append("rank %d witness b=%s, violating monomial degrees %s" % (rank, stencil, witnesses))
         else:
             notes.append("rank 2 witness b=%s, kernel trivial, no constraints" % (stencil,))
     if 1 not in representatives:
         notes.append("no rank-1 instance in the box (reported, not failed)")
-    return CheckResult(6, "boundary rank cases", True, "; ".join(notes))
+    return True, "; ".join(notes)
 
 
-def check_spectrum_containment(pool: tuple[Stencil, ...]) -> CheckResult:
+@_criterion(7, "spectrum containment")
+def check_spectrum_containment(pool: tuple[Stencil, ...]) -> tuple[bool, str]:
     """Criterion 7: exact shift-matrix spectrum sits inside the grid spectrum."""
     worst = 0.0
     for stencil in pool:
@@ -369,13 +375,12 @@ def check_spectrum_containment(pool: tuple[Stencil, ...]) -> CheckResult:
             chk = spectrum_check(stencil, n)
             worst = max(worst, chk.containment_distance)
             if not chk.ok:
-                return CheckResult(7, "spectrum containment", False,
-                                   "b=%s n=%d: distance %.3e" % (stencil, n, chk.containment_distance))
-    return CheckResult(7, "spectrum containment", True,
-                       "%d stencils, n in %s, worst distance %.2e" % (len(pool), list(SPECTRUM_RESOLUTIONS), worst))
+                return False, "b=%s n=%d: distance %.3e" % (stencil, n, chk.containment_distance)
+    return True, "%d stencils, n in %s, worst distance %.2e" % (len(pool), list(SPECTRUM_RESOLUTIONS), worst)
 
 
-def check_oracle_convergence(named: tuple[Stencil, ...]) -> CheckResult:
+@_criterion(8, "oracle convergence")
+def check_oracle_convergence(named: tuple[Stencil, ...]) -> tuple[bool, str]:
     """Criterion 8: grid solutions converge to the exact ones, order >= 1.8.
 
     The model problem, on the first named stencil (1, 0, 1), has a
@@ -390,25 +395,22 @@ def check_oracle_convergence(named: tuple[Stencil, ...]) -> CheckResult:
     study_const = convergence_study(stencil, f_const, exact_const.v)
     last_error = study_const.rows[-1].max_error
     if last_error >= 1e-3:
-        return CheckResult(8, "oracle convergence", False,
-                           "model problem error %.3e at n=%d" % (last_error, study_const.rows[-1].n))
+        return False, "model problem error %.3e at n=%d" % (last_error, study_const.rows[-1].n)
     if not study_const.exact_reproduction and (study_const.observed_order or 0) < 1.8:
-        return CheckResult(8, "oracle convergence", False,
-                           "model problem observed order %.2f" % (study_const.observed_order or float("nan")))
+        return False, "model problem observed order %.2f" % (study_const.observed_order or float("nan"))
 
     f_quad = PiecewisePoly.from_global((0, 0, 1), (0, 2))
     exact_quad = solve_homogeneous(BVPProblem(stencil=stencil, k=0, f0=f_quad))
     study_quad = convergence_study(stencil, f_quad, exact_quad.v)
     order = study_quad.observed_order
     if study_quad.exact_reproduction or order is None or order < 1.8:
-        return CheckResult(8, "oracle convergence", False,
-                           "companion problem order %s" % (order,))
-    detail = ("model problem reproduced to %.1e at n=128; companion (quartic solution) order %.3f"
-              % (last_error, order))
-    return CheckResult(8, "oracle convergence", True, detail)
+        return False, "companion problem order %s" % (order,)
+    return True, ("model problem reproduced to %.1e at n=128; companion (quartic solution) order %.3f"
+                  % (last_error, order))
 
 
-def check_index_estimates(named: tuple[Stencil, ...]) -> CheckResult:
+@_criterion(9, "discrete index balance")
+def check_index_estimates(named: tuple[Stencil, ...]) -> tuple[bool, str]:
     """Criterion 9: numerical kernel and cokernel dimensions agree."""
     stencils = named + (Stencil.from_coeffs([1, 0, -1]),)
     cases = 0
@@ -419,15 +421,14 @@ def check_index_estimates(named: tuple[Stencil, ...]) -> CheckResult:
                          ("t", PiecewisePoly.from_global((0, 1), domain))):
             est = index_estimate(assemble(stencil, INDEX_RESOLUTION, a))
             if not est.balanced:
-                return CheckResult(9, "discrete index balance", False,
-                                   "b=%s a=%s: kernel %d, cokernel %d"
-                                   % (stencil, label, est.kernel_dim, est.cokernel_dim))
+                return False, ("b=%s a=%s: kernel %d, cokernel %d"
+                               % (stencil, label, est.kernel_dim, est.cokernel_dim))
             cases += 1
-    return CheckResult(9, "discrete index balance", True,
-                       "%d stencil/coefficient cases at n=%d, all balanced" % (cases, INDEX_RESOLUTION))
+    return True, "%d stencil/coefficient cases at n=%d, all balanced" % (cases, INDEX_RESOLUTION)
 
 
-def check_structure_equivalence(pool: tuple[Stencil, ...]) -> CheckResult:
+@_criterion(10, "mirrored structure equivalence")
+def check_structure_equivalence(pool: tuple[Stencil, ...]) -> tuple[bool, str]:
     """Criterion 10: mirrored node relations cut out the same constraint space."""
     for stencil in pool:
         structure = stencil.structure
@@ -438,40 +439,30 @@ def check_structure_equivalence(pool: tuple[Stencil, ...]) -> CheckResult:
             r_alt = rank_of_functionals(alt)
             r_both = rank_of_functionals(tuple(std) + tuple(alt))
             if not (r_std == r_alt == r_both):
-                return CheckResult(10, "mirrored structure equivalence", False,
-                                   "b=%s k=%d: ranks %d / %d / stacked %d"
-                                   % (stencil, k, r_std, r_alt, r_both))
-    return CheckResult(10, "mirrored structure equivalence", True,
-                       "%d stencils, k in %s, equal-rank stacks" % (len(pool), list(EQUIVALENCE_ORDERS)))
+                return False, "b=%s k=%d: ranks %d / %d / stacked %d" % (stencil, k, r_std, r_alt, r_both)
+    return True, "%d stencils, k in %s, equal-rank stacks" % (len(pool), list(EQUIVALENCE_ORDERS))
 
 
 # ---------------------------------------------------------------------------
 
 
 def run_battery(level: str = "fast") -> list[CheckResult]:
-    """Run the acceptance checks; 'full' adds random stencils and the grid."""
+    """Run the acceptance checks; 'full' adds random stencils, criterion 1 at k = 3, and criteria 6-9."""
     if level not in ("fast", "full"):
         raise ValueError("level must be 'fast' or 'full'")
+    full = level == "full"
     named = named_stencils()
-    results = []
-    if level == "fast":
-        results.append(check_membership_theorem(named, orders=(1, 2)))
-        results.append(check_image_codimension(named))
-        results.append(check_constraint_counts(named))
-        results.append(check_kernel_certificates(named))
-        results.append(check_worked_solution())
-        results.append(check_structure_equivalence(named))
-        return results
-
-    pool = named + random_regime_stencils()
-    results.append(check_membership_theorem(pool))
-    results.append(check_image_codimension(named))
-    results.append(check_constraint_counts(named))
-    results.append(check_kernel_certificates(pool))
-    results.append(check_worked_solution())
-    results.append(check_boundary_rank_cases())
-    results.append(check_spectrum_containment(pool))
-    results.append(check_oracle_convergence(named))
-    results.append(check_index_estimates(named))
-    results.append(check_structure_equivalence(pool))
-    return results
+    pool = named + random_regime_stencils() if full else named
+    criteria = [
+        (check_membership_theorem, pool, (1, 2, 3) if full else (1, 2)),
+        (check_image_codimension, named),
+        (check_constraint_counts, named),
+        (check_kernel_certificates, pool),
+        (check_worked_solution,),
+        *([(check_boundary_rank_cases,),
+           (check_spectrum_containment, pool),
+           (check_oracle_convergence, named),
+           (check_index_estimates, named)] if full else []),
+        (check_structure_equivalence, pool),
+    ]
+    return [check(*args) for check, *args in criteria]

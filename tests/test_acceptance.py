@@ -7,6 +7,7 @@ The stencil pool is the three named stencils plus twenty fixed-seed random
 ones in the supported regime, built once per module.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -112,6 +113,26 @@ def test_criterion_06_fails_on_a_boundary_rank_of_zero(monkeypatch):
     assert result.detail == "b=(1, 0, 1): boundary rank 0, which the regime rules out"
 
 
+@pytest.mark.parametrize("field, check", [
+    ("codim_difference_image", check_image_codimension),
+    ("codim_minimal_domain", check_constraint_counts),
+    ("codim_zero_trace_domain", check_constraint_counts),
+])
+def test_criteria_02_and_03_read_their_counts_off_the_index_table(monkeypatch, field, check):
+    # a table that is off by one in a single codimension fails the criterion
+    # that reads it; the literal formulas are pinned in test_structure
+    index_table = structure.index_table
+
+    def shifted(ends, k):
+        table = index_table(ends, k)
+        return dataclasses.replace(table, **{field: getattr(table, field) + 1})
+
+    monkeypatch.setattr(structure, "index_table", shifted)
+    result = check(named_stencils())
+    assert not result.passed
+    assert result.detail.startswith("b=(1, 0, 1) k=0:") and "expected" in result.detail
+
+
 def test_criterion_07_spectrum_containment(pool):
     # discrete operator eigenvalues match the stencil symbol within 1e-8
     # at n = 8 and n = 16
@@ -136,9 +157,23 @@ def test_criterion_10_structure_equivalence(pool):
     _report(check_structure_equivalence(pool))
 
 
+CRITERIA = {
+    1: "image membership",
+    2: "image codimension counts",
+    3: "solvability constraint counts",
+    4: "trivial kernel certificates",
+    5: "worked solution",
+    6: "boundary rank cases",
+    7: "spectrum containment",
+    8: "oracle convergence",
+    9: "discrete index balance",
+    10: "mirrored structure equivalence",
+}
+
+
 def test_fast_battery_wiring():
     results = run_battery("fast")
-    assert [r.number for r in results] == [1, 2, 3, 4, 5, 10]
+    assert [(r.number, r.name) for r in results] == [(n, CRITERIA[n]) for n in (1, 2, 3, 4, 5, 10)]
     assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
     with pytest.raises(ValueError):
         run_battery("sideways")
@@ -149,14 +184,15 @@ def test_full_battery_analyzes_each_stencil_object_once(monkeypatch):
     analyze = structure.analyze
     monkeypatch.setattr(structure, "analyze", lambda s: analyzed.append(s) or analyze(s))
     results = run_battery("full")
-    assert [r.number for r in results] == list(range(1, 11))
+    assert [(r.number, r.name) for r in results] == list(CRITERIA.items())
     assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
     ids = [id(s) for s in analyzed]  # ``analyzed`` keeps every object alive, so ids are not reused
     assert len(set(ids)) == len(ids)
     # the 23 pool stencils (criteria 1-4, 8 and 10 share the named ones), the
-    # box of criterion 6 and the model stencil of criterion 5 each; criteria 7
-    # and 9 analyze nothing
-    assert len(ids) == 23 + 7 ** 3 + 1
+    # 36 supported-regime stencils of criterion 6's box (it reads only the
+    # regime of the other 307) and the model stencil of criterion 5 each;
+    # criteria 7 and 9 analyze nothing
+    assert len(ids) == 23 + 36 + 1
 
 
 def test_the_random_pool_is_drawn_once_per_process(monkeypatch):
