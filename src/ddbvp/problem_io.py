@@ -16,8 +16,9 @@ Every number that feeds the exact computation is an integer or a "p/q"
 string; floats are rejected so no rounding can sneak in through an input
 file.  f1/f2/oracle are optional.  Piece coefficients are in the local
 coordinate of the piece (x = t - left endpoint).  Polynomial degrees are
-checked against ``piecewise.DEGREE_CAP`` on parsing: every piece, and the
-degree 2k+3 of the Hermite extension that every solve builds, so k <= 30.
+checked against ``piecewise.DEGREE_CAP`` on parsing: every piece of f0 and
+of oracle.a, f1 and f2 after trailing zeros are trimmed, and the degree 2k+3
+of the Hermite extension that every solve builds, so k <= 30.
 
 Reports embed the canonical re-serialization of their input between marker
 lines, so a solution can be reproduced byte-for-byte from the report alone.
@@ -36,7 +37,7 @@ from operator import truediv
 from typing import Iterator
 
 from .grid import grid_resolution_error
-from .piecewise import DEGREE_CAP, DegreeCapError, PiecewisePoly, align_many, horner_float, progression_floats
+from .piecewise import DEGREE_CAP, DegreeCapError, PiecewisePoly, align_many, horner_float, progression_floats, ptrim
 from .solver import BVPProblem, SolutionFamily, SolveStatus
 from .structure import Stencil
 
@@ -145,7 +146,10 @@ MAX_STENCIL_N = 64
 def _coeff_list(value, where: str) -> tuple[Fraction, ...]:
     if not isinstance(value, list) or not value:
         raise ProblemFileError(where, "expected a nonempty list of coefficients")
-    return tuple(_rational(c, "%s[%d]" % (where, j)) for j, c in enumerate(value))
+    coeffs = ptrim([_rational(c, "%s[%d]" % (where, j)) for j, c in enumerate(value)])
+    if len(coeffs) - 1 > DEGREE_CAP:
+        raise ProblemFileError(where, "polynomial degree %d exceeds cap %d" % (len(coeffs) - 1, DEGREE_CAP))
+    return coeffs
 
 
 def parse_problem(text: str) -> ParsedProblem:

@@ -483,6 +483,17 @@ def test_parse_failures_exit_1(tmp_path, capsys):
     for argv in (["analyze", over_cap], ["solve", over_cap, "--out", str(tmp_path / "cap")]):
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: k:")
+    # f1 or f2 above the cap is refused on parsing, naming the field; the cap
+    # applies to the degree after trailing zeros are trimmed
+    for field in ("f1", "f2"):
+        over = _write(tmp_path, dict(WORKED, **{field: [0] * 70 + [1]}), "over_%s.json" % field)
+        for argv in (["analyze", over], ["spectrum", over], ["solve", over, "--out", str(tmp_path / "over")]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", "error: %s: polynomial degree 70 exceeds cap 64\n" % field)
+        assert not list(tmp_path.glob("over-*"))
+        at_cap = _write(tmp_path, dict(WORKED, **{field: [0] * 64 + [1] + [0] * 10}), "at_cap.json")
+        assert main(["analyze", at_cap]) == 0
+        capsys.readouterr()
     # f0 of degree 63 parses, but its double antiderivative exceeds the cap
     steep = dict(WORKED, f0=[{"interval": [0, 2], "coeffs": [1] * 64}])
     assert main(["solve", _write(tmp_path, steep, "steep.json"), "--out", str(tmp_path / "steep")]) == 1
