@@ -47,7 +47,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 from . import exactla
 from .piecewise import PiecewisePoly
@@ -307,10 +308,34 @@ def eliminate_constants(stack: Sequence[NodeFunctional]) -> DataConstraints:
     return DataConstraints(stack=tuple(stack), block=block, rows=rows)
 
 
-def solvability_constraints(structure: StructureReport, k: int) -> tuple[DataConstraints, DataConstraints]:
+@dataclass(frozen=True)
+class SolvabilityConstraints:
+    """The two constraint stacks of one order, each eliminated on its first read; unpacks as (zero_trace, minimal).
+
+    ``membership`` is the zero-trace stack before elimination; ``build_minimal``
+    builds the minimal-domain stack, None when it is the zero-trace one.
+    """
+
+    membership: tuple[NodeFunctional, ...]
+    build_minimal: Callable[[], DataConstraints] | None
+
+    @cached_property
+    def zero_trace(self) -> DataConstraints:
+        return eliminate_constants(self.membership)
+
+    @cached_property
+    def minimal(self) -> DataConstraints:
+        return self.zero_trace if self.build_minimal is None else self.build_minimal()
+
+    def __iter__(self) -> Iterator[DataConstraints]:
+        return iter((self.zero_trace, self.minimal))
+
+
+def solvability_constraints(structure: StructureReport, k: int) -> SolvabilityConstraints:
     """Data constraints of -(R v)'' = f for the two solution classes of order k.
 
-    Returns ``(zero_trace, minimal)``:
+    Returns ``(zero_trace, minimal)``, each eliminated only when read, and the
+    minimal stack built only then:
 
     * ``zero_trace``: v of order k+2 with vanishing extension traces (so the
       zero-extended solution stays order k+2 across the endpoints); the stack
@@ -322,7 +347,7 @@ def solvability_constraints(structure: StructureReport, k: int) -> tuple[DataCon
       set, and ``minimal is zero_trace``; with dependent ones it is the
       smaller cofactor set.
     """
-    zero_trace = eliminate_constants(membership_functionals(structure.gamma, k + 2))
+    membership = tuple(membership_functionals(structure.gamma, k + 2))
     if not structure.ends.dependent:
-        return zero_trace, zero_trace
-    return zero_trace, eliminate_constants(image_functionals(structure, k))
+        return SolvabilityConstraints(membership, None)
+    return SolvabilityConstraints(membership, lambda: eliminate_constants(image_functionals(structure, k)))

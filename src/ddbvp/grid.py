@@ -22,13 +22,17 @@ just these blocks, straight from the stencil: [r, k, l] of ``diag``,
 ``lower`` and ``upper`` couples t_{kn+r} to t_{ln+s}, s = r, r - 1, r + 1,
 and slot 0 of residue 0 (t_0) is a zero row and column of each.
 ``operator`` scatters them into an M x M array on every read.
-``solve_grid`` eliminates residues 1..n-1 first by odd-even (cyclic) block
-reduction (Golub & Van Loan, Matrix Computations, section 4.5) and solves
-residue 0 last through its N x N Schur complement: for a = 0 the chain is
-(1/h^2) K (x) R1, K the Dirichlet second difference, so every pivot is a
-positive multiple of the invertible R1, while the residue-0 block 2 R2 / h^2
-is singular whenever det R2 = 0.  Its ``condition`` is a lower-bound 1-norm
-estimate from the same solve.  ``index_estimate`` runs the same elimination
+``solve_grid`` eliminates residues 1..n-1 (the chain) first and solves
+residue 0 last through its N x N Schur complement, whose block 2 R2 / h^2 is
+singular whenever det R2 = 0.  For a = 0 the chain is (1/h^2) K (x) R1, K
+the Dirichlet second difference, the separable form of fast Poisson solvers
+(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), and it is solved in
+closed form: one inverse of the R1 block, then K^-1 as two prefix sums along
+the residues.  Only a chain with a nonzero coefficient a goes through
+odd-even (cyclic) block reduction (Golub & Van Loan, Matrix Computations,
+section 4.5).  A singular R1 block raises on either path, and the dense
+fallbacks take over.  Its ``condition`` is a lower-bound 1-norm estimate
+from the same solve.  ``index_estimate`` runs the same elimination
 with no right-hand sides and counts the kernel from the singular values of
 that N x N Schur complement, not of the whole operator.
 """
@@ -45,7 +49,12 @@ import numpy as np
 from .piecewise import PiecewisePoly
 from .structure import Stencil, spectrum
 
-MAX_GRID_UNKNOWNS = 4096  # largest n(N+1)-1 from input; an M x M read of operator, fallback or shift ~134 MB
+# Largest n(N+1)-1 from input: an M x M read of operator, a dense fallback or shift is ~134 MB here.  The
+# residue solve is far from it: with a = 0, (1, 0, 1) / (1, 1, 2, 4, 4) at about 2^12, 2^14 and 2^16 unknowns
+# took assemble 0.08 / 0.11, 0.18 / 0.42, 0.57 / 0.94 ms, solve_grid 2.7 / 2.8, 9.6 / 7.5, 35 / 35 ms and
+# index_estimate 0.52 / 0.51, 1.2 / 1.0, 4.0 / 3.8 ms, peak RSS 33 / 34, 39 / 40, 62 / 66 MB (30 MB after
+# imports; best of 5, one BLAS thread, 2-core x86-64).  Raising the cap changes which files exit 1.
+MAX_GRID_UNKNOWNS = 4096
 SPECTRUM_TOLERANCE = 1e-8  # containment distance that ``SpectrumCheck.ok`` accepts
 INDEX_THRESHOLD = 1e-8  # singular values below this fraction of ||A||_1 count as zero
 ROUNDING_FLOOR = 1e-10  # max-node error below which a convergence study counts as exact reproduction
@@ -214,26 +223,68 @@ def _cyclic_reduction(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rh
     return x
 
 
+def _chain_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np.ndarray, first: np.ndarray,
+                 last: np.ndarray) -> np.ndarray:
+    """[C^-1 rhs, C^-1 E] per residue for the chain C of residues 1..n-1 and its couplings E to residue 0.
+
+    E holds ``first`` at residue 1 and ``last`` at residue n-1.  For a = 0
+    every diagonal block of C is 2P and every coupling -P, P the R1 block
+    b / h^2 (``assemble`` writes 2P as (2b) / h^2, exactly twice P), so
+    C^-1 = K^-1 (x) P^-1, K the Dirichlet second difference on n - 1 points,
+    with Green's function G_ij = min(i, j)(n - max(i, j)) / n.  P^-1 is one
+    inverse of P for every residue: numpy's ``solve`` copies its right-hand
+    sides one column at a time (0.34 ms against 0.01 ms at n = 512 on a
+    2-core x86-64).  K^-1 takes two prefix sums along the residues, whose two
+    terms cancel on oscillating data, so one step of iterative refinement
+    follows; K^-1 E is G's end columns, (n - i) / n and i / n.  Any other
+    chain goes to ``_cyclic_reduction``.  A singular P raises
+    ``LinAlgError`` either way.
+    """
+    p = diag[0] / 2
+    if not (np.all(diag == diag[0]) and np.all(lower[1:] == -p) and np.all(upper[:-1] == -p)):
+        ends = np.zeros_like(diag)
+        ends[0], ends[-1] = first, last
+        return _cyclic_reduction(lower, diag, upper, np.concatenate([rhs, ends], axis=2))
+    m, rows, q = rhs.shape
+    p_inv, n = np.linalg.inv(p), m + 1
+    i = np.arange(1.0, n)[:, None]
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        z = (p_inv @ b).reshape(rows, m, q)  # slot-major: P acts on the rows, K along the residues
+        after = np.zeros_like(z)  # after[:, i] = sum over j > i of (n - j) z_j
+        after[:, :-1] = np.cumsum(((n - i) * z)[:, :0:-1], axis=1)[:, ::-1]
+        return ((n - i) * np.cumsum(i * z, axis=1) + i * after) / n
+
+    b = rhs.transpose(1, 0, 2).reshape(rows, -1)
+    y = solve(b)
+    k_y = 2.0 * y
+    k_y[:, 1:] -= y[:, :-1]
+    k_y[:, :-1] -= y[:, 1:]
+    y += solve(b - p @ k_y.reshape(rows, -1))
+    ends = ((n - i) / n)[..., None] * (p_inv @ first) + (i / n)[..., None] * (p_inv @ last)
+    return np.concatenate([y.transpose(1, 0, 2), ends], axis=2)
+
+
 def _residue_eliminate(ops: GridOperators, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Eliminate residues 1..n-1 (the chain C) from A x = rhs; a singular pivot block raises ``LinAlgError``.
 
     Returns the N x N residue-0 Schur complement S = D0 - V C^-1 U, its right
-    side, the chain solves [C^-1 rhs, C^-1 U] per residue, and ||A||_1.
+    side, the chain solves [C^-1 rhs, C^-1 U] per residue, and ||A||_1.  For
+    a = 0 ``_chain_solve`` solves C in closed form; cyclic reduction runs
+    only on a chain with a nonzero coefficient.
     """
     diag, lower, upper = ops.diag, ops.lower, ops.upper
-    col_sums = np.abs(diag).sum(axis=1)
-    col_sums += np.roll(np.abs(upper).sum(axis=1), 1, axis=0)
-    col_sums += np.roll(np.abs(lower).sum(axis=1), -1, axis=0)
+    col_sums = np.einsum("rkl->rl", np.abs(diag))  # einsum, not sum(axis=1), which is 5x slower on these small blocks
+    col_sums += np.roll(np.einsum("rkl->rl", np.abs(upper)), 1, axis=0)
+    col_sums += np.roll(np.einsum("rkl->rl", np.abs(lower)), -1, axis=0)
     norm_1 = float(col_sums.max())
 
     # residues 1..n-1 form the chain; its couplings to residue 0 become extra right-hand sides
     q = rhs.shape[1]
     b = np.concatenate([np.zeros((1, q)), rhs]).reshape(ops.stencil.N + 1, ops.n, q).transpose(1, 0, 2)
-    to_residue_0 = np.zeros_like(diag[1:])
-    to_residue_0[0], to_residue_0[-1] = lower[1], upper[-1]
     chain_lower, chain_upper = lower[1:].copy(), upper[1:].copy()
     chain_lower[0] = chain_upper[-1] = 0.0  # on copies, so the stored blocks keep these couplings
-    y = _cyclic_reduction(chain_lower, diag[1:], chain_upper, np.concatenate([b[1:], to_residue_0], axis=2))
+    y = _chain_solve(chain_lower, diag[1:], chain_upper, b[1:], lower[1], upper[-1])
 
     # slot 0 of residue 0 is t_0, a zero row and column of every block
     schur = diag[0] - upper[0] @ y[0, :, q:] - lower[0] @ y[-1, :, q:]
@@ -254,8 +305,10 @@ def _residue_solve(ops: GridOperators, rhs: np.ndarray) -> tuple[np.ndarray, flo
 def solve_grid(ops: GridOperators, f0_samples: np.ndarray) -> GridSolution:
     """Solve A v = f by residue blocks, with the probes of ``condition`` as extra right-hand sides.
 
-    Dense least squares replaces the block solve when the condition estimate
-    exceeds 1e12 or a pivot block is singular.
+    The chain of residues 1..n-1 is solved in closed form for a = 0 and by
+    cyclic reduction otherwise (``_chain_solve``).  Dense least squares
+    replaces the block solve when the condition estimate exceeds 1e12 or a
+    pivot block is singular, as the R1 block is for a = 0 when det R1 = 0.
     """
     rhs = np.asarray(f0_samples, dtype=float)
     if rhs.shape != (ops.size,):
@@ -334,11 +387,13 @@ def index_estimate(ops: GridOperators) -> IndexEstimate:
 
     With the chain C of residues 1..n-1 invertible, A and S = D0 - V C^-1 U
     have the same nullity, so the N x N S stands in for the whole operator.
-    A singular pivot block of the chain (for a = 0, det R1 = 0) falls back to
-    the SVD of A.  S is square, and S and S^T share their singular values,
-    so one SVD gives both counts: ``kernel_dim == cokernel_dim`` and
-    ``balanced`` hold by construction.  ``balanced`` is a smoke check of the
-    assembly, not evidence that the continuous problem has index zero.
+    For a = 0, C^-1 U is read off in closed form, and cyclic reduction runs
+    only for a nonzero coefficient.  A singular pivot block of the chain
+    (for a = 0, det R1 = 0) falls back to the SVD of A.  S is square, and S
+    and S^T share their singular values, so one SVD gives both counts:
+    ``kernel_dim == cokernel_dim`` and ``balanced`` hold by construction.
+    ``balanced`` is a smoke check of the assembly, not evidence that the
+    continuous problem has index zero.
     """
     try:
         schur, _, _, norm_1 = _residue_eliminate(ops, np.empty((ops.size, 0)))

@@ -53,7 +53,7 @@ from fractions import Fraction
 from . import exactla
 from .exactla import to_fraction
 from .functionals import (
-    DataConstraints,
+    SolvabilityConstraints,
     eliminate_constants,
     evaluate_stack,
     membership_functionals,
@@ -111,8 +111,8 @@ class BVPProblem:
         return self.f1 == (Fraction(0),) and self.f2 == (Fraction(0),)
 
     @cached_property
-    def constraints(self) -> tuple[DataConstraints, DataConstraints]:
-        """The zero-trace and minimal-domain constraint stacks of order k, built on first use and kept."""
+    def constraints(self) -> SolvabilityConstraints:
+        """The zero-trace and minimal-domain constraint stacks of order k, each built on first use and kept."""
         return solvability_constraints(self.stencil.structure, self.k)
 
 
@@ -272,14 +272,16 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
 
     The boundary right-hand side is the value of the order-zero node pair on
     the double antiderivative.  The pair opens the stack the solve evaluates:
-    the zero-trace stack on smooth data, built once per problem, feasible or
-    not (``BVPProblem.constraints``), and the pair alone on rough data.  Its
-    elimination (``eliminate_constants``) gives ``boundary_matrix`` (the
-    pair's values on t and 1), ``boundary_rank`` and, through ``violations``,
-    the residuals: the status is INFEASIBLE exactly when one of them is
-    nonzero.  The stack is evaluated whole, once (``evaluate_stack``, one jet
-    per node and side); the minimal stack opens with the same pair, so only
-    its other members are read.  A stack's values feed both its residuals
+    the zero-trace membership stack on smooth data, built once per problem,
+    feasible or not (``BVPProblem.constraints``), and the pair alone on rough
+    data.  The pair's elimination (``eliminate_constants``) gives
+    ``boundary_matrix`` (its values on t and 1), ``boundary_rank`` and,
+    through ``violations``, the residuals: the status is INFEASIBLE exactly
+    when one of them is nonzero, and that return eliminates neither
+    constraint stack and never builds the minimal one.  The stack is
+    evaluated whole, once (``evaluate_stack``, one jet per node and side);
+    the minimal stack opens with the same pair, so only its other members
+    are read.  A stack's values feed both its residuals
     and, on the (d1, d2) rows its elimination stored
     (``DataConstraints.block``), the refined d.
     """
@@ -293,7 +295,7 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
 
     data_defects = tuple(smoothness_defects(reduced, k))
     # on smooth data the boundary pair is read as the head of the zero-trace stack
-    stack = membership_functionals(structure.gamma, 1) if data_defects else problem.constraints[0].stack
+    stack = membership_functionals(structure.gamma, 1) if data_defects else problem.constraints.membership
     boundary = eliminate_constants(stack[:2])
     values = evaluate_stack(stack, second)
     rhs = values[:2]

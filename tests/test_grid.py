@@ -178,6 +178,7 @@ def test_operator_is_the_second_difference_of_the_extended_shift(coeffs, a_kind)
     exact = all(F(c).denominator == 1 for c in coeffs)
     a = {
         None: None,
+        "zero": PiecewisePoly.constant(0, 0, s.N + 1),
         "one": PiecewisePoly.constant(1, 0, s.N + 1),
         "t": PiecewisePoly.from_global((0, 1), (0, s.N + 1)),
     }[a_kind]
@@ -282,9 +283,9 @@ def test_index_estimate_matches_the_dense_svd_count():
 
 @pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, 2, 4), (3, 3, 3), (2, -2, 2)])
 def test_index_estimate_falls_back_to_dense_when_r1_is_singular(coeffs):
-    # det R1 = 0: for a = 0 every pivot of the chain is a multiple of R1, so
-    # the elimination raises and the dense SVD counts a kernel of dimension
-    # about n; a = -30t makes the chain invertible again
+    # det R1 = 0: for a = 0 the closed-form chain solve inverts the singular
+    # R1 block, so the elimination raises and the dense SVD counts a kernel of
+    # dimension about n; a = -30t makes the chain invertible again
     s = Stencil.from_coeffs(coeffs)
     assert s.det_r1 == 0
     for n in (16, 64):
@@ -343,6 +344,7 @@ BLOCK_SOLVE_COEFFS = [
 def _a_of_kind(kind, s):
     return {
         None: None,
+        "zero": PiecewisePoly.constant(0, 0, s.N + 1),
         "one": PiecewisePoly.constant(1, 0, s.N + 1),
         "t": PiecewisePoly.from_global((0, 1), (0, s.N + 1)),
         "-30t": PiecewisePoly.from_global((0, -30), (0, s.N + 1)),
@@ -592,3 +594,104 @@ def test_solve_and_index_estimate_leave_padded_unchanged(coeffs):
         assert [x.tobytes() for x in stacks] == before, (coeffs, n, "solve_grid")
         index_estimate(ops)
         assert [x.tobytes() for x in stacks] == before, (coeffs, n, "index_estimate")
+
+
+# -- the a = 0 chain in closed form ------------------------------------------------
+
+
+def _chain_blocks(ops):
+    # the chain of residues 1..n-1 as _residue_eliminate hands it on: its end
+    # couplings to residue 0 zeroed, and passed apart as the first and last blocks
+    lower, upper = ops.lower[1:].copy(), ops.upper[1:].copy()
+    lower[0] = upper[-1] = 0.0
+    return lower, ops.diag[1:], upper, ops.lower[1], ops.upper[-1]
+
+
+def _reduction(lower, diag, upper, rhs, first, last):
+    # the reference: cyclic reduction with the couplings to residue 0 as extra right-hand sides
+    ends = np.zeros_like(diag)
+    ends[0], ends[-1] = first, last
+    return grid._cyclic_reduction(lower, diag, upper, np.concatenate([rhs, ends], axis=2))
+
+
+def _counting_reduction(monkeypatch):
+    calls = []
+    reduction = grid._cyclic_reduction
+    monkeypatch.setattr(grid, "_cyclic_reduction", lambda *args: calls.append(len(args[1])) or reduction(*args))
+    return calls
+
+
+def test_closed_form_chain_solve_matches_cyclic_reduction(monkeypatch):
+    # for a = 0 the chain is K (x) P; the closed form must agree with the
+    # reduction it replaces, which stays the reference
+    calls = _counting_reduction(monkeypatch)
+    rng = np.random.default_rng(5)
+    extra = tuple(map(Stencil.from_coeffs, [(1, 0, -1), (F(1, 3), 0, F(2, 7))]))
+    pool = named_stencils() + random_regime_stencils() + extra
+    for s in pool:
+        for n in (4, 5, 8, 33, 64):
+            chain = _chain_blocks(assemble(s, n))
+            rhs = rng.standard_normal((n - 1, s.N + 1, 3))
+            calls.clear()
+            closed = grid._chain_solve(*chain[:3], rhs, *chain[3:])
+            assert calls == [], (str(s), n)
+            reference = _reduction(*chain[:3], rhs, *chain[3:])
+            rel = np.abs(closed - reference).max() / np.abs(reference).max()
+            assert rel <= 1e-12, (str(s), n, rel)
+
+
+def test_only_a_nonzero_coefficient_takes_cyclic_reduction(monkeypatch):
+    # the path is chosen from the blocks alone: an explicit all-zero a is a = 0
+    calls = _counting_reduction(monkeypatch)
+    for s in named_stencils():
+        for kind in (None, "zero", "one", "t"):
+            ops = assemble(s, 16, _a_of_kind(kind, s))
+            calls.clear()
+            solve_grid(ops, np.ones(ops.size))
+            index_estimate(ops)
+            assert (len(calls) > 0) is (kind in ("one", "t")), (str(s), kind, calls)
+
+
+def _block_residual(ops, x, rhs):
+    # ||A x - rhs|| / ||rhs|| from the stored residue blocks, never from operator:
+    # residue r reads residues r - 1, r and r + 1 (mod n) at the same slots
+    by_residue = np.concatenate([[0.0], x]).reshape(ops.stencil.N + 1, ops.n).T[..., None]
+    ax = ops.diag @ by_residue
+    ax += ops.lower @ np.roll(by_residue, 1, axis=0) + ops.upper @ np.roll(by_residue, -1, axis=0)
+    return np.linalg.norm(ax[..., 0].T.reshape(-1)[1:] - rhs) / np.linalg.norm(rhs)
+
+
+def test_block_residual_is_the_operator_residual():
+    for coeffs in BLOCK_SOLVE_COEFFS:
+        s = Stencil.from_coeffs(coeffs)
+        for n in (4, 7):
+            ops = assemble(s, n, _a_of_kind("t", s))
+            x, rhs = np.cos(np.arange(ops.size)), np.linspace(-1.0, 2.0, ops.size)
+            dense = np.linalg.norm(ops.operator.matrix @ x - rhs) / np.linalg.norm(rhs)
+            assert _block_residual(ops, x, rhs) == pytest.approx(dense, rel=1e-12), (coeffs, n)
+
+
+def test_closed_form_residual_at_the_grid_cap(monkeypatch):
+    # at the largest n that MAX_GRID_UNKNOWNS allows, the closed-form solve's
+    # relative residual stays within 2x that of cyclic reduction on the same
+    # system, for smooth, polynomial, oscillating and random data
+    for s in named_stencils():
+        n = (grid.MAX_GRID_UNKNOWNS + 1) // (s.N + 1)
+        ops = assemble(s, n)
+        t = np.arange(1, ops.size + 1) / n
+        data = {
+            "linear": np.linspace(-1.0, 2.0, ops.size),
+            "ones": np.ones(ops.size),
+            "square": t * t,
+            "sine": np.sin(np.pi * t),
+            "cosine": np.cos(np.arange(ops.size)),
+            "random": np.random.default_rng(1).standard_normal(ops.size),
+        }
+        for name, rhs in data.items():
+            closed = solve_grid(ops, rhs)
+            with monkeypatch.context() as m:
+                m.setattr(grid, "_chain_solve", _reduction)
+                reduced = solve_grid(ops, rhs)
+            assert not closed.ill_conditioned and not reduced.ill_conditioned, (str(s), name)
+            ours, reference = _block_residual(ops, closed.values, rhs), _block_residual(ops, reduced.values, rhs)
+            assert ours <= 2 * reference, (str(s), n, name, ours, reference)

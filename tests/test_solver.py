@@ -162,8 +162,8 @@ def test_one_solve_reads_each_node_jet_once_per_distinct_stack(monkeypatch):
 
 def test_constraint_stacks_are_built_only_for_smooth_data(monkeypatch):
     # rough data reads the boundary pair alone; smooth data reads it as the head
-    # of the zero-trace stack, so the stacks are built once per problem, whether
-    # the boundary system is feasible or not, and no membership stack twice
+    # of the zero-trace stack, so the stacks are built once per problem and no
+    # membership stack twice; an infeasible boundary system never builds the minimal stack
     calls, builds = [], []
     monkeypatch.setattr(solver, "solvability_constraints", lambda *a: calls.append(a) or solvability_constraints(*a))
     build = functionals.membership_functionals
@@ -184,9 +184,31 @@ def test_constraint_stacks_are_built_only_for_smooth_data(monkeypatch):
         if family.smoothness is not None:
             assert family.smoothness.data_smooth is smooth_data
         # N = 1 has dependent end columns: the minimal stack opens with the mu = 0 pair
-        assert (len(calls), builds) == ((1, [3, 1]) if smooth_data else (0, [1]))
+        stacks = [3] if family.status is SolveStatus.INFEASIBLE else [3, 1]
+        assert (len(calls), builds) == ((1, stacks) if smooth_data else (0, [1]))
         solve_nonhomogeneous(problem)  # a second solve of the same problem builds no stack
-        assert (len(calls), builds) == ((1, [3, 1]) if smooth_data else (0, [1, 1]))
+        assert (len(calls), builds) == ((1, stacks) if smooth_data else (0, [1, 1]))
+
+
+def test_infeasible_smooth_solve_builds_no_minimal_stack(monkeypatch):
+    # the INFEASIBLE return reads only the head of the zero-trace stack: no
+    # image_functionals (and its cofactors), and only the boundary pair eliminated
+    images, eliminated = [], []
+    image, eliminate = functionals.image_functionals, functionals.eliminate_constants
+    monkeypatch.setattr(functionals, "image_functionals", lambda *a: images.append(a) or image(*a))
+    for module in (solver, functionals):
+        monkeypatch.setattr(module, "eliminate_constants", lambda fns: eliminated.append(len(fns)) or eliminate(fns))
+    for k in (0, 2, 6):
+        images.clear()
+        eliminated.clear()
+        stencil = Stencil.from_coeffs((1, 0, -1))
+        problem = BVPProblem(stencil=stencil, k=k, f0=PiecewisePoly.constant(1, 0, stencil.N + 1))
+        assert stencil.structure.ends.dependent
+        assert solve_nonhomogeneous(problem).status is SolveStatus.INFEASIBLE
+        assert (images, eliminated) == ([], [2]), k
+        # the report reads both stacks, and builds each on that first read
+        assert index_report(problem).all_ok
+        assert len(images) == 1 and eliminated == [2, 2 * (k + 2), len(problem.constraints.minimal.stack)], k
 
 
 def test_each_class_reads_its_residuals_off_its_own_stack():
