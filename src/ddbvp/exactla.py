@@ -1,9 +1,9 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices come in and go out as plain lists of lists of ``fractions.Fraction``;
-no floating point, no tolerance.  Every elimination runs on integers in one
-kernel, ``_eliminate``: each row is scaled to integers by the lcm of its
-denominators, then fraction-free Gauss-Jordan elimination (Bareiss 1968,
+no floating point, no tolerance.  Every general elimination runs on integers
+in one kernel, ``_eliminate``: each row is scaled to integers by the lcm of
+its denominators, then fraction-free Gauss-Jordan elimination (Bareiss 1968,
 "Sylvester's identity and multistep integer-preserving Gaussian
 elimination") replaces every non-pivot row by (p * row - f * pivot_row) //
 prev, with p the current and prev the previous pivot.  By Sylvester's
@@ -17,22 +17,28 @@ integer matrices and read the kernel directly, for callers that keep working
 in integers.  ``integer_inverse`` eliminates [a | I] once and returns both
 the determinant (the signed last pivot) and the inverse as integer rows over
 one positive denominator (the right half over the last pivot, gcd and sign
-divided out), or det 0 and no rows for a singular a.  ``det``, ``rank`` and
-``invert`` scale the rows of a rational matrix to integers first and build
-their Fractions from those results; ``det`` and ``invert`` are thin wrappers
-over ``integer_inverse``.  ``rref`` and everything built on it
-(``nullspace``, ``left_nullspace``, ``solve_affine``, ``solve_unique``,
-``min_norm_solution``) read the RREF.  The RREF is canonical, so the results
-are those of any exact Gauss-Jordan elimination, entry for entry.
+divided out), or det 0 and no rows for a singular a.  ``det``, ``rank``,
+``rref`` and ``invert`` scale the rows of a rational matrix to integers first
+and build their Fractions from those results; ``det`` and ``invert`` are thin
+wrappers over ``integer_inverse``.
+
+The package's rational systems have two unknowns: the constants (d1, d2) of
+w = d1 t + d2 - I under a stack of node functionals, and the N x 2 pair of
+clipped end columns.  ``TwoColumnSystem`` eliminates such an m x 2 block on
+its own, without the kernel: the block over its lcm, its first nonzero row
+and the first row independent of it, and Cramer's rule on those two rows.
+It gives the rank, the left null vectors as integer rows and the right null
+basis, both in the basis the RREF gives, and the least-norm solution of a
+consistent right side.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-Vec = list[Fraction]
 Mat = list[list[Fraction]]
 
 
@@ -45,10 +51,6 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-def transpose(a: Sequence[Sequence[Fraction]]) -> Mat:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     """Integers n_i and one common denominator D, the lcm, with values[i] = n_i / D."""
     den = math.lcm(*(x.denominator for x in values))
@@ -57,12 +59,8 @@ def integer_numerators(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 def _integer_rows(a: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Each row of a times the lcm of its denominators, and those multipliers."""
-    rows, scales = [], []
-    for row in a:
-        nums, scale = integer_numerators([to_fraction(x) for x in row])
-        rows.append(nums)
-        scales.append(scale)
-    return rows, scales
+    pairs = [integer_numerators([to_fraction(x) for x in row]) for row in a]
+    return [nums for nums, _ in pairs], [scale for _, scale in pairs]
 
 
 def _eliminate(m: list[list[int]]) -> tuple[list[int], int]:
@@ -137,60 +135,6 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_eliminate(m)[0]) if m and m[0] else 0
 
 
-def nullspace(a: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    """Basis of the right null space, one vector per free column of the RREF."""
-    if not a:
-        return []
-    return _null_basis(*rref(a), len(a[0]))
-
-
-def _null_basis(red: Mat, pivots: list[int], cols: int) -> list[Vec]:
-    """Null space basis of the first ``cols`` columns of a matrix in RREF."""
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(v)
-    return basis
-
-
-def left_nullspace(a: Sequence[Sequence[Fraction]]) -> list[Vec]:
-    return nullspace(transpose(a))
-
-
-def solve_affine(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> tuple[Vec, list[Vec]] | None:
-    """Full solution set of a x = b.
-
-    Returns (particular, nullspace basis), with free variables of the
-    particular solution set to zero, or None when the system is infeasible.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    particular = [Fraction(0)] * cols
-    for r, p in enumerate(pivots):
-        particular[p] = red[r][cols]
-    # the first cols columns of the augmented RREF are the RREF of a
-    return particular, _null_basis(red, pivots, cols)
-
-
-def solve_unique(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
-    """Solve a x = b when the solution exists and is unique; raise otherwise."""
-    sol = solve_affine(a, b)
-    if sol is None:
-        raise ValueError("inconsistent linear system")
-    particular, null = sol
-    if null:
-        raise ValueError("underdetermined linear system")
-    return particular
-
-
 def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]], int]:
     """The determinant of a square integer matrix and its inverse as integer rows over one positive denominator d.
 
@@ -222,20 +166,67 @@ def invert(a: Sequence[Sequence[Fraction]]) -> Mat:
     return [[Fraction(x * s, d) for x, s in zip(row, scales)] for row in inverse]
 
 
-def min_norm_solution(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> tuple[Vec, list[Vec]] | None:
-    """Like solve_affine, but the particular solution minimizes sum(x_i^2).
+class TwoColumnSystem:
+    """An m x 2 block eliminated over the integers: m equations in two unknowns.
 
-    The minimizer over the affine solution set p + span(n_1, ..., n_r) solves
-    the exact normal equations G c = -T p with G the Gram matrix of the basis.
+    ``rows`` is the block times ``scale``, the lcm of its denominators, which
+    moves neither null space.  ``pivots`` holds the first nonzero row p1 and
+    the first row p2 independent of it, as far as they exist, so ``rank`` is
+    their number.  ``basis`` is the pivot rows completed to a basis of the
+    plane by null directions: at rank 1 by (-y1, x1), orthogonal to p1 =
+    (x1, y1), at rank 0 by both unit vectors.  Each question below is then one
+    2 x 2 solve by Cramer's rule on ``basis``, with e its determinant.
     """
-    sol = solve_affine(a, b)
-    if sol is None:
-        return None
-    p, null = sol
-    if not null:
-        return p, null
-    gram = [[sum((u[i] * v[i] for i in range(len(p))), Fraction(0)) for v in null] for u in null]
-    rhs = [-sum((u[i] * p[i] for i in range(len(p))), Fraction(0)) for u in null]
-    c = solve_unique(gram, rhs)
-    best = [p[i] + sum((c[j] * null[j][i] for j in range(len(null))), Fraction(0)) for i in range(len(p))]
-    return best, null
+
+    def __init__(self, block: Sequence[Sequence[Fraction]]):
+        flat, self.scale = integer_numerators([to_fraction(x) for row in block for x in row])
+        self.rows = tuple(zip(flat[0::2], flat[1::2]))
+        self.pivots, self.basis = (), ((1, 0), (0, 1))
+        first = next((i for i, row in enumerate(self.rows) if any(row)), None)
+        if first is not None:
+            x1, y1 = self.rows[first]
+            second = next((i for i, (x, y) in enumerate(self.rows) if x1 * y - x * y1), None)
+            self.pivots = (first,) if second is None else (first, second)
+            self.basis = ((x1, y1), (-y1, x1) if second is None else self.rows[second])
+        self.rank = len(self.pivots)
+        # the completing directions, scaled so that their last nonzero entry is 1
+        self.right_null = tuple((Fraction(x, y or x), Fraction(y, y or x)) for x, y in self.basis[self.rank:])
+
+    @cached_property
+    def left_null(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Basis of the left null space, as integer rows (numerators, den) over the least den > 0.
+
+        Each non-pivot row f, in ascending order, gives e_f minus f's
+        coordinates on the pivot rows; its coordinates on the completing
+        directions are 0.  These are the vectors, one per free column, that
+        the RREF of the 2 x m transpose gives.
+        """
+        (x1, y1), (x2, y2) = self.basis
+        e = x1 * y2 - x2 * y1
+        out = []
+        for f, (x, y) in enumerate(self.rows):
+            if f not in self.pivots:
+                coords = dict(zip(self.pivots, (x * y2 - x2 * y, x1 * y - x * y1)))
+                nums = [e if i == f else -coords.get(i, 0) for i in range(len(self.rows))]
+                g = math.gcd(*nums) if e > 0 else -math.gcd(*nums)
+                out.append((tuple(n // g for n in nums), e // g))
+        return tuple(out)
+
+    def least_norm(self, rhs: Sequence[Fraction]) -> tuple[Fraction, Fraction] | None:
+        """The solution d of block * d = rhs with the least d1^2 + d2^2, or None when the system is inconsistent.
+
+        With rhs = b / L over its lcm L, rows * d = scale * b / L.  The
+        candidate meets the pivot rows and is orthogonal to every null
+        direction, basis * d = scale * (b[p1], b[p2] or 0) / L, so it is the
+        least-norm point of the solution set if that set is not empty:
+        d = scale * (n1, n2) / (e L), a solution exactly when x_i n1 + y_i n2 =
+        e b_i on every row.
+        """
+        b, den = integer_numerators([to_fraction(v) for v in rhs])
+        (x1, y1), (x2, y2) = self.basis
+        e = x1 * y2 - x2 * y1
+        b1, b2 = ([b[p] for p in self.pivots] + [0, 0])[:2]
+        n1, n2 = b1 * y2 - b2 * y1, x1 * b2 - x2 * b1
+        if any(x * n1 + y * n2 != e * b_i for (x, y), b_i in zip(self.rows, b)):
+            return None
+        return Fraction(self.scale * n1, e * den), Fraction(self.scale * n2, e * den)

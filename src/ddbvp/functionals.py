@@ -21,12 +21,14 @@ analysis needs:
   problem -(R v)'' = f, for the zero-trace and the minimal-domain solution
   classes.  Every solution of -w'' = f is w = d1*t + d2 - I (I the double
   antiderivative of f); ``eliminate_constants`` keeps the stack's (d1, d2)
-  block and takes its left null vectors as ``weights``, so each data
-  constraint is one weight vector dotted with the stack's values on I.  The
-  block's rank is its row count less the number of weights, and
-  ``violations`` names each nonzero residual "<label> j".  The solver
-  eliminates its order-zero boundary pair the same way, as a two-member
-  stack whose residuals it labels "boundary constraint j".
+  block, eliminates it once as an ``exactla.TwoColumnSystem`` and takes its
+  left null vectors, integer rows in the block's RREF basis, as ``weights``,
+  so each data constraint is one weight vector dotted with the stack's
+  values on I.  The system also gives the block's rank and the solver's
+  least-norm (d1, d2), and ``violations`` names each nonzero residual
+  "<label> j".  The solver eliminates its order-zero boundary pair the same
+  way, as a two-member stack whose residuals it labels "boundary
+  constraint j".
 
 Ranks are read off the weights in atom coordinates, one integer row per
 functional with integer atom keys.  A stack of functionals is evaluated on a
@@ -258,16 +260,22 @@ class DataConstraints:
     wanted solution class and eliminating the two constants leaves pure data
     constraints: each weight row u is a left null vector of the stack's
     (d1, d2) block ``block``, row i the values of stack[i] on t and on 1, and
-    sum_i u_i * stack[i](I) must vanish.  Row j is stored in integers,
-    ``rows[j] = (numerators, den)`` with u = numerators / den; ``weights``
-    builds its Fractions on each read.  ``rank`` is the rank of ``block``,
-    read off the weights by rank-nullity, and ``violations`` names the
-    residual of row j "<label> j", with "data constraint" the default label.
+    sum_i u_i * stack[i](I) must vanish.  ``system`` is the block's one
+    integer elimination (``exactla.TwoColumnSystem``), which also gives the
+    solver its least-norm (d1, d2).  Row j is its left null row, stored in
+    integers, ``rows[j] = (numerators, den)`` with u = numerators / den;
+    ``weights`` builds its Fractions on each read.  ``rank`` is the rank of
+    ``block``, and ``violations`` names the residual of row j "<label> j",
+    with "data constraint" the default label.
     """
 
     stack: tuple[NodeFunctional, ...]
     block: tuple[tuple[Fraction, Fraction], ...]
-    rows: tuple[tuple[tuple[int, ...], int], ...]
+    system: exactla.TwoColumnSystem
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return self.system.left_null
 
     @property
     def count(self) -> int:
@@ -275,8 +283,7 @@ class DataConstraints:
 
     @property
     def rank(self) -> int:
-        """The rank of ``block``: each weight row is one left null vector of it."""
-        return len(self.block) - self.count
+        return self.system.rank
 
     @property
     def weights(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -300,12 +307,14 @@ class DataConstraints:
 
 
 def eliminate_constants(stack: Sequence[NodeFunctional]) -> DataConstraints:
-    """Eliminate (d1, d2) from a functional stack applied to w = d1 t + d2 - I."""
+    """Eliminate (d1, d2) from a functional stack applied to w = d1 t + d2 - I.
+
+    The stack's (d1, d2) block, row i the values of stack[i] on t and on 1,
+    is eliminated once (``exactla.TwoColumnSystem``); its left null rows are
+    the constraints' integer ``rows`` as they come.
+    """
     block = tuple((fn.on_monomial(1), fn.on_monomial(0)) for fn in stack)
-    rows = tuple(
-        (tuple(nums), den) for nums, den in map(exactla.integer_numerators, exactla.left_nullspace(block))
-    )
-    return DataConstraints(stack=tuple(stack), block=block, rows=rows)
+    return DataConstraints(stack=tuple(stack), block=block, system=exactla.TwoColumnSystem(block))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ A problem file is a JSON document:
 
 Every number that feeds the exact computation is an integer or a "p/q"
 string; floats are rejected so no rounding can sneak in through an input
-file.  f1/f2/oracle are optional.  Piece coefficients are in the local
+file, and so is a number whose numerator or denominator is longer than
+``MAX_RATIONAL_BITS``, with one error naming the field.  f1/f2/oracle are optional.  Piece coefficients are in the local
 coordinate of the piece (x = t - left endpoint).  Polynomial degrees are
 checked against ``piecewise.DEGREE_CAP`` on parsing: every piece of f0 and
 of oracle.a, f1 and f2 after trailing zeros are trimmed, and the degree 2k+3
@@ -29,6 +30,7 @@ piece, and prints every value as the correctly rounded float of the exact one.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,17 +81,33 @@ def _clip(text: str) -> str:
     return "%s… (%d characters)" % (text[:ECHO_CHARS], len(text))
 
 
+# Longest numerator or denominator of a number in a problem file, in bits.  Exact work grows
+# with the entries' length, and an exponent string is short: "1e200000" (664,386 bits) as b_-1
+# kept solve busy for 42 s.  With two nonzero stencil entries of 8,192 bits (values near 1,
+# distinct denominators) solve took 0.07 s at N = 1, k = 0 and 0.14 s at N = 2, k = 2, but at
+# N = 64, k = 30 it took 103 s with 1,025-bit entries (one core of a 2-core Xeon), so the bound
+# stops runaway cost from short fields, not the cost of a large N.  It accepts "1e400" and
+# "1e-400" (1,329 bits) and 1,500-digit "p/q" strings (4,980 bits).
+MAX_RATIONAL_BITS = 8192
+
+
 def _rational(value, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ProblemFileError(where, "expected an integer or a 'p/q' string, got %r" % (value,))
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ProblemFileError(where, "expected an integer or a 'p/q' string, got %s" % _clip(repr(value)))
     if isinstance(value, str):
+        # Fraction builds 10^e for a decimal exponent e; refuse an e that no nonzero number of
+        # this many characters can have within the bound, before 10^e is built
+        exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*$", value, re.IGNORECASE) if "e" in value.lower() else None
+        if exponent and abs(int(exponent[1])) > MAX_RATIONAL_BITS + 2 * len(value):
+            raise ProblemFileError(where, "decimal exponent of %s is out of range" % _clip(repr(value)))
         try:
-            return Fraction(value.strip())
+            value = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ProblemFileError(where, "not a rational: %s (%s)" % (_clip(repr(value)), _clip(str(exc)))) from None
-    raise ProblemFileError(where, "expected an integer or a 'p/q' string, got %s" % _clip(repr(value)))
+    x = value if isinstance(value, Fraction) else Fraction(value)
+    if max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_RATIONAL_BITS:
+        raise ProblemFileError(where, "numerator or denominator longer than %d bits" % MAX_RATIONAL_BITS)
+    return x
 
 
 def _integer(value, where: str) -> int:

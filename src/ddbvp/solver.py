@@ -17,7 +17,8 @@ affine family (the kernel directions are preimages of linear functions), or
 nonexistent; all three cases are decided exactly and reported with exact
 residuals.  The pair's (d1, d2) elimination is the one the constraint stacks
 use (``functionals.eliminate_constants``): it gives the boundary matrix, its
-rank and the residuals, named "boundary constraint j".
+rank, the residuals, named "boundary constraint j", the least-norm d and the
+kernel directions.
 
 Inhomogeneous extension data is folded in by subtracting a smooth extension
 psi that matches f1 / f2 to the required derivative order and is supported in
@@ -281,9 +282,11 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     constraint stack and never builds the minimal one.  The stack is
     evaluated whole, once (``evaluate_stack``, one jet per node and side);
     the minimal stack opens with the same pair, so only its other members
-    are read.  A stack's values feed both its residuals
-    and, on the (d1, d2) rows its elimination stored
-    (``DataConstraints.block``), the refined d.
+    are read.  A stack's values feed both its residuals and, through the
+    integer elimination of its (d1, d2) block (``DataConstraints.system``,
+    an ``exactla.TwoColumnSystem``), the refined d: each d is that system's
+    least-norm solution, and the kernel directions c are the boundary
+    system's right null basis.
     """
     structure = problem.stencil.structure
     n = problem.stencil.N
@@ -313,7 +316,7 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
             smoothness=None,
         )
 
-    d, null = exactla.min_norm_solution(boundary.block, rhs)
+    d, null = boundary.system.least_norm(rhs), boundary.system.right_null
     if data_defects:
         zero_trace_bad = tuple(("data jump at %s, order %d" % (t, mu), val) for t, mu, val in data_defects)
         minimal_bad = zero_trace_bad
@@ -328,15 +331,15 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
             minimal_bad = minimal.violations(minimal_values)
         # a stack with no violation is consistent, so its solution set is not empty
         if not zero_trace_bad:
-            d = exactla.min_norm_solution(zero_trace.block, values)[0]
+            d = zero_trace.system.least_norm(values)
         elif not minimal_bad:
-            d = exactla.min_norm_solution(minimal.block, minimal_values)[0]
+            d = minimal.system.least_norm(minimal_values)
     w = PiecewisePoly.from_global((d[1], d[0]), (0, n + 1)) - second
     v = apply_difference_inverse(structure, w) + psi.restricted(0, n + 1)
     y = concat([psi.restricted(-n, 0), v, psi.restricted(n + 1, 2 * n + 1)])
     kernel = tuple(
         KernelDirection(
-            c=(c[0], c[1]),
+            c=c,
             v=apply_difference_inverse(structure, PiecewisePoly.from_global((c[1], c[0]), (0, n + 1))),
         )
         for c in null
@@ -346,7 +349,7 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
         boundary_matrix=boundary.block,
         boundary_rank=boundary.rank,
         rhs=tuple(rhs),
-        d=(d[0], d[1]),
+        d=d,
         v=v, w=w + shifted,
         kernel=kernel,
         residuals=(),

@@ -38,7 +38,8 @@ R2's block of T, and only when det R2 is read.  ``analyze`` eliminates
 nothing of R1 itself: it checks the regime and reads the R2 row dependency
 (the last row of R1^-1), the admissible column (its last column) and the
 gamma1 expansions (combinations of its rows) off that one inverse; only the
-end-column dependency takes its own N x 2 elimination.  R1^-1 stays in
+end-column dependency takes its own N x 2 elimination, an
+``exactla.TwoColumnSystem``.  R1^-1 stays in
 integers: the report holds the stencil's integer rows, the gamma1
 expansions are integer dot products with one Fraction per coefficient,
 ``cofactor`` builds one Fraction per call, and
@@ -299,22 +300,23 @@ def _gamma(
 def _end_columns(stencil: Stencil, inverse: Sequence[Sequence[int]]) -> EndColumnData:
     """Clipped end columns of R1 and, if dependent, their normalized relation.
 
-    l is read off the last column of R1^-1 without its last entry, the null
-    vector of R2 (R1^-1[N+1][N+1] = det R2 / det R1 = 0).  R2 without row m
-    has rank N-1 and shares it, and by Cramer's rule that block's minor
-    without column l is nonzero exactly where the null vector is.
+    The dependency alpha is the right null vector of the N x 2 pair
+    (first, last), from its ``exactla.TwoColumnSystem``, scaled so that its
+    first nonzero entry is 1.  l is read off the last column of R1^-1
+    without its last entry, the null vector of R2 (R1^-1[N+1][N+1] = det R2
+    / det R1 = 0).  R2 without row m has rank N-1 and shares it, and by
+    Cramer's rule that block's minor without column l is nonzero exactly
+    where the null vector is.
     """
     n = stencil.N
     first = tuple(stencil.b(1 - i) for i in range(2, n + 2))
     last = tuple(stencil.b(n + 1 - i) for i in range(1, n + 1))
-    pair = [[first[i], last[i]] for i in range(n)]
-    null = exactla.nullspace(pair)
+    null = exactla.TwoColumnSystem(list(zip(first, last))).right_null
     if not null:
         return EndColumnData(first_inner=first, last_inner=last, dependent=False, alpha=None, l=None)
     # the nullity is 1: nullity 2 needs both columns zero, leaving b_0 alone, and det R2 = b_0^N = 0 forces det R1 = 0
-    alpha = null[0]
-    lead = next(x for x in alpha if x != 0)
-    alpha = tuple(x / lead for x in alpha)
+    lead = next(x for x in null[0] if x != 0)
+    alpha = tuple(x / lead for x in null[0])
     l = next(i for i in range(1, n + 1) if inverse[i - 1][n] != 0)
     return EndColumnData(first_inner=first, last_inner=last, dependent=True, alpha=alpha, l=l)
 

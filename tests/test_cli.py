@@ -695,6 +695,41 @@ def test_a_coefficient_outside_the_double_range_exits_1_before_any_output(tmp_pa
     assert captured.err == "error: stencil coefficient b_-1 lies outside the double range\n"
 
 
+# numbers whose numerator or denominator is longer than problem_io.MAX_RATIONAL_BITS (8192)
+OVERSIZE = {
+    "exponent": "1e200000",  # 664,386 bits: solve took about 40 s before the bound
+    "negative exponent": "-3e-200000",
+    "exponent past the digits": "1e99999999999",
+    "just over": "1e2467",  # 8,196 bits
+    "p/q": "1/%d" % 3 ** 5170,  # 8,195 bits in the denominator
+    "integer": 2 ** 8192,
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "spectrum", "solve"])
+@pytest.mark.parametrize("case", sorted(OVERSIZE))
+def test_an_oversize_rational_exits_1_at_once_naming_the_field(tmp_path, capsys, command, case):
+    argv = [command, _write(tmp_path, dict(WORKED, b=[0, 1, OVERSIZE[case]]))]
+    if command == "solve":
+        argv += ["--out", str(tmp_path / "big")]
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: b[2]: ") and len(captured.err.splitlines()) == 1, captured.err
+    assert elapsed < 1.0
+    assert not list(tmp_path.glob("big-*"))
+
+
+def test_rationals_at_the_bit_bound_are_accepted():
+    # 10^2466 and 2^8192 - 1 have 8,192 bits, the bound
+    for value in ("1e2466", "-1/%d" % (2 ** 8192 - 1), 2 ** 8192 - 1):
+        parsed = parse_problem(json.dumps(dict(WORKED, b=[1, 0, value])))
+        assert parsed.stencil.coeffs[2] == Fraction(value)
+    assert problem_io.MAX_RATIONAL_BITS == 8192
+
+
 # (0, 1, 1, 1, 2) with b_2 = 1e-400, which rounds to 0.0 as a double: still in
 # the supported regime, and its solution stays inside the double range
 UNDERFLOW = {"N": 2, "b": [0, 1, 1, 1, "1e-400"], "k": 0, "f0": [{"interval": [0, 3], "coeffs": [1]}]}

@@ -80,14 +80,15 @@ def test_regime_of_a_singular_r1_runs_one_determinant(monkeypatch):
 
 def test_a_supported_stencil_eliminates_r1_once(monkeypatch):
     calls = []
-    kernel = exactla._eliminate
+    kernel, system = exactla._eliminate, exactla.TwoColumnSystem
     monkeypatch.setattr(exactla, "_eliminate", lambda m: calls.append([len(m), len(m[0])]) or kernel(m))
+    monkeypatch.setattr(exactla, "TwoColumnSystem", lambda m: calls.append([len(m), len(m[0])]) or system(m))
     s = Stencil.from_coeffs((1, 1, 2, 4, 4))
     assert s.regime is Regime.SINGULAR_MINOR
     assert (s.det_r1, s.det_r2) == (4, 0)
     assert s.structure.inverse is s.r1_elimination[1]
     assert cofactor(s, 1, 2) == s.det_r1 * s.structure.r1_inverse[1][0]
-    # [T | I] once; the only other elimination is the N x 2 end-column pair
+    # [T | I] once; the only other elimination is the N x 2 end-column pair, a TwoColumnSystem
     assert calls == [[3, 6], [2, 2]]
 
 
