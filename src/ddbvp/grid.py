@@ -16,44 +16,49 @@ throughout, i = kn + r being slot k of residue r = i mod n.
 By residue the interior shift couples each residue to itself only, as n - 1
 copies of R1 and, without its t_0 slot, one of R2.  ``spectrum_check`` tests
 that decoupling exactly on the (offset, b_j) bands the shift is written from
-and takes the grid spectrum from one decomposition each of R1 and R2.  The
+and takes the grid spectrum from the stencil's ``r1_eigenvalues`` and
+``r2_eigenvalues``, one decomposition of each per stencil, shared by every n.  The
 operator couples residue r to r and r +- 1 (mod n), and ``assemble`` writes
-just these blocks, straight from the stencil: [r, k, l] of ``diag``,
-``lower`` and ``upper`` couples t_{kn+r} to t_{ln+s}, s = r, r - 1, r + 1,
-and slot 0 of residue 0 (t_0) is a zero row and column of each.
-``operator`` scatters them into an M x M array on every read.
-``solve_grid`` eliminates residues 1..n-1 (the chain) first and solves
-residue 0 last through its N x N Schur complement, whose block 2 R2 / h^2 is
-singular whenever det R2 = 0.  For a = 0 the chain is (1/h^2) K (x) R1, K
-the Dirichlet second difference, the separable form of fast Poisson solvers
-(Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970), and it is solved in
-closed form: one inverse of the R1 block, then K^-1 as two prefix sums along
-the residues.  Only a chain with a nonzero coefficient a goes through
-odd-even (cyclic) block reduction (Golub & Van Loan, Matrix Computations,
-section 4.5).  A singular R1 block raises on either path, and the dense
-fallbacks take over.  Its ``condition`` is a lower-bound 1-norm estimate
-from the same solve.  ``index_estimate`` runs the same elimination
-with no right-hand sides and counts the kernel from the singular values of
-that N x N Schur complement, not of the whole operator.
+just these blocks, straight from the stencil, and marks them read-only:
+[r, k, l] of ``diag``, ``lower`` and ``upper`` couples t_{kn+r} to
+t_{ln+s}, s = r, r - 1, r + 1, and slot 0 of residue 0 (t_0) is a zero row
+and column of each.  ``operator`` scatters them into an M x M array on every
+read.  ``solve_grid`` eliminates residues 1..n-1 (the chain) first and
+solves residue 0 last through its N x N Schur complement, whose block
+2 R2 / h^2 is singular whenever det R2 = 0.  For a = 0 the chain is
+(1/h^2) K (x) R1, K the Dirichlet second difference, the separable form of
+fast Poisson solvers (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7,
+1970), and it is solved in closed form: one inverse of the R1 block, then
+K^-1 as two prefix sums along the residues.  Only a chain with a nonzero
+coefficient a goes through odd-even (cyclic) block reduction (Golub & Van
+Loan, Matrix Computations, section 4.5).  A singular R1 block raises on
+either path, and the dense fallbacks take over.  The solve's ``condition``
+is a lower-bound 1-norm estimate from the same pass.  The first elimination
+of an operator, by a solve or by ``index_estimate`` with no right-hand
+sides, keeps the Schur complement and ||A||_1 on it, and ``index_estimate``
+counts the kernel from the singular values of that Schur complement, not
+of the whole operator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .piecewise import PiecewisePoly
-from .structure import Stencil, spectrum
+from .structure import Stencil
 
 # Largest n(N+1)-1 from input: an M x M read of operator, a dense fallback or shift is ~134 MB here.  The
 # residue solve is far from it: with a = 0, (1, 0, 1) / (1, 1, 2, 4, 4) at about 2^12, 2^14 and 2^16 unknowns
-# took assemble 0.08 / 0.11, 0.18 / 0.42, 0.57 / 0.94 ms, solve_grid 2.7 / 2.8, 9.6 / 7.5, 35 / 35 ms and
-# index_estimate 0.52 / 0.51, 1.2 / 1.0, 4.0 / 3.8 ms, peak RSS 33 / 34, 39 / 40, 62 / 66 MB (30 MB after
-# imports; best of 5, one BLAS thread, 2-core x86-64).  Raising the cap changes which files exit 1.
+# took assemble 0.04 / 0.05, 0.22 / 0.34, 0.23 / 1.3 ms, solve_grid 1.7 / 1.7, 6.5 / 6.7, 28 / 30 ms and
+# index_estimate 0.27 / 0.29, 0.88 / 0.92, 3.3 / 3.9 ms on a fresh operator (0.03-0.07 ms after a solve), peak
+# RSS 33 / 34, 39 / 40, 60 / 64 MB (30 MB after imports); with a = t at the cap, solve_grid 3.2 / 3.4 ms and a
+# fresh index_estimate 1.9 / 2.3 ms (best of 15, one BLAS thread, 2-core x86-64).  Raising the cap changes which
+# files exit 1.
 MAX_GRID_UNKNOWNS = 4096
 SPECTRUM_TOLERANCE = 1e-8  # containment distance that ``SpectrumCheck.ok`` accepts
 INDEX_THRESHOLD = 1e-8  # singular values below this fraction of ||A||_1 count as zero
@@ -78,7 +83,12 @@ class GridOperator:
 
 @dataclass(frozen=True)
 class GridOperators:
-    """The assembled operator as n x (N+1) x (N+1) residue blocks; every dense matrix is built on read."""
+    """The assembled operator as n x (N+1) x (N+1) read-only residue blocks; every dense matrix is built on read.
+
+    The first ``solve_grid`` or ``index_estimate`` of the operator keeps the
+    residue-0 Schur complement and ||A||_1 its elimination leaves
+    (``_residue_eliminate``), and every later ``index_estimate`` reads them.
+    """
 
     stencil: Stencil
     n: int
@@ -86,6 +96,7 @@ class GridOperators:
     diag: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    _schur: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def operator(self) -> GridOperator:
@@ -166,7 +177,8 @@ def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOp
     band = np.zeros(2 * big + 3)
     band[1:-1] = [float(stencil.b(j)) for j in range(-big, big + 1)]
     # rows 1 - o .. N + 1 - o of the reversed windows hold b_{l-k+o} at [k, l]; 0.0 - b, not -b, keeps zeros +0.0
-    centre, side = (np.lib.stride_tricks.sliding_window_view(x * inv_h2, big + 1)[::-1] for x in (2.0 * band, 0.0 - band))
+    windows = np.arange(big + 3)[::-1, None] + np.arange(big + 1)
+    centre, side = ((x * inv_h2)[windows] for x in (2.0 * band, 0.0 - band))
     diag, lower, upper = (np.repeat(x[None, 1:big + 2], n, axis=0) for x in (centre, side, side))
     lower[0], upper[-1] = side[:big + 1], side[2:]
     if a is not None:
@@ -174,6 +186,8 @@ def assemble(stencil: Stencil, n: int, a: PiecewisePoly | None = None) -> GridOp
         diag.reshape(n, -1)[:, ::big + 2] += np.concatenate([[0.0], samples]).reshape(big + 1, n).T
     diag[0, 0] = lower[0, 0] = upper[0, 0] = 0.0  # the row of t_0
     diag[0, :, 0] = lower[1, :, 0] = upper[-1, :, 0] = 0.0  # its column, seen from residues 0, 1 and n - 1
+    for blocks in (diag, lower, upper):
+        blocks.flags.writeable = False  # the kept Schur complement is only valid for these entries
     return GridOperators(stencil=stencil, n=n, size=size, diag=diag, lower=lower, upper=upper)
 
 
@@ -234,11 +248,11 @@ def _chain_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np
     with Green's function G_ij = min(i, j)(n - max(i, j)) / n.  P^-1 is one
     inverse of P for every residue: numpy's ``solve`` copies its right-hand
     sides one column at a time (0.34 ms against 0.01 ms at n = 512 on a
-    2-core x86-64).  K^-1 takes two prefix sums along the residues, whose two
-    terms cancel on oscillating data, so one step of iterative refinement
-    follows; K^-1 E is G's end columns, (n - i) / n and i / n.  Any other
-    chain goes to ``_cyclic_reduction``.  A singular P raises
-    ``LinAlgError`` either way.
+    2-core x86-64).  K^-1 E is G's end columns, (n - i) / n and i / n.
+    K^-1 rhs takes two prefix sums along the residues, whose two terms
+    cancel on oscillating data, so one step of iterative refinement follows;
+    an empty rhs skips both.  Any other chain goes to ``_cyclic_reduction``.
+    A singular P raises ``LinAlgError`` either way.
     """
     p = diag[0] / 2
     if not (np.all(diag == diag[0]) and np.all(lower[1:] == -p) and np.all(upper[:-1] == -p)):
@@ -248,6 +262,9 @@ def _chain_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np
     m, rows, q = rhs.shape
     p_inv, n = np.linalg.inv(p), m + 1
     i = np.arange(1.0, n)[:, None]
+    ends = ((n - i) / n)[..., None] * (p_inv @ first) + (i / n)[..., None] * (p_inv @ last)
+    if not q:
+        return ends
 
     def solve(b: np.ndarray) -> np.ndarray:
         z = (p_inv @ b).reshape(rows, m, q)  # slot-major: P acts on the rows, K along the residues
@@ -261,7 +278,6 @@ def _chain_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, rhs: np
     k_y[:, 1:] -= y[:, :-1]
     k_y[:, :-1] -= y[:, 1:]
     y += solve(b - p @ k_y.reshape(rows, -1))
-    ends = ((n - i) / n)[..., None] * (p_inv @ first) + (i / n)[..., None] * (p_inv @ last)
     return np.concatenate([y.transpose(1, 0, 2), ends], axis=2)
 
 
@@ -269,9 +285,10 @@ def _residue_eliminate(ops: GridOperators, rhs: np.ndarray) -> tuple[np.ndarray,
     """Eliminate residues 1..n-1 (the chain C) from A x = rhs; a singular pivot block raises ``LinAlgError``.
 
     Returns the N x N residue-0 Schur complement S = D0 - V C^-1 U, its right
-    side, the chain solves [C^-1 rhs, C^-1 U] per residue, and ||A||_1.  For
-    a = 0 ``_chain_solve`` solves C in closed form; cyclic reduction runs
-    only on a chain with a nonzero coefficient.
+    side, the chain solves [C^-1 rhs, C^-1 U] per residue, and ||A||_1; the
+    first elimination of ``ops`` keeps S and ||A||_1 on it for
+    ``index_estimate``.  For a = 0 ``_chain_solve`` solves C in closed form;
+    cyclic reduction runs only on a chain with a nonzero coefficient.
     """
     diag, lower, upper = ops.diag, ops.lower, ops.upper
     col_sums = np.einsum("rkl->rl", np.abs(diag))  # einsum, not sum(axis=1), which is 5x slower on these small blocks
@@ -287,9 +304,11 @@ def _residue_eliminate(ops: GridOperators, rhs: np.ndarray) -> tuple[np.ndarray,
     y = _chain_solve(chain_lower, diag[1:], chain_upper, b[1:], lower[1], upper[-1])
 
     # slot 0 of residue 0 is t_0, a zero row and column of every block
-    schur = diag[0] - upper[0] @ y[0, :, q:] - lower[0] @ y[-1, :, q:]
+    schur = (diag[0] - upper[0] @ y[0, :, q:] - lower[0] @ y[-1, :, q:])[1:, 1:]
     g = b[0] - upper[0] @ y[0, :, :q] - lower[0] @ y[-1, :, :q]
-    return schur[1:, 1:], g[1:], y, norm_1
+    if ops._schur is None:
+        object.__setattr__(ops, "_schur", (schur, norm_1))
+    return schur, g[1:], y, norm_1
 
 
 def _residue_solve(ops: GridOperators, rhs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -306,9 +325,12 @@ def solve_grid(ops: GridOperators, f0_samples: np.ndarray) -> GridSolution:
     """Solve A v = f by residue blocks, with the probes of ``condition`` as extra right-hand sides.
 
     The chain of residues 1..n-1 is solved in closed form for a = 0 and by
-    cyclic reduction otherwise (``_chain_solve``).  Dense least squares
-    replaces the block solve when the condition estimate exceeds 1e12 or a
-    pivot block is singular, as the R1 block is for a = 0 when det R1 = 0.
+    cyclic reduction otherwise (``_chain_solve``), in one pass with the
+    chain's couplings to residue 0; the first elimination of ``ops`` keeps
+    its Schur complement and ||A||_1 for ``index_estimate``.  Dense least
+    squares replaces the block solve when the condition estimate exceeds
+    1e12 or a pivot block is singular, as the R1 block is for a = 0 when
+    det R1 = 0.
     """
     rhs = np.asarray(f0_samples, dtype=float)
     if rhs.shape != (ops.size,):
@@ -349,8 +371,12 @@ class SpectrumCheck:
 
 
 def spectrum_check(stencil: Stencil, n: int) -> SpectrumCheck:
-    exact_r1 = spectrum(stencil)
-    exact_r2 = np.linalg.eigvals(np.array([row[:stencil.N] for row in stencil.r1[:stencil.N]], dtype=float))
+    """Compare the R1 spectrum with the grid's at resolution n, from the stencil's kept eigenvalues of R1 and R2.
+
+    R1 and R2 are decomposed once per stencil object, whatever n and however
+    many calls; a coefficient outside the double range raises OverflowError.
+    """
+    exact_r1, exact_r2 = stencil.r1_eigenvalues, stencil.r2_eigenvalues
     if any(b != 0 and offset % n for offset, b in _shift_bands(stencil, n)):
         return SpectrumCheck(n=n, containment_distance=math.inf, block_distance=math.inf)
     grid_eigs = np.concatenate([exact_r1, exact_r2])  # the residue blocks: n - 1 copies of R1, one of R2
@@ -387,16 +413,20 @@ def index_estimate(ops: GridOperators) -> IndexEstimate:
 
     With the chain C of residues 1..n-1 invertible, A and S = D0 - V C^-1 U
     have the same nullity, so the N x N S stands in for the whole operator.
-    For a = 0, C^-1 U is read off in closed form, and cyclic reduction runs
-    only for a nonzero coefficient.  A singular pivot block of the chain
-    (for a = 0, det R1 = 0) falls back to the SVD of A.  S is square, and S
+    S and ||A||_1 are the ones the first ``solve_grid`` of ``ops`` kept, or
+    come from an elimination with no right-hand sides, kept in turn: for
+    a = 0, C^-1 U is read off in closed form, and cyclic reduction runs only
+    for a nonzero coefficient.  A singular pivot block of the chain (for
+    a = 0, det R1 = 0) falls back to the SVD of A on every call.  S is square, and S
     and S^T share their singular values, so one SVD gives both counts:
     ``kernel_dim == cokernel_dim`` and ``balanced`` hold by construction.
     ``balanced`` is a smoke check of the assembly, not evidence that the
     continuous problem has index zero.
     """
     try:
-        schur, _, _, norm_1 = _residue_eliminate(ops, np.empty((ops.size, 0)))
+        if ops._schur is None:
+            _residue_eliminate(ops, np.empty((ops.size, 0)))
+        schur, norm_1 = ops._schur
         singular = np.linalg.svd(schur, compute_uv=False)
     except np.linalg.LinAlgError:
         matrix = ops.operator.matrix

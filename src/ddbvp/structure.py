@@ -48,8 +48,10 @@ read.  A ``Stencil`` carries R1, its integer rows, their elimination, its
 two determinants, its regime and its ``structure`` (the ``StructureReport``
 of ``analyze``), each computed on first use, and every consumer reads them
 from the stencil instead of recomputing.  All of this is exact
-rational arithmetic.  Only ``spectrum`` leaves the rationals, returning
-floating-point eigenvalues for diagnostics.
+rational arithmetic.  Only the stencil's ``r1_eigenvalues`` and
+``r2_eigenvalues`` leave the rationals: floating-point spectra for
+diagnostics, which ``spectrum`` and the grid's ``spectrum_check`` read from
+one decomposition of each matrix per stencil.
 """
 
 from __future__ import annotations
@@ -87,8 +89,9 @@ class Stencil:
 
     A stencil carries what is derived from it: R1, its integer rows, their
     one elimination (``r1_elimination``: det R1 and R1^-1), its two
-    determinants and its ``structure``, each computed on first use and kept
-    as long as the stencil object lives.
+    determinants, its ``structure`` and the double-precision eigenvalues of
+    R1 and of R2 (``r1_eigenvalues``, ``r2_eigenvalues``), each computed on
+    first use and kept as long as the stencil object lives.
     """
 
     N: int
@@ -161,6 +164,40 @@ class Stencil:
     def structure(self) -> StructureReport:
         """``analyze(self)``, computed on first use; raises UnsupportedRegimeError outside the regime."""
         return analyze(self)
+
+    def _r1_in_doubles(self) -> np.ndarray:
+        """R1 in double precision; a coefficient outside the double range raises OverflowError naming it."""
+        for j, c in enumerate(self.coeffs, start=-self.N):
+            try:
+                outside = c != 0 and float(c) == 0.0
+            except OverflowError:
+                outside = True
+            if outside:
+                raise OverflowError("stencil coefficient b_%d lies outside the double range" % j)
+        return np.array(self.r1, dtype=float)
+
+    @cached_property
+    def r1_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of R1 in double precision, sorted by (real, imag), as a read-only array.
+
+        A coefficient outside the double range, too large or a nonzero one
+        that rounds to 0.0, raises OverflowError naming it, on every read.
+        """
+        eigs = np.linalg.eigvals(self._r1_in_doubles())
+        eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
+        eigs.flags.writeable = False
+        return eigs
+
+    @cached_property
+    def r2_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of R2, the leading N x N block of R1, in double precision, as a read-only array.
+
+        Decomposed on its own first read, so a caller of ``spectrum`` never
+        pays for it; out-of-range coefficients raise as for ``r1_eigenvalues``.
+        """
+        eigs = np.linalg.eigvals(self._r1_in_doubles()[:-1, :-1])
+        eigs.flags.writeable = False
+        return eigs
 
 
 class Regime(Enum):
@@ -335,24 +372,16 @@ def cofactor(stencil: Stencil, i: int, k: int) -> Fraction:
 
 
 def spectrum(stencil: Stencil) -> np.ndarray:
-    """Eigenvalues of R1 in double precision, sorted by (real, imag).
+    """Eigenvalues of R1 in double precision, sorted by (real, imag): the stencil's read-only ``r1_eigenvalues``.
 
     The spectrum of the difference operator on L2(0, N+1) is exactly the
     spectrum of R1, so this doubles as a diagnostic for the discrete operator
-    built in :mod:`ddbvp.grid`.  A coefficient outside the double range,
+    built in :mod:`ddbvp.grid`.  R1 is decomposed once per stencil object,
+    whichever caller reads first.  A coefficient outside the double range,
     too large or a nonzero one that rounds to 0.0, raises OverflowError
     naming it.
     """
-    for j, c in enumerate(stencil.coeffs, start=-stencil.N):
-        try:
-            outside = c != 0 and float(c) == 0.0
-        except OverflowError:
-            outside = True
-        if outside:
-            raise OverflowError("stencil coefficient b_%d lies outside the double range" % j)
-    eigs = np.linalg.eigvals(np.array(stencil.r1, dtype=float))
-    order = np.lexsort((eigs.imag, eigs.real))
-    return eigs[order]
+    return stencil.r1_eigenvalues
 
 
 def index_table(ends: EndColumnData, k: int) -> IndexTable:

@@ -294,6 +294,10 @@ def test_index_estimate_falls_back_to_dense_when_r1_is_singular(coeffs):
             dense = _dense_kernel_count(ops)[0]
             assert index_estimate(ops).kernel_dim == dense, (coeffs, n, kind, dense)
             assert (dense >= n - 1) if kind is None else dense == 0, (coeffs, n, kind, dense)
+            if kind is None:  # the failed elimination is not kept: it raises again, and the fallback still counts
+                with pytest.raises(np.linalg.LinAlgError):
+                    grid._residue_eliminate(ops, np.empty((ops.size, 0)))
+                assert index_estimate(ops).kernel_dim == dense, (coeffs, n)
 
 
 def test_convergence_study_exact_reproduction_and_order():
@@ -490,7 +494,8 @@ def test_spectrum_check_agrees_with_the_dense_spectrum():
 
 
 def test_spectrum_check_solves_no_eigenproblem_larger_than_r1(monkeypatch):
-    # one decomposition of R1 and one of R2, whatever n is
+    # one decomposition of R1 and one of R2 per stencil, whatever n is and
+    # however many resolutions are checked
     shapes = []
     eigvals = np.linalg.eigvals
 
@@ -501,10 +506,10 @@ def test_spectrum_check_solves_no_eigenproblem_larger_than_r1(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", recording)
     for coeffs in BLOCK_SOLVE_COEFFS:
         s = Stencil.from_coeffs(coeffs)
+        shapes.clear()
         for n in (4, 64, 256):
-            shapes.clear()
             assert spectrum_check(s, n).ok, (coeffs, n)
-            assert sorted(shapes, reverse=True) == [(s.N + 1, s.N + 1), (s.N, s.N)], (coeffs, n, shapes)
+        assert sorted(shapes, reverse=True) == [(s.N + 1, s.N + 1), (s.N, s.N)], (coeffs, shapes)
 
 
 def test_spectrum_check_runs_no_exact_elimination(monkeypatch):
@@ -635,6 +640,7 @@ def test_closed_form_chain_solve_matches_cyclic_reduction(monkeypatch):
             calls.clear()
             closed = grid._chain_solve(*chain[:3], rhs, *chain[3:])
             assert calls == [], (str(s), n)
+            assert np.array_equal(grid._chain_solve(*chain[:3], rhs[:, :, :0], *chain[3:]), closed[:, :, 3:])
             reference = _reduction(*chain[:3], rhs, *chain[3:])
             rel = np.abs(closed - reference).max() / np.abs(reference).max()
             assert rel <= 1e-12, (str(s), n, rel)
@@ -695,3 +701,72 @@ def test_closed_form_residual_at_the_grid_cap(monkeypatch):
             assert not closed.ill_conditioned and not reduced.ill_conditioned, (str(s), name)
             ours, reference = _block_residual(ops, closed.values, rhs), _block_residual(ops, reduced.values, rhs)
             assert ours <= 2 * reference, (str(s), n, name, ours, reference)
+
+
+# -- the Schur complement an operator keeps ---------------------------------------
+
+
+@pytest.mark.parametrize("coeffs", BLOCK_SOLVE_COEFFS[:4])  # the named stencils and the singular (1, 0, -1)
+@pytest.mark.parametrize("a_kind", [None, "one", "t"])
+def test_solves_and_index_estimates_agree_in_any_order(coeffs, a_kind, monkeypatch):
+    # index_estimate reads the Schur complement of the operator's first
+    # elimination, a solve's or its own; a solve reads nothing kept, so
+    # repeated solves give the same bits and agree with cyclic reduction
+    s = Stencil.from_coeffs(coeffs)
+    for n in (4, 5, 8, 33, 64):
+        rhs = np.cos(np.arange(n * (s.N + 1) - 1))
+        estimate_first = assemble(s, n, _a_of_kind(a_kind, s))
+        before = index_estimate(estimate_first)
+        ops = assemble(s, n, _a_of_kind(a_kind, s))
+        first = solve_grid(ops, rhs)
+        after = index_estimate(ops)
+        assert (after.kernel_dim, after.threshold) == (before.kernel_dim, before.threshold), (coeffs, a_kind, n)
+        # a solve's elimination carries more columns beside U than index_estimate's, hence a tolerance
+        norm_1 = before.threshold / grid.INDEX_THRESHOLD
+        assert abs(after.smallest_forward - before.smallest_forward) <= 1e-12 * norm_1, (coeffs, a_kind, n)
+        for other in (solve_grid(ops, rhs), solve_grid(estimate_first, rhs)):
+            assert other.values.tobytes() == first.values.tobytes(), (coeffs, a_kind, n)
+            assert other.condition == first.condition and other.ill_conditioned == first.ill_conditioned
+        assert index_estimate(estimate_first) == before and index_estimate(ops) == after, (coeffs, a_kind, n)
+        with monkeypatch.context() as m:
+            m.setattr(grid, "_chain_solve", _reduction)
+            reference = solve_grid(assemble(s, n, _a_of_kind(a_kind, s)), rhs).values
+        rel = np.abs(first.values - reference).max() / np.abs(reference).max()
+        assert rel <= 1e-12, (coeffs, a_kind, n, rel)
+
+
+@pytest.mark.parametrize("a_kind", [None, "one", "t"])
+def test_index_estimate_after_a_solve_eliminates_nothing(a_kind, monkeypatch):
+    eliminated = []  # the number of right-hand sides of each elimination
+    eliminate = grid._residue_eliminate
+    monkeypatch.setattr(grid, "_residue_eliminate",
+                        lambda *args: eliminated.append(args[1].shape[1]) or eliminate(*args))
+    calls = _counting_reduction(monkeypatch)
+    for s in named_stencils():
+        n = 16
+        ops = assemble(s, n, _a_of_kind(a_kind, s))
+        eliminated.clear()
+        calls.clear()
+        solve_grid(ops, np.ones(ops.size))
+        # f and the three probes ride beside the couplings: one top-level reduction, or none for a = 0
+        assert calls.count(n - 1) == (a_kind is not None), (str(s), a_kind, calls)
+        index_estimate(ops)
+        assert eliminated == [4], (str(s), a_kind, eliminated)
+        solve_grid(ops, np.ones(ops.size))
+        assert eliminated == [4, 4] and calls.count(n - 1) == 2 * (a_kind is not None), (str(s), a_kind, calls)
+        fresh = assemble(s, n, _a_of_kind(a_kind, s))
+        index_estimate(fresh)
+        index_estimate(fresh)
+        assert eliminated == [4, 4, 0], (str(s), a_kind, eliminated)
+
+
+def test_the_blocks_of_an_operator_are_read_only():
+    # a write would leave the kept Schur complement stale without any error
+    s = Stencil.from_coeffs((1, 1, 2, 4, 4))
+    for a_kind in (None, "t"):
+        ops = assemble(s, 8, _a_of_kind(a_kind, s))
+        for blocks in (ops.diag, ops.lower, ops.upper):
+            with pytest.raises(ValueError):
+                blocks[1, 0, 0] = 1.0
+            with pytest.raises(ValueError):
+                blocks += 1.0

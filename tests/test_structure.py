@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -243,6 +244,29 @@ def test_spectrum_matches_sympy_eigenvalues():
         assert len(expected) == len(numeric)
         for (a, b), (c, d) in zip(expected, numeric):
             assert abs(a - c) < 1e-9 and abs(b - d) < 1e-9
+
+
+def test_eigenvalues_are_decomposed_once_and_read_only(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(np.shape(a)) or eigvals(a))
+    s = Stencil.from_coeffs((1, 1, 2, 4, 4))
+    assert spectrum(s) is spectrum(s) is s.r1_eigenvalues
+    assert calls == [(3, 3)]  # spectrum reads R1 alone
+    assert s.r2_eigenvalues is s.r2_eigenvalues
+    assert calls == [(3, 3), (2, 2)]
+    for eigs in (s.r1_eigenvalues, s.r2_eigenvalues):
+        with pytest.raises(ValueError):
+            eigs.sort()
+        with pytest.raises(ValueError):
+            eigs[0] = 0.0
+    # a coefficient outside the double range raises on every read, never caches
+    huge = Stencil.from_coeffs((Fraction(10) ** 400, 0, 1))
+    for _ in range(2):
+        with pytest.raises(OverflowError, match="b_-1"):
+            spectrum(huge)
+        with pytest.raises(OverflowError, match="b_-1"):
+            huge.r2_eigenvalues
 
 
 def test_random_regime_generator_respects_its_contract():
