@@ -15,6 +15,13 @@ exact solve would exceed the polynomial degree cap, and a stencil coefficient
 or a CSV sample outside the double range), 2 stencil outside the
 supported regime (including a failed exact rank assumption, ``StructureError``),
 3 infeasible problem (report still written), 4 verification failures.
+
+Rejected input takes one path, whether it comes from a problem file or from
+the command line: a ``ProblemFileError`` naming the field or flag, which
+``main`` turns into one ``error:`` line and exit 1.  ``--samples`` goes
+through the problem file's number validator, with its bit and exponent
+bounds, and the argument parser raises its usage errors the same way
+(``--help`` still exits 0).
 """
 
 from __future__ import annotations
@@ -28,9 +35,9 @@ from fractions import Fraction
 
 from .grid import grid_resolution_error, spectrum_check
 from .piecewise import DegreeCapError
-from .problem_io import ParsedProblem, ProblemFileError, load_problem, solution_csv_lines, solve_report
+from .problem_io import ParsedProblem, ProblemFileError, _rational, load_problem, solution_csv_lines, solve_report
 from .solver import SolveStatus, boundary_matrix, solve_nonhomogeneous
-from .structure import StructureError, UnsupportedRegimeError, spectrum
+from .structure import StructureError, UnsupportedRegimeError
 from . import exactla
 
 EXIT_OK = 0
@@ -83,7 +90,7 @@ def _analyze_report(parsed: ParsedProblem, out) -> int:
         _print_regime(parsed, out)
         print("unsupported: %s" % exc, file=out)
         return EXIT_REGIME
-    eigs = spectrum(stencil)  # a coefficient outside the double range stops here, before the first line
+    eigs = stencil.r1_eigenvalues  # a coefficient outside the double range stops here, before the first line
     _print_regime(parsed, out)
 
     gamma = report.gamma
@@ -114,7 +121,7 @@ def _analyze_report(parsed: ParsedProblem, out) -> int:
     print("  codimension, zero-trace domain: %d" % table.codim_zero_trace_domain, file=out)
     print("  index, zero-trace problem: %d" % table.index_zero_trace, file=out)
     print("  index, minimal-domain problem: %d" % table.index_minimal, file=out)
-    print("boundary matrix rank: %d" % exactla.rank(boundary_matrix(report)), file=out)
+    print("boundary matrix rank: %d" % exactla.TwoColumnSystem(boundary_matrix(report)).rank, file=out)
     return EXIT_OK
 
 
@@ -136,20 +143,13 @@ def _gamma_text(coeffs: dict) -> str:
 
 
 def cmd_solve(args, out) -> int:
-    try:
-        step = Fraction(args.samples)
-    except (ValueError, ZeroDivisionError):
-        print("error: --samples must be a positive rational like 1/8", file=sys.stderr)
-        return EXIT_PARSE
+    step = _rational(args.samples, "--samples")
     if step <= 0:
-        print("error: --samples must be positive", file=sys.stderr)
-        return EXIT_PARSE
-
+        raise ProblemFileError("--samples", "must be positive")
     parsed = load_problem(args.file)
     span = parsed.stencil.N + 1
     if span / step > MAX_SAMPLE_ROWS:
-        print("error: --samples %s gives more than %d CSV rows on (0, %d)" % (step, MAX_SAMPLE_ROWS, span), file=sys.stderr)
-        return EXIT_PARSE
+        raise ProblemFileError("--samples", "%s gives more than %d CSV rows on (0, %d)" % (step, MAX_SAMPLE_ROWS, span))
     with _unlimited_int_digits():
         return _solve_and_write(args, parsed, step, out)
 
@@ -185,9 +185,8 @@ def cmd_spectrum(args, out) -> int:
     for n in args.grid or ():
         error = grid_resolution_error(parsed.stencil.N, n)
         if error:
-            print("error: --grid %d: %s" % (n, error), file=sys.stderr)
-            return EXIT_PARSE
-    eigs = spectrum(parsed.stencil)  # a coefficient outside the double range stops here, before the first line
+            raise ProblemFileError("--grid %d" % n, error)
+    eigs = parsed.stencil.r1_eigenvalues  # a coefficient outside the double range stops here, before the first line
     _print_stencil(parsed, out)
     print("spectrum of R1:", file=out)
     for eig in eigs:
@@ -220,10 +219,17 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``ProblemFileError``; its subparsers inherit the class."""
+
+    def error(self, message):
+        raise ProblemFileError(self.prog, message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ddbvp",
         description="Exact analysis and solution of second-order differential-difference boundary value problems.",
     )
@@ -252,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, sys.stdout)
     except (ProblemFileError, OSError, DegreeCapError, OverflowError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -311,16 +311,6 @@ def _residue_eliminate(ops: GridOperators, rhs: np.ndarray) -> tuple[np.ndarray,
     return schur, g[1:], y, norm_1
 
 
-def _residue_solve(ops: GridOperators, rhs: np.ndarray) -> tuple[np.ndarray, float]:
-    """A^-1 rhs for the grid operator ``ops``, and ||A||_1: residue 0 solved last, then back-substituted."""
-    schur, g, y, norm_1 = _residue_eliminate(ops, rhs)
-    q = rhs.shape[1]
-    x0 = np.zeros((ops.stencil.N + 1, q))
-    x0[1:] = np.linalg.solve(schur, g)
-    x = np.concatenate([x0[None], y[:, :, :q] - y[:, :, q:] @ x0])
-    return x.transpose(1, 0, 2).reshape(-1, q)[1:], norm_1
-
-
 def solve_grid(ops: GridOperators, f0_samples: np.ndarray) -> GridSolution:
     """Solve A v = f by residue blocks, with the probes of ``condition`` as extra right-hand sides.
 
@@ -338,7 +328,11 @@ def solve_grid(ops: GridOperators, f0_samples: np.ndarray) -> GridSolution:
     ramp = 1.0 + np.arange(ops.size) / (ops.size - 1)
     probes = np.column_stack([np.ones(ops.size), ramp, ramp * (-1.0) ** np.arange(ops.size)])
     try:
-        solved, norm_1 = _residue_solve(ops, np.column_stack([rhs, probes]))
+        schur, g, y, norm_1 = _residue_eliminate(ops, np.column_stack([rhs, probes]))
+        x0 = np.zeros((ops.stencil.N + 1, 4))  # f and the three probes: residue 0 solved last, then the chain
+        x0[1:] = np.linalg.solve(schur, g)
+        x = np.concatenate([x0[None], y[:, :, :4] - y[:, :, 4:] @ x0])
+        solved = x.transpose(1, 0, 2).reshape(-1, 4)[1:]
         growth = np.abs(solved[:, 1:]).sum(axis=0) / np.abs(probes).sum(axis=0)
         condition = float(norm_1 * growth.max())
     except np.linalg.LinAlgError:

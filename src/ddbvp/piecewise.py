@@ -41,20 +41,20 @@ plumbing used everywhere else:
   per entry, and ``smoothness_defects`` and ``trace_defects`` (which adds
   the end jets) build one only for a nonzero jump or trace; their empty
   lists define the Sobolev-type memberships used by the solvers;
-* ``horner_float``: the correctly rounded float of a piece at a rational
-  point.  The piece is written as integers n_j over one common denominator
-  D, and at x = X/Q it is sum n_j X^j Q^(d-j) / (D Q^d): integer Horner,
-  then a single int / int division.  Python's integer true division is
-  correctly rounded, so every float equals ``float`` of the exact Fraction
-  value; nothing is rounded before that last step.  On an arithmetic
-  progression the numerator is an integer polynomial in the index, and
-  ``progression_floats`` gives a piece's floats there: top + 1 Horner
-  values, then their difference table (Knuth, TAOCP vol. 2, section
-  4.6.4), top integer additions per later value, each value still one
-  int / int division.  ``PiecewisePoly.sample(start, step, count)``, for
-  the grid samples, calls it once per piece, and so does the solution CSV
-  for its regular rows; the CSV's endpoint rows are one ``horner_float``
-  each.
+* correctly rounded floats of a piece at rational points.  The piece is
+  written as integers n_j over one common denominator D, and at x = X/Q it
+  is sum n_j X^j Q^(d-j) / (D Q^d): integer Horner, then a single int / int
+  division.  Python's integer true division is correctly rounded, so every
+  float equals ``float`` of the exact Fraction value; nothing is rounded
+  before that last step.  At one point that ratio is the order-0
+  ``_taylor`` below, which the solution CSV divides out for its endpoint
+  rows.  On an arithmetic progression the numerator is an integer
+  polynomial in the index, and ``progression_floats`` gives a piece's
+  floats there: top + 1 Horner values, then their difference table (Knuth,
+  TAOCP vol. 2, section 4.6.4), top integer additions per later value,
+  each value still one int / int division.
+  ``PiecewisePoly.sample(start, step, count)``, for the grid samples, calls
+  it once per piece, and so does the solution CSV for its regular rows.
 
 A function is stored only in integers.  Breakpoint i is nodes[i] / scale,
 the ``nodes`` strictly increasing over one positive ``scale`` in lowest terms
@@ -95,6 +95,7 @@ from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from . import exactla
+from .exactla import to_fraction
 from .structure import Stencil, StructureReport
 
 DEGREE_CAP = 64
@@ -102,10 +103,6 @@ DEGREE_CAP = 64
 
 class DegreeCapError(ValueError):
     """Polynomial degree exceeded DEGREE_CAP (runaway antidifferentiation guard)."""
-
-
-def _frac(x) -> Fraction:
-    return exactla.to_fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +139,12 @@ def _form(nums: Sequence[int], den: int) -> Form:
 
 def _form_of(coeffs: Iterable) -> Form:
     """The form of a coefficient sequence of ints, Fractions or 'p/q' strings."""
-    return _form(*exactla.integer_numerators([_frac(x) for x in coeffs]))
+    return _form(*exactla.integer_numerators([to_fraction(x) for x in coeffs]))
 
 
 def _grid(points: Iterable) -> tuple[list[int], int]:
     """Points (ints, Fractions or 'p/q' strings) as integers over their least common denominator."""
-    return exactla.integer_numerators([p if type(p) is int else _frac(p) for p in points])
+    return exactla.integer_numerators([p if type(p) is int else to_fraction(p) for p in points])
 
 
 def _shifted(form: Form, x_num: int, x_den: int) -> Form:
@@ -204,31 +201,17 @@ def _taylor(nums: Sequence[int], den: int, x_num: int, x_den: int, k: int) -> tu
     return acc, den * power
 
 
-def horner_float(nums: Sequence[int], den: int, x_num: int, x_den: int) -> float:
-    """p(x) as the correctly rounded float, for p = sum_d nums[d] x^d / den at x = x_num / x_den.
-
-    Integer Horner gives sum_d nums[d] X^d Q^(top-d), and one int / int
-    division by den * Q^top rounds it (module docstring).
-    """
-    top = len(nums) - 1
-    acc, power = nums[top], 1
-    for d in range(top - 1, -1, -1):
-        power *= x_den
-        acc = acc * x_num + nums[d] * power
-    return acc / (den * power)
-
-
 def progression_floats(form: Form, x_num: int, stride: int, x_den: int, count: int) -> Iterator[float]:
     """The correctly rounded floats of the piece at x_i = (x_num + i * stride) / x_den, i < count, x_den > 0.
 
-    The numerator N(i) = sum_d n_d X_i^d Q^(top-d) of ``horner_float`` is an
-    integer polynomial of degree top in i.  Its first top + 1 values come by
-    integer Horner on the call; each later one is top additions of backward
-    differences, run in C by nested ``accumulate`` as it is drawn, holding
-    O(top) ints.  Every float is one int / int division, made as it is
-    drawn, so it equals ``horner_float`` bit for bit and an overflow raises
-    only on its own draw.  A piece drawn at no more than top + 1 points
-    builds no difference table.
+    The numerator N(i) = sum_d n_d X_i^d Q^(top-d) of the order-0 ``_taylor``
+    is an integer polynomial of degree top in i.  Its first top + 1 values
+    come by integer Horner on the call; each later one is top additions of
+    backward differences, run in C by nested ``accumulate`` as it is drawn,
+    holding O(top) ints.  Every float is one int / int division, made as it
+    is drawn, so it equals the division of the order-0 ``_taylor`` bit for
+    bit and an overflow raises only on its own draw.  A piece drawn at no
+    more than top + 1 points builds no difference table.
     """
     nums, den = form
     top = len(nums) - 1
@@ -446,7 +429,7 @@ class PiecewisePoly:
         return self.scaled(Fraction(-1))
 
     def scaled(self, s) -> "PiecewisePoly":
-        s_num, s_den = _frac(s).as_integer_ratio()
+        s_num, s_den = to_fraction(s).as_integer_ratio()
         forms = tuple(_form([s_num * n for n in nums], s_den * den) for nums, den in self.forms)
         return PiecewisePoly(self.nodes, self.scale, forms)
 
@@ -474,7 +457,7 @@ class PiecewisePoly:
         with A/B the value carried from the previous piece's end (integer
         Horner there), is written over lcm(den * lcm(1..top+1), B).
         """
-        acc_num, acc_den = _frac(value_at_start).as_integer_ratio()
+        acc_num, acc_den = to_fraction(value_at_start).as_integer_ratio()
         forms = []
         for (nums, den), lo, hi in zip(self.forms, self.nodes, self.nodes[1:]):
             if len(nums) > DEGREE_CAP:
@@ -494,13 +477,13 @@ class PiecewisePoly:
 
     def shifted(self, s) -> "PiecewisePoly":
         """The translate t -> f(t - s); local pieces are untouched."""
-        s_num, s_den = _frac(s).as_integer_ratio()
+        s_num, s_den = to_fraction(s).as_integer_ratio()
         scale = math.lcm(self.scale, s_den)
         step = s_num * (scale // s_den)
         return PiecewisePoly(*_lowest([n + step for n in self._nodes_over(scale)], scale), self.forms)
 
     def restricted(self, a, b) -> "PiecewisePoly":
-        a, b = _frac(a), _frac(b)
+        a, b = to_fraction(a), to_fraction(b)
         if not (self.start <= a < b <= self.end):
             raise ValueError("restriction (%s, %s) outside domain" % (a, b))
         ref = self.refined((a, b))
@@ -514,7 +497,7 @@ class PiecewisePoly:
 
         For t = P/Q, P * scale = u Q + r; t is a breakpoint, where the sides take different pieces, iff r = 0.
         """
-        t = _frac(t)
+        t = to_fraction(t)
         if side not in (1, -1):
             raise ValueError("side must be +1 or -1")
         p, q = t.as_integer_ratio()
@@ -546,7 +529,7 @@ class PiecewisePoly:
 
     def value(self, t) -> Fraction:
         """Value at a point of continuity; raises if the two limits disagree."""
-        t = _frac(t)
+        t = to_fraction(t)
         if not self.start <= t <= self.end:
             raise ValueError("point %s outside domain" % t)
         if t == self.end:
@@ -567,8 +550,8 @@ class PiecewisePoly:
         step, t_i is (first + i * stride) / den; floor division gives each
         piece's first index, and each piece is one ``progression_floats``.
         """
-        s_num, s_den = _frac(start).as_integer_ratio()
-        h_num, h_den = _frac(step).as_integer_ratio()
+        s_num, s_den = to_fraction(start).as_integer_ratio()
+        h_num, h_den = to_fraction(step).as_integer_ratio()
         if h_num <= 0 or count < 0:
             raise ValueError("need a positive step and a non-negative count")
         m = math.lcm(s_den, h_den)
@@ -648,7 +631,7 @@ def linear_combination(terms: Iterable[tuple[object, PiecewisePoly]]) -> Piecewi
     one ``_integer_sum`` (module docstring).
     """
     terms = list(terms)
-    coefs = [_frac(c) for c, _ in terms]
+    coefs = [to_fraction(c) for c, _ in terms]
     funcs = [f for _, f in terms]
     nodes, scale = funcs[0].nodes, funcs[0].scale
     if any(f.scale != scale or f.nodes != nodes for f in funcs):
@@ -697,7 +680,7 @@ def hermite_interpolant(jets: Sequence[Form]) -> PiecewisePoly:
 
 def zero_extension(f: PiecewisePoly, a, b) -> PiecewisePoly:
     """Extend by zero from f's domain to the larger interval (a, b)."""
-    a, b = _frac(a), _frac(b)
+    a, b = to_fraction(a), to_fraction(b)
     if a > f.start or b < f.end:
         raise ValueError("extension interval must contain the domain")
     parts = []
@@ -799,12 +782,3 @@ def smoothness_defects(f: PiecewisePoly, k: int) -> list[tuple[Fraction, int, Fr
         for node, mu, num, den in f._jump_ratios(k) if num
     ]
     return sorted(defects, key=lambda d: d[1])
-
-
-# ---------------------------------------------------------------------------
-# the double antiderivative
-
-
-def double_antiderivative(f: PiecewisePoly) -> PiecewisePoly:
-    """I with I(start) = I'(start) = 0 and I'' = f; I(t) = integral (t - tau) f."""
-    return f.antiderivative(0).antiderivative(0)

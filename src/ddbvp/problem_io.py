@@ -39,7 +39,7 @@ from operator import truediv
 from typing import Iterator
 
 from .grid import grid_resolution_error
-from .piecewise import DEGREE_CAP, DegreeCapError, PiecewisePoly, align_many, horner_float, progression_floats, ptrim
+from .piecewise import DEGREE_CAP, DegreeCapError, PiecewisePoly, _taylor, align_many, progression_floats, ptrim
 from .solver import BVPProblem, SolutionFamily, SolveStatus
 from .structure import Stencil
 
@@ -309,14 +309,15 @@ def solution_csv_lines(family: SolutionFamily, f0: PiecewisePoly, step: Fraction
     v, v', w and f0 are aligned on one partition, and its pieces are walked
     once, in row order: the right-limit row at the piece's left end, the
     regular rows inside it, the left-limit row at its right end.  Rows are
-    made as they are taken, and no row is held.  An endpoint row is one
-    ``horner_float`` per value.  The regular rows of a piece zip its t
-    column, divided out of integers, with one ``progression_floats`` per
-    column: when the piece's first regular row is taken, each column
-    computes the integer numerators of its first degree + 1 rows, and every
-    later numerator and every float is made as its row is taken.  Every
-    printed float is the correctly rounded exact value, and a value outside
-    the double range raises ``OverflowError`` when its row is taken.
+    made as they are taken, and no row is held.  An endpoint value is the
+    order-0 ``_taylor`` ratio, divided as one int / int.  The regular rows
+    of a piece zip its t column, divided out of integers, with one
+    ``progression_floats`` per column: when the piece's first regular row is
+    taken, each column computes the integer numerators of its first
+    degree + 1 rows, and every later numerator and every float is made as
+    its row is taken.  Every printed float is the correctly rounded exact
+    value, and a value outside the double range raises ``OverflowError``
+    when its row is taken.
     """
     yield CSV_HEADER + "\n"
     if family.v is None:
@@ -333,13 +334,13 @@ def solution_csv_lines(family: SolutionFamily, f0: PiecewisePoly, step: Fraction
     stride = step.numerator * scale
     for idx, (lo, hi) in enumerate(zip(nodes, nodes[1:])):
         forms = [g.forms[idx] for g in columns]
-        yield _ROW % (lo / scale, *[horner_float(*form, 0, 1) for form in forms])
+        yield _ROW % (lo / scale, *[truediv(*_taylor(*form, 0, 1, 0)) for form in forms])
         # the regular rows strictly inside (lo, hi), at local x = t_i - lo
         lo_t, hi_t = lo * step.denominator, hi * step.denominator
         t_nums = range(first + ((lo_t - first) // stride + 1) * stride, hi_t, stride)
         values = [progression_floats(form, t_nums.start - lo_t, stride, den, len(t_nums)) for form in forms]
         yield from map(_ROW.__mod__, zip(map(truediv, t_nums, repeat(den)), *values))
-        yield _ROW % (hi / scale, *[horner_float(*form, hi - lo, scale) for form in forms])
+        yield _ROW % (hi / scale, *[truediv(*_taylor(*form, hi - lo, scale, 0)) for form in forms])
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,8 @@ traces and order-0/1 jumps are integer rows over the inverse's denominator.
 Its rank is 2 for every invertible R1: a kernel element with no order-0/1
 jumps is one linear function, and the zero traces make it vanish.
 ``index_report`` reads the boundary rank off the first two rows of the
-zero-trace stack's (d1, d2) block, which are ``boundary_matrix``.
+zero-trace stack's (d1, d2) block, which are ``boundary_matrix``, as an
+``exactla.TwoColumnSystem``, the elimination the solve reads its rank from.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .piecewise import (
     apply_difference_inverse,
     apply_shifted_sum,
     concat,
-    double_antiderivative,
     hermite_interpolant,
     ptrim,
     smoothness_defects,
@@ -294,7 +294,7 @@ def solve_nonhomogeneous(problem: BVPProblem) -> SolutionFamily:
     psi = hermite_extension(problem.stencil, k, problem.f1, problem.f2)
     shifted = apply_shifted_sum(problem.stencil, psi)
     reduced = problem.f0 + shifted.derivative(2)
-    second = double_antiderivative(reduced)
+    second = reduced.antiderivative().antiderivative()  # I with I(0) = I'(0) = 0 and I'' = reduced
 
     data_defects = tuple(smoothness_defects(reduced, k))
     # on smooth data the boundary pair is read as the head of the zero-trace stack
@@ -458,6 +458,6 @@ def index_report(problem: BVPProblem) -> IndexReport:
         k=k,
         dependent=structure.ends.dependent,
         table=table,
-        boundary_rank=exactla.rank(zero_trace.block[:2]),
+        boundary_rank=exactla.TwoColumnSystem(zero_trace.block[:2]).rank,
         rows=rows,
     )

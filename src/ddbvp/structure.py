@@ -50,8 +50,8 @@ of ``analyze``), each computed on first use, and every consumer reads them
 from the stencil instead of recomputing.  All of this is exact
 rational arithmetic.  Only the stencil's ``r1_eigenvalues`` and
 ``r2_eigenvalues`` leave the rationals: floating-point spectra for
-diagnostics, which ``spectrum`` and the grid's ``spectrum_check`` read from
-one decomposition of each matrix per stencil.
+diagnostics, which the command line and the grid's ``spectrum_check`` read
+from one decomposition of each matrix per stencil.
 """
 
 from __future__ import annotations
@@ -180,8 +180,11 @@ class Stencil:
     def r1_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of R1 in double precision, sorted by (real, imag), as a read-only array.
 
-        A coefficient outside the double range, too large or a nonzero one
-        that rounds to 0.0, raises OverflowError naming it, on every read.
+        The spectrum of the difference operator on L2(0, N+1) is exactly the
+        spectrum of R1, so this doubles as a diagnostic for the discrete
+        operator built in :mod:`ddbvp.grid`.  A coefficient outside the double
+        range, too large or a nonzero one that rounds to 0.0, raises
+        OverflowError naming it, on every read.
         """
         eigs = np.linalg.eigvals(self._r1_in_doubles())
         eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
@@ -192,8 +195,9 @@ class Stencil:
     def r2_eigenvalues(self) -> np.ndarray:
         """Eigenvalues of R2, the leading N x N block of R1, in double precision, as a read-only array.
 
-        Decomposed on its own first read, so a caller of ``spectrum`` never
-        pays for it; out-of-range coefficients raise as for ``r1_eigenvalues``.
+        Decomposed on its own first read, so a reader of ``r1_eigenvalues``
+        alone never pays for it; out-of-range coefficients raise as for
+        ``r1_eigenvalues``.
         """
         eigs = np.linalg.eigvals(self._r1_in_doubles()[:-1, :-1])
         eigs.flags.writeable = False
@@ -369,19 +373,6 @@ def cofactor(stencil: Stencil, i: int, k: int) -> Fraction:
     report = stencil.structure
     det = stencil.det_r1
     return Fraction(det.numerator * report.inverse[k - 1][i - 1], det.denominator * report.inverse_den)
-
-
-def spectrum(stencil: Stencil) -> np.ndarray:
-    """Eigenvalues of R1 in double precision, sorted by (real, imag): the stencil's read-only ``r1_eigenvalues``.
-
-    The spectrum of the difference operator on L2(0, N+1) is exactly the
-    spectrum of R1, so this doubles as a diagnostic for the discrete operator
-    built in :mod:`ddbvp.grid`.  R1 is decomposed once per stencil object,
-    whichever caller reads first.  A coefficient outside the double range,
-    too large or a nonzero one that rounds to 0.0, raises OverflowError
-    naming it.
-    """
-    return stencil.r1_eigenvalues
 
 
 def index_table(ends: EndColumnData, k: int) -> IndexTable:

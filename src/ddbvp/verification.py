@@ -334,7 +334,7 @@ def check_boundary_rank_cases() -> tuple[bool, str]:
         stencil = Stencil.from_coeffs(coeffs)
         if stencil.regime is not Regime.SINGULAR_MINOR:
             continue
-        rank = exactla.rank(boundary_matrix(stencil.structure))
+        rank = exactla.TwoColumnSystem(boundary_matrix(stencil.structure)).rank
         if rank not in counts:
             return False, "b=%s: boundary rank %d, which the regime rules out" % (stencil, rank)
         counts[rank] += 1

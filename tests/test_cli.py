@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ddbvp import cli, exactla, problem_io, structure
 from ddbvp.cli import main
-from ddbvp.piecewise import PiecewisePoly, align_many, horner_float
+from ddbvp.piecewise import PiecewisePoly, align_many
 from ddbvp.problem_io import (
     MAX_STENCIL_N,
     ProblemFileError,
@@ -242,8 +242,17 @@ def test_solution_csv_matches_the_per_point_writer(name, step):
     assert solution_csv(family, parsed.problem.f0, step) == _reference_csv(family, parsed.problem.f0, step)
 
 
+def _horner(nums, den, x_num, x_den):
+    """p(x) for p = sum_d nums[d] x^d / den at x = x_num / x_den: integer Horner, then one int / int division."""
+    acc, power = nums[-1], 1
+    for n in reversed(nums[:-1]):
+        power *= x_den
+        acc = acc * x_num + n * power
+    return acc / (den * power)
+
+
 def _horner_csv(family, f0, step):
-    """The writer with one ``horner_float`` per value: the piece walk of ``solution_csv_lines``, row by row."""
+    """The writer with one ``_horner`` per value: the piece walk of ``solution_csv_lines``, row by row."""
     lines = ["t,v,dv,w,f0\n"]
     if family.v is None:
         return "".join(lines)
@@ -255,12 +264,12 @@ def _horner_csv(family, f0, step):
     stride = step.numerator * scale
     for idx, (lo, hi) in enumerate(zip(nodes, nodes[1:])):
         forms = [g.forms[idx] for g in columns]
-        lines.append(row % (lo / scale, *[horner_float(*form, 0, 1) for form in forms]))
+        lines.append(row % (lo / scale, *[_horner(*form, 0, 1) for form in forms]))
         lo_t, hi_t = lo * step.denominator, hi * step.denominator
         for i in range((lo_t - first) // stride + 1, -((first - hi_t) // stride)):
             t_num = first + i * stride
-            lines.append(row % (t_num / den, *[horner_float(*form, t_num - lo_t, den) for form in forms]))
-        lines.append(row % (hi / scale, *[horner_float(*form, hi - lo, scale) for form in forms]))
+            lines.append(row % (t_num / den, *[_horner(*form, t_num - lo_t, den) for form in forms]))
+        lines.append(row % (hi / scale, *[_horner(*form, hi - lo, scale) for form in forms]))
     return "".join(lines)
 
 
@@ -423,9 +432,10 @@ def test_the_parser_is_built_once_per_process(tmp_path, capsys):
     assert main(["analyze", path]) == 0
     assert main(["solve", path, "--out", str(tmp_path / "a")]) == 0
     assert main(["analyze", path]) == 0
-    with pytest.raises(SystemExit):
-        main(["solve", path])  # --out is required, on every call
-    assert "--out" in capsys.readouterr().err
+    capsys.readouterr()
+    assert main(["solve", path]) == 1  # --out is required, on every call
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--out" in err[0], err
 
 
 def test_analyze_command(tmp_path, capsys):
@@ -632,11 +642,43 @@ def test_an_affine_family_takes_the_smooth_representative(tmp_path, capsys):
 
 def test_solve_samples_validation(tmp_path, capsys):
     path = _write(tmp_path, WORKED)
-    # the = form keeps argparse from mistaking "-1/2" for an option
-    for bad in ("0", "-1/2", "nonsense", "1/1000000000"):
+    # the = form keeps argparse from mistaking "-1/2" for an option; the last three take the
+    # problem file's bounds: 1e-5000 has a 16,610-bit denominator, past MAX_RATIONAL_BITS, and
+    # the longer exponents are refused before Fraction builds 10^e
+    for bad in ("0", "-1/2", "nonsense", "1/1000000000", "1e-5000", "1e8000000", "1e-99999999"):
+        start = time.perf_counter()
         code = main(["solve", path, "--out", str(tmp_path / "x"), "--samples=" + bad])
-        assert code == 1
-        assert "--samples" in capsys.readouterr().err
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --samples: "), (bad, err)
+        assert elapsed < 1.0, bad
+    assert not list(tmp_path.glob("x-*"))
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "{path}"], "--out"),
+    (["spectrum", "{path}", "--grid", "x"], "--grid"),
+    (["verify", "--level", "medium"], "--level"),
+    ([], "command"),
+    (["solve", "{path}", "--out", "x", "--unknown"], "--unknown"),
+])
+def test_usage_errors_exit_1_with_one_error_line(tmp_path, capsys, argv, flag):
+    path = _write(tmp_path, WORKED)
+    assert main([arg.format(path=path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ddbvp") and flag in err[0], err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_still_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: ddbvp" in capsys.readouterr().out
 
 
 def test_solve_infeasible_exits_3_with_header_only_csv(tmp_path, capsys):

@@ -22,7 +22,7 @@ from ddbvp.grid import (
 )
 from ddbvp.piecewise import PiecewisePoly
 from ddbvp.solver import BVPProblem, solve_homogeneous
-from ddbvp.structure import Stencil, spectrum
+from ddbvp.structure import Stencil
 from ddbvp.verification import named_stencils, random_regime_stencils
 
 F = Fraction
@@ -103,8 +103,9 @@ def test_grid_samples_average_across_jumps():
 
 def test_grid_samples_and_assemble_evaluate_each_piece_once(monkeypatch):
     # on the grid progression every piece of f is one kernel call, and no
-    # grid point costs a Horner evaluation of its own
-    calls = {"progression_floats": 0, "horner_float": 0}
+    # grid point costs a Horner evaluation of its own: the only point
+    # evaluations are the two averaged traces at a break on a grid point
+    calls = {"progression_floats": 0, "_taylor": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(piecewise, name)):
             calls[_name] += 1
@@ -112,12 +113,15 @@ def test_grid_samples_and_assemble_evaluate_each_piece_once(monkeypatch):
 
         monkeypatch.setattr(piecewise, name, counting)
     f = PiecewisePoly.from_pieces((0, F(1, 3), 1, F(5, 2), 3), [(1, 2), (0, 1, -1), (3,), (1, 0, 0, 2)])
+    on_grid = sum(1 for b in f.breaks[1:-1] if (b * 512).denominator == 1)
+    assert on_grid == 2  # 1 and 5/2; 1/3 falls between grid points
     ops = assemble(Stencil.from_coeffs((0, 1, 1, 1, 2)), 512, f)
     assert 0 < calls["progression_floats"] <= len(f.forms)
-    calls["progression_floats"] = 0
+    assert calls["_taylor"] <= 2 * on_grid
+    calls.update(progression_floats=0, _taylor=0)
     assert grid_samples(f, ops).shape == (ops.size,)
     assert 0 < calls["progression_floats"] <= len(f.forms)
-    assert calls["horner_float"] == 0
+    assert calls["_taylor"] <= 2 * on_grid
 
 
 def test_zeroth_order_coefficient_enters_as_a_diagonal():
@@ -478,7 +482,7 @@ def _dense_containment(stencil, n):
     # the reference: dense eigenvalues of the whole interior shift, built row
     # by row, and the largest distance from an R1 eigenvalue to them
     grid_eigs = np.linalg.eigvals(_shift_extended_by_rows(stencil, n)[1:-1])
-    return max(float(np.abs(grid_eigs - lam).min()) for lam in spectrum(stencil))
+    return max(float(np.abs(grid_eigs - lam).min()) for lam in stencil.r1_eigenvalues)
 
 
 def test_spectrum_check_agrees_with_the_dense_spectrum():

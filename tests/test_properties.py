@@ -38,7 +38,6 @@ from ddbvp.piecewise import (
     apply_difference_inverse,
     apply_shifted_sum,
     concat,
-    double_antiderivative,
     hermite_interpolant,
     linear_combination,
     progression_floats,
@@ -67,7 +66,14 @@ from ddbvp.solver import (
     solve_nonhomogeneous,
 )
 from ddbvp.structure import Regime, Stencil, analyze, cofactor
-from ddbvp.verification import _hermite_glued, _violating_data, named_stencils, random_regime_stencils
+from ddbvp.verification import (
+    BOX_BOUND,
+    _hermite_glued,
+    _violating_data,
+    check_boundary_rank_cases,
+    named_stencils,
+    random_regime_stencils,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -792,6 +798,27 @@ def test_boundary_rank_is_one_exactly_when_the_inverse_sums_to_zero(stencil):
     _boundary_rank_from_the_inverse_sum(stencil)
 
 
+def test_the_boundary_rank_readers_agree_on_the_box(tmp_path, capsys):
+    # analyze's line, the solve, index_report and criterion 6's counts each read
+    # the rank of the 2 x 2 boundary matrix; the general elimination is the reference
+    box = (Stencil.from_coeffs(c) for c in itertools.product(range(-BOX_BOUND, BOX_BOUND + 1), repeat=3))
+    stencils = [s for s in box if s.regime is Regime.SINGULAR_MINOR]
+    path = tmp_path / "problem.json"
+    ranks = {}
+    for stencil in stencils:
+        expected = ranks[stencil.coeffs] = exactla.rank(boundary_matrix(stencil.structure))
+        problem = BVPProblem(stencil=stencil, k=0, f0=PiecewisePoly.constant(1, 0, 2))
+        assert solve_nonhomogeneous(problem).boundary_rank == expected, stencil
+        assert index_report(problem).boundary_rank == expected, stencil
+        doc = {"N": 1, "b": [str(b) for b in stencil.coeffs], "k": 0, "f0": [{"interval": [0, 2], "coeffs": [1]}]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli.main(["analyze", str(path)]) == 0
+        assert "\nboundary matrix rank: %d\n" % expected in capsys.readouterr().out, stencil
+    assert all(ranks[coeffs] == 1 for coeffs in RANK_DEFICIENT)  # the rank-1 stencils of RANK_DEFICIENT lie in the box
+    counts = {rank: list(ranks.values()).count(rank) for rank in (2, 1)}
+    assert "rank counts %s;" % counts in check_boundary_rank_cases().detail
+
+
 @pytest.mark.parametrize("k", (0, 2))
 def test_the_zero_trace_block_opens_with_the_boundary_matrix(monkeypatch, k):
     wide = tuple(_wide_regime_stencil(n, dependent) for n in (8, 24) for dependent in (False, True))
@@ -1157,7 +1184,7 @@ def _reference_boundary_system(problem):
     """
     stencil = problem.stencil
     psi = hermite_extension(stencil, problem.k, problem.f1, problem.f2)
-    second = double_antiderivative(problem.f0 + apply_shifted_sum(stencil, psi).derivative(2))
+    second = (problem.f0 + apply_shifted_sum(stencil, psi).derivative(2)).antiderivative().antiderivative()
     rhs = evaluate_stack(membership_functionals(stencil.structure.gamma, 1), second)
     matrix = boundary_matrix(stencil.structure)
     residuals = []

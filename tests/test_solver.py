@@ -13,7 +13,6 @@ from ddbvp.piecewise import (
     apply_difference,
     apply_difference_inverse,
     apply_shifted_sum,
-    double_antiderivative,
     smoothness_defects,
     trace_defects,
 )
@@ -224,7 +223,7 @@ def test_each_class_reads_its_residuals_off_its_own_stack():
             problem = BVPProblem(stencil=s, k=k, f0=f0)
             report = solve_nonhomogeneous(problem).smoothness
             assert report.data_smooth
-            second = double_antiderivative(problem.f0)
+            second = problem.f0.antiderivative().antiderivative()
             stacks = solvability_constraints(structure, k)
             for dc, got in zip(stacks, (report.zero_trace_residuals, report.minimal_residuals)):
                 expected = []

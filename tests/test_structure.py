@@ -13,7 +13,6 @@ from ddbvp.structure import (
     analyze,
     cofactor,
     index_table,
-    spectrum,
 )
 from ddbvp import exactla, structure
 from ddbvp.verification import named_stencils, random_regime_stencils
@@ -231,7 +230,7 @@ def test_index_table_formulas():
 
 
 def test_spectrum_matches_sympy_eigenvalues():
-    eigs = spectrum(Stencil.from_coeffs((1, 0, 1)))
+    eigs = Stencil.from_coeffs((1, 0, 1)).r1_eigenvalues
     assert eigs.shape == (2,)
     assert abs(eigs[0] - (-1)) < 1e-12 and abs(eigs[1] - 1) < 1e-12
 
@@ -240,7 +239,7 @@ def test_spectrum_matches_sympy_eigenvalues():
         for lam, mult in _sym(s.r1).eigenvals().items():
             exact.extend([complex(sp.N(lam))] * mult)
         expected = sorted((z.real, z.imag) for z in exact)
-        numeric = sorted((z.real, z.imag) for z in (complex(z) for z in spectrum(s)))
+        numeric = sorted((z.real, z.imag) for z in (complex(z) for z in s.r1_eigenvalues))
         assert len(expected) == len(numeric)
         for (a, b), (c, d) in zip(expected, numeric):
             assert abs(a - c) < 1e-9 and abs(b - d) < 1e-9
@@ -251,8 +250,8 @@ def test_eigenvalues_are_decomposed_once_and_read_only(monkeypatch):
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(np.shape(a)) or eigvals(a))
     s = Stencil.from_coeffs((1, 1, 2, 4, 4))
-    assert spectrum(s) is spectrum(s) is s.r1_eigenvalues
-    assert calls == [(3, 3)]  # spectrum reads R1 alone
+    assert s.r1_eigenvalues is s.r1_eigenvalues
+    assert calls == [(3, 3)]  # R1's eigenvalues decompose R1 alone
     assert s.r2_eigenvalues is s.r2_eigenvalues
     assert calls == [(3, 3), (2, 2)]
     for eigs in (s.r1_eigenvalues, s.r2_eigenvalues):
@@ -264,7 +263,7 @@ def test_eigenvalues_are_decomposed_once_and_read_only(monkeypatch):
     huge = Stencil.from_coeffs((Fraction(10) ** 400, 0, 1))
     for _ in range(2):
         with pytest.raises(OverflowError, match="b_-1"):
-            spectrum(huge)
+            huge.r1_eigenvalues
         with pytest.raises(OverflowError, match="b_-1"):
             huge.r2_eigenvalues
 
