@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .grid import grid_resolution_error, spectrum_check
 from .piecewise import DegreeCapError
-from .problem_io import ParsedProblem, ProblemFileError, _rational, load_problem, solution_csv_lines, solve_report
+from .problem_io import ParsedProblem, ProblemFileError, _clip, _rational, load_problem, solution_csv_lines, solve_report
 from .solver import SolveStatus, boundary_matrix, solve_nonhomogeneous
 from .structure import StructureError, UnsupportedRegimeError
 from . import exactla
@@ -149,7 +149,9 @@ def cmd_solve(args, out) -> int:
     parsed = load_problem(args.file)
     span = parsed.stencil.N + 1
     if span / step > MAX_SAMPLE_ROWS:
-        raise ProblemFileError("--samples", "%s gives more than %d CSV rows on (0, %d)" % (step, MAX_SAMPLE_ROWS, span))
+        raise ProblemFileError(
+            "--samples", "%s gives more than %d CSV rows on (0, %d)" % (_clip(str(step)), MAX_SAMPLE_ROWS, span)
+        )
     with _unlimited_int_digits():
         return _solve_and_write(args, parsed, step, out)
 

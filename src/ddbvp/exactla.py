@@ -1,26 +1,31 @@
 """Dense exact linear algebra over the rationals.
 
 Matrices come in and go out as plain lists of lists of ``fractions.Fraction``;
-no floating point, no tolerance.  Every general elimination runs on integers
-in one kernel, ``_eliminate``: each row is scaled to integers by the lcm of
-its denominators, then fraction-free Gauss-Jordan elimination (Bareiss 1968,
-"Sylvester's identity and multistep integer-preserving Gaussian
-elimination") replaces every non-pivot row by (p * row - f * pivot_row) //
-prev, with p the current and prev the previous pivot.  By Sylvester's
-identity every intermediate entry is a minor of the scaled matrix, so each
-division is exact and entries grow only as fast as those minors.
+no floating point, no tolerance.  The eliminations run on integers: each row
+is scaled to integers by the lcm of its denominators, then every step of a
+fraction-free elimination (Bareiss 1968, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination") replaces a row by
+(p * row - f * pivot_row) // prev, with p the current and prev the previous
+pivot.  By Sylvester's identity every intermediate entry is a minor of the
+scaled matrix, so each division is exact and entries grow only as fast as
+those minors.
 
-Fractions are built only at the boundary: an RREF entry is the integer entry
-over the last pivot, and the determinant is the signed last pivot over the
-product of the row scales.  ``integer_rank`` and ``integer_inverse`` take
-integer matrices and read the kernel directly, for callers that keep working
-in integers.  ``integer_inverse`` eliminates [a | I] once and returns both
-the determinant (the signed last pivot) and the inverse as integer rows over
-one positive denominator (the right half over the last pivot, gcd and sign
-divided out), or det 0 and no rows for a singular a.  ``det``, ``rank``,
-``rref`` and ``invert`` scale the rows of a rational matrix to integers first
-and build their Fractions from those results; ``det`` and ``invert`` are thin
-wrappers over ``integer_inverse``.
+There are two kernels.  ``_forward`` eliminates below the pivots only, the
+first n columns of an n-row matrix, and stops at the first column without a
+pivot: its last pivot is the determinant up to the sign of the row swaps.
+``ForwardPass`` runs it once on [a | I] for a square integer a.  That one
+pass gives det a (the signed last pivot), det of a's leading principal
+block without the last row and column (by Cramer's rule, the signed last
+row's entry in the identity's last column, for a nonsingular a) and, only
+when asked, a^-1 by exact back substitution (``_back_substitute``) as integer
+rows over one positive denominator, gcd and sign divided out.  The pass
+keeps its n x 2n rows only until it is back-substituted, or not at all for
+a singular a.  ``integer_inverse`` is that pass plus back substitution, ``integer_det`` the
+pass on a alone.  ``_eliminate`` is the Gauss-Jordan kernel, which also
+clears above each pivot; only ``integer_rank`` and ``rref`` use it.  ``det``,
+``rank``, ``rref`` and ``invert`` scale the rows of a rational matrix to
+integers first and build their Fractions from those results, so Fractions
+are built only at the boundary.
 
 The package's rational systems have two unknowns: the constants (d1, d2) of
 w = d1 t + d2 - I under a stack of node functionals, and the N x 2 pair of
@@ -31,7 +36,6 @@ It gives the rank, the left null vectors as integer rows and the right null
 basis, both in the basis the RREF gives, and the least-norm solution of a
 consistent right side.
 """
-
 from __future__ import annotations
 
 import math
@@ -109,12 +113,129 @@ def _eliminate(m: list[list[int]]) -> tuple[list[int], int]:
     return pivots, sign
 
 
+def _forward(m: list[list[int]], n: int) -> int:
+    """Fraction-free forward elimination of the first n columns of an n-row integer matrix, in place.
+
+    Step c takes the first nonzero entry p of column c at or below row c as
+    pivot, swaps it into row c and replaces every row below by
+    (p * row - f * pivot_row) // prev, with f the row's entry in column c and
+    prev the previous pivot (1 at the start).  Afterwards row i holds, in
+    each column j >= i, the minor of the row-permuted input on rows 0..i and
+    columns 0..i-1 and j (Bareiss 1968); so the left n x n block is upper
+    triangular with the leading principal minors on its diagonal, and the
+    determinant of a square input is the sign times the last pivot.
+
+    Returns the sign of the row permutation, or 0 at the first column with
+    no pivot, where the left block is singular and the pass stops.
+    """
+    prev, sign = 1, 1
+    for c in range(n):
+        if not m[c][c]:
+            pivot = next((i for i in range(c + 1, n) if m[i][c]), None)
+            if pivot is None:
+                return 0
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        top = m[c]
+        p = top[c]
+        for i in range(c + 1, n):
+            row = m[i]
+            f = row[c]
+            if f:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                m[i] = [p * x // prev for x in row]
+        prev = p
+    return sign
+
+
+def _back_substitute(m: list[list[int]], n: int) -> list[list[int]]:
+    """d a^-1 as integer rows, from [a | I] after ``_forward`` with a nonsingular, d its last pivot.
+
+    The pass left [U | B] = L P [a | I], so a^-1 = U^-1 B, and Y = d a^-1 is
+    an integer matrix (the sign times the adjugate).  From the last row up,
+    Y[i] = (d B[i] - sum_{j > i} U[i][j] Y[j]) // U[i][i], skipping the zero
+    U[i][j]; each division is exact because its quotient is the integer
+    Y[i].  The last row needs no arithmetic: U[n-1][n-1] = d.
+    """
+    last = m[n - 1][n:]
+    d, out = m[n - 1][n - 1], [last]  # Y[n-1], Y[n-2], ...
+    for i in range(n - 2, -1, -1):
+        row = m[i]
+        u = row[n - 1]
+        acc = [d * x - u * y for x, y in zip(row[n:], last)]
+        for u, solved in zip(row[n - 2:i:-1], out[1:]):
+            if u:
+                acc = [a - u * y for a, y in zip(acc, solved)]
+        p = row[i]
+        out.append([a // p for a in acc])
+    return out[::-1]
+
+
+class ForwardPass:
+    """One ``_forward`` pass of [a | I] for a square integer matrix a.
+
+    ``det`` is det a, the sign of the row swaps times the last pivot (1 for
+    0 x 0, 0 for a singular a).  ``leading_minor`` and ``inverse`` read the
+    same pass: the first at no cost, the second by back substitution, so a
+    caller that needs only the determinants never builds an inverse.  The
+    pass's n x 2n rows are kept only while an inverse may still be asked
+    for: a singular pass drops them at once, and ``inverse`` releases them,
+    so it runs once per pass.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        n = self.size = len(rows)
+        self.rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        self.sign = _forward(self.rows, n)
+        self.det = self.sign * self.rows[-1][n - 1] if n else 1
+        # the last row's entry in the identity's last column is the minor of
+        # [P a | P] on every row and on a's first n - 1 columns plus P e_(n-1):
+        # the sign times det a with its last column replaced by e_(n-1), which
+        # by Cramer's rule is the leading minor
+        self._leading = self.sign * self.rows[-1][-1] if self.det and n else None
+        if not self.det:
+            self.rows = None
+
+    @property
+    def leading_minor(self) -> int:
+        """det of a without its last row and column, for a nonsingular a."""
+        if self._leading is None:
+            raise ValueError("the leading minor is read off a nonsingular pass of a nonempty matrix only")
+        return self._leading
+
+    def inverse(self) -> tuple[int, list[list[int]], int]:
+        """(det a, rows, d) with a^-1 = rows / d, d > 0 and the common gcd divided out; (0, [], 1) for a singular a.
+
+        Back substitution consumes the pass: its rows are released, so it is
+        called once.
+        """
+        if not self.det:
+            return 0, [], 1
+        out = _back_substitute(self.rows, self.size) if self.size else []
+        self.rows = None
+        d = self.sign * self.det  # the last pivot
+        g = math.gcd(d, *(x for row in out for x in row))
+        if d < 0:
+            g = -g
+        if g != 1:
+            out = [[x // g for x in row] for row in out]
+        return self.det, out, d // g
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix: the signed last pivot of one ``_forward`` pass on a copy."""
+    m = [list(row) for row in rows]
+    sign = _forward(m, len(m))
+    return sign * m[-1][-1] if m else 1
+
+
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant: that of ``integer_inverse`` on the rows scaled to integers, over the product of the row scales."""
+    """Determinant: ``integer_det`` of the rows scaled to integers, over the product of the row scales."""
     if any(len(row) != len(a) for row in a):
         raise ValueError("determinant of a nonsquare matrix")
     rows, scales = _integer_rows(a)
-    return Fraction(integer_inverse(rows)[0], math.prod(scales))
+    return Fraction(integer_det(rows), math.prod(scales))
 
 
 def rref(a: Sequence[Sequence[Fraction]]) -> tuple[Mat, list[int]]:
@@ -138,23 +259,11 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
 def integer_inverse(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]], int]:
     """The determinant of a square integer matrix and its inverse as integer rows over one positive denominator d.
 
-    Eliminating [rows | I] takes the pivots of rows alone in the left half,
-    so the determinant is the signed last pivot (1 for 0 x 0).  When it is
-    nonzero, row i ends with that pivot in column i, the right half of each
-    row over it is the row of the inverse, rows * (out / d) = I, and the
-    sign and the common gcd are divided out.  A singular matrix gives
-    (0, [], 1).
+    One ``ForwardPass`` of [rows | I] and its back substitution: rows *
+    (out / d) = I, with the sign and the common gcd divided out.  A singular
+    matrix gives (0, [], 1).
     """
-    n = len(rows)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    pivots, sign = _eliminate(m)
-    if pivots[:n] != list(range(n)):
-        return 0, [], 1
-    d = m[0][0] if n else 1
-    g = math.gcd(d, *(x for row in m for x in row[n:]))
-    if d < 0:
-        g = -g
-    return sign * d, [[x // g for x in row[n:]] for row in m], d // g
+    return ForwardPass(rows).inverse()
 
 
 def invert(a: Sequence[Sequence[Fraction]]) -> Mat:

@@ -103,7 +103,7 @@ def _node_jets(f: PiecewisePoly, node: Fraction, count: int) -> tuple:
 
 
 def evaluate_stack(stack: Sequence[NodeFunctional], f: PiecewisePoly) -> list[Fraction]:
-    """The value of each functional of a stack on f, in stack order.
+    """The value of each functional of a stack on f, in stack order: ``values_from_jets`` on f's jets.
 
     Each node a nonzero weight touches is located once per side, and its
     Taylor jet read up to the highest order the stack touches
@@ -116,24 +116,42 @@ def evaluate_stack(stack: Sequence[NodeFunctional], f: PiecewisePoly) -> list[Fr
     """
     count = 1 + max((mu for fn in stack for _, mu, weight in fn.terms if weight), default=-1)
     jets: dict[tuple[int, int], tuple] = {}
+
+    def jet_at(node: Fraction, mu: int, fn: NodeFunctional) -> tuple[Sequence[int], int]:
+        key = node.numerator, node.denominator
+        jet = jets.get(key)
+        if jet is None:
+            jet = jets[key] = _node_jets(f, node, count)
+        (nums, den), left = jet
+        if left is not None and left[0][mu] * den != nums[mu] * left[1]:
+            fact = math.factorial(mu)
+            raise ValueError(
+                "derivative of order %d jumps at node %s (left %s, right %s); functional %r is undefined there"
+                % (mu, node, Fraction(fact * left[0][mu], left[1]), Fraction(fact * nums[mu], den), fn.label)
+            )
+        return nums, den
+
+    return values_from_jets(stack, jet_at)
+
+
+def values_from_jets(
+    stack: Sequence[NodeFunctional], jet_at: Callable[[Fraction, int, NodeFunctional], tuple[Sequence[int], int]]
+) -> list[Fraction]:
+    """The value of each functional of a stack, given the Taylor jet each of its terms reads.
+
+    ``jet_at(node, mu, fn)`` is the jet that fn's term at (node, mu) reads,
+    Taylor numerators over one positive denominator, so w^(mu)(node) =
+    mu! nums[mu] / den.  A functional's value, the sum of weight * mu! *
+    nums[mu] / den over its nonzero weights, is accumulated as integer
+    ratios over their lcm, with one Fraction built at the end.
+    """
     values = []
     for fn in stack:
         products = []
         for node, mu, weight in fn.terms:
-            if not weight:
-                continue
-            key = node.numerator, node.denominator
-            jet = jets.get(key)
-            if jet is None:
-                jet = jets[key] = _node_jets(f, node, count)
-            (nums, den), left = jet
-            if left is not None and left[0][mu] * den != nums[mu] * left[1]:
-                fact = math.factorial(mu)
-                raise ValueError(
-                    "derivative of order %d jumps at node %s (left %s, right %s); functional %r is undefined there"
-                    % (mu, node, Fraction(fact * left[0][mu], left[1]), Fraction(fact * nums[mu], den), fn.label)
-                )
-            products.append((weight.numerator * math.factorial(mu) * nums[mu], weight.denominator * den))
+            if weight:
+                nums, den = jet_at(node, mu, fn)
+                products.append((weight.numerator * math.factorial(mu) * nums[mu], weight.denominator * den))
         values.append(_ratio_sum(products))
     return values
 

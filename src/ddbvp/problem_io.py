@@ -154,10 +154,12 @@ def _pieces(value, where: str) -> PiecewisePoly:
         raise ProblemFileError(where, str(exc)) from None
 
 
-# Largest N of a problem file.  analyze on a fresh stencil, mostly its one exact elimination of
-# [R1 | I], takes about 0.06-0.07 s at N = 64 and 0.20-0.24 s at N = 96 with independent end
-# columns, 0.026-0.036 and 0.076-0.084 s with dependent ones (three medians of 9 runs each, one
-# core of a 2-core Xeon); the cap is not yet re-set from these figures.
+# Largest N of a problem file.  analyze on a fresh stencil, mostly its one forward pass of
+# [T | I] and the back substitution, takes about 0.033-0.053 s at N = 64 and 0.11-0.13 s at
+# N = 96 with independent end columns, 0.013-0.025 and 0.040-0.046 s with dependent ones (six
+# medians of 9 runs each, interleaved with the Gauss-Jordan elimination it replaced, which took
+# 0.050-0.082, 0.18-0.22, 0.024-0.045 and 0.078-0.089 s; one core of a shared 2-core Xeon); the
+# cap is not yet re-set from these figures.
 MAX_STENCIL_N = 64
 
 

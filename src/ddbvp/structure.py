@@ -29,27 +29,30 @@ conditions are built from:
 * the resulting codimension/index table.
 
 R1 is held as integer Toeplitz rows T over one denominator D, the lcm of
-the stencil's (``Stencil.r1_numerators``), and a stencil eliminates R1 once:
-``Stencil.r1_elimination`` is one ``exactla.integer_inverse`` of T, which
-eliminates [T | I] and gives det T (so det R1 = det T / D^(N+1)) together
-with R1^-1 = D T^-1 as integer rows over one positive denominator.  det R2 is
-det R1 * R1^-1[N+1][N+1] by Cramer's rule; only a singular R1 eliminates
-R2's block of T, and only when det R2 is read.  ``analyze`` eliminates
-nothing of R1 itself: it checks the regime and reads the R2 row dependency
-(the last row of R1^-1), the admissible column (its last column) and the
-gamma1 expansions (combinations of its rows) off that one inverse; only the
+the stencil's (``Stencil.r1_numerators``), and a stencil runs one
+elimination of R1: ``Stencil.r1_pass``, one fraction-free forward pass of
+[T | I] (``exactla.ForwardPass``).  Its signed last pivot is det T, so det R1
+= det T / D^(N+1), and by Cramer's rule its last row's entry in the
+identity's last column gives det R2 = det T2 / D^N, T2 the leading N x N
+block of T; only a singular R1 runs a pass of T2 itself, and only when det
+R2 is read.  The regime is decided from these two determinants alone, so a
+stencil outside the regime never builds an inverse.  ``r1_elimination``
+back-substitutes the same pass, once, for R1^-1 = D T^-1 as integer rows
+over one positive denominator; only ``analyze`` reads it.  ``analyze``
+eliminates nothing of R1 itself: it reads the R2 row dependency (the last
+row of R1^-1), the admissible column (its last column) and the gamma1
+expansions (combinations of its rows) off that one inverse; only the
 end-column dependency takes its own N x 2 elimination, an
-``exactla.TwoColumnSystem``.  R1^-1 stays in
-integers: the report holds the stencil's integer rows, the gamma1
-expansions are integer dot products with one Fraction per coefficient,
-``cofactor`` builds one Fraction per call, and
+``exactla.TwoColumnSystem``.  R1^-1 stays in integers: the report holds the
+stencil's integer rows, the gamma1 expansions are integer dot products with
+one Fraction per coefficient, ``cofactor`` builds one Fraction per call, and
 ``StructureReport.r1_inverse`` builds the Fraction matrix only when it is
-read.  A ``Stencil`` carries R1, its integer rows, their elimination, its
-two determinants, its regime and its ``structure`` (the ``StructureReport``
-of ``analyze``), each computed on first use, and every consumer reads them
-from the stencil instead of recomputing.  All of this is exact
-rational arithmetic.  Only the stencil's ``r1_eigenvalues`` and
-``r2_eigenvalues`` leave the rationals: floating-point spectra for
+read.  A ``Stencil`` carries R1, its integer rows, their forward pass and
+back substitution, its two determinants, its regime and its ``structure``
+(the ``StructureReport`` of ``analyze``), each computed on first use, and
+every consumer reads them from the stencil instead of recomputing.  All of
+this is exact rational arithmetic.  Only the stencil's ``r1_eigenvalues``
+and ``r2_eigenvalues`` leave the rationals: floating-point spectra for
 diagnostics, which the command line and the grid's ``spectrum_check`` read
 from one decomposition of each matrix per stencil.
 """
@@ -88,10 +91,11 @@ class Stencil:
     """Integer-shift stencil b_{-N}, ..., b_N with rational entries.
 
     A stencil carries what is derived from it: R1, its integer rows, their
-    one elimination (``r1_elimination``: det R1 and R1^-1), its two
-    determinants, its ``structure`` and the double-precision eigenvalues of
-    R1 and of R2 (``r1_eigenvalues``, ``r2_eigenvalues``), each computed on
-    first use and kept as long as the stencil object lives.
+    one forward pass (``r1_pass``: det R1 and det R2) and its back
+    substitution (``r1_elimination``: R1^-1), its two determinants, its
+    ``structure`` and the double-precision eigenvalues of R1 and of R2
+    (``r1_eigenvalues``, ``r2_eigenvalues``), each computed on first use and
+    kept as long as the stencil object lives.
     """
 
     N: int
@@ -127,38 +131,49 @@ class Stencil:
         return tuple(tuple(nums[n - i:2 * n + 1 - i]) for i in range(n + 1)), den
 
     @cached_property
+    def r1_pass(self) -> exactla.ForwardPass:
+        """The one fraction-free forward pass of [T | I], T the integer rows of ``r1_numerators``.
+
+        It keeps the pass's rows only until ``r1_elimination`` back-substitutes
+        them, so a stencil holds its determinants and R1^-1, not the pass.
+        """
+        return exactla.ForwardPass(self.r1_numerators[0])
+
+    @cached_property
     def r1_elimination(self) -> tuple[int, tuple[tuple[int, ...], ...], int]:
-        """(det T, M, d) from one elimination of [T | I]: R1^-1 = D T^-1 = M / d, d > 0; (0, (), 1) for a singular T."""
-        rows, den = self.r1_numerators
-        det, t_inverse, t_den = exactla.integer_inverse(rows)
+        """(det T, M, d) by back substitution on ``r1_pass``: R1^-1 = D T^-1 = M / d, d > 0; (0, (), 1) for a singular T."""
+        det, t_inverse, t_den = self.r1_pass.inverse()
+        den = self.r1_numerators[1]
         # T^-1 is in lowest terms, so gcd(t_den, D) is all that cancels
         g = math.gcd(t_den, den)
         return det, tuple(tuple(x * (den // g) for x in row) for row in t_inverse), t_den // g
 
     @cached_property
     def det_r1(self) -> Fraction:
-        return Fraction(self.r1_elimination[0], self.r1_numerators[1] ** (self.N + 1))
+        return Fraction(self.r1_pass.det, self.r1_numerators[1] ** (self.N + 1))
 
     @cached_property
     def det_r2(self) -> Fraction:
         """det of R2, the leading principal N x N minor of R1.
 
-        By Cramer's rule det R2 = det R1 * R1^-1[N+1][N+1]; only a singular R1
-        eliminates R2 itself.
+        Read off ``r1_pass`` by Cramer's rule (``ForwardPass.leading_minor``);
+        only a singular R1 runs a pass of R2's block of T, and only when det
+        R2 is read.
         """
         n = self.N
         rows, den = self.r1_numerators
-        det, inverse, d = self.r1_elimination
-        if det:
-            return Fraction(det * inverse[n][n], den ** (n + 1) * d)
-        return Fraction(exactla.integer_inverse([row[:n] for row in rows[:n]])[0], den ** n)
+        elimination = self.r1_pass
+        if elimination.det:
+            return Fraction(elimination.leading_minor, den ** n)
+        return Fraction(exactla.integer_det([row[:n] for row in rows[:n]]), den ** n)
 
     @property
     def regime(self) -> Regime:
-        """Classification by the two determinants; det R2 is read only when det R1 != 0."""
-        if self.det_r1 == 0:
+        """Classification by the two determinants' numerators on ``r1_pass``; det R2 is read only when det R1 != 0."""
+        elimination = self.r1_pass
+        if not elimination.det:
             return Regime.SINGULAR_FULL
-        return Regime.SINGULAR_MINOR if self.det_r2 == 0 else Regime.NONSINGULAR_BOTH
+        return Regime.SINGULAR_MINOR if not elimination.leading_minor else Regime.NONSINGULAR_BOTH
 
     @cached_property
     def structure(self) -> StructureReport:
@@ -430,8 +445,9 @@ def analyze(stencil: Stencil) -> StructureReport:
 
     This is the one place a stencil's structure is derived, and
     ``Stencil.structure`` keeps its result.  It eliminates nothing of R1:
-    R1^-1 is the stencil's ``r1_elimination``, which the regime check has
-    already computed, and the report holds that tuple itself.  The last row
+    R1^-1 is the stencil's ``r1_elimination``, the back substitution of the
+    forward pass the regime check has already run, and the report holds that
+    tuple itself.  The last row
     of R1^-1 without its last entry is the left null vector c of R2
     (R1^-1[N+1][N+1] = det R2 / det R1 = 0); m is its first nonzero index.
     """

@@ -19,10 +19,15 @@ The random function constructors double as reusable test utilities:
   accumulator; the function is built from those forms directly;
 * ``random_order_k_function``: same gluing with free endpoint jets (order-k
   smoothness only);
-* ``random_image_member``: a random order-k function minus the
-  ``hermite_interpolant`` of two node jets, so that all image membership
-  conditions vanish exactly; the two jets are the values of the membership
-  stack the caller passes in, turned into integer Taylor jets once.
+* ``random_image_member``: a random order-k function minus the Hermite
+  interpolant of two node jets, so that all image membership conditions
+  vanish exactly.  The two jets are the values of the membership stack the
+  caller passes in, read off the drawn node jets
+  (``functionals.values_from_jets``) and subtracted from them before the
+  pieces are glued, so the function is glued once and never evaluated.
+
+Each constructor draws its node jets first (``_drawn_jets``) and then glues
+them, drawing one bump per piece (``_glued``).
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .functionals import (
     membership_functionals,
     rank_of_functionals,
     solvability_constraints,
+    values_from_jets,
 )
 from .grid import assemble, convergence_study, index_estimate, spectrum_check
 from .piecewise import (
@@ -49,7 +55,6 @@ from .piecewise import (
     _form,
     apply_difference,
     apply_difference_inverse,
-    hermite_interpolant,
     trace_defects,
     two_point_hermite,
 )
@@ -121,21 +126,30 @@ def _regime_coeffs(count: int, max_shift: int, bound: int, seed: int) -> tuple[t
 # random function constructors
 
 
-def _hermite_glued(length: int, k: int, rng: random.Random, zero_end_jets: bool) -> PiecewisePoly:
-    """The ``hermite_interpolant`` of drawn node jets plus x^k (1 - x)^k q on each piece.
+def _drawn_jets(length: int, k: int, rng: random.Random, zero_end_jets: bool) -> list[tuple[tuple[int, ...], int]]:
+    """Drawn node jets on the nodes 0..length, in ``two_point_hermite``'s integer form.
 
-    The drawn derivatives v_mu, mu < k, become Taylor numerators
-    v_mu (k-1)! / mu! over (k-1)!.  q is a drawn quadratic, and the bump
-    leaves every jet of order below k unchanged; it is added to each
-    ``two_point_hermite`` piece P / D as D times its integer coefficients.
-    With k = 0 there are no jets, and q is the sum of two drawn quadratics.
+    At each node the drawn integer derivatives v_mu, mu < k, become Taylor
+    numerators v_mu (k-1)! / mu! over (k-1)!; with ``zero_end_jets`` the two
+    end jets are zero and draw nothing.
     """
     fact = math.factorial(max(k - 1, 0))
     scales = [fact // math.factorial(mu) for mu in range(k)]
-    jets = [
+    return [
         ((0,) * k if zero_end_jets and node in (0, length) else tuple(rng.randint(-4, 4) * m for m in scales), fact)
         for node in range(length + 1)
     ]
+
+
+def _glued(jets: list[tuple[tuple[int, ...], int]], rng: random.Random) -> PiecewisePoly:
+    """The ``hermite_interpolant`` of the node jets, of length k, plus x^k (1 - x)^k q on each piece.
+
+    q is a drawn quadratic, and the bump leaves every jet of order below k
+    unchanged; it is added to each ``two_point_hermite`` piece P / D as D
+    times its integer coefficients.  With k = 0 the jets are empty, and q is
+    the sum of two drawn quadratics.
+    """
+    k = len(jets[0][0])
     shape = [0] * k + [(-1) ** j * math.comb(k, j) for j in range(k + 1)]  # x^k (1 - x)^k
     forms = []
     for left, right in zip(jets, jets[1:]):
@@ -148,7 +162,12 @@ def _hermite_glued(length: int, k: int, rng: random.Random, zero_end_jets: bool)
             for j, c in enumerate(q):
                 acc[i + j] += den * a * c
         forms.append(_form(acc, den))
-    return PiecewisePoly(tuple(range(length + 1)), 1, tuple(forms))
+    return PiecewisePoly(tuple(range(len(jets))), 1, tuple(forms))
+
+
+def _hermite_glued(length: int, k: int, rng: random.Random, zero_end_jets: bool) -> PiecewisePoly:
+    """``_glued`` on ``_drawn_jets``: drawn node jets, then one drawn bump per piece."""
+    return _glued(_drawn_jets(length, k, rng, zero_end_jets), rng)
 
 
 def random_zero_trace_function(interval_count: int, k: int, rng: random.Random) -> PiecewisePoly:
@@ -165,22 +184,29 @@ def random_image_member(structure: StructureReport, fns: list[NodeFunctional], r
     """Random order-k function satisfying all image membership conditions.
 
     ``fns`` is ``membership_functionals(structure.gamma, k)``, the stack the
-    caller checks the result against; k is half its length.  Takes a random
-    order-k function w0 and subtracts a Hermite-glued correction.  In the
+    caller checks the result against; k is half its length.  It is a random
+    order-k function w0 minus a Hermite-glued correction, glued once: in the
     right-edge relations the atoms w^(mu)(N+1) and w^(mu)(m) each appear in
     exactly one functional, with weight 1, so the correction's node jets are
-    zero except there, where they equal the edge and interior relation values
-    on w0.  Every other node jet of w0 survives, so the result is in general
-    not in the zero-trace class.
+    zero except there, where they equal the edge and interior relation
+    values on w0.  Those values are read off w0's drawn node jets, since
+    w0^(mu)(node) is the drawn derivative (the bump leaves every order below
+    k unchanged), and subtracted from the jets at N+1 and m before the one
+    glue; the interpolant is linear in the jets, so the result is w0 minus
+    the correction's interpolant.  Every other node jet of w0 survives, so
+    the result is in general not in the zero-trace class.
     """
     n = structure.stencil.N
     k = len(fns) // 2  # edge[mu], interior[mu] for mu < k
-    w0 = random_order_k_function(n + 1, k, rng)
-    values = evaluate_stack(fns, w0)
-    jets = [((0,) * k, 1)] * (n + 2)
-    for node, derivatives in ((n + 1, values[0::2]), (structure.gamma.m, values[1::2])):
-        jets[node] = exactla.integer_numerators([x / math.factorial(mu) for mu, x in enumerate(derivatives)])
-    return w0 - hermite_interpolant(jets)
+    jets = _drawn_jets(n + 1, k, rng, zero_end_jets=False)
+    values = values_from_jets(fns, lambda node, mu, fn: jets[node.numerator])  # the nodes are the integers 0..N+1
+    for node, relation in ((n + 1, values[0::2]), (structure.gamma.m, values[1::2])):
+        # Taylor numerators x / den less value / mu!, over one common denominator
+        nums, den = jets[node]
+        dens = [value.denominator * math.factorial(mu) for mu, value in enumerate(relation)]
+        common = math.lcm(den, *dens)
+        jets[node] = [x * (common // den) - v.numerator * (common // d) for x, v, d in zip(nums, relation, dens)], common
+    return _glued(jets, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -464,13 +464,16 @@ def test_analyze_rejects_unsupported_regimes(tmp_path, capsys):
 
 @pytest.mark.parametrize("b", [[1, 0, 1], [0, 1, 0], [1, 1, 1]])
 def test_analyze_command_analyzes_once(tmp_path, capsys, monkeypatch, b):
-    calls, analyses = [], []
-    integer_inverse = exactla.integer_inverse
-    monkeypatch.setattr(exactla, "integer_inverse", lambda m: calls.append(len(m)) or integer_inverse(m))
+    passes, solves, analyses = [], [], []
+    forward, back = exactla._forward, exactla._back_substitute
+    monkeypatch.setattr(exactla, "_forward", lambda m, n: passes.append(n) or forward(m, n))
+    monkeypatch.setattr(exactla, "_back_substitute", lambda m, n: solves.append(n) or back(m, n))
     monkeypatch.setattr(structure, "analyze", lambda s: analyses.append(s) or analyze(s))
     main(["analyze", _write(tmp_path, dict(WORKED, b=b))])
-    # one elimination of R1 gives det R1, det R2 and R1^-1; only a singular R1 eliminates R2 for det R2
-    assert sorted(calls) == ([1, 2] if b == [1, 1, 1] else [2])
+    # one forward pass of [T | I] gives det R1 and det R2, and only the supported stencil
+    # back-substitutes it for R1^-1; only a singular R1 runs a pass of R2 for det R2
+    assert passes == ([2, 1] if b == [1, 1, 1] else [2])
+    assert solves == ([2] if b == [1, 0, 1] else [])
     assert len(analyses) == 1
     assert "det R1 = %s" % Stencil.from_coeffs(b).det_r1 in capsys.readouterr().out
 
@@ -654,6 +657,18 @@ def test_solve_samples_validation(tmp_path, capsys):
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: --samples: "), (bad, err)
         assert elapsed < 1.0, bad
+    assert not list(tmp_path.glob("x-*"))
+
+
+def test_a_long_samples_step_is_clipped_in_the_row_cap_message(tmp_path, capsys):
+    # 1/3^5000 has a 2,386-digit denominator, inside the 8,192-bit bound, and gives far too many rows
+    path = _write(tmp_path, WORKED)
+    assert main(["solve", path, "--out", str(tmp_path / "x"), "--samples=1/%d" % 3 ** 5000]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --samples: ") and "CSV rows" in err[0], err
+    assert len(captured.err.encode("utf-8")) < 200
     assert not list(tmp_path.glob("x-*"))
 
 

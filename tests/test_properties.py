@@ -72,6 +72,7 @@ from ddbvp.verification import (
     _violating_data,
     check_boundary_rank_cases,
     named_stencils,
+    random_image_member,
     random_regime_stencils,
 )
 
@@ -463,6 +464,54 @@ def test_one_elimination_gives_the_determinants_the_regime_and_r1_inverse(stenci
     _assert_the_elimination_equals_the_references(stencil)
 
 
+def _gauss_jordan_inverse(rows):
+    """The Gauss-Jordan ``integer_inverse`` that the forward pass replaced, kept as the reference:
+    ``_eliminate`` on [rows | I] leaves the signed last pivot d on the diagonal and d times
+    the inverse in the right half, whose sign and common gcd are divided out."""
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, sign = exactla._eliminate(m)
+    if pivots[:n] != list(range(n)):
+        return 0, [], 1
+    d = m[0][0] if n else 1
+    g = math.gcd(d, *(x for row in m for x in row[n:]))
+    if d < 0:
+        g = -g
+    return sign * d, [[x // g for x in row[n:]] for row in m], d // g
+
+
+# mostly zeros, so that leading minors of T (and T itself) are often singular
+sparse_stencils = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3, Fraction(1, 2))), min_size=2 * n + 1, max_size=2 * n + 1)
+).map(Stencil.from_coeffs)
+
+
+@SETTINGS
+@given(st.one_of(sparse_stencils, wide_regime_stencils, supported_stencils(max_n=8)))
+@example(Stencil.from_coeffs((1, 0, 1)))  # T = [[0, 1], [1, 0]]: one row swap, det T = -1
+@example(Stencil.from_coeffs((1, 1, 1)))  # singular T, det R2 = 1
+@example(Stencil.from_coeffs((1, 0, 0, 0, 0)))  # singular T and R2
+@example(Stencil.from_coeffs((0, 1, 0, 0, 0, 0, 1)))  # b_0 = b_1 = 0: swaps at two steps
+def test_the_forward_pass_equals_the_gauss_jordan_reference(stencil):
+    n = stencil.N
+    rows, den = stencil.r1_numerators
+    r2 = [row[:n] for row in rows[:n]]
+    forward = exactla.ForwardPass(rows)
+    det, inverse, d = _gauss_jordan_inverse(rows)
+    det_r2 = _gauss_jordan_inverse(r2)[0]
+    assert forward.det == det
+    assert forward.inverse() == (det, inverse, d)
+    assert forward.rows is None  # back substitution releases the pass
+    assert exactla.integer_inverse(rows) == (det, inverse, d)
+    assert exactla.integer_det(rows) == det and exactla.integer_det(r2) == det_r2
+    if det:
+        assert forward.leading_minor == det_r2
+    else:
+        with pytest.raises(ValueError, match="nonsingular"):
+            forward.leading_minor
+    assert (stencil.det_r1, stencil.det_r2) == (Fraction(det, den ** (n + 1)), Fraction(det_r2, den ** n))
+
+
 @SETTINGS
 @given(st.one_of(wide_regime_stencils, supported_stencils()))
 def test_the_report_stores_r1_inverse_over_one_positive_denominator(stencil):
@@ -718,14 +767,16 @@ def test_gamma_relations_hold_on_wide_stencils(n, dependent):
 
 @pytest.mark.parametrize("dependent", (False, True))
 def test_analyze_runs_two_eliminations(monkeypatch, dependent):
-    # [R1 | I], whose pivots give both determinants, and the N x 2 end-column pair
-    kernel, calls = exactla._eliminate, []
-    system, pairs = exactla.TwoColumnSystem, []
-    monkeypatch.setattr(exactla, "_eliminate", lambda m: calls.append(len(m)) or kernel(m))
+    # one forward pass of [T | I], whose pivots give both determinants, its back
+    # substitution for R1^-1, and the N x 2 end-column pair
+    forward, back, system = exactla._forward, exactla._back_substitute, exactla.TwoColumnSystem
+    passes, solves, pairs = [], [], []
+    monkeypatch.setattr(exactla, "_forward", lambda m, n: passes.append([n, len(m[0])]) or forward(m, n))
+    monkeypatch.setattr(exactla, "_back_substitute", lambda m, n: solves.append(n) or back(m, n))
     monkeypatch.setattr(exactla, "TwoColumnSystem", lambda block: pairs.append(len(block)) or system(block))
     report = analyze(_wide_regime_stencil(8, dependent))
     assert report.ends.dependent is dependent
-    assert (calls, pairs) == ([9], [8])
+    assert (passes, solves, pairs) == ([[9, 18]], [9], [8])
 
 
 # -- the kernel certificate and the boundary rank ------------------------------------
@@ -1697,6 +1748,35 @@ def test_hermite_glued_equals_the_fraction_construction(length, k, seed, zero_en
     assert rng.getstate() == reference_rng.getstate()
 
 
+def _reference_image_member(structure, fns, rng):
+    """The construction ``random_image_member`` replaced, draw for draw: a random order-k
+    function w0, the stack evaluated on it, and w0 minus the ``hermite_interpolant`` of the
+    correction jets, zero except at N+1 and m."""
+    n = structure.stencil.N
+    k = len(fns) // 2
+    w0 = _hermite_glued(n + 1, k, rng, zero_end_jets=False)
+    values = evaluate_stack(fns, w0)
+    jets = [((0,) * k, 1)] * (n + 2)
+    for node, derivatives in ((n + 1, values[0::2]), (structure.gamma.m, values[1::2])):
+        jets[node] = exactla.integer_numerators([x / math.factorial(mu) for mu, x in enumerate(derivatives)])
+    return w0 - hermite_interpolant(jets)
+
+
+@SETTINGS
+@given(st.one_of(supported_stencils(max_n=4), wide_regime_stencils), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_image_member_equals_the_subtracted_interpolant(stencil, k, seed):
+    structure = analyze(stencil)
+    fns = membership_functionals(structure.gamma, k)
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    f = random_image_member(structure, fns, rng)
+    expected = _reference_image_member(structure, fns, reference_rng)
+    assert f.breaks == expected.breaks
+    assert f.forms == expected.forms
+    assert rng.getstate() == reference_rng.getstate()
+    assert not any(evaluate_stack(fns, f))
+
+
 @SETTINGS
 @given(zero_trace_images())
 def test_membership_functionals_vanish_on_images(case):
@@ -1877,6 +1957,56 @@ def test_every_problem_file_ends_analyze_in_a_documented_exit_code(text):
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+
+
+# one drawn value of each kind per example, so every kind is run on every drawn file
+sample_steps = st.tuples(
+    st.sampled_from(("0", "-0", "0/7", "-1/2", "-3", "1/0", "nonsense", "", "1e-9", "1e-5000", "1e8000000", "1e-99999999")),
+    st.integers(min_value=1, max_value=8).map("1/{}".format),  # accepted
+    st.integers(min_value=10 ** 6, max_value=10 ** 12).map("1/{}".format),  # over the CSV row cap
+    # 1,000 to 5,000 digits: over the row cap, past the bit bound, or past the 4,300-digit parse limit
+    st.integers(min_value=1000, max_value=5000).map(lambda digits: "1/" + "9" * digits),
+)
+grid_values = st.tuples(
+    st.integers(min_value=-5, max_value=3).map(str),  # zero, negative, below 4
+    st.integers(min_value=4, max_value=32).map(str),  # accepted
+    st.integers(min_value=10 ** 6, max_value=10 ** 40).map(str),  # over the grid's unknown cap
+    st.sampled_from(("x", "4.5", "", "9" * 5000)),  # not an int, or too long to parse
+)
+
+
+@st.composite
+def documents_in_and_out_of_the_regime(draw):
+    """A valid problem file, half of the time with a supported stencil, so that solves also run to the end."""
+    doc = draw(problem_documents())
+    if draw(st.booleans()):
+        stencil = draw(supported_stencils(min_n=doc["N"], max_n=doc["N"]))
+        doc["b"] = [str(c) for c in stencil.coeffs]
+    return doc
+
+
+def _exit_and_stderr(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@SETTINGS
+@given(documents_in_and_out_of_the_regime(), sample_steps, grid_values)
+def test_every_samples_step_and_grid_resolution_ends_in_a_documented_exit_code(doc, steps, resolutions):
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "problem.json")
+        with open(path, "w", encoding="utf-8") as stream:
+            json.dump(doc, stream)
+        # the = forms keep argparse from reading a negative value as an option
+        runs = [["solve", path, "--out", os.path.join(folder, "x"), "--samples=" + step] for step in steps]
+        runs += [["spectrum", path, "--grid=" + n] for n in resolutions]
+        for argv in runs:
+            code, err = _exit_and_stderr(argv)
+            assert code in (0, 1, 2, 3, 4), argv
+            if code == 1:
+                assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
 
 
 # -- the residue blocks of the grid shift -----------------------------------------

@@ -1,5 +1,6 @@
 """Shift matrix structure data, cross-checked against sympy and the defining identities."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,7 @@ from ddbvp.structure import (
     index_table,
 )
 from ddbvp import exactla, structure
-from ddbvp.verification import named_stencils, random_regime_stencils
+from ddbvp.verification import check_boundary_rank_cases, named_stencils, random_regime_stencils
 
 DEPENDENT_NAMED = (Stencil.from_coeffs((1, 0, 1)), Stencil.from_coeffs((1, 1, 2, 4, 4)))
 INDEPENDENT_NAMED = Stencil.from_coeffs((0, 1, 1, 1, 2))
@@ -65,31 +66,63 @@ def test_regime_classification_three_cases():
     assert Stencil.from_coeffs((1, 1, 1)).regime is Regime.SINGULAR_FULL
 
 
+def _spy_on_the_passes(monkeypatch):
+    """Record [rows, columns] of every forward pass and the size of every back substitution."""
+    passes, solves = [], []
+    forward, back = exactla._forward, exactla._back_substitute
+    monkeypatch.setattr(exactla, "_forward", lambda m, n: passes.append([n, len(m[0]) if m else 0]) or forward(m, n))
+    monkeypatch.setattr(exactla, "_back_substitute", lambda m, n: solves.append(n) or back(m, n))
+    return passes, solves
+
+
 def test_regime_of_a_singular_r1_runs_one_determinant(monkeypatch):
-    calls = []
-    kernel = exactla._eliminate
-    monkeypatch.setattr(exactla, "_eliminate", lambda m: calls.append(len(m)) or kernel(m))
+    passes, solves = _spy_on_the_passes(monkeypatch)
     s = Stencil.from_coeffs((1, 1, 1))
     assert s.regime is Regime.SINGULAR_FULL
     assert s.regime is Regime.SINGULAR_FULL
-    assert calls == [2]
-    # det R2 of a singular R1 eliminates R2 itself, once, and only when read
+    assert passes == [[2, 4]] and s.r1_pass.rows is None  # a singular pass keeps no rows
+    # det R2 of a singular R1 runs a pass of R2 itself, once, and only when read
     assert s.det_r2 == 1 and s.det_r2 == 1
-    assert calls == [2, 1]
+    assert passes == [[2, 4], [1, 1]]
+    assert solves == []
+
+
+def test_a_rejected_stencil_runs_one_pass_and_no_back_substitution(monkeypatch):
+    passes, solves = _spy_on_the_passes(monkeypatch)
+    s = Stencil.from_coeffs((2, 5, -1))
+    assert s.regime is Regime.NONSINGULAR_BOTH
+    # det R2 = 5 is read off the same pass, by Cramer's rule
+    assert (s.det_r1, s.det_r2) == (27, 5)
+    with pytest.raises(UnsupportedRegimeError):
+        s.structure
+    assert (passes, solves) == ([[2, 4]], [])
 
 
 def test_a_supported_stencil_eliminates_r1_once(monkeypatch):
-    calls = []
-    kernel, system = exactla._eliminate, exactla.TwoColumnSystem
-    monkeypatch.setattr(exactla, "_eliminate", lambda m: calls.append([len(m), len(m[0])]) or kernel(m))
-    monkeypatch.setattr(exactla, "TwoColumnSystem", lambda m: calls.append([len(m), len(m[0])]) or system(m))
+    passes, solves = _spy_on_the_passes(monkeypatch)
+    pairs, system = [], exactla.TwoColumnSystem
+    monkeypatch.setattr(exactla, "TwoColumnSystem", lambda m: pairs.append([len(m), len(m[0])]) or system(m))
     s = Stencil.from_coeffs((1, 1, 2, 4, 4))
     assert s.regime is Regime.SINGULAR_MINOR
     assert (s.det_r1, s.det_r2) == (4, 0)
+    assert solves == []
     assert s.structure.inverse is s.r1_elimination[1]
     assert cofactor(s, 1, 2) == s.det_r1 * s.structure.r1_inverse[1][0]
-    # [T | I] once; the only other elimination is the N x 2 end-column pair, a TwoColumnSystem
-    assert calls == [[3, 6], [2, 2]]
+    # one forward pass of [T | I] and one back substitution on it; the only other
+    # elimination is the N x 2 end-column pair, a TwoColumnSystem
+    assert (passes, solves, pairs) == ([[3, 6]], [3], [[2, 2]])
+    assert s.r1_pass.rows is None  # the stencil keeps R1^-1, not the pass it came from
+
+
+def test_criterion_6_back_substitutes_only_the_stencils_it_analyzes(monkeypatch):
+    box = [Stencil.from_coeffs(b) for b in itertools.product(range(-3, 4), repeat=3)]
+    supported = sum(s.regime is Regime.SINGULAR_MINOR for s in box)
+    passes, solves = _spy_on_the_passes(monkeypatch)
+    assert check_boundary_rank_cases().passed
+    # one pass of [T | I] per box stencil, none of R2 alone (no singular R1 reads det R2),
+    # and a back substitution for the supported stencils only
+    assert passes == [[2, 4]] * len(box)
+    assert solves == [2] * supported and 0 < supported < len(box)
 
 
 def test_a_stencil_is_analyzed_once_and_keeps_its_report(monkeypatch):
