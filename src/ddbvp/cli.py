@@ -30,6 +30,7 @@ import argparse
 import contextlib
 import functools
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -225,7 +226,8 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise ``ProblemFileError``; its subparsers inherit the class."""
 
     def error(self, message):
-        raise ProblemFileError(self.prog, message)
+        # argparse quotes a rejected value whole; it is clipped as every other echoed value is
+        raise ProblemFileError(self.prog, re.sub(r"'([^']*)'", lambda m: "'%s'" % _clip(m.group(1)), message))
 
 
 @functools.cache

@@ -1994,6 +1994,8 @@ def _exit_and_stderr(argv):
 
 @SETTINGS
 @given(documents_in_and_out_of_the_regime(), sample_steps, grid_values)
+@example(doc={"N": 1, "b": ["1", "0", "1"], "k": 0, "f0": [{"interval": [0, 2], "coeffs": [1]}]},
+         steps=("0", "1/2", "1/1000000", "1/" + "9" * 1000), resolutions=("0", "4", "1000000", "9" * 5000))
 def test_every_samples_step_and_grid_resolution_ends_in_a_documented_exit_code(doc, steps, resolutions):
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "problem.json")
@@ -2007,6 +2009,7 @@ def test_every_samples_step_and_grid_resolution_ends_in_a_documented_exit_code(d
             assert code in (0, 1, 2, 3, 4), argv
             if code == 1:
                 assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+                assert len(err.encode("utf-8")) < 200, (argv[:2], len(err))  # an echoed value is clipped
 
 
 # -- the residue blocks of the grid shift -----------------------------------------
@@ -2036,3 +2039,119 @@ def test_the_grid_shift_is_block_diagonal_by_residue(stencil, n):
     padded_r2 = np.zeros_like(r1)
     padded_r2[1:, 1:] = [[float(x) for x in row[:big]] for row in stencil.r1[:big]]
     assert by_residue[0, 0].tobytes() == padded_r2.tobytes()
+
+
+# -- the grid solve against the bodies it replaced --------------------------------
+
+
+def _reference_chain_solve(lower, diag, upper, rhs, first, last):
+    """``grid._chain_solve`` as it was before its steps wrote into preallocated arrays, kept as the reference."""
+    p = diag[0] / 2
+    if not (np.all(diag == diag[0]) and np.all(lower[1:] == -p) and np.all(upper[:-1] == -p)):
+        ends = np.zeros_like(diag)
+        ends[0], ends[-1] = first, last
+        return grid._cyclic_reduction(lower, diag, upper, np.concatenate([rhs, ends], axis=2))
+    m, rows, q = rhs.shape
+    p_inv, n = np.linalg.inv(p), m + 1
+    i = np.arange(1.0, n)[:, None]
+    ends = ((n - i) / n)[..., None] * (p_inv @ first) + (i / n)[..., None] * (p_inv @ last)
+    if not q:
+        return ends
+
+    def solve(b):
+        z = (p_inv @ b).reshape(rows, m, q)
+        after = np.zeros_like(z)
+        after[:, :-1] = np.cumsum(((n - i) * z)[:, :0:-1], axis=1)[:, ::-1]
+        return ((n - i) * np.cumsum(i * z, axis=1) + i * after) / n
+
+    b = rhs.transpose(1, 0, 2).reshape(rows, -1)
+    y = solve(b)
+    k_y = 2.0 * y
+    k_y[:, 1:] -= y[:, :-1]
+    k_y[:, :-1] -= y[:, 1:]
+    y += solve(b - p @ k_y.reshape(rows, -1))
+    return np.concatenate([y.transpose(1, 0, 2), ends], axis=2)
+
+
+def _reference_residue_eliminate(ops, rhs):
+    """``grid._residue_eliminate`` as it was, on rhs at t_1..t_{M-1}; it keeps nothing on ``ops``."""
+    diag, lower, upper = ops.diag, ops.lower, ops.upper
+    col_sums = np.einsum("rkl->rl", np.abs(diag))
+    col_sums += np.roll(np.einsum("rkl->rl", np.abs(upper)), 1, axis=0)
+    col_sums += np.roll(np.einsum("rkl->rl", np.abs(lower)), -1, axis=0)
+    norm_1 = float(col_sums.max())
+    q = rhs.shape[1]
+    b = np.concatenate([np.zeros((1, q)), rhs]).reshape(ops.stencil.N + 1, ops.n, q).transpose(1, 0, 2)
+    chain_lower, chain_upper = lower[1:].copy(), upper[1:].copy()
+    chain_lower[0] = chain_upper[-1] = 0.0
+    y = _reference_chain_solve(chain_lower, diag[1:], chain_upper, b[1:], lower[1], upper[-1])
+    schur = (diag[0] - upper[0] @ y[0, :, q:] - lower[0] @ y[-1, :, q:])[1:, 1:]
+    g = b[0] - upper[0] @ y[0, :, :q] - lower[0] @ y[-1, :, :q]
+    return schur, g[1:], y, norm_1
+
+
+def _reference_solve_grid(ops, rhs):
+    """``grid.solve_grid`` as it was: (values, condition, ill_conditioned, Schur complement, ||A||_1)."""
+    ramp = 1.0 + np.arange(ops.size) / (ops.size - 1)
+    probes = np.column_stack([np.ones(ops.size), ramp, ramp * (-1.0) ** np.arange(ops.size)])
+    schur = norm_1 = None
+    try:
+        schur, g, y, norm_1 = _reference_residue_eliminate(ops, np.column_stack([rhs, probes]))
+        x0 = np.zeros((ops.stencil.N + 1, 4))
+        x0[1:] = np.linalg.solve(schur, g)
+        x = np.concatenate([x0[None], y[:, :, :4] - y[:, :, 4:] @ x0])
+        solved = x.transpose(1, 0, 2).reshape(-1, 4)[1:]
+        growth = np.abs(solved[:, 1:]).sum(axis=0) / np.abs(probes).sum(axis=0)
+        condition = float(norm_1 * growth.max())
+    except np.linalg.LinAlgError:
+        condition = math.inf
+    ill = not math.isfinite(condition) or condition > 1e12
+    values = np.linalg.lstsq(ops.operator.matrix, rhs, rcond=None)[0] if ill else solved[:, 0]
+    return values, condition, ill, schur, norm_1
+
+
+def _reference_spectrum_check(stencil, n):
+    """``grid.spectrum_check``'s two distances as they were, one Python loop per eigenvalue."""
+    exact_r1, exact_r2 = stencil.r1_eigenvalues, stencil.r2_eigenvalues
+    if any(b != 0 and offset % n for offset, b in grid._shift_bands(stencil, n)):
+        return n, math.inf, math.inf
+    grid_eigs = np.concatenate([exact_r1, exact_r2])
+    containment = max(float(np.abs(grid_eigs - lam).min()) for lam in exact_r1)
+    block = max(float(np.abs(grid_eigs - mu).min()) for mu in grid_eigs)
+    return n, containment, block
+
+
+GRID_POOL = named_stencils() + random_regime_stencils() + tuple(
+    map(Stencil.from_coeffs, [(1, 0, -1), (Fraction(1, 3), 0, Fraction(2, 7))]))
+
+
+@SETTINGS
+@given(st.sampled_from(GRID_POOL), st.sampled_from((4, 5, 8, 33, 64, 512)),
+       st.sampled_from((None, "zero", "one", "t")), st.integers(min_value=0, max_value=2 ** 32 - 1))
+@example(GRID_POOL[0], 512, None, 0)
+@example(GRID_POOL[-2], 64, None, 0)  # (1, 0, -1): a singular R1 block, the dense fallback
+def test_the_grid_solve_is_bit_identical_to_the_bodies_it_replaced(stencil, n, a_kind, seed):
+    a = {
+        None: None,
+        "zero": PiecewisePoly.constant(0, 0, stencil.N + 1),
+        "one": PiecewisePoly.constant(1, 0, stencil.N + 1),
+        "t": PiecewisePoly.from_global((0, 1), (0, stencil.N + 1)),
+    }[a_kind]
+    ops = grid.assemble(stencil, n, a)
+    rhs = np.random.default_rng(seed).standard_normal(ops.size) + np.cos(np.arange(ops.size))
+    values, condition, ill, schur, norm_1 = _reference_solve_grid(ops, rhs)
+    solution = grid.solve_grid(ops, rhs)
+    assert solution.values.tobytes() == values.tobytes()
+    assert (solution.condition, solution.ill_conditioned) == (condition, ill)
+    if schur is None:
+        assert ops._schur is None
+    else:
+        assert ops._schur[0].tobytes() == schur.tobytes() and ops._schur[1] == norm_1
+    check = grid.spectrum_check(stencil, n)
+    assert (check.n, check.containment_distance, check.block_distance) == _reference_spectrum_check(stencil, n)
+    # index_estimate's elimination, with no right-hand sides, keeps the same Schur complement
+    fresh = grid.assemble(stencil, n, a)
+    grid.index_estimate(fresh)
+    if schur is not None:
+        kept, _, _, kept_norm = _reference_residue_eliminate(fresh, np.empty((fresh.size, 0)))
+        assert fresh._schur[0].tobytes() == kept.tobytes() and fresh._schur[1] == kept_norm
